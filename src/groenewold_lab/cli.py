@@ -7,8 +7,9 @@ every run-varying datum lives in '#' header comments, so outputs are
 byte-identical across runs once those lines are stripped.
 
 Exit codes: 0 success, 1 config schema error (line-precise), 2 validation
-failure (conservation residuals over tolerance), 3 quadrature or
-truncation failure (state does not fit the basis).
+failure (conservation residuals over tolerance, or a sector generator too
+ill-conditioned to factor), 3 quadrature or truncation failure (state does
+not fit the basis).
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import metadata, resources
@@ -328,19 +327,6 @@ def validate_config(doc: _Doc) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Execution
 
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("GROENEWOLD_THREADS")
-    if raw is None:
-        return max(1, min(4, n_tasks))
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(f"GROENEWOLD_THREADS must be an integer, got {raw!r}") from None
-    if val < 1:
-        raise ConfigError("GROENEWOLD_THREADS must be >= 1")
-    return max(1, min(val, n_tasks))
-
-
 def _fmt(value) -> str:
     return f"{value:.17g}"
 
@@ -464,20 +450,10 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
     row_idx = [union.index(t) for t in cfg.times]
     field_idx = [union.index(t) for t in cfg.field_times]
 
-    workers = _worker_count(len(cfg.dynamics))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda name: _compute_dynamics(cfg, name, g0, union, row_idx, field_idx),
-                    cfg.dynamics,
-                )
-            )
-    else:
-        results = [
-            _compute_dynamics(cfg, name, g0, union, row_idx, field_idx)
-            for name in cfg.dynamics
-        ]
+    results = [
+        _compute_dynamics(cfg, name, g0, union, row_idx, field_idx)
+        for name in cfg.dynamics
+    ]
 
     written: list[Path] = []
 

@@ -11,11 +11,12 @@ requested time:
 - "unitary"         i L is Hermitian to float precision, so exp(t L) is
                     unitary and comes from one Hermitian eigensolve,
 - "diagonalizable"  general eigensolve, accepted when the eigenvector
-                    basis is well conditioned (below 1e8),
-- "stepping"        scaled matrix exponentials step through the sorted
-                    time grid (last resort, never hit by the four flows).
+                    basis is well conditioned (below 1e8).
 
-Requests at t = 0 return the initial vector bit-exactly on every route.
+A generator whose eigenvector basis is worse conditioned than that raises
+ValidationFailed naming the sector and its condition number (the CLI
+exits 2); none of the four flows comes near the limit. Requests at t = 0
+return the initial vector bit-exactly on every route.
 
 The module also carries two continuum references that never touch the
 number basis: classical_moment_quadrature integrates <alpha^m> under the
@@ -31,19 +32,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, QuadratureNotConverged
+from .errors import ConfigError, QuadratureNotConverged, ValidationFailed
 from .generators import all_generator_blocks
-from .mathkit import bessel_i_scaled, composite_gauss_legendre_rule, expm
+from .mathkit import bessel_i_scaled, composite_gauss_legendre_rule
 from .model import ModelSpec
 from .states import GaussianState
 
 __all__ = [
     "BlockPropagator",
     "Trajectory",
-    "block_propagator",
     "classical_moment_quadrature",
     "evolve",
-    "propagate_block",
     "whorl_field",
 ]
 
@@ -79,13 +78,16 @@ class BlockPropagator:
             self._v = v
             return
         w, v = np.linalg.eig(L)
-        if np.linalg.cond(v) < _CONDITION_LIMIT:
-            self.route = "diagonalizable"
-            self._w = w
-            self._v = v
-            self._vinv = np.linalg.inv(v)
-            return
-        self.route = "stepping"
+        cond = np.linalg.cond(v)
+        if not cond < _CONDITION_LIMIT:
+            raise ValidationFailed(
+                f"generator eigenvectors have condition number {cond:.3e}, "
+                f"above the limit {_CONDITION_LIMIT:.0e}"
+            )
+        self.route = "diagonalizable"
+        self._w = w
+        self._v = v
+        self._vinv = np.linalg.inv(v)
 
     def at(self, g0: np.ndarray, t: float) -> np.ndarray:
         return self.trajectory(g0, [t])[0]
@@ -112,34 +114,10 @@ class BlockPropagator:
             for i, t in enumerate(times):
                 out[i] = g0 if t == 0.0 else self._v @ (np.exp(-1j * t * self._w) * c)
             return out
-        if self.route == "diagonalizable":
-            c = self._vinv @ g0
-            for i, t in enumerate(times):
-                out[i] = g0 if t == 0.0 else self._v @ (np.exp(t * self._w) * c)
-            return out
-        g = g0
-        prev = 0.0
-        steps: dict[float, np.ndarray] = {}
+        c = self._vinv @ g0
         for i, t in enumerate(times):
-            dt = t - prev
-            if dt != 0.0:
-                step = steps.get(dt)
-                if step is None:
-                    step = expm(self.L * dt)
-                    steps[dt] = step
-                g = step @ g
-            prev = t
-            out[i] = g0 if t == 0.0 else g
+            out[i] = g0 if t == 0.0 else self._v @ (np.exp(t * self._w) * c)
         return out
-
-
-def block_propagator(L: np.ndarray) -> BlockPropagator:
-    return BlockPropagator(L)
-
-
-def propagate_block(L: np.ndarray, g0: np.ndarray, times) -> np.ndarray:
-    """One-shot exp(t L) g0 over a time grid; rows follow `times`."""
-    return BlockPropagator(L).trajectory(g0, times)
 
 
 def _check_times(times) -> np.ndarray:
@@ -224,7 +202,12 @@ def _propagators(dynamics: str, model: ModelSpec, nmax: int, guard: int, check: 
     if hit is not None:
         return hit
     blocks = all_generator_blocks(dynamics, model, nmax, guard=guard, check=check, nu_top=nu_top)
-    props = [BlockPropagator(b) for b in blocks]
+    props = []
+    for nu, block in enumerate(blocks):
+        try:
+            props.append(BlockPropagator(block))
+        except ValidationFailed as exc:
+            raise ValidationFailed(f"{dynamics} sector nu={nu}: {exc}") from None
     if len(_PROPAGATOR_CACHE) >= _PROPAGATOR_CACHE_LIMIT:
         _PROPAGATOR_CACHE.pop(next(iter(_PROPAGATOR_CACHE)))
     _PROPAGATOR_CACHE[key] = props

@@ -50,13 +50,11 @@ from .sl2 import interior, p_block, x_blocks
 
 __all__ = [
     "DYNAMICS",
-    "GeneratorBlock",
     "ValidationReport",
     "all_generator_blocks",
     "classical_block",
     "classical_block_analytic",
     "cross_validate",
-    "generator_block",
     "hilbert_correction_block",
     "hilbert_correction_pairs",
     "moyal_correction_block",
@@ -165,6 +163,42 @@ def _hilbert_terms_all(model: ModelSpec, j: int, nmax: int, pad: int, nu_top: in
     return tuple(out)
 
 
+def _hilbert_rungs(
+    model: ModelSpec,
+    j: int,
+    nmax: int,
+    nu_top: int,
+    guard: int,
+    check: bool,
+    pad: int | None = None,
+) -> tuple:
+    """C_j sector blocks for nu = 0 .. nu_top, sizes nmax - nu, pad-doubling checked.
+
+    Built on a basis padded beyond nmax so the entries are exact
+    restrictions; with check=True the pad is doubled and GuardInsufficient
+    is raised if any sector interior (last `guard` rows and columns
+    dropped) moves by more than 1e-10 relative.
+    """
+    if pad is None:
+        pad = _default_pad(model, j)
+    if pad < 0:
+        raise ConfigError("pad must be >= 0")
+    rungs = _hilbert_terms_all(model, j, nmax, pad, nu_top)
+    if not check:
+        return rungs
+    again = _hilbert_terms_all(model, j, nmax, 2 * pad + 8, nu_top)
+    for nu in range(1, nu_top + 1):
+        w = min(guard, nmax - nu - 1)
+        diff = np.abs(interior(rungs[nu] - again[nu], w)).max()
+        scale = max(1.0, np.abs(interior(again[nu], w)).max())
+        if diff > 1e-10 * scale:
+            raise GuardInsufficient(
+                f"sector nu={nu}: interior moved by {diff / scale:.3e} (relative) "
+                f"when the construction pad was doubled; increase pad"
+            )
+    return again
+
+
 def hilbert_correction_block(
     nu: int,
     model: ModelSpec,
@@ -176,11 +210,8 @@ def hilbert_correction_block(
 ) -> np.ndarray:
     """j-th commutator-route correction, coefficient included.
 
-    classical = quantum + sum of these over j = 1 .. K-1. Built on a basis
-    padded beyond n + |nu| so the returned entries are exact restrictions;
-    with check=True the pad is doubled and GuardInsufficient is raised if
-    the interior (last `guard` rows and columns dropped) moves by more than
-    1e-10 relative.
+    classical = quantum + sum of these over j = 1 .. K-1. The sector slice
+    of the batched, pad-checked construction for nmax = n + |nu|.
     """
     _require_size(n)
     if j < 1:
@@ -188,33 +219,15 @@ def hilbert_correction_block(
     if j >= model.K:
         return np.zeros((n, n), dtype=complex)
     anu = abs(nu)
-    if pad is None:
-        pad = _default_pad(model, j)
-    if pad < 0:
-        raise ConfigError("pad must be >= 0")
-    block = _hilbert_terms_all(model, j, n + anu, pad, anu)[anu]
-    if check:
-        again = _hilbert_terms_all(model, j, n + anu, 2 * pad + 8, anu)[anu]
-        w = min(guard, n - 1)
-        diff = np.abs(interior(block - again, w)).max()
-        scale = max(1.0, np.abs(interior(again, w)).max())
-        if diff > 1e-10 * scale:
-            raise GuardInsufficient(
-                f"sector nu={nu}: interior moved by {diff / scale:.3e} (relative) "
-                f"when the construction pad was doubled; increase pad"
-            )
-        block = again
+    block = _hilbert_rungs(model, j, n + anu, anu, guard, check, pad)[anu]
     return np.conj(block) if nu < 0 else block
 
 
 def classical_block(
     nu: int, model: ModelSpec, n: int, guard: int = 16, check: bool = True
 ) -> np.ndarray:
-    """Liouville generator via the commutator route: quantum + ladder."""
-    out = quantum_block(nu, model, n)
-    for j in range(1, model.K):
-        out = out + hilbert_correction_block(nu, model, n, j, guard=guard, check=check)
-    return out
+    """Liouville generator via the commutator route: quantum + full ladder."""
+    return semiquantum_block(nu, model, n, j=model.K - 1, guard=guard, check=check)
 
 
 def classical_block_analytic(nu: int, model: ModelSpec, n: int) -> np.ndarray:
@@ -244,10 +257,10 @@ def semiquantum_block(
     """
     if j < 0:
         raise ConfigError("semiquantum order must be >= 0")
-    out = quantum_block(nu, model, n)
-    for i in range(1, min(j, model.K - 1) + 1):
-        out = out + hilbert_correction_block(nu, model, n, i, guard=guard, check=check)
-    return out
+    return quantum_block(nu, model, n) + sum(
+        hilbert_correction_block(nu, model, n, i, guard=guard, check=check)
+        for i in range(1, min(j, model.K - 1) + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +394,35 @@ def _moyal_terms_all(model: ModelSpec, j: int, nmax: int, extra_nodes: int, nu_t
     return tuple(out)
 
 
+_EXTRA_NODES = 16
+
+
+def _moyal_rungs(
+    model: ModelSpec, j: int, nmax: int, nu_top: int, check: bool, extra_nodes: int = _EXTRA_NODES
+) -> tuple:
+    """D_j sector blocks for nu = 0 .. nu_top, sizes nmax - nu, node-doubling checked.
+
+    Each sector uses nmax + extra_nodes generalized Gauss-Laguerre nodes,
+    which integrate the polynomial integrands exactly at the default; with
+    check=True the node count grows by nmax (doubling it at the default)
+    and QuadratureNotConverged is raised if any sector moves by more than
+    1e-8 relative.
+    """
+    rungs = _moyal_terms_all(model, j, nmax, extra_nodes, nu_top)
+    if not check:
+        return rungs
+    again = _moyal_terms_all(model, j, nmax, extra_nodes + nmax, nu_top)
+    for nu in range(1, nu_top + 1):
+        diff = np.abs(rungs[nu] - again[nu]).max()
+        scale = max(1.0, np.abs(again[nu]).max())
+        if diff > 1e-8 * scale:
+            raise QuadratureNotConverged(
+                f"sector nu={nu}: Moyal projection moved by {diff / scale:.3e} "
+                f"(relative) when the node count was increased"
+            )
+    return again
+
+
 def moyal_correction_block(
     nu: int,
     model: ModelSpec,
@@ -393,10 +435,8 @@ def moyal_correction_block(
 
     j = 0 returns the full Poisson (classical) generator by the Galerkin
     route; j >= 1 are the corrections with classical + sum = quantum. The
-    generalized Gauss-Laguerre rule integrates the polynomial integrands
-    exactly at the default node count; with check=True the node count is
-    doubled and QuadratureNotConverged is raised if entries move by more
-    than 1e-8 relative.
+    sector slice of the batched, node-checked construction for
+    nmax = n + |nu| with q_nodes nodes (default nmax + 16).
     """
     _require_size(n)
     if j < 0:
@@ -404,21 +444,9 @@ def moyal_correction_block(
     if j >= model.K:
         return np.zeros((n, n), dtype=complex)
     anu = abs(nu)
-    if anu == 0:
-        return np.zeros((n, n), dtype=complex)
-    if q_nodes is None:
-        q_nodes = n + anu + 16
-    block = _moyal_sector(model, j, anu, n, q_nodes)
-    if check:
-        again = _moyal_sector(model, j, anu, n, 2 * q_nodes)
-        diff = np.abs(block - again).max()
-        scale = max(1.0, np.abs(again).max())
-        if diff > 1e-8 * scale:
-            raise QuadratureNotConverged(
-                f"sector nu={nu}: Moyal projection moved by {diff / scale:.3e} "
-                f"(relative) when the node count was doubled"
-            )
-        block = again
+    nmax = n + anu
+    extra = _EXTRA_NODES if q_nodes is None else q_nodes - nmax
+    block = _moyal_rungs(model, j, nmax, anu, check, extra)[anu]
     return np.conj(block) if nu < 0 else block
 
 
@@ -439,42 +467,7 @@ def semiclassical_block(
 
 
 # ---------------------------------------------------------------------------
-# dispatch and validation
-
-@dataclass(frozen=True)
-class GeneratorBlock:
-    """One sector generator: dg/dt = L g on diagonal nu."""
-
-    nu: int
-    dynamics: str
-    L: np.ndarray
-    path: str
-    guard: int
-
-
-_PATHS = {
-    "quantum": "analytic",
-    "classical": "commutator",
-    "semiquantum1": "commutator",
-    "semiclassical1": "moyal-galerkin",
-}
-
-
-def generator_block(
-    nu: int, dynamics: str, model: ModelSpec, n: int, guard: int = 16, check: bool = True
-) -> GeneratorBlock:
-    if dynamics not in DYNAMICS:
-        raise ConfigError(f"unknown dynamics {dynamics!r}; choose from {DYNAMICS}")
-    if dynamics == "quantum":
-        mat = quantum_block(nu, model, n)
-    elif dynamics == "classical":
-        mat = classical_block(nu, model, n, guard=guard, check=check)
-    elif dynamics == "semiquantum1":
-        mat = semiquantum_block(nu, model, n, j=1, guard=guard, check=check)
-    else:
-        mat = semiclassical_block(nu, model, n, j=1, guard=guard, check=check)
-    return GeneratorBlock(nu=nu, dynamics=dynamics, L=mat, path=_PATHS[dynamics], guard=guard)
-
+# all sectors at once, and validation
 
 def all_generator_blocks(
     dynamics: str,
@@ -501,41 +494,12 @@ def all_generator_blocks(
     quantum = [quantum_block(nu, model, nmax - nu) for nu in range(nu_top + 1)]
     if dynamics == "quantum":
         return quantum
-    j_hilbert = model.K - 1 if dynamics in ("classical", "semiclassical1") else 1
-    terms = []
-    for j in range(1, min(j_hilbert, model.K - 1) + 1):
-        pad = _default_pad(model, j)
-        rungs = _hilbert_terms_all(model, j, nmax, pad, nu_top)
-        if check:
-            again = _hilbert_terms_all(model, j, nmax, 2 * pad + 8, nu_top)
-            for nu in range(min(nu_top + 1, nmax - 1)):
-                w = min(guard, nmax - nu - 1)
-                diff = np.abs(interior(rungs[nu] - again[nu], w)).max()
-                scale = max(1.0, np.abs(interior(again[nu], w)).max())
-                if diff > 1e-10 * scale:
-                    raise GuardInsufficient(
-                        f"sector nu={nu}: interior moved by {diff / scale:.3e} "
-                        f"(relative) when the construction pad was doubled"
-                    )
-            rungs = again
-        terms.append(rungs)
+    j_top = model.K - 1 if dynamics in ("classical", "semiclassical1") else min(1, model.K - 1)
+    terms = [_hilbert_rungs(model, j, nmax, nu_top, guard, check) for j in range(1, j_top + 1)]
     out = [quantum[nu] + sum(t[nu] for t in terms) for nu in range(nu_top + 1)]
-    if dynamics == "semiclassical1":
-        moyal = _moyal_terms_all(model, 1, nmax, 16, nu_top)
-        if check and model.K > 1:
-            again = _moyal_terms_all(model, 1, nmax, 16 + nmax, nu_top)
-            worst = 0.0
-            for nu in range(1, nu_top + 1):
-                diff = np.abs(moyal[nu] - again[nu]).max()
-                worst = max(worst, diff / max(1.0, np.abs(again[nu]).max()))
-            if worst > 1e-8:
-                raise QuadratureNotConverged(
-                    f"Moyal projection moved by {worst:.3e} (relative) when the "
-                    f"node count was increased"
-                )
-            moyal = again
-        if model.K > 1:
-            out = [out[nu] + moyal[nu] for nu in range(nu_top + 1)]
+    if dynamics == "semiclassical1" and model.K > 1:
+        moyal = _moyal_rungs(model, 1, nmax, nu_top, check)
+        out = [out[nu] + moyal[nu] for nu in range(nu_top + 1)]
     return out
 
 

@@ -1,16 +1,16 @@
 """Numerical kernels shared across the package.
 
-Hand-authored special functions (scaled Bessel I, plain / scaled /
-orthonormal associated Laguerre families) plus thin wrappers around dense
-linear algebra and Gaussian quadrature nodes. The hand-authored kernels are
-the only special-function implementations used at runtime; scipy supplies
-eigendecompositions, matrix exponentials and quadrature abscissas.
+Hand-authored special functions (scaled Bessel I and the orthonormal
+associated Laguerre families) plus a checked Hermitian eigensolver and
+Gaussian quadrature rules. The hand-authored kernels are the only
+special-function implementations used at runtime; numpy supplies
+eigendecompositions and Gauss-Legendre nodes, scipy the generalized
+Gauss-Laguerre nodes.
 
 Scaling conventions, chosen so that every array touched at runtime stays
 inside float64 range even at basis size N = 128:
 
 * ``bessel_i_scaled(m, x)``   -> e^-x I_m(x), always in [0, 1].
-* ``laguerre_scaled_all``     -> e^(-x/2) L_n^(k)(x), bounded by C(n+k, n).
 * ``radial_profiles``         -> phi_n(x) = (-1)^n sqrt(n!/(n+nu)!)
                                  x^(nu/2) e^(-x/2) L_n^(nu)(x),
                                  an orthonormal family on [0, inf) w.r.t. dx.
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 from scipy.special import roots_genlaguerre as _roots_genlaguerre
 
 from .errors import ValidationFailed
@@ -33,14 +32,9 @@ __all__ = [
     "QuadratureRule",
     "bessel_i_scaled",
     "composite_gauss_legendre_rule",
-    "expm",
     "gauss_genlaguerre_rule",
-    "gauss_legendre_rule",
     "hermitian_eig",
-    "laguerre_assoc",
     "laguerre_orthonormal_bare",
-    "laguerre_scaled_all",
-    "quadrature",
     "radial_profiles",
 ]
 
@@ -88,38 +82,6 @@ def bessel_i_scaled(m: int, x) -> np.ndarray:
                 break
         out[~zero] = total
     return out
-
-
-def laguerre_assoc(n: int, k, x) -> np.ndarray:
-    """Associated Laguerre polynomial L_n^(k)(x), three-term recurrence."""
-    x = np.asarray(x, dtype=float)
-    if n < 0:
-        raise ValueError("degree n must be >= 0")
-    if n == 0:
-        return np.ones_like(x)
-    prev = np.ones_like(x)
-    cur = 1.0 + k - x
-    for j in range(1, n):
-        prev, cur = cur, ((2 * j + 1 + k - x) * cur - (j + k) * prev) / (j + 1)
-    return cur
-
-
-def laguerre_scaled_all(nmax: int, k, x) -> np.ndarray:
-    """All rows e^(-x/2) L_n^(k)(x) for n = 0..nmax.
-
-    The exponential is folded into the recurrence seeds; the three-term
-    recurrence is linear, so every row carries the factor. Bounded by
-    C(n+k, n), which is representable for the basis sizes used here.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    rows = np.empty((nmax + 1, x.size))
-    e = np.exp(-0.5 * x)
-    rows[0] = e
-    if nmax >= 1:
-        rows[1] = (1.0 + k - x) * e
-    for j in range(1, nmax):
-        rows[j + 1] = ((2 * j + 1 + k - x) * rows[j] - (j + k) * rows[j - 1]) / (j + 1)
-    return rows
 
 
 def _orthonormal_recurrence(rows: np.ndarray, nu: int, x: np.ndarray) -> None:
@@ -191,37 +153,13 @@ def hermitian_eig(a, tol: float = 1e-10):
     return np.linalg.eigh(a)
 
 
-def expm(a) -> np.ndarray:
-    """Matrix exponential (scaling and squaring, delegated to scipy)."""
-    return _scipy_expm(np.asarray(a))
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights of a fixed quadrature rule.
-
-    ``integrate`` accepts either a callable evaluated at the nodes or an
-    array whose last axis runs over the nodes.
-    """
+    """Nodes and weights of a fixed quadrature rule."""
 
     kind: str
     nodes: np.ndarray
     weights: np.ndarray
-
-    def integrate(self, f):
-        values = f(self.nodes) if callable(f) else np.asarray(f)
-        return values @ self.weights
-
-
-def gauss_legendre_rule(order: int, a: float = -1.0, b: float = 1.0) -> QuadratureRule:
-    """Gauss-Legendre rule with `order` nodes mapped to [a, b]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    half = 0.5 * (b - a)
-    return QuadratureRule(
-        kind="legendre",
-        nodes=0.5 * (a + b) + half * nodes,
-        weights=half * weights,
-    )
 
 
 def composite_gauss_legendre_rule(
@@ -247,20 +185,3 @@ def gauss_genlaguerre_rule(order: int, alpha: float) -> QuadratureRule:
     nodes, weights = _roots_genlaguerre(order, alpha)
     keep = weights > 0.0
     return QuadratureRule(kind="genlaguerre", nodes=nodes[keep], weights=weights[keep])
-
-
-def quadrature(kind: str, order: int, **params) -> QuadratureRule:
-    """Factory dispatching on rule kind.
-
-    kind = "legendre" (params a, b), "composite" (params a, b, panels),
-    or "genlaguerre" (param alpha).
-    """
-    if kind == "legendre":
-        return gauss_legendre_rule(order, params.get("a", -1.0), params.get("b", 1.0))
-    if kind == "composite":
-        return composite_gauss_legendre_rule(
-            params["a"], params["b"], params["panels"], order
-        )
-    if kind == "genlaguerre":
-        return gauss_genlaguerre_rule(order, params["alpha"])
-    raise ValueError(f"unknown quadrature kind: {kind!r}")

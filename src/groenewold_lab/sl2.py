@@ -23,14 +23,10 @@ diagonalize the sextic semiquantum generator:
 where the right side equals (sqrt(21)/2)(X1 X2 + X2 X1). A commonly quoted
 variant with (X+^2 - X-^2)/4 = X1 X2 + X2 X1 overstates that factor by two;
 the forms implemented here are verified as matrix identities in the tests.
-``qprime_block`` returns the reporting convention with entries
-sqrt(21) (n+1+|nu|/2) sqrt((n+1)(n+|nu|+1)/2), which is sqrt(2) times the
-interior matrix elements of U M U^T; no evolution code uses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log
 
 import numpy as np
@@ -39,63 +35,13 @@ from .mathkit import hermitian_eig
 
 __all__ = [
     "THETA",
-    "DiagonalBlock",
-    "Sl2Blocks",
-    "decompose",
     "interior",
     "p_block",
-    "qprime_block",
-    "reassemble",
-    "sl2_blocks",
     "u_block",
     "x_blocks",
 ]
 
 THETA = log(7.0 / 3.0) / 4.0
-
-
-@dataclass(frozen=True)
-class DiagonalBlock:
-    """One diagonal of a number-basis matrix: entries <n+nu|G|n>."""
-
-    nu: int
-    coeffs: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.dim - abs(self.nu):
-            raise ValueError(
-                f"block nu={self.nu}: expected {self.dim - abs(self.nu)} coefficients"
-            )
-
-
-def decompose(g: np.ndarray) -> list[DiagonalBlock]:
-    """Split a square matrix into its diagonals, nu ascending."""
-    g = np.asarray(g)
-    n = g.shape[0]
-    if g.shape != (n, n):
-        raise ValueError("matrix must be square")
-    return [
-        DiagonalBlock(nu=nu, coeffs=np.diagonal(g, offset=-nu).copy(), dim=n)
-        for nu in range(-(n - 1), n)
-    ]
-
-
-def reassemble(blocks: list[DiagonalBlock]) -> np.ndarray:
-    """Inverse of decompose; lossless."""
-    if not blocks:
-        raise ValueError("no blocks")
-    n = blocks[0].dim
-    g = np.zeros((n, n), dtype=complex)
-    for block in blocks:
-        if block.dim != n:
-            raise ValueError("blocks disagree on dimension")
-        idx = np.arange(n - abs(block.nu))
-        if block.nu >= 0:
-            g[idx + block.nu, idx] = block.coeffs
-        else:
-            g[idx, idx - block.nu] = block.coeffs
-    return g
 
 
 def x_blocks(nu: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,55 +72,6 @@ def u_block(nu: int, n: int) -> np.ndarray:
     lam, vec = hermitian_eig(1j * x3)
     u = (vec * np.exp(-1j * THETA * lam)) @ vec.conj().T
     return u.real
-
-
-def qprime_block(nu: int, n: int) -> np.ndarray:
-    """Tridiagonal reporting form of the transformed sextic generator.
-
-    Entries sqrt(21) (n+1+|nu|/2) sqrt((n+1)(n+|nu|+1)/2) as commonly
-    quoted; sqrt(2) times the directly constructed U M U^T (see module
-    docstring). Kept for reporting and cross-validation only.
-    """
-    anu = abs(nu)
-    k = np.arange(n - 1, dtype=float)
-    off = np.sqrt(21.0) * (k + 1.0 + anu / 2.0) * np.sqrt((k + 1.0) * (k + anu + 1.0) / 2.0)
-    return np.diag(off, 1) + np.diag(off, -1)
-
-
-@dataclass(frozen=True)
-class Sl2Blocks:
-    """All sl(2) restrictions for one diagonal sector."""
-
-    nu: int
-    dim: int
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray
-    p: np.ndarray
-    u: np.ndarray
-    qprime: np.ndarray
-
-    @property
-    def xplus(self) -> np.ndarray:
-        return self.x2 + self.x1
-
-    @property
-    def xminus(self) -> np.ndarray:
-        return self.x2 - self.x1
-
-
-def sl2_blocks(nu: int, n: int) -> Sl2Blocks:
-    x1, x2, x3 = x_blocks(nu, n)
-    return Sl2Blocks(
-        nu=nu,
-        dim=n,
-        x1=x1,
-        x2=x2,
-        x3=x3,
-        p=x1 + x2,
-        u=u_block(nu, n),
-        qprime=qprime_block(nu, n),
-    )
 
 
 def interior(a: np.ndarray, guard: int) -> np.ndarray:

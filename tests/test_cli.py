@@ -8,6 +8,7 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
 
 from groenewold_lab import cli
@@ -280,25 +281,6 @@ class TestDeterminism:
             else:
                 assert data_lines(first) == data_lines(second)
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        config = write_config(tmp_path)
-        monkeypatch.setenv("GROENEWOLD_THREADS", "1")
-        assert run_cli(config, tmp_path / "one") == 0
-        monkeypatch.setenv("GROENEWOLD_THREADS", "3")
-        assert run_cli(config, tmp_path / "three") == 0
-        for path in sorted((tmp_path / "one").iterdir()):
-            other = tmp_path / "three" / path.name
-            if path.name.endswith(".pgm"):
-                assert path.read_bytes() == other.read_bytes()
-            else:
-                assert data_lines(path) == data_lines(other)
-
-    def test_bad_thread_env_rejected(self, tmp_path, monkeypatch, capsys):
-        config = write_config(tmp_path)
-        monkeypatch.setenv("GROENEWOLD_THREADS", "many")
-        assert run_cli(config, tmp_path / "out") == 1
-        assert "GROENEWOLD_THREADS" in capsys.readouterr().err
-
 
 class TestExitCodes:
     def test_validation_gate_exits_two(self, tmp_path, monkeypatch, capsys):
@@ -311,6 +293,19 @@ class TestExitCodes:
         assert run_cli(config, out) == 2
         assert "validation failed" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["validate.csv"]
+
+    def test_ill_conditioned_generator_exits_two(self, tmp_path, monkeypatch, capsys):
+        from groenewold_lab import evolve as evolve_module
+
+        def defective(dynamics, model, nmax, **kwargs):
+            blocks = [np.zeros((nmax - nu, nmax - nu)) for nu in range(nmax)]
+            blocks[1] = np.diag(np.ones(nmax - 2), 1)  # nilpotent: no eigenvector basis
+            return blocks
+
+        monkeypatch.setattr(evolve_module, "_PROPAGATOR_CACHE", {})
+        monkeypatch.setattr(evolve_module, "all_generator_blocks", defective)
+        assert run_cli(write_config(tmp_path), tmp_path / "out") == 2
+        assert "sector nu=1" in capsys.readouterr().err
 
     def test_truncation_failure_exits_three(self, tmp_path, capsys):
         def widen(raw):

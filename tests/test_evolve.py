@@ -12,17 +12,17 @@ moments have a one-dimensional radial Bessel reduction, with
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from groenewold_lab.errors import ConfigError, QuadratureNotConverged
+from groenewold_lab import evolve as evolve_module
+from groenewold_lab.errors import ConfigError, QuadratureNotConverged, ValidationFailed
 from groenewold_lab.generators import classical_block_analytic
 from groenewold_lab.evolve import (
     BlockPropagator,
     classical_moment_quadrature,
     evolve,
-    propagate_block,
     whorl_field,
 )
-from groenewold_lab.mathkit import expm
 from groenewold_lab.model import ModelSpec
 from groenewold_lab.states import GaussianState, groenewold_from_gaussian
 
@@ -73,14 +73,11 @@ class TestBlockPropagator:
         for t in (0.5, 2.0):
             assert np.abs(p.at(g, t) - expm(L * t) @ g).max() < 1e-10
 
-    def test_stepping_route_on_defective_generator(self):
+    def test_defective_generator_rejected(self):
+        # a Jordan block has no eigenvector basis at all
         L = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        p = BlockPropagator(L)
-        assert p.route == "stepping"
-        g = np.array([1.0, 2.0], dtype=complex)
-        out = p.trajectory(g, [0.5, 1.5, 3.0])
-        for row, t in zip(out, [0.5, 1.5, 3.0]):
-            assert np.abs(row - np.array([1.0 + 2.0 * t, 2.0])).max() < 1e-9
+        with pytest.raises(ValidationFailed, match="condition number"):
+            BlockPropagator(L)
 
     def test_time_zero_bit_exact_on_every_route(self):
         rng = np.random.default_rng(3)
@@ -88,7 +85,6 @@ class TestBlockPropagator:
             np.zeros((5, 5), dtype=complex),
             np.diag(-1j * np.arange(1.0, 6.0)),
             -1j * np.eye(5) - np.diag(np.ones(4), 1) + np.diag(np.ones(4), -1),
-            np.diag(np.ones(4), 1) * 1.0,
         ]
         g = rng.normal(size=5) + 1j * rng.normal(size=5)
         for L in gens:
@@ -117,12 +113,6 @@ class TestBlockPropagator:
             p.trajectory(np.zeros(3), [])
         with pytest.raises(ConfigError):
             BlockPropagator(np.zeros((2, 3)))
-
-    def test_propagate_block_wrapper(self):
-        L = np.diag([-1j, -2j])
-        out = propagate_block(L, np.array([1.0, 1.0]), [0.0, np.pi])
-        assert out.shape == (2, 2)
-        assert np.abs(out[1] - np.array([np.exp(-1j * np.pi), np.exp(-2j * np.pi)])).max() < 1e-12
 
 
 class TestEvolve:
@@ -214,6 +204,17 @@ class TestEvolve:
             evolve(g0, "quantum", QUARTIC, [0.0], mode="blocks")
         with pytest.raises(ConfigError):
             evolve(g0, "stochastic", QUARTIC, [0.0])
+
+    def test_ill_conditioned_sector_named(self, monkeypatch):
+        jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        monkeypatch.setattr(evolve_module, "_PROPAGATOR_CACHE", {})
+        monkeypatch.setattr(
+            evolve_module,
+            "all_generator_blocks",
+            lambda *args, **kwargs: [np.zeros((3, 3)), jordan, np.zeros((1, 1))],
+        )
+        with pytest.raises(ValidationFailed, match="classical sector nu=1: .*condition number"):
+            evolve(np.eye(3), "classical", QUARTIC, [0.0, 1.0])
 
 
 class TestClassicalMomentQuadrature:

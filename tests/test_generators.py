@@ -27,7 +27,6 @@ from groenewold_lab.generators import (
     classical_block,
     classical_block_analytic,
     cross_validate,
-    generator_block,
     hilbert_correction_block,
     hilbert_correction_pairs,
     moyal_correction_block,
@@ -299,36 +298,26 @@ class TestGuards:
 
 
 class TestDispatch:
-    def test_generator_block_tags(self):
-        for dynamics, path in (
-            ("quantum", "analytic"),
-            ("classical", "commutator"),
-            ("semiquantum1", "commutator"),
-            ("semiclassical1", "moyal-galerkin"),
-        ):
-            block = generator_block(1, dynamics, QUARTIC, 12)
-            assert block.dynamics == dynamics
-            assert block.path == path
-            assert block.nu == 1
-            assert block.L.shape == (12, 12)
-
     def test_unknown_dynamics_rejected(self):
-        with pytest.raises(ConfigError):
-            generator_block(1, "stochastic", QUARTIC, 8)
         with pytest.raises(ConfigError):
             all_generator_blocks("stochastic", QUARTIC, 8)
 
     @pytest.mark.parametrize("dynamics", DYNAMICS)
     def test_all_blocks_match_single_blocks(self, dynamics):
+        # one checked builder per engine makes both, so they agree bit for bit
+        single_block = {
+            "quantum": quantum_block,
+            "classical": classical_block,
+            "semiquantum1": lambda nu, model, n: semiquantum_block(nu, model, n, j=1),
+            "semiclassical1": lambda nu, model, n: semiclassical_block(nu, model, n, j=1),
+        }[dynamics]
         nmax = 24
         blocks = all_generator_blocks(dynamics, SEXTIC, nmax)
         assert len(blocks) == nmax
         for nu in (0, 1, 5):
             n = nmax - nu
-            single = generator_block(nu, dynamics, SEXTIC, n).L
             assert blocks[nu].shape == (n, n)
-            scale = max(1.0, np.abs(single).max())
-            assert np.abs(blocks[nu] - single).max() < 1e-12 * scale
+            assert np.array_equal(blocks[nu], single_block(nu, SEXTIC, n))
 
     def test_frozen_sector_for_every_dynamics(self):
         for dynamics in DYNAMICS:

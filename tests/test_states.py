@@ -8,9 +8,9 @@ of the displacement generator on an enlarged basis.
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from groenewold_lab.errors import ConfigError, TailMassExceeded
-from groenewold_lab.mathkit import expm
 from groenewold_lab.model import ModelSpec
 from groenewold_lab.states import (
     GaussianState,
