@@ -3,7 +3,10 @@
 Each angular sector evolves independently: the sector vector g (a single
 matrix diagonal) obeys dg/dt = L g with L from the generators module. A
 BlockPropagator factors L once and reuses the factorization for every
-requested time:
+requested time. evolve keeps nothing between calls: it looks up
+all_generator_blocks afresh and factors every sector again. The one memo
+on this path is generators._hilbert_rungs, which shares the checked
+correction rungs between dynamics. The routes are:
 
 - "identity"        zero generator (the frozen nu = 0 sector),
 - "diagonal"        exactly diagonal generator (the quantum flow); the
@@ -192,28 +195,6 @@ class Trajectory:
         return out
 
 
-_PROPAGATOR_CACHE: dict = {}
-_PROPAGATOR_CACHE_LIMIT = 8
-
-
-def _propagators(dynamics: str, model: ModelSpec, nmax: int, guard: int, check: bool, nu_top: int):
-    key = (dynamics, model, nmax, guard, check, nu_top)
-    hit = _PROPAGATOR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    blocks = all_generator_blocks(dynamics, model, nmax, guard=guard, check=check, nu_top=nu_top)
-    props = []
-    for nu, block in enumerate(blocks):
-        try:
-            props.append(BlockPropagator(block))
-        except ValidationFailed as exc:
-            raise ValidationFailed(f"{dynamics} sector nu={nu}: {exc}") from None
-    if len(_PROPAGATOR_CACHE) >= _PROPAGATOR_CACHE_LIMIT:
-        _PROPAGATOR_CACHE.pop(next(iter(_PROPAGATOR_CACHE)))
-    _PROPAGATOR_CACHE[key] = props
-    return props
-
-
 def evolve(
     g0,
     dynamics: str,
@@ -222,7 +203,6 @@ def evolve(
     *,
     mode: str = "full",
     guard: int = 16,
-    check: bool = True,
 ) -> Trajectory:
     """Propagate a block matrix under one of the four flows.
 
@@ -238,10 +218,13 @@ def evolve(
     times = _check_times(times)
     dim = g0.shape[0]
     nu_top = dim - 1 if mode == "full" else min(2, dim - 1)
-    props = _propagators(dynamics, model, dim, guard, check, nu_top)
+    blocks = all_generator_blocks(dynamics, model, dim, guard=guard, nu_top=nu_top)
     history: dict[int, np.ndarray] = {}
-    for nu in range(nu_top + 1):
-        p = props[nu]
+    for nu, block in enumerate(blocks):
+        try:
+            p = BlockPropagator(block)
+        except ValidationFailed as exc:
+            raise ValidationFailed(f"{dynamics} sector nu={nu}: {exc}") from None
         history[nu] = p.trajectory(np.diagonal(g0, offset=-nu), times)
         if nu:
             minus = np.conj(p.trajectory(np.conj(np.diagonal(g0, offset=nu)), times))

@@ -27,6 +27,13 @@ generalized Gauss-Laguerre rule that integrates the resulting polynomial
 integrands exactly. Their agreement, and the agreement of both with the
 analytic tridiagonal Liouville generator, is asserted by cross_validate.
 
+Each engine has one checked builder, which always runs its refinement
+check: _hilbert_rungs doubles the construction pad, _moyal_rungs raises
+the quadrature node count. _hilbert_rungs is the module's one memo,
+because the C_1 and C_2 rungs are shared between semiquantum1, classical
+and semiclassical1. The pair lists and the Moyal rungs are rebuilt on
+every call and not kept: a run needs each of them once.
+
 The nu = 0 sector is frozen under all four dynamics (every generator is a
 multiple of nu), so correction blocks for nu = 0 are returned as exact
 zeros; the engines themselves are cross-checked against that statement in
@@ -103,7 +110,6 @@ def _h_derivative(h: np.ndarray, a: np.ndarray, adag: np.ndarray, n_up: int, n_d
     return out
 
 
-@lru_cache(maxsize=32)
 def hilbert_correction_pairs(model: ModelSpec, j: int, msize: int) -> list:
     """Pair list (L, R, c) with C_j(G) = sum c * L G R on the padded basis."""
     if j < 1:
@@ -150,7 +156,6 @@ def _default_pad(model: ModelSpec, j: int) -> int:
     return 8 * model.K * max(1, j) + 8
 
 
-@lru_cache(maxsize=32)
 def _hilbert_terms_all(model: ModelSpec, j: int, nmax: int, pad: int, nu_top: int) -> tuple:
     """C_j sector blocks for nu = 0 .. nu_top, sizes nmax - nu."""
     pairs = hilbert_correction_pairs(model, j, nmax + pad)
@@ -163,29 +168,28 @@ def _hilbert_terms_all(model: ModelSpec, j: int, nmax: int, pad: int, nu_top: in
     return tuple(out)
 
 
+@lru_cache(maxsize=32)
 def _hilbert_rungs(
     model: ModelSpec,
     j: int,
     nmax: int,
     nu_top: int,
     guard: int,
-    check: bool,
     pad: int | None = None,
 ) -> tuple:
     """C_j sector blocks for nu = 0 .. nu_top, sizes nmax - nu, pad-doubling checked.
 
     Built on a basis padded beyond nmax so the entries are exact
-    restrictions; with check=True the pad is doubled and GuardInsufficient
-    is raised if any sector interior (last `guard` rows and columns
-    dropped) moves by more than 1e-10 relative.
+    restrictions; the pad is then doubled and GuardInsufficient is raised
+    if any sector interior (last `guard` rows and columns dropped) moves
+    by more than 1e-10 relative. The doubled-pad blocks are returned,
+    memoized and read-only, since every caller receives the same arrays.
     """
     if pad is None:
         pad = _default_pad(model, j)
     if pad < 0:
         raise ConfigError("pad must be >= 0")
     rungs = _hilbert_terms_all(model, j, nmax, pad, nu_top)
-    if not check:
-        return rungs
     again = _hilbert_terms_all(model, j, nmax, 2 * pad + 8, nu_top)
     for nu in range(1, nu_top + 1):
         w = min(guard, nmax - nu - 1)
@@ -196,6 +200,8 @@ def _hilbert_rungs(
                 f"sector nu={nu}: interior moved by {diff / scale:.3e} (relative) "
                 f"when the construction pad was doubled; increase pad"
             )
+    for block in again:
+        block.flags.writeable = False
     return again
 
 
@@ -205,7 +211,6 @@ def hilbert_correction_block(
     n: int,
     j: int,
     guard: int = 16,
-    check: bool = True,
     pad: int | None = None,
 ) -> np.ndarray:
     """j-th commutator-route correction, coefficient included.
@@ -219,15 +224,13 @@ def hilbert_correction_block(
     if j >= model.K:
         return np.zeros((n, n), dtype=complex)
     anu = abs(nu)
-    block = _hilbert_rungs(model, j, n + anu, anu, guard, check, pad)[anu]
+    block = _hilbert_rungs(model, j, n + anu, anu, guard, pad)[anu]
     return np.conj(block) if nu < 0 else block
 
 
-def classical_block(
-    nu: int, model: ModelSpec, n: int, guard: int = 16, check: bool = True
-) -> np.ndarray:
+def classical_block(nu: int, model: ModelSpec, n: int, guard: int = 16) -> np.ndarray:
     """Liouville generator via the commutator route: quantum + full ladder."""
-    return semiquantum_block(nu, model, n, j=model.K - 1, guard=guard, check=check)
+    return semiquantum_block(nu, model, n, j=model.K - 1, guard=guard)
 
 
 def classical_block_analytic(nu: int, model: ModelSpec, n: int) -> np.ndarray:
@@ -249,7 +252,7 @@ def classical_block_analytic(nu: int, model: ModelSpec, n: int) -> np.ndarray:
 
 
 def semiquantum_block(
-    nu: int, model: ModelSpec, n: int, j: int = 1, guard: int = 16, check: bool = True
+    nu: int, model: ModelSpec, n: int, j: int = 1, guard: int = 16
 ) -> np.ndarray:
     """Quantum plus the first j commutator-route corrections.
 
@@ -258,7 +261,7 @@ def semiquantum_block(
     if j < 0:
         raise ConfigError("semiquantum order must be >= 0")
     return quantum_block(nu, model, n) + sum(
-        hilbert_correction_block(nu, model, n, i, guard=guard, check=check)
+        hilbert_correction_block(nu, model, n, i, guard=guard)
         for i in range(1, min(j, model.K - 1) + 1)
     )
 
@@ -286,14 +289,7 @@ def _acc(d: dict, key, c: np.ndarray):
     if len(c) == 0 or not np.any(c):
         return
     prev = d.get(key)
-    if prev is None:
-        d[key] = c.copy()
-    else:
-        m = max(len(prev), len(c))
-        out = np.zeros(m)
-        out[: len(prev)] += prev
-        out[: len(c)] += c
-        d[key] = out
+    d[key] = c.copy() if prev is None else _padd(prev, c)
 
 
 def _gder(sh, c, family: bool):
@@ -385,7 +381,6 @@ def _moyal_sector(model: ModelSpec, j: int, nu: int, n: int, q_nodes: int) -> np
     return pref * (vm @ r.T)
 
 
-@lru_cache(maxsize=32)
 def _moyal_terms_all(model: ModelSpec, j: int, nmax: int, extra_nodes: int, nu_top: int) -> tuple:
     out = [np.zeros((nmax, nmax), dtype=complex)]
     for nu in range(1, nu_top + 1):
@@ -398,19 +393,17 @@ _EXTRA_NODES = 16
 
 
 def _moyal_rungs(
-    model: ModelSpec, j: int, nmax: int, nu_top: int, check: bool, extra_nodes: int = _EXTRA_NODES
+    model: ModelSpec, j: int, nmax: int, nu_top: int, extra_nodes: int = _EXTRA_NODES
 ) -> tuple:
     """D_j sector blocks for nu = 0 .. nu_top, sizes nmax - nu, node-doubling checked.
 
     Each sector uses nmax + extra_nodes generalized Gauss-Laguerre nodes,
-    which integrate the polynomial integrands exactly at the default; with
-    check=True the node count grows by nmax (doubling it at the default)
-    and QuadratureNotConverged is raised if any sector moves by more than
-    1e-8 relative.
+    which integrate the polynomial integrands exactly at the default; the
+    node count then grows by nmax (doubling it at the default) and
+    QuadratureNotConverged is raised if any sector moves by more than
+    1e-8 relative. The larger-rule blocks are returned.
     """
     rungs = _moyal_terms_all(model, j, nmax, extra_nodes, nu_top)
-    if not check:
-        return rungs
     again = _moyal_terms_all(model, j, nmax, extra_nodes + nmax, nu_top)
     for nu in range(1, nu_top + 1):
         diff = np.abs(rungs[nu] - again[nu]).max()
@@ -429,7 +422,6 @@ def moyal_correction_block(
     n: int,
     j: int,
     q_nodes: int | None = None,
-    check: bool = True,
 ) -> np.ndarray:
     """j-th Moyal-ladder term on sector nu, coefficient included.
 
@@ -446,12 +438,12 @@ def moyal_correction_block(
     anu = abs(nu)
     nmax = n + anu
     extra = _EXTRA_NODES if q_nodes is None else q_nodes - nmax
-    block = _moyal_rungs(model, j, nmax, anu, check, extra)[anu]
+    block = _moyal_rungs(model, j, nmax, anu, extra)[anu]
     return np.conj(block) if nu < 0 else block
 
 
 def semiclassical_block(
-    nu: int, model: ModelSpec, n: int, j: int = 1, guard: int = 16, check: bool = True
+    nu: int, model: ModelSpec, n: int, j: int = 1, guard: int = 16
 ) -> np.ndarray:
     """Classical plus the first j Moyal corrections.
 
@@ -460,9 +452,9 @@ def semiclassical_block(
     """
     if j < 0:
         raise ConfigError("semiclassical order must be >= 0")
-    out = classical_block(nu, model, n, guard=guard, check=check)
+    out = classical_block(nu, model, n, guard=guard)
     for i in range(1, min(j, model.K - 1) + 1):
-        out = out + moyal_correction_block(nu, model, n, i, check=check)
+        out = out + moyal_correction_block(nu, model, n, i)
     return out
 
 
@@ -474,15 +466,16 @@ def all_generator_blocks(
     model: ModelSpec,
     nmax: int,
     guard: int = 16,
-    check: bool = True,
     nu_top: int | None = None,
 ) -> list:
     """Sector generators for nu = 0 .. nu_top (default nmax-1), sizes nmax - nu.
 
-    Shares one padded construction across sectors (the correction engines
-    cache per model and truncation), which is what makes full-matrix
-    evolution at the working sizes cheap. Moment-only workflows pass
-    nu_top = 2 and skip the high sectors entirely.
+    Shares one padded construction across sectors, which is what makes
+    full-matrix evolution at the working sizes cheap. The checked C_j
+    rungs are memoized per model, truncation and order in _hilbert_rungs,
+    so dynamics that share a rung build and check it once; the Moyal
+    rungs are built on every call. Moment-only workflows pass nu_top = 2
+    and skip the high sectors entirely.
     """
     if dynamics not in DYNAMICS:
         raise ConfigError(f"unknown dynamics {dynamics!r}; choose from {DYNAMICS}")
@@ -495,10 +488,10 @@ def all_generator_blocks(
     if dynamics == "quantum":
         return quantum
     j_top = model.K - 1 if dynamics in ("classical", "semiclassical1") else min(1, model.K - 1)
-    terms = [_hilbert_rungs(model, j, nmax, nu_top, guard, check) for j in range(1, j_top + 1)]
+    terms = [_hilbert_rungs(model, j, nmax, nu_top, guard) for j in range(1, j_top + 1)]
     out = [quantum[nu] + sum(t[nu] for t in terms) for nu in range(nu_top + 1)]
     if dynamics == "semiclassical1" and model.K > 1:
-        moyal = _moyal_rungs(model, 1, nmax, nu_top, check)
+        moyal = _moyal_rungs(model, 1, nmax, nu_top)
         out = [out[nu] + moyal[nu] for nu in range(nu_top + 1)]
     return out
 

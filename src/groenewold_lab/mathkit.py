@@ -157,7 +157,6 @@ def hermitian_eig(a, tol: float = 1e-10):
 class QuadratureRule:
     """Nodes and weights of a fixed quadrature rule."""
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -172,7 +171,7 @@ def composite_gauss_legendre_rule(
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * base_nodes[None, :]).ravel()
     weights = (half[:, None] * base_weights[None, :]).ravel()
-    return QuadratureRule(kind="composite", nodes=nodes, weights=weights)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def gauss_genlaguerre_rule(order: int, alpha: float) -> QuadratureRule:
@@ -184,4 +183,4 @@ def gauss_genlaguerre_rule(order: int, alpha: float) -> QuadratureRule:
     """
     nodes, weights = _roots_genlaguerre(order, alpha)
     keep = weights > 0.0
-    return QuadratureRule(kind="genlaguerre", nodes=nodes[keep], weights=weights[keep])
+    return QuadratureRule(nodes=nodes[keep], weights=weights[keep])

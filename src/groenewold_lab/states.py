@@ -33,7 +33,7 @@ from math import atan2, ceil, pi, sqrt
 import numpy as np
 
 from .errors import ConfigError, QuadratureNotConverged, TailMassExceeded
-from .mathkit import bessel_i_scaled, composite_gauss_legendre_rule, radial_profiles
+from .mathkit import _SERIES_MAX_X, bessel_i_scaled, composite_gauss_legendre_rule, radial_profiles
 
 __all__ = [
     "GaussianState",
@@ -115,6 +115,13 @@ def _synthesize(state: GaussianState, n_basis: int, rule) -> np.ndarray:
     phi0 = atan2(state.alpha0.imag, state.alpha0.real) if a0 > 0 else 0.0
     kappa = state.kappa
     s = rule.nodes
+    top = 2.0 * kappa * float(s.max()) * a0
+    if top > _SERIES_MAX_X:
+        raise QuadratureNotConverged(
+            f"state synthesis needs the scaled Bessel kernel at 2 kappa s |alpha0| = "
+            f"{top:.4g} (kappa = {kappa:.6g}, |alpha0| = {a0:.6g}), above its series "
+            f"domain limit {_SERIES_MAX_X:g}; lower kappa or |alpha0|"
+        )
     x = 4.0 * s * s
     base = rule.weights * s * np.exp(-kappa * (s - a0) ** 2)
     g = np.zeros((n_basis, n_basis), dtype=complex)
@@ -139,26 +146,25 @@ def groenewold_matrix(
     state: GaussianState,
     n_basis: int,
     tail_tol: float = 1e-10,
-    check_convergence: bool = True,
 ) -> np.ndarray:
     """Number-basis matrix of the state's Groenewold operator.
 
-    Hermitian by construction with trace 1 to quadrature accuracy. Raises
-    TailMassExceeded when the occupation of the last few basis states is
-    above tail_tol, and QuadratureNotConverged when refining the radial
-    rule still moves the result.
+    Hermitian by construction with trace 1 to quadrature accuracy; the
+    refined radial rule's result is returned. Raises TailMassExceeded when
+    the occupation of the last few basis states is above tail_tol, and
+    QuadratureNotConverged when refining the radial rule still moves the
+    result or when kappa and |alpha0| put the Bessel kernel's argument
+    outside its domain.
     """
     if n_basis < TAIL_ROWS + 2:
         raise ConfigError(f"n_basis must be at least {TAIL_ROWS + 2}")
-    g = _synthesize(state, n_basis, _synthesis_rule(state, n_basis, refine=1))
-    if check_convergence:
-        g2 = _synthesize(state, n_basis, _synthesis_rule(state, n_basis, refine=2))
-        drift = float(np.abs(g - g2).max())
-        if drift > 1e-11:
-            raise QuadratureNotConverged(
-                f"state synthesis drift {drift:.3e} on refinement (> 1e-11)"
-            )
-        g = g2
+    coarse = _synthesize(state, n_basis, _synthesis_rule(state, n_basis, refine=1))
+    g = _synthesize(state, n_basis, _synthesis_rule(state, n_basis, refine=2))
+    drift = float(np.abs(coarse - g).max())
+    if drift > 1e-11:
+        raise QuadratureNotConverged(
+            f"state synthesis drift {drift:.3e} on refinement (> 1e-11)"
+        )
     mass = tail_mass(g)
     if mass > tail_tol:
         raise TailMassExceeded(
@@ -170,10 +176,9 @@ def groenewold_matrix(
 
 @dataclass(frozen=True)
 class GroenewoldMatrix:
-    """Number-basis matrix of a density's Groenewold operator, with a tag."""
+    """Number-basis matrix of a density's Groenewold operator."""
 
     entries: np.ndarray
-    kind: str = "gaussian"
 
     @property
     def dim(self) -> int:
@@ -199,10 +204,7 @@ def groenewold_from_gaussian(
     tail_tol: float = 1e-10,
 ) -> GroenewoldMatrix:
     """Typed wrapper around groenewold_matrix."""
-    return GroenewoldMatrix(
-        entries=groenewold_matrix(state, n_basis, tail_tol=tail_tol),
-        kind="gaussian",
-    )
+    return GroenewoldMatrix(entries=groenewold_matrix(state, n_basis, tail_tol=tail_tol))
 
 
 def wigner_dyad_symbol(n: int, m: int, q, p, model) -> np.ndarray:

@@ -302,7 +302,6 @@ class TestExitCodes:
             blocks[1] = np.diag(np.ones(nmax - 2), 1)  # nilpotent: no eigenvector basis
             return blocks
 
-        monkeypatch.setattr(evolve_module, "_PROPAGATOR_CACHE", {})
         monkeypatch.setattr(evolve_module, "all_generator_blocks", defective)
         assert run_cli(write_config(tmp_path), tmp_path / "out") == 2
         assert "sector nu=1" in capsys.readouterr().err
@@ -314,6 +313,25 @@ class TestExitCodes:
         config = write_config(tmp_path, widen)
         assert run_cli(config, tmp_path / "out") == 3
         assert "truncation failure" in capsys.readouterr().err
+
+    def test_bessel_domain_exits_three(self, tmp_path, capsys):
+        # 2 kappa s |alpha0| reaches about 2500 on the synthesis rule, past
+        # the scaled Bessel series domain (1500)
+        raw = {
+            "model": {"K": 2, "b": [0, 0, 1], "mu": 0.5},
+            "state": {"kappa": 60, "alpha0_re": 4},
+            "truncation": {"N": 64},
+            "dynamics": ["quantum"],
+            "times": {"t0": 0, "t1": 1, "steps": 3},
+            "outputs": {"moments": True},
+        }
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(raw))
+        assert run_cli(config, tmp_path / "out") == 3
+        assert cli.main(["run", str(config), "--validate-only"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("truncation failure") == 2
+        assert "kappa = 60" in err and "|alpha0| = 4" in err and "1500" in err
 
     def test_validate_only_writes_nothing(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -207,7 +207,6 @@ class TestEvolve:
 
     def test_ill_conditioned_sector_named(self, monkeypatch):
         jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        monkeypatch.setattr(evolve_module, "_PROPAGATOR_CACHE", {})
         monkeypatch.setattr(
             evolve_module,
             "all_generator_blocks",

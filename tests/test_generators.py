@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groenewold_lab import generators
 from groenewold_lab.errors import (
     ConfigError,
     GuardInsufficient,
@@ -318,6 +319,17 @@ class TestDispatch:
             n = nmax - nu
             assert blocks[nu].shape == (n, n)
             assert np.array_equal(blocks[nu], single_block(nu, SEXTIC, n))
+
+    def test_shared_rungs_built_once(self):
+        # semiquantum1 builds C_1; classical reuses it and builds C_2;
+        # semiclassical1 reuses both
+        generators._hilbert_rungs.cache_clear()
+        for dynamics in ("semiquantum1", "classical", "semiclassical1"):
+            all_generator_blocks(dynamics, SEXTIC, 16)
+        info = generators._hilbert_rungs.cache_info()
+        assert (info.misses, info.hits) == (2, 3)
+        # every caller gets the same arrays, so none may write to them
+        assert not any(b.flags.writeable for b in generators._hilbert_rungs(SEXTIC, 1, 16, 15, 16))
 
     def test_frozen_sector_for_every_dynamics(self):
         for dynamics in DYNAMICS:

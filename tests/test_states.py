@@ -243,7 +243,6 @@ class TestTypedWrapper:
         assert isinstance(wrapped, GroenewoldMatrix)
         assert np.array_equal(wrapped.entries, bare)
         assert wrapped.dim == NBASIS
-        assert wrapped.kind == "gaussian"
         assert wrapped.trace() == pytest.approx(1.0, abs=1e-10)
         assert wrapped.hermiticity_residual() == 0.0
         assert wrapped.tail_mass < 1e-10
