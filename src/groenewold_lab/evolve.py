@@ -1,7 +1,9 @@
 """Time evolution of block matrices under the four flows.
 
 Each angular sector evolves independently: the sector vector g (a single
-matrix diagonal) obeys dg/dt = L g with L from the generators module. A
+matrix diagonal) obeys dg/dt = L g with L from the generators module.
+The matrix is Hermitian and L_{-nu} = conj(L_nu), so only the sectors
+nu >= 0 are propagated and sector -nu is read as their conjugate. A
 BlockPropagator factors L once and reuses the factorization for every
 requested time. evolve keeps nothing between calls: it looks up
 all_generator_blocks afresh and factors every sector again. The one memo
@@ -37,9 +39,9 @@ import numpy as np
 
 from .errors import ConfigError, QuadratureNotConverged, ValidationFailed
 from .generators import all_generator_blocks
-from .mathkit import bessel_i_scaled, composite_gauss_legendre_rule
+from .mathkit import bessel_i_scaled, check_hermitian, composite_gauss_legendre_rule
 from .model import ModelSpec
-from .states import GaussianState
+from .states import GaussianState, check_bessel_domain
 
 __all__ = [
     "BlockPropagator",
@@ -136,13 +138,15 @@ def _check_times(times) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sector histories of one flow over a common time grid.
+    """Sector histories of one Hermitian flow over a common time grid.
 
-    history[nu] has shape (len(times), N - |nu|); nu > 0 rows hold the
-    sub-diagonal G[k + nu, k], nu < 0 the matching super-diagonal. In
-    "moments" mode only |nu| <= 2 is propagated, enough for first and
-    second moments; "full" mode carries every sector and can reassemble
-    complete matrices.
+    history[nu] for nu >= 0 has shape (len(times), N - nu) and holds the
+    sub-diagonal G[k + nu, k]. Every flow keeps G Hermitian, so the
+    super-diagonal -nu is the conjugate of sector nu: diagonal_history(-nu)
+    returns it and matrix() writes it, and every reassembled matrix is
+    exactly Hermitian. In "moments" mode only nu <= 2 is propagated,
+    enough for first and second moments; "full" mode carries every sector
+    and can reassemble complete matrices.
     """
 
     dynamics: str
@@ -153,11 +157,12 @@ class Trajectory:
     history: dict = field(repr=False)
 
     def diagonal_history(self, nu: int) -> np.ndarray:
-        if nu not in self.history:
+        if abs(nu) not in self.history:
             raise ConfigError(
                 f"sector {nu} was not propagated (mode='{self.mode}', dim={self.dim})"
             )
-        return self.history[nu]
+        rows = self.history[abs(nu)]
+        return np.conj(rows) if nu < 0 else rows
 
     def matrix(self, index: int) -> np.ndarray:
         """Reassembled full matrix at times[index]."""
@@ -169,30 +174,20 @@ class Trajectory:
             rows = self.history[nu][index]
             out[k[: self.dim - nu] + nu, k[: self.dim - nu]] = rows
             if nu:
-                out[k[: self.dim - nu], k[: self.dim - nu] + nu] = self.history[-nu][index]
+                out[k[: self.dim - nu], k[: self.dim - nu] + nu] = np.conj(rows)
         return out
 
     def trace_series(self) -> np.ndarray:
         return self.history[0].sum(axis=1)
 
     def purity_series(self) -> np.ndarray:
-        """Tr G(t)^2 = sum_nu sum_k g_nu g_-nu, exact for any matrix."""
+        """Tr G(t)^2 = sum_nu sum_k g_nu g_-nu over nu = -(N-1) .. N-1."""
         if self.mode != "full":
             raise ConfigError("purity_series() needs mode='full'")
         total = np.zeros(len(self.times), dtype=complex)
         for nu in range(-self.dim + 1, self.dim):
-            total += (self.history[nu] * self.history[-nu]).sum(axis=1)
+            total += (self.diagonal_history(nu) * self.diagonal_history(-nu)).sum(axis=1)
         return total
-
-    def hermiticity_series(self) -> np.ndarray:
-        """max_nu max_k |g_-nu - conj(g_nu)| per time."""
-        out = np.zeros(len(self.times))
-        for nu in range(self.dim):
-            if nu not in self.history or -nu not in self.history:
-                continue
-            dev = np.abs(self.history[-nu] - np.conj(self.history[nu])).max(axis=1)
-            out = np.maximum(out, dev)
-        return out
 
 
 def evolve(
@@ -204,15 +199,21 @@ def evolve(
     mode: str = "full",
     guard: int = 16,
 ) -> Trajectory:
-    """Propagate a block matrix under one of the four flows.
+    """Propagate a Hermitian matrix under one of the four flows.
 
-    g0 may be a GroenewoldMatrix or a plain square complex array. The
-    negative sectors use L_{-nu} = conj(L_nu), so no hermiticity of g0 is
-    assumed; Hermitian inputs stay Hermitian to rounding.
+    g0 must be Hermitian to the relative bound of mathkit.check_hermitian,
+    else ConfigError. Its diagonal's real part and its lower triangle are
+    propagated, one BlockPropagator per sector nu >= 0; the upper triangle
+    follows by conjugation because every sector generator satisfies
+    L_{-nu} = conj(L_nu).
     """
     g0 = np.asarray(g0, dtype=complex)
     if g0.ndim != 2 or g0.shape[0] != g0.shape[1] or g0.shape[0] < 1:
         raise ConfigError("initial matrix must be square and non-empty")
+    try:
+        check_hermitian(g0)
+    except ValidationFailed as exc:
+        raise ConfigError(f"initial {exc}") from None
     if mode not in ("full", "moments"):
         raise ConfigError("mode must be 'full' or 'moments'")
     times = _check_times(times)
@@ -225,10 +226,8 @@ def evolve(
             p = BlockPropagator(block)
         except ValidationFailed as exc:
             raise ValidationFailed(f"{dynamics} sector nu={nu}: {exc}") from None
-        history[nu] = p.trajectory(np.diagonal(g0, offset=-nu), times)
-        if nu:
-            minus = np.conj(p.trajectory(np.conj(np.diagonal(g0, offset=nu)), times))
-            history[-nu] = minus
+        g = np.diagonal(g0, offset=-nu)
+        history[nu] = p.trajectory(g if nu else g.real, times)
     return Trajectory(
         dynamics=dynamics,
         model=model,
@@ -262,7 +261,8 @@ def classical_moment_quadrature(
     e^{-i m t Omega(r^2)} on the 8-sigma support of the Gaussian. Panels
     track the phase derivative so each holds a bounded phase increment;
     the panel count is then doubled and a relative move above tol raises
-    QuadratureNotConverged. t and m enter only through the phase, so
+    QuadratureNotConverged, as does a Bessel argument beyond the series
+    domain of bessel_i_scaled. t and m enter only through the phase, so
     m = 0 returns the conserved mass.
     """
     if not isinstance(m, (int, np.integer)) or m < 0:
@@ -286,6 +286,7 @@ def classical_moment_quadrature(
     def integrate(n_panels: int) -> complex:
         rule = composite_gauss_legendre_rule(lo, hi, n_panels, order=12)
         r = rule.nodes
+        check_bessel_domain(f"moment m={m} quadrature", state, float(r.max()))
         u = r * r
         phase = np.exp(-1j * m * t * model.classical_rate(u))
         f = (

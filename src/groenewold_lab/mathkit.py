@@ -31,6 +31,7 @@ from .errors import ValidationFailed
 __all__ = [
     "QuadratureRule",
     "bessel_i_scaled",
+    "check_hermitian",
     "composite_gauss_legendre_rule",
     "gauss_genlaguerre_rule",
     "hermitian_eig",
@@ -137,12 +138,8 @@ def laguerre_orthonormal_bare(nmax: int, nu: int, x) -> np.ndarray:
     return rows
 
 
-def hermitian_eig(a, tol: float = 1e-10):
-    """Eigendecomposition of a Hermitian matrix, with a hermiticity check.
-
-    Raises ValidationFailed if max|A - A^H| exceeds tol * max(1, max|A|).
-    Returns (eigenvalues ascending, eigenvector columns).
-    """
+def check_hermitian(a, tol: float = 1e-10) -> None:
+    """Raise ValidationFailed if max|A - A^H| exceeds tol * max(1, max|A|)."""
     a = np.asarray(a)
     scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
     dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
@@ -150,6 +147,15 @@ def hermitian_eig(a, tol: float = 1e-10):
         raise ValidationFailed(
             f"matrix not hermitian: deviation {dev:.3e} > {tol:.1e} * scale {scale:.3e}"
         )
+
+
+def hermitian_eig(a, tol: float = 1e-10):
+    """Eigendecomposition of a Hermitian matrix, after check_hermitian.
+
+    Returns (eigenvalues ascending, eigenvector columns).
+    """
+    a = np.asarray(a)
+    check_hermitian(a, tol)
     return np.linalg.eigh(a)
 
 

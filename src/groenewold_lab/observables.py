@@ -169,9 +169,12 @@ def spectrum_extremes(g, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def squared_negativity(g) -> float:
-    """Sum of squared negative eigenvalues; 0 for positive semidefinite."""
+    """Sum of squared negative eigenvalues; 0 for positive semidefinite.
+
+    The input must be Hermitian: eigvalsh reads only its lower triangle.
+    """
     g = _as_square(g)
-    w = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
+    w = np.linalg.eigvalsh(g)
     neg = w[w < 0.0]
     return float(neg @ neg)
 

@@ -146,15 +146,16 @@ def _sector_profile(diag: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
 def wigner_field(g, model: ModelSpec, grid=DEFAULT_GRID) -> PhaseField:
     """Phase-space symbol of a block matrix over 2 pi hbar, on a grid.
 
-    The input is symmetrized (evolved matrices are Hermitian to rounding),
-    so the field is real by construction. Mass approximates the trace.
+    The input must be Hermitian, as every matrix evolve reassembles is
+    exactly: only the real part of its diagonal and its lower diagonals
+    are read, so the field is real by construction. Mass approximates the
+    trace.
     """
     g = np.asarray(g, dtype=complex)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
         raise ConfigError("expected a square matrix")
     grid = _check_grid(grid)
     q_min, q_max, p_min, p_max, nq, npts = grid
-    g = 0.5 * (g + g.conj().T)
     dim = g.shape[0]
     qs = np.linspace(q_min, q_max, nq)
     ps = np.linspace(p_min, p_max, npts)

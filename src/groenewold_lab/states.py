@@ -37,10 +37,9 @@ from .mathkit import _SERIES_MAX_X, bessel_i_scaled, composite_gauss_legendre_ru
 
 __all__ = [
     "GaussianState",
-    "GroenewoldMatrix",
+    "check_bessel_domain",
     "coherent_density",
     "groenewold_from_gaussian",
-    "groenewold_matrix",
     "tail_mass",
     "wigner_dyad_symbol",
 ]
@@ -77,9 +76,6 @@ class GaussianState:
         ) / sqrt(2 * model.hbar)
         return cls(kappa=kappa, alpha0=alpha0)
 
-    def alpha_center(self) -> complex:
-        return complex(self.alpha0)
-
     def mean_occupation(self) -> float:
         """<|alpha|^2> = |alpha0|^2 + 1/kappa, a constant of all the motions."""
         return abs(self.alpha0) ** 2 + 1.0 / self.kappa
@@ -100,6 +96,23 @@ def tail_mass(g: np.ndarray, rows: int = TAIL_ROWS) -> float:
     return float(d[-rows:].sum())
 
 
+def check_bessel_domain(what: str, state: GaussianState, r_max: float) -> None:
+    """Raise QuadratureNotConverged if ive(nu, 2 kappa r |alpha0|) on [0, r_max]
+    leaves the series domain of bessel_i_scaled.
+
+    The state synthesis and the continuum moment oracle both integrate
+    this kernel over a radial rule.
+    """
+    a0 = abs(complex(state.alpha0))
+    top = 2.0 * state.kappa * r_max * a0
+    if top > _SERIES_MAX_X:
+        raise QuadratureNotConverged(
+            f"{what} needs the scaled Bessel kernel at 2 kappa r |alpha0| = "
+            f"{top:.4g} (kappa = {state.kappa:.6g}, |alpha0| = {a0:.6g}), above its "
+            f"series domain limit {_SERIES_MAX_X:g}; lower kappa or |alpha0|"
+        )
+
+
 def _synthesis_rule(state: GaussianState, n_basis: int, refine: int = 1):
     a0 = abs(state.alpha0)
     smax = a0 + 10.0 / sqrt(state.kappa)
@@ -115,13 +128,7 @@ def _synthesize(state: GaussianState, n_basis: int, rule) -> np.ndarray:
     phi0 = atan2(state.alpha0.imag, state.alpha0.real) if a0 > 0 else 0.0
     kappa = state.kappa
     s = rule.nodes
-    top = 2.0 * kappa * float(s.max()) * a0
-    if top > _SERIES_MAX_X:
-        raise QuadratureNotConverged(
-            f"state synthesis needs the scaled Bessel kernel at 2 kappa s |alpha0| = "
-            f"{top:.4g} (kappa = {kappa:.6g}, |alpha0| = {a0:.6g}), above its series "
-            f"domain limit {_SERIES_MAX_X:g}; lower kappa or |alpha0|"
-        )
+    check_bessel_domain("state synthesis", state, float(s.max()))
     x = 4.0 * s * s
     base = rule.weights * s * np.exp(-kappa * (s - a0) ** 2)
     g = np.zeros((n_basis, n_basis), dtype=complex)
@@ -142,19 +149,20 @@ def _synthesize(state: GaussianState, n_basis: int, rule) -> np.ndarray:
     return g
 
 
-def groenewold_matrix(
+def groenewold_from_gaussian(
     state: GaussianState,
     n_basis: int,
     tail_tol: float = 1e-10,
 ) -> np.ndarray:
     """Number-basis matrix of the state's Groenewold operator.
 
-    Hermitian by construction with trace 1 to quadrature accuracy; the
-    refined radial rule's result is returned. Raises TailMassExceeded when
-    the occupation of the last few basis states is above tail_tol, and
-    QuadratureNotConverged when refining the radial rule still moves the
-    result or when kappa and |alpha0| put the Bessel kernel's argument
-    outside its domain.
+    A plain ndarray, exactly Hermitian by construction (each upper
+    diagonal is the conjugate of its lower one) with trace 1 to
+    quadrature accuracy; the refined radial rule's result is returned.
+    Raises TailMassExceeded when the occupation of the last few basis
+    states is above tail_tol, and QuadratureNotConverged when refining the
+    radial rule still moves the result or when kappa and |alpha0| put the
+    Bessel kernel's argument outside its domain.
     """
     if n_basis < TAIL_ROWS + 2:
         raise ConfigError(f"n_basis must be at least {TAIL_ROWS + 2}")
@@ -172,39 +180,6 @@ def groenewold_matrix(
             f"increase the basis size"
         )
     return g
-
-
-@dataclass(frozen=True)
-class GroenewoldMatrix:
-    """Number-basis matrix of a density's Groenewold operator."""
-
-    entries: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def tail_mass(self) -> float:
-        return tail_mass(self.entries)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
-    def hermiticity_residual(self) -> float:
-        return float(np.abs(self.entries - self.entries.conj().T).max())
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-
-def groenewold_from_gaussian(
-    state: GaussianState,
-    n_basis: int,
-    tail_tol: float = 1e-10,
-) -> GroenewoldMatrix:
-    """Typed wrapper around groenewold_matrix."""
-    return GroenewoldMatrix(entries=groenewold_matrix(state, n_basis, tail_tol=tail_tol))
 
 
 def wigner_dyad_symbol(n: int, m: int, q, p, model) -> np.ndarray:

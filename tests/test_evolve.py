@@ -121,14 +121,14 @@ class TestEvolve:
         n = 12
         freqs = SEXTIC.eigenvalues(n) / SEXTIC.hbar
         phase = freqs[:, None] - freqs[None, :]
-        for hermitian in (True, False):
-            g0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            if hermitian:
-                g0 = g0 + g0.conj().T
-            traj = evolve(g0, "quantum", SEXTIC, [0.0, 0.7, 1.3])
-            for i, t in enumerate([0.0, 0.7, 1.3]):
-                want = np.exp(-1j * phase * t) * g0
-                assert np.abs(traj.matrix(i) - want).max() < 1e-12
+        g0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        with pytest.raises(ConfigError, match="not hermitian"):
+            evolve(g0, "quantum", SEXTIC, [0.0, 0.7, 1.3])
+        g0 = g0 + g0.conj().T
+        traj = evolve(g0, "quantum", SEXTIC, [0.0, 0.7, 1.3])
+        for i, t in enumerate([0.0, 0.7, 1.3]):
+            want = np.exp(-1j * phase * t) * g0
+            assert np.abs(traj.matrix(i) - want).max() < 1e-12
 
     def test_quartic_quantum_recurrence(self):
         g0 = groenewold_from_gaussian(FIG3_STATE, 96)
@@ -161,14 +161,16 @@ class TestEvolve:
             pur = traj.purity_series()
             assert abs(pur[0] - FIG3_STATE.kappa / 2.0) < 1e-10
             assert np.abs(pur - pur[0]).max() < 1e-8
-            assert traj.hermiticity_series().max() < 1e-10
+            for i in range(len(times)):
+                m = traj.matrix(i)
+                assert np.array_equal(m, m.conj().T)
             occ = (traj.diagonal_history(0) * (np.arange(48) + 0.5)).sum(axis=1)
             assert np.abs(occ - occ[0]).max() < 1e-12
 
     def test_purity_matches_dense_trace(self):
         rng = np.random.default_rng(9)
         g0 = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
-        traj = evolve(g0, "quantum", QUARTIC, [0.0, 0.9])
+        traj = evolve(g0 + g0.conj().T, "quantum", QUARTIC, [0.0, 0.9])
         for i in (0, 1):
             m = traj.matrix(i)
             assert abs(traj.purity_series()[i] - np.trace(m @ m)) < 1e-12
@@ -186,6 +188,40 @@ class TestEvolve:
             fast.diagonal_history(3)
         with pytest.raises(ConfigError):
             fast.purity_series()
+
+    @pytest.mark.parametrize("mode,calls", [("full", 32), ("moments", 3)])
+    def test_one_propagation_per_sector(self, monkeypatch, mode, calls):
+        seen = []
+        original = BlockPropagator.trajectory
+
+        def counting(self, g0, times):
+            seen.append(len(g0))
+            return original(self, g0, times)
+
+        monkeypatch.setattr(BlockPropagator, "trajectory", counting)
+        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 32))
+        evolve(g0, "semiquantum1", QUARTIC, [0.0, 0.8], mode=mode)
+        assert seen == [32 - nu for nu in range(calls)]
+
+    @pytest.mark.parametrize("dynamics", ["quantum", "classical", "semiquantum1", "semiclassical1"])
+    def test_upper_diagonals_are_conjugates(self, dynamics):
+        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 24))
+        times = [0.0, 0.4, 1.1]
+        traj = evolve(g0, dynamics, QUARTIC, times)
+        for nu in range(1, 24):
+            assert np.array_equal(traj.diagonal_history(-nu), np.conj(traj.diagonal_history(nu)))
+        for i in range(len(times)):
+            m = traj.matrix(i)
+            assert np.array_equal(m, m.conj().T)
+        assert sorted(traj.history) == list(range(24))
+
+    def test_non_hermitian_input_rejected(self):
+        g0 = np.eye(4, dtype=complex)
+        g0[2, 0] = 1e-3
+        with pytest.raises(ConfigError, match="initial matrix not hermitian"):
+            evolve(g0, "classical", QUARTIC, [0.0, 1.0])
+        g0[0, 2] = 1e-3 + 1e-12j
+        assert evolve(g0, "classical", QUARTIC, [0.0]).matrix(0)[0, 2] == 1e-3
 
     def test_evolve_group_property(self):
         g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 48))
@@ -272,6 +308,12 @@ class TestClassicalMomentQuadrature:
         late = [classical_moment_quadrature(1, FIG3_STATE, QUARTIC, t) for t in (35.0, 40.0)]
         assert max(abs(v) for v in late) < 1e-2
         assert abs(classical_moment_quadrature(1, FIG3_STATE, QUARTIC, 0.0)) > 0.4
+
+    def test_bessel_domain_raises(self):
+        # 2 kappa r |alpha0| reaches about 2.4e3 on the radial rule, past
+        # the scaled Bessel series domain (1500)
+        with pytest.raises(QuadratureNotConverged, match=r"kappa = 60, \|alpha0\| = 4\).*1500"):
+            classical_moment_quadrature(1, GaussianState(60.0, 4.0), QUARTIC, 1.0)
 
     def test_unresolvable_phase_raises(self):
         with pytest.raises(QuadratureNotConverged):

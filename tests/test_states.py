@@ -15,7 +15,7 @@ from groenewold_lab.model import ModelSpec
 from groenewold_lab.states import (
     GaussianState,
     coherent_density,
-    groenewold_matrix,
+    groenewold_from_gaussian,
     tail_mass,
 )
 
@@ -38,13 +38,13 @@ class TestCoherentLimit:
     @pytest.mark.parametrize("alpha0", [0.5, 0.3 + 0.4j, -0.25 + 0.6j])
     def test_kappa_two_gives_coherent_projector(self, alpha0):
         state = GaussianState(kappa=2.0, alpha0=alpha0)
-        g = groenewold_matrix(state, NBASIS)
+        g = groenewold_from_gaussian(state, NBASIS)
         ref = coherent_density(alpha0, NBASIS)
         assert np.abs(g - ref).max() < 1e-12
 
     def test_vacuum(self):
         state = GaussianState(kappa=2.0, alpha0=0.0)
-        g = groenewold_matrix(state, 12)
+        g = groenewold_from_gaussian(state, 12)
         ref = np.zeros((12, 12), dtype=complex)
         ref[0, 0] = 1.0
         assert np.abs(g - ref).max() < 1e-13
@@ -62,7 +62,7 @@ class TestDisplacedThermalOracle:
     )
     def test_matches_closed_form(self, kappa, alpha0):
         state = GaussianState(kappa=kappa, alpha0=alpha0)
-        g = groenewold_matrix(state, NBASIS)
+        g = groenewold_from_gaussian(state, NBASIS)
         ref = displaced_thermal_oracle(kappa, alpha0, NBASIS)
         assert np.abs(g - ref).max() < 1e-10
 
@@ -70,16 +70,16 @@ class TestDisplacedThermalOracle:
         # Tr G^2 = kappa / 2 for every isotropic Gaussian
         for kappa in [1.0, 2.0, 3.0]:
             state = GaussianState(kappa=kappa, alpha0=0.45)
-            g = groenewold_matrix(state, NBASIS)
+            g = groenewold_from_gaussian(state, NBASIS)
             assert abs(np.trace(g @ g).real - kappa / 2.0) < 1e-11
 
     def test_positivity_threshold(self):
         # kappa < 2: positive spectrum; kappa > 2: negative eigenvalues at t=0
         below = np.linalg.eigvalsh(
-            groenewold_matrix(GaussianState(1.5, 0.5), NBASIS)
+            groenewold_from_gaussian(GaussianState(1.5, 0.5), NBASIS)
         )
         above = np.linalg.eigvalsh(
-            groenewold_matrix(GaussianState(3.0, 0.5), NBASIS)
+            groenewold_from_gaussian(GaussianState(3.0, 0.5), NBASIS)
         )
         assert below.min() > -1e-12
         assert above.min() < -1e-3
@@ -88,17 +88,17 @@ class TestDisplacedThermalOracle:
 class TestInvariants:
     @pytest.mark.parametrize("kappa,alpha0", [(2.0, 0.5), (1.0, 0.7), (2.5, 0.2 + 0.5j)])
     def test_trace_one(self, kappa, alpha0):
-        g = groenewold_matrix(GaussianState(kappa, alpha0), NBASIS)
+        g = groenewold_from_gaussian(GaussianState(kappa, alpha0), NBASIS)
         assert abs(np.trace(g).real - 1.0) < 1e-12
         assert abs(np.trace(g).imag) < 1e-14
 
     def test_hermitian_exactly(self):
-        g = groenewold_matrix(GaussianState(1.2, 0.3 + 0.6j), NBASIS)
+        g = groenewold_from_gaussian(GaussianState(1.2, 0.3 + 0.6j), NBASIS)
         assert np.array_equal(g, g.conj().T)
 
     @pytest.mark.parametrize("kappa,alpha0", [(2.0, 0.5), (1.0, 1 / np.sqrt(2.0))])
     def test_first_and_second_moments(self, kappa, alpha0):
-        g = groenewold_matrix(GaussianState(kappa, alpha0), NBASIS)
+        g = groenewold_from_gaussian(GaussianState(kappa, alpha0), NBASIS)
         a = np.diag(np.sqrt(np.arange(1, NBASIS)), 1)
         mean_alpha = np.trace(g @ a)
         assert abs(mean_alpha - alpha0) < 1e-11
@@ -116,7 +116,7 @@ class TestInvariants:
 class TestGuards:
     def test_tail_mass_exceeded(self):
         with pytest.raises(TailMassExceeded):
-            groenewold_matrix(GaussianState(1.0, 2.0), 8)
+            groenewold_from_gaussian(GaussianState(1.0, 2.0), 8)
 
     def test_tail_mass_function(self):
         g = np.diag(np.ones(10))
@@ -124,7 +124,7 @@ class TestGuards:
 
     def test_basis_too_small(self):
         with pytest.raises(ConfigError):
-            groenewold_matrix(GaussianState(2.0, 0.5), 4)
+            groenewold_from_gaussian(GaussianState(2.0, 0.5), 4)
 
     def test_state_validation(self):
         with pytest.raises(ConfigError):
@@ -233,17 +233,11 @@ class TestDyadSymbol:
             wigner_dyad_symbol(-1, 0, 0.0, 0.0, model)
 
 
-class TestTypedWrapper:
-    def test_wrapper_matches_bare_matrix(self):
-        from groenewold_lab.states import GroenewoldMatrix, groenewold_from_gaussian
-
-        state = GaussianState(kappa=2.0, alpha0=0.5)
-        wrapped = groenewold_from_gaussian(state, NBASIS)
-        bare = groenewold_matrix(state, NBASIS)
-        assert isinstance(wrapped, GroenewoldMatrix)
-        assert np.array_equal(wrapped.entries, bare)
-        assert wrapped.dim == NBASIS
-        assert wrapped.trace() == pytest.approx(1.0, abs=1e-10)
-        assert wrapped.hermiticity_residual() == 0.0
-        assert wrapped.tail_mass < 1e-10
-        assert np.asarray(wrapped).shape == (NBASIS, NBASIS)
+class TestReturnedArray:
+    def test_plain_hermitian_array(self):
+        g = groenewold_from_gaussian(GaussianState(kappa=2.0, alpha0=0.5), NBASIS)
+        assert type(g) is np.ndarray
+        assert g.shape == (NBASIS, NBASIS)
+        assert np.trace(g) == pytest.approx(1.0, abs=1e-10)
+        assert np.array_equal(g, g.conj().T)
+        assert tail_mass(g) < 1e-10
