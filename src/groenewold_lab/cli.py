@@ -35,6 +35,7 @@ from .errors import (
     TailMassExceeded,
     ValidationFailed,
 )
+from .generators import _INVERSE_SINC
 from .model import ModelSpec
 from .observables import moment_track, moment_width_variant, spectrum_extremes, squared_negativity
 from .render import (
@@ -288,6 +289,15 @@ def validate_config(doc: _Doc) -> ExperimentConfig:
             doc.fail("dynamics", f"unknown dynamics {name!r} (choose from {', '.join(DYNAMICS_NAMES)})")
     if len(set(dyn)) != len(dyn):
         doc.fail("dynamics", "entries must be unique")
+    full_ladder = [name for name in dyn if name in ("classical", "semiclassical1")]
+    j_top = max(_INVERSE_SINC)
+    if full_ladder and model.K - 1 > j_top:
+        doc.fail(
+            "model.b",
+            f"K = {model.K} needs inverse-sinc corrections through j = {model.K - 1} "
+            f"for {', '.join(full_ladder)}, but they are tabulated through j = {j_top} "
+            f"(K <= {j_top + 1})",
+        )
 
     times_obj = raw["times"]
     _check_keys(doc, times_obj, "times", ("t0", "t1", "steps"), ("t0", "t1", "steps"))

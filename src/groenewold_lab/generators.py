@@ -19,8 +19,15 @@ matrix: dg/dt = L g with g the nu-th diagonal. The four families:
                  symbols); j = K-1 reaches quantum.
 
 Two independent correction engines are implemented. The commutator route
-builds C_j as superoperator pair lists on a padded basis and restricts to
-one diagonal sector with a Hadamard contraction. The Moyal-Galerkin route
+builds C_j as superoperator pair lists on a padded basis and restricts
+them to one diagonal sector. Every ladder product and ladder derivative
+of h(n) has one nonzero diagonal, so a pair member is carried as the
+one-offset matrix (d, v), M[r, r - d] = v[r] with v[r] = 0 wherever
+r - d leaves the basis: a product is one elementwise product plus a
+shift, and a pair adds to one diagonal of a sector block. Each entry of
+a truncated dense product of such matrices is one rounded product (the
+other terms are exact zeros), so the result is bit-exact against dense
+matrices. The Moyal-Galerkin route
 applies the odd derivative terms of the Moyal bracket to the dyad symbols
 in closed form (a symbolic radial jet per sector) and projects back with a
 generalized Gauss-Laguerre rule that integrates the resulting polynomial
@@ -96,59 +103,87 @@ def quantum_block(nu: int, model: ModelSpec, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # commutator (Hilbert-space) correction engine
 
-def _ladder(msize: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, msize)), 1)
+def _mul(x: tuple, y: tuple) -> tuple:
+    """Product of one-offset matrices: (XY)[r, r - dx - dy] = vx[r] vy[r - dx]."""
+    (dx, vx), (dy, vy) = x, y
+    s = abs(dx)
+    return dx + dy, vx * np.pad(vy, s)[s - dx : s - dx + len(vy)]
 
 
-def _h_derivative(h: np.ndarray, a: np.ndarray, adag: np.ndarray, n_up: int, n_down: int) -> np.ndarray:
-    """Mixed ladder derivative of a matrix: n_up raising, n_down lowering."""
+def _commutator(x: tuple, y: tuple) -> tuple:
+    """xy - yx, which again has the single offset dx + dy."""
+    (d, xy), (_, yx) = _mul(x, y), _mul(y, x)
+    return d, xy - yx
+
+
+def _lowering_raising(msize: int) -> tuple:
+    """a and a^dag on the msize-level basis as one-offset matrices."""
+    root = np.sqrt(np.arange(float(msize)))
+    return (-1, np.append(root[1:], 0.0)), (1, root)
+
+
+def _h_derivative(h: tuple, n_up: int, n_down: int) -> tuple:
+    """Mixed ladder derivative of a one-offset matrix: n_up raising, n_down lowering."""
+    a, adag = _lowering_raising(len(h[1]))
     out = h
     for _ in range(n_up):
-        out = out @ adag - adag @ out
+        out = _commutator(out, adag)
     for _ in range(n_down):
-        out = a @ out - out @ a
+        out = _commutator(a, out)
     return out
 
 
 def hilbert_correction_pairs(model: ModelSpec, j: int, msize: int) -> list:
-    """Pair list (L, R, c) with C_j(G) = sum c * L G R on the padded basis."""
+    """Pair list (L, R, c) with C_j(G) = sum c * L G R on the padded basis.
+
+    L and R are one-offset matrices (d, v), M[r, r - d] = v[r]. Their
+    products are formed entry by entry as one rounded product each, which
+    is what the dense truncated matrix product gives, bit for bit.
+    """
     if j < 1:
         raise ConfigError("correction order j must be >= 1 (j = 0 is the commutator)")
     if j not in _INVERSE_SINC:
         raise ConfigError(f"inverse-sinc coefficients tabulated through j = {max(_INVERSE_SINC)}")
-    a = _ladder(msize)
-    adag = a.T.copy()
-    ident = np.eye(msize)
-    h = np.diag(model.eigenvalues(msize)).astype(float)
+    a, adag = _lowering_raising(msize)
+    h = (0, model.eigenvalues(msize))
     pref = complex((-1) ** j * float(_INVERSE_SINC[j]) / 4**j / (1j * model.hbar))
+    one = (0, np.ones(msize))
     pairs = []
     for i in range(2 * j + 1):
-        hd = _h_derivative(h, a, adag, n_up=i, n_down=2 * j - i)
-        gpairs = [(ident, ident, 1.0 + 0j)]
+        hd = _h_derivative(h, n_up=i, n_down=2 * j - i)
+        gpairs = [(one, one, 1.0 + 0j)]
         for _ in range(2 * j - i):  # raising derivatives of G
-            gpairs = [t for (l, r, c) in gpairs for t in ((l, r @ adag, c), (adag @ l, r, -c))]
+            gpairs = [t for (l, r, c) in gpairs for t in ((l, _mul(r, adag), c), (_mul(adag, l), r, -c))]
         for _ in range(i):  # lowering derivatives of G
-            gpairs = [t for (l, r, c) in gpairs for t in ((a @ l, r, c), (l, r @ a, -c))]
+            gpairs = [t for (l, r, c) in gpairs for t in ((_mul(a, l), r, c), (l, _mul(r, a), -c))]
         coef = pref * comb(2 * j, i) * (-1) ** i
         for l, r, c in gpairs:
-            pairs.append((hd @ l, r, coef * c))
-            pairs.append((l, r @ hd, -coef * c))
+            pairs.append((_mul(hd, l), r, coef * c))
+            pairs.append((l, _mul(r, hd), -coef * c))
     return pairs
 
 
 def nu_block_from_pairs(pairs: list, nu: int, n: int) -> np.ndarray:
-    """Restrict a superoperator pair list to one diagonal sector.
+    """Restrict a one-offset superoperator pair list to one diagonal sector.
 
     For S(G) = sum L G R acting within the sector g_k = G[k+nu, k], the
-    sector matrix is S[m, k] = sum L[m+nu, k+nu] R[k, m].
+    sector matrix is S[m, k] = sum L[m+nu, k+nu] R[k, m]. With L = (d, vl)
+    and R = (-d, vr) a term lives on the one diagonal k = m - d, where it
+    is vl[m+nu] vr[m-d]; a pair whose offsets do not cancel leaves the
+    sector. Pairs are added in list order, so each entry sums the same
+    rounded terms in the same order as the dense Hadamard contraction
+    sum c * (L[nu:, nu:] * R.T), and the block is bit-identical to it.
     """
     if nu < 0:
         raise ConfigError("sector restriction expects nu >= 0; conjugate for nu < 0")
     out = np.zeros((n, n), dtype=complex)
-    for l, r, c in pairs:
-        if l.shape[0] < nu + n:
+    for (dl, vl), (dr, vr), c in pairs:
+        if len(vl) < nu + n:
             raise ConfigError("pair matrices too small for the requested sector")
-        out += c * (l[nu : nu + n, nu : nu + n] * r[:n, :n].T)
+        if dl + dr:
+            continue
+        rows = np.arange(max(0, dl), min(n, n + dl))
+        out[rows, rows - dl] += c * (vl[rows + nu] * vr[rows - dl])
     return out
 
 

@@ -17,6 +17,12 @@ basis re-expands as
 
 where c differs from b by star-product corrections computed exactly here
 with rational arithmetic. For K = 1 (harmonic oscillator) c == b.
+
+Every symbol here is radial, and for radial symbols the Moyal star product
+with u is the exact recurrence u * g = u g - (g' + u g'') / 4. The star
+powers u^{*k}, the symbols of (n + 1/2)^k, follow by iterating it; the
+star product of two radial polynomials writes the left factor in the
+star-power basis and applies the recurrence to the right factor.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
 
 import numpy as np
 
@@ -39,105 +44,10 @@ __all__ = [
 ]
 
 
-class _BiPoly:
-    """Polynomial in (alpha, alphabar) with exact Fraction coefficients.
-
-    Internal helper for star products of radial symbols. Keys are exponent
-    pairs (i, j) for alpha^i alphabar^j.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, val in terms.items():
-                if val:
-                    self.terms[key] = Fraction(val)
-
-    @classmethod
-    def radial(cls, coeffs) -> "_BiPoly":
-        return cls({(k, k): c for k, c in enumerate(coeffs)})
-
-    def dalpha(self) -> "_BiPoly":
-        out = {}
-        for (i, j), c in self.terms.items():
-            if i > 0:
-                out[(i - 1, j)] = out.get((i - 1, j), 0) + c * i
-        return _BiPoly(out)
-
-    def dalphabar(self) -> "_BiPoly":
-        out = {}
-        for (i, j), c in self.terms.items():
-            if j > 0:
-                out[(i, j - 1)] = out.get((i, j - 1), 0) + c * j
-        return _BiPoly(out)
-
-    def __mul__(self, other: "_BiPoly") -> "_BiPoly":
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return _BiPoly(out)
-
-    def __add__(self, other: "_BiPoly") -> "_BiPoly":
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, 0) + val
-        return _BiPoly(out)
-
-    def scaled(self, factor) -> "_BiPoly":
-        return _BiPoly({k: v * factor for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def to_radial_coeffs(self) -> tuple[Fraction, ...]:
-        if any(i != j for (i, j) in self.terms):
-            raise ValueError("polynomial is not radial")
-        deg = max((i for (i, _) in self.terms), default=0)
-        out = [Fraction(0)] * (deg + 1)
-        for (i, _), c in self.terms.items():
-            out[i] = c
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return tuple(out)
-
-
-def _star(f: _BiPoly, g: _BiPoly) -> _BiPoly:
-    """Moyal star product in (alpha, alphabar) form, exact for polynomials.
-
-    f * g = sum_s 1/(s! 2^s) * sum_i C(s,i) (-1)^i
-            (d_alpha^{s-i} d_albar^i f) (d_albar^{s-i} d_alpha^i g).
-    """
-    result = _BiPoly()
-    s = 0
-    while True:
-        term = _BiPoly()
-        any_nonzero = False
-        for i in range(s + 1):
-            fa = f
-            for _ in range(s - i):
-                fa = fa.dalpha()
-            for _ in range(i):
-                fa = fa.dalphabar()
-            if fa.is_zero():
-                continue
-            gb = g
-            for _ in range(s - i):
-                gb = gb.dalphabar()
-            for _ in range(i):
-                gb = gb.dalpha()
-            if gb.is_zero():
-                continue
-            any_nonzero = True
-            term = term + (fa * gb).scaled(Fraction((-1) ** i * comb(s, i)))
-        if s > 0 and not any_nonzero:
-            break
-        result = result + term.scaled(Fraction(1, factorial(s) * 2**s))
-        s += 1
-    return result
+def _u_star(g: list) -> list:
+    """Exact coefficients of u * g: (u * g)_m = g_{m-1} - (m+1)^2 g_{m+1} / 4."""
+    g = [Fraction(0), *g, Fraction(0), Fraction(0)]  # g[m] here is g_{m-1}
+    return [g[m] - Fraction((m + 1) ** 2, 4) * g[m + 2] for m in range(len(g) - 2)]
 
 
 @dataclass(frozen=True)
@@ -185,30 +95,33 @@ class SymbolPolynomial:
         return SymbolPolynomial.from_coeffs([Fraction(factor) * c for c in self.coeffs])
 
     def star(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
-        prod = _star(_BiPoly.radial(self.coeffs), _BiPoly.radial(other.coeffs))
-        return SymbolPolynomial.from_coeffs(prod.to_radial_coeffs())
+        """Moyal star product: with self = sum_k s_k u^{*k}, apply u* k times to other."""
+        deg = self.degree
+        s = _invert_unit_triangular(weyl_expansion_matrix(deg))
+        out = [Fraction(0)] * (deg + other.degree + 1)
+        g = list(other.coeffs)
+        for k in range(deg + 1):
+            sk = sum(self.coeffs[j] * s[j][k] for j in range(k, deg + 1))
+            for m, c in enumerate(g):
+                out[m] += sk * c
+            g = _u_star(g)
+        return SymbolPolynomial.from_coeffs(out)
 
 
 def u_star_power(k: int) -> SymbolPolynomial:
     """k-th star power of u: the Weyl symbol of (n + 1/2)^k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    u = SymbolPolynomial.from_coeffs([0, 1])
-    out = SymbolPolynomial.from_coeffs([1])
-    for _ in range(k):
-        out = out.star(u)
-    return out
+    return SymbolPolynomial.from_coeffs(weyl_expansion_matrix(k)[k])
 
 
 def weyl_expansion_matrix(kmax: int) -> list[list[Fraction]]:
     """Triangular matrix A with u^{*k} = sum_j A[k][j] u^j, exact."""
     rows = []
+    g = [Fraction(1)]
     for k in range(kmax + 1):
-        coeffs = u_star_power(k).coeffs
-        row = [Fraction(0)] * (kmax + 1)
-        for j, c in enumerate(coeffs):
-            row[j] = c
-        rows.append(row)
+        rows.append(g + [Fraction(0)] * (kmax - k))
+        g = _u_star(g)
     return rows
 
 

@@ -29,6 +29,9 @@ BASE = {
 }
 
 
+K5_B = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+
+
 def write_config(tmp_path, mutate=None, name="cfg.json"):
     raw = copy.deepcopy(BASE)
     if mutate:
@@ -166,6 +169,32 @@ class TestSchemaErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert "cfg.json:3: state.kappa: must be positive" in err
+
+    @pytest.mark.parametrize("dynamics", ["classical", "semiclassical1"])
+    def test_k5_full_ladder_rejected_at_model_b(self, tmp_path, capsys, dynamics):
+        # K - 1 = 4 inverse-sinc corrections, one more than are tabulated
+        def k5(raw):
+            raw["model"]["b"] = K5_B
+            raw["dynamics"] = ["quantum", dynamics]
+        self.check_fails(tmp_path, capsys, k5, "cfg.json:3: model.b: K = 5 needs")
+        config = write_config(tmp_path, k5)
+        assert cli.main(["run", str(config), "--validate-only"]) == 1
+        err = capsys.readouterr().err
+        assert "cfg.json:3: model.b: K = 5 needs" in err
+        assert dynamics in err and "tabulated through j = 3" in err
+
+    def test_k5_without_full_ladder_is_valid(self, tmp_path, capsys):
+        def k5(raw):
+            raw["model"]["b"] = K5_B
+            raw["dynamics"] = ["quantum", "semiquantum1"]
+            raw["outputs"].pop("field")
+        config = write_config(tmp_path, k5)
+        assert cli.main(["run", str(config), "--validate-only"]) == 0
+        assert "config ok: K=5" in capsys.readouterr().out
+        assert run_cli(config, tmp_path / "out") == 0
+        assert {r["dynamics"] for r in rows_of(tmp_path / "out" / "moments.csv")} == {
+            "quantum", "semiquantum1"
+        }
 
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         path = write_config(tmp_path)

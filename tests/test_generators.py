@@ -46,6 +46,15 @@ MIXED = ModelSpec(b=(0.0, 1.0 / 3.0, 0.5, 1.0), mu=0.4)
 NMAX = 40
 
 
+def dense(pair):
+    """The square matrix M with M[r, r - d] = v[r] of a one-offset pair (d, v)."""
+    d, v = pair
+    rows = np.arange(max(0, d), min(len(v), len(v) + d))
+    out = np.zeros((len(v), len(v)))
+    out[rows, rows - d] = v[rows]
+    return out
+
+
 def rel_interior(a, b, guard):
     w = min(guard, a.shape[0] - 1)
     diff = np.abs(interior(a - b, w)).max()
@@ -200,32 +209,45 @@ class TestEngineInternals:
         # the symbol is degree 2 in each of alpha, conj(alpha), so the
         # pure fourth ladder derivatives vanish and the balanced one is a
         # scalar; this is why the second correction dies for the quartic
-        from groenewold_lab.generators import _h_derivative, _ladder
+        from groenewold_lab.generators import _h_derivative
 
         msize = 40
-        a = _ladder(msize)
-        adag = a.T.copy()
-        h = np.diag(QUARTIC.eigenvalues(msize))
+        h = (0, QUARTIC.eigenvalues(msize))
         inner = np.s_[: msize - 8, : msize - 8]
-        pure_up = _h_derivative(h, a, adag, 4, 0)
-        pure_down = _h_derivative(h, a, adag, 0, 4)
+        pure_up = dense(_h_derivative(h, 4, 0))
+        pure_down = dense(_h_derivative(h, 0, 4))
         assert np.abs(pure_up[inner]).max() < 1e-10
         assert np.abs(pure_down[inner]).max() < 1e-10
-        balanced = _h_derivative(h, a, adag, 2, 2)
+        balanced = dense(_h_derivative(h, 2, 2))
         want = 4.0 * QUARTIC.E * QUARTIC.mu**2
         assert np.abs(balanced[inner] - want * np.eye(msize - 8)).max() < 1e-10
+
+    @pytest.mark.parametrize(
+        "model, j, msize",
+        [(SEXTIC, 1, 48), (SEXTIC, 2, 64), (QUARTIC, 1, 56)],
+        ids=["sextic-j1", "sextic-j2", "quartic-j1"],
+    )
+    def test_one_offset_restriction_matches_dense_contraction(self, model, j, msize):
+        # oracle: densify every returned pair and contract it the way the
+        # engine once did, a Hadamard product of the two sector windows
+        pairs = hilbert_correction_pairs(model, j, msize)
+        dense_pairs = [(dense(l), dense(r), c) for l, r, c in pairs]
+        for nu in range(msize):
+            n = msize - nu
+            want = np.zeros((n, n), dtype=complex)
+            for l, r, c in dense_pairs:
+                want += c * (l[nu : nu + n, nu : nu + n] * r[:n, :n].T)
+            assert np.array_equal(nu_block_from_pairs(pairs, nu, n), want)
 
     @pytest.mark.parametrize("model", [QUARTIC, SEXTIC], ids=["quartic", "sextic"])
     @pytest.mark.parametrize("nu", [1, 2])
     def test_position_momentum_route_matches_ladder_route(self, model, nu):
         # rebuild the first correction from (q, p) derivatives:
         # T1 = (hbar / 24 i) ([H_qq, G_pp] - 2 [H_qp, G_qp] + [H_pp, G_qq])
-        from groenewold_lab.generators import _ladder
-
         n = 24
         msize = n + nu + 24
         hbar = model.hbar
-        a = _ladder(msize)
+        a = np.diag(np.sqrt(np.arange(1.0, msize)), 1)
         adag = a.T.copy()
         qmat = np.sqrt(hbar / 2.0) * (a + adag)
         pmat = 1j * np.sqrt(hbar / 2.0) * (adag - a)
@@ -260,7 +282,7 @@ class TestEngineInternals:
             return pairs
 
         pref = (1.0 / 6.0) / (1j * hbar) * (hbar / 2.0) ** 2
-        pairs = []
+        got = np.zeros((n, n), dtype=complex)
         for i in range(3):
             hd = h
             for _ in range(2 - i):
@@ -269,9 +291,9 @@ class TestEngineInternals:
                 hd = d_p(hd)
             coef = pref * [1, -2, 1][i]
             for l, r, c in g_pairs(2 - i, i):
-                pairs.append((hd @ l, r, coef * c))
-                pairs.append((l, r @ hd, -coef * c))
-        got = nu_block_from_pairs(pairs, nu, n)
+                # sector restriction of G -> L G R: S[m, k] = L[m+nu, k+nu] R[k, m]
+                for left, right, w in ((hd @ l, r, coef * c), (l, r @ hd, -coef * c)):
+                    got += w * (left[nu : nu + n, nu : nu + n] * right[:n, :n].T)
         want = hilbert_correction_block(nu, model, n, j=1)
         assert rel_interior(got, want, 8) < 1e-9
 

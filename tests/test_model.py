@@ -6,6 +6,7 @@ for the quartic and sextic models.
 """
 
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -82,6 +83,25 @@ class TestWeylExpansion:
             for j in range(4):
                 if (k - j) % 2 == 1:
                     assert a[k][j] == 0
+
+    def test_diagonal_expectations_reproduce_number_powers(self):
+        # independent of the star product: <n|Op(u^j)|n> integrates u^j
+        # against the number-state Wigner function,
+        #   2 (-1)^n int_0^inf u^j e^(-2u) L_n(4u) du
+        #   = 2 (-1)^n sum_i C(n, i) (-4)^i / i! * (i + j)! / 2^(i + j + 1),
+        # so the rows of A must give <n|(n + 1/2)^k|n> = (n + 1/2)^k
+        def op_diag(j, n):
+            total = sum(
+                F(comb(n, i) * (-4) ** i * factorial(i + j), factorial(i) * 2 ** (i + j + 1))
+                for i in range(n + 1)
+            )
+            return 2 * (-1) ** n * total
+
+        a = weyl_expansion_matrix(8)
+        for k in range(9):
+            for n in range(9):
+                got = sum(a[k][j] * op_diag(j, n) for j in range(k + 1))
+                assert got == (n + F(1, 2)) ** k
 
     def test_number_coefficients_quartic(self):
         c = number_coefficients((0, 0, 1), F(1, 2))
