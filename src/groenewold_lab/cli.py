@@ -35,6 +35,7 @@ from .errors import (
     TailMassExceeded,
     ValidationFailed,
 )
+from .evolve import evolve
 from .generators import _INVERSE_SINC
 from .model import ModelSpec
 from .observables import moment_track, moment_width_variant, spectrum_extremes, squared_negativity
@@ -375,8 +376,6 @@ class _DynamicsResult:
 
 
 def _compute_dynamics(cfg: ExperimentConfig, name: str, g0, union, row_idx, field_idx):
-    from .evolve import evolve
-
     need_rows = cfg.moments or cfg.spectrum_k or cfg.negativity or cfg.validate
     need_matrix_fields = bool(cfg.field_times) and name != "classical"
     records = []

@@ -94,9 +94,6 @@ class BlockPropagator:
         self._v = v
         self._vinv = np.linalg.inv(v)
 
-    def at(self, g0: np.ndarray, t: float) -> np.ndarray:
-        return self.trajectory(g0, [t])[0]
-
     def trajectory(self, g0: np.ndarray, times) -> np.ndarray:
         """Rows exp(t L) g0 for each requested time (sorted, finite)."""
         times = _check_times(times)

@@ -31,8 +31,9 @@ matrices. The Moyal-Galerkin route
 applies the odd derivative terms of the Moyal bracket to the dyad symbols
 in closed form (a symbolic radial jet per sector) and projects back with a
 generalized Gauss-Laguerre rule that integrates the resulting polynomial
-integrands exactly. Their agreement, and the agreement of both with the
-analytic tridiagonal Liouville generator, is asserted by cross_validate.
+integrands exactly. all_generator_blocks is the one builder of sector
+generators. The tests compare both engines, rung by rung, with each other
+and with the analytic tridiagonal Liouville generator.
 
 Each engine has one checked builder, which always runs its refinement
 check: _hilbert_rungs doubles the construction pad, _moyal_rungs raises
@@ -44,12 +45,12 @@ every call and not kept: a run needs each of them once.
 The nu = 0 sector is frozen under all four dynamics (every generator is a
 multiple of nu), so correction blocks for nu = 0 are returned as exact
 zeros; the engines themselves are cross-checked against that statement in
-the tests. Blocks for nu < 0 are complex conjugates of the nu > 0 blocks.
+the tests. Blocks are built for nu >= 0 only; the block for -nu is the
+complex conjugate of the block for nu.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -60,22 +61,13 @@ from scipy.special import gammaln
 from .errors import ConfigError, GuardInsufficient, QuadratureNotConverged, ValidationFailed
 from .mathkit import gauss_genlaguerre_rule, laguerre_orthonormal_bare
 from .model import ModelSpec
-from .sl2 import interior, p_block, x_blocks
 
 __all__ = [
     "DYNAMICS",
-    "ValidationReport",
     "all_generator_blocks",
-    "classical_block",
-    "classical_block_analytic",
-    "cross_validate",
-    "hilbert_correction_block",
     "hilbert_correction_pairs",
-    "moyal_correction_block",
     "nu_block_from_pairs",
     "quantum_block",
-    "semiclassical_block",
-    "semiquantum_block",
 ]
 
 DYNAMICS = ("quantum", "semiquantum1", "classical", "semiclassical1")
@@ -87,6 +79,20 @@ _INVERSE_SINC = {1: Fraction(1, 6), 2: Fraction(7, 360), 3: Fraction(31, 15120)}
 def _require_size(n: int):
     if n < 1:
         raise ConfigError("block size must be at least 1")
+
+
+def _interior(a: np.ndarray, guard: int) -> np.ndarray:
+    """Top-left block with `guard` rows and columns removed.
+
+    Products of truncated banded matrices are corrupted near the edge;
+    refinement checks and identities are asserted on this interior only.
+    """
+    if guard < 0:
+        raise ValueError("guard must be >= 0")
+    n = a.shape[0] - guard
+    if n <= 0:
+        raise ValueError("guard swallows the whole block")
+    return a[:n, :n]
 
 
 # ---------------------------------------------------------------------------
@@ -210,95 +216,30 @@ def _hilbert_rungs(
     nmax: int,
     nu_top: int,
     guard: int,
-    pad: int | None = None,
 ) -> tuple:
     """C_j sector blocks for nu = 0 .. nu_top, sizes nmax - nu, pad-doubling checked.
 
-    Built on a basis padded beyond nmax so the entries are exact
-    restrictions; the pad is then doubled and GuardInsufficient is raised
-    if any sector interior (last `guard` rows and columns dropped) moves
-    by more than 1e-10 relative. The doubled-pad blocks are returned,
+    Built on a basis padded by _default_pad beyond nmax so the entries are
+    exact restrictions; the pad is then doubled and GuardInsufficient is
+    raised if any sector interior (last `guard` rows and columns dropped)
+    moves by more than 1e-10 relative. The doubled-pad blocks are returned,
     memoized and read-only, since every caller receives the same arrays.
     """
-    if pad is None:
-        pad = _default_pad(model, j)
-    if pad < 0:
-        raise ConfigError("pad must be >= 0")
+    pad = _default_pad(model, j)
     rungs = _hilbert_terms_all(model, j, nmax, pad, nu_top)
     again = _hilbert_terms_all(model, j, nmax, 2 * pad + 8, nu_top)
     for nu in range(1, nu_top + 1):
         w = min(guard, nmax - nu - 1)
-        diff = np.abs(interior(rungs[nu] - again[nu], w)).max()
-        scale = max(1.0, np.abs(interior(again[nu], w)).max())
+        diff = np.abs(_interior(rungs[nu] - again[nu], w)).max()
+        scale = max(1.0, np.abs(_interior(again[nu], w)).max())
         if diff > 1e-10 * scale:
             raise GuardInsufficient(
                 f"sector nu={nu}: interior moved by {diff / scale:.3e} (relative) "
-                f"when the construction pad was doubled; increase pad"
+                f"when the construction pad was doubled; increase truncation.guard"
             )
     for block in again:
         block.flags.writeable = False
     return again
-
-
-def hilbert_correction_block(
-    nu: int,
-    model: ModelSpec,
-    n: int,
-    j: int,
-    guard: int = 16,
-    pad: int | None = None,
-) -> np.ndarray:
-    """j-th commutator-route correction, coefficient included.
-
-    classical = quantum + sum of these over j = 1 .. K-1. The sector slice
-    of the batched, pad-checked construction for nmax = n + |nu|.
-    """
-    _require_size(n)
-    if j < 1:
-        raise ConfigError("correction order j must be >= 1 (j = 0 is the commutator)")
-    if j >= model.K:
-        return np.zeros((n, n), dtype=complex)
-    anu = abs(nu)
-    block = _hilbert_rungs(model, j, n + anu, anu, guard, pad)[anu]
-    return np.conj(block) if nu < 0 else block
-
-
-def classical_block(nu: int, model: ModelSpec, n: int, guard: int = 16) -> np.ndarray:
-    """Liouville generator via the commutator route: quantum + full ladder."""
-    return semiquantum_block(nu, model, n, j=model.K - 1, guard=guard)
-
-
-def classical_block_analytic(nu: int, model: ModelSpec, n: int) -> np.ndarray:
-    """Liouville generator in closed form: -i nu omega h'(P/2).
-
-    The radial symbol derivative h'(u) evaluated on the tridiagonal
-    multiplication operator u -> P/2; exact in the infinite basis,
-    edge-corrupted like any truncated polynomial of a banded matrix.
-    """
-    _require_size(n)
-    half_p = p_block(nu, n) / 2.0
-    acc = np.zeros((n, n))
-    coeffs = model.classical_symbol().derivative().coeffs
-    for k, c in enumerate(coeffs):
-        if c:
-            acc = acc + float(c) * np.linalg.matrix_power(half_p, k)
-    sign = 1j if nu < 0 else -1j
-    return sign * abs(nu) * (model.omega / model.mu) * acc
-
-
-def semiquantum_block(
-    nu: int, model: ModelSpec, n: int, j: int = 1, guard: int = 16
-) -> np.ndarray:
-    """Quantum plus the first j commutator-route corrections.
-
-    j = 0 is quantum; j >= K-1 saturates the ladder and equals classical.
-    """
-    if j < 0:
-        raise ConfigError("semiquantum order must be >= 0")
-    return quantum_block(nu, model, n) + sum(
-        hilbert_correction_block(nu, model, n, i, guard=guard)
-        for i in range(1, min(j, model.K - 1) + 1)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +369,18 @@ _EXTRA_NODES = 16
 
 
 def _moyal_rungs(
-    model: ModelSpec, j: int, nmax: int, nu_top: int, extra_nodes: int = _EXTRA_NODES
+    model: ModelSpec, j: int, nmax: int, nu_top: int
 ) -> tuple:
     """D_j sector blocks for nu = 0 .. nu_top, sizes nmax - nu, node-doubling checked.
 
-    Each sector uses nmax + extra_nodes generalized Gauss-Laguerre nodes,
-    which integrate the polynomial integrands exactly at the default; the
-    node count then grows by nmax (doubling it at the default) and
-    QuadratureNotConverged is raised if any sector moves by more than
-    1e-8 relative. The larger-rule blocks are returned.
+    Each sector uses nmax + _EXTRA_NODES generalized Gauss-Laguerre nodes,
+    which integrate the polynomial integrands exactly; the node count then
+    grows by nmax (about doubling it) and QuadratureNotConverged is raised
+    if any sector moves by more than 1e-8 relative. The larger-rule blocks
+    are returned.
     """
-    rungs = _moyal_terms_all(model, j, nmax, extra_nodes, nu_top)
-    again = _moyal_terms_all(model, j, nmax, extra_nodes + nmax, nu_top)
+    rungs = _moyal_terms_all(model, j, nmax, _EXTRA_NODES, nu_top)
+    again = _moyal_terms_all(model, j, nmax, _EXTRA_NODES + nmax, nu_top)
     for nu in range(1, nu_top + 1):
         diff = np.abs(rungs[nu] - again[nu]).max()
         scale = max(1.0, np.abs(again[nu]).max())
@@ -451,50 +392,8 @@ def _moyal_rungs(
     return again
 
 
-def moyal_correction_block(
-    nu: int,
-    model: ModelSpec,
-    n: int,
-    j: int,
-    q_nodes: int | None = None,
-) -> np.ndarray:
-    """j-th Moyal-ladder term on sector nu, coefficient included.
-
-    j = 0 returns the full Poisson (classical) generator by the Galerkin
-    route; j >= 1 are the corrections with classical + sum = quantum. The
-    sector slice of the batched, node-checked construction for
-    nmax = n + |nu| with q_nodes nodes (default nmax + 16).
-    """
-    _require_size(n)
-    if j < 0:
-        raise ConfigError("Moyal order must be >= 0")
-    if j >= model.K:
-        return np.zeros((n, n), dtype=complex)
-    anu = abs(nu)
-    nmax = n + anu
-    extra = _EXTRA_NODES if q_nodes is None else q_nodes - nmax
-    block = _moyal_rungs(model, j, nmax, anu, extra)[anu]
-    return np.conj(block) if nu < 0 else block
-
-
-def semiclassical_block(
-    nu: int, model: ModelSpec, n: int, j: int = 1, guard: int = 16
-) -> np.ndarray:
-    """Classical plus the first j Moyal corrections.
-
-    j = 0 is classical (commutator route); j >= K-1 saturates the ladder
-    and reproduces the quantum flow.
-    """
-    if j < 0:
-        raise ConfigError("semiclassical order must be >= 0")
-    out = classical_block(nu, model, n, guard=guard)
-    for i in range(1, min(j, model.K - 1) + 1):
-        out = out + moyal_correction_block(nu, model, n, i)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# all sectors at once, and validation
+# all sectors at once
 
 def all_generator_blocks(
     dynamics: str,
@@ -529,108 +428,3 @@ def all_generator_blocks(
         moyal = _moyal_rungs(model, 1, nmax, nu_top)
         out = [out[nu] + moyal[nu] for nu in range(nu_top + 1)]
     return out
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Residual table from the dual-route generator comparison.
-
-    Residuals are max-norm differences on the guarded interior, relative
-    to max(1, scale of the reference block).
-    """
-
-    nu: int
-    dim: int
-    residuals: dict
-    leading_coefficient: float | None
-    notes: tuple
-    passed: bool
-
-
-def _rel_interior(a: np.ndarray, b: np.ndarray, guard: int) -> float:
-    w = min(guard, a.shape[0] - 1)
-    diff = np.abs(interior(a - b, w)).max()
-    return float(diff / max(1.0, np.abs(interior(b, w)).max()))
-
-
-def cross_validate(
-    nu: int, model: ModelSpec, n: int, guard: int = 16, tol: float = 1e-8
-) -> ValidationReport:
-    """Compare every route to every other and pin the classical scale.
-
-    Checks, per sector: commutator-route classical against the analytic
-    tridiagonal Liouville generator and against the Galerkin Poisson
-    matrix; the Moyal ladder climbed up from classical against the quantum
-    diagonal; the anti-Hermitian structure of i L / nu for the quantum,
-    classical, and first-semiquantum generators. For single-power models
-    the leading coefficient of the classical generator against
-    -i nu mu^(K-1) omega P^(K-1) is fitted and recorded (3/4 for the cubic
-    power, 1 for the quadratic). Raises ValidationFailed naming the worst
-    residual if any check exceeds tol.
-    """
-    _require_size(n)
-    if nu == 0:
-        raise ConfigError("cross_validate expects a moving sector (nu != 0)")
-    residuals: dict = {}
-    notes: list = []
-    q = quantum_block(nu, model, n)
-    cl = classical_block(nu, model, n, guard=guard)
-    cl_analytic = classical_block_analytic(nu, model, n)
-    d0 = moyal_correction_block(nu, model, n, j=0)
-    residuals["classical_commutator_vs_analytic"] = _rel_interior(cl, cl_analytic, guard)
-    residuals["classical_galerkin_vs_analytic"] = _rel_interior(d0, cl_analytic, guard)
-    up = cl.copy()
-    for j in range(1, model.K):
-        up = up + moyal_correction_block(nu, model, n, j)
-    residuals["moyal_ladder_vs_quantum"] = _rel_interior(up, q, guard)
-    sq1 = semiquantum_block(nu, model, n, j=1, guard=guard)
-    for name, mat in (("quantum", q), ("classical", cl), ("semiquantum1", sq1)):
-        h = 1j * mat / nu
-        w = min(guard, n - 1)
-        hi = interior(h, w)
-        residuals[f"{name}_antihermitian_structure"] = float(
-            np.abs(hi - hi.conj().T).max() / max(1.0, np.abs(hi).max())
-        )
-    lead = None
-    b = model.b
-    if model.K >= 1 and b[-1] != 0 and not any(b[:-1]):
-        basis = -1j * nu * model.mu ** (model.K - 1) * model.omega * np.linalg.matrix_power(
-            p_block(nu, n), model.K - 1
-        )
-        w = min(guard, n - 1)
-        bi, ci = interior(basis, w), interior(cl, w)
-        lead = float(np.real(np.vdot(bi, ci) / np.vdot(bi, bi)))
-        notes.append(
-            f"classical leading-power fit: {lead:.12f} times "
-            f"-i nu mu^{model.K - 1} omega P^{model.K - 1}"
-        )
-        if model.K == 3:
-            notes.append("cubic-power classical scale resolves to 3/4, not 1")
-    if model.K == 3 and b == (0.0, 0.0, 0.0, 1.0):
-        x1, x2, _ = x_blocks(nu, n)
-        m = 1.5 * (x1 @ x2 + x2 @ x1) - (x1 - x2) @ (x1 - x2)
-        target = (1j if nu < 0 else -1j) * abs(nu) * model.mu**2 * model.omega * m
-        residuals["semiquantum1_vs_sl2_form"] = _rel_interior(sq1, target, guard)
-    if model.K == 1:
-        residuals["harmonic_all_dynamics_coincide"] = max(
-            _rel_interior(cl, q, guard),
-            _rel_interior(semiclassical_block(nu, model, n, j=1, guard=guard), q, guard),
-            _rel_interior(sq1, q, guard),
-        )
-        notes.append("K = 1: the four dynamics share one generator")
-    passed = all(v <= tol for v in residuals.values())
-    report = ValidationReport(
-        nu=nu,
-        dim=n,
-        residuals=residuals,
-        leading_coefficient=lead,
-        notes=tuple(notes),
-        passed=passed,
-    )
-    if not passed:
-        worst = max(residuals, key=residuals.get)
-        raise ValidationFailed(
-            f"sector nu={nu}: {worst} = {residuals[worst]:.3e} exceeds {tol:.1e} "
-            f"(full table: { {k: float(f'{v:.3e}') for k, v in residuals.items()} })"
-        )
-    return report

@@ -16,10 +16,7 @@ emitted side by side in the CSV outputs.
 
 Spectral diagnostics (extreme eigenvalues, squared negativity) run a full
 Hermitian eigendecomposition; the negativity needs the whole negative
-subspace anyway, so no extremal iteration is used. break_time scans two
-trajectories on a shared time grid for the first first-moment split past
-a threshold and returns +inf when they never split; it is a guide, not a
-sharp quantity.
+subspace anyway, so no extremal iteration is used.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from .model import ModelSpec
 
 __all__ = [
     "MomentRecord",
-    "break_time",
     "mean_alpha_series",
     "moment_track",
     "moment_width_variant",
@@ -177,22 +173,3 @@ def squared_negativity(g) -> float:
     w = np.linalg.eigvalsh(g)
     neg = w[w < 0.0]
     return float(neg @ neg)
-
-
-def break_time(traj_a: Trajectory, traj_b: Trajectory, threshold: float) -> float:
-    """First shared time with |<alpha>_A - <alpha>_B| > threshold.
-
-    Returns +inf when the first moments never split past the threshold
-    on the stored grid. The value is grid-resolution limited: a guide,
-    not a sharp quantity.
-    """
-    if not (isinstance(threshold, (int, float)) and math.isfinite(threshold) and threshold > 0):
-        raise ConfigError("threshold must be a positive finite number")
-    ta, tb = traj_a.times, traj_b.times
-    if len(ta) != len(tb) or not np.array_equal(ta, tb):
-        raise ConfigError("trajectories must share one time grid")
-    gap = np.abs(mean_alpha_series(traj_a) - mean_alpha_series(traj_b))
-    over = np.flatnonzero(gap > threshold)
-    if over.size == 0:
-        return math.inf
-    return float(ta[over[0]])

@@ -38,10 +38,8 @@ from .mathkit import _SERIES_MAX_X, bessel_i_scaled, composite_gauss_legendre_ru
 __all__ = [
     "GaussianState",
     "check_bessel_domain",
-    "coherent_density",
     "groenewold_from_gaussian",
     "tail_mass",
-    "wigner_dyad_symbol",
 ]
 
 TAIL_ROWS = 4
@@ -79,15 +77,6 @@ class GaussianState:
     def mean_occupation(self) -> float:
         """<|alpha|^2> = |alpha0|^2 + 1/kappa, a constant of all the motions."""
         return abs(self.alpha0) ** 2 + 1.0 / self.kappa
-
-
-def coherent_density(alpha0: complex, n_basis: int) -> np.ndarray:
-    """Exact coherent-state projector |alpha0><alpha0| in the number basis."""
-    v = np.empty(n_basis, dtype=complex)
-    v[0] = np.exp(-abs(alpha0) ** 2 / 2.0)
-    for n in range(1, n_basis):
-        v[n] = v[n - 1] * alpha0 / sqrt(n)
-    return np.outer(v, v.conj())
 
 
 def tail_mass(g: np.ndarray, rows: int = TAIL_ROWS) -> float:
@@ -180,33 +169,3 @@ def groenewold_from_gaussian(
             f"increase the basis size"
         )
     return g
-
-
-def wigner_dyad_symbol(n: int, m: int, q, p, model) -> np.ndarray:
-    """Weyl symbol of the dyad |n><m| at phase-space points (q, p).
-
-    In the complex coordinate alpha = (sqrt(m w) q + i p / sqrt(m w)) /
-    sqrt(2 hbar) the symbol is 2 e^(i (m - n) phi) phi_k^(|n-m|)(4 |alpha|^2)
-    with k = min(n, m); in particular the vacuum dyad gives the positive
-    Gaussian 2 e^(-2 |alpha|^2) and diagonal dyads take the value 2 (-1)^n
-    at the origin. These symbols are mutually orthogonal with weight
-    dq dp / (2 pi hbar), which is what makes diagonal-by-diagonal synthesis
-    and projection exact.
-    """
-    if n < 0 or m < 0:
-        raise ConfigError("dyad indices must be nonnegative")
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    scale = sqrt(model.m * model.omega)
-    alpha = (scale * q + 1j * p / scale) / sqrt(2.0 * model.hbar)
-    x = 4.0 * np.abs(alpha) ** 2
-    nu = abs(n - m)
-    k = min(n, m)
-    radial = radial_profiles(k, nu, np.atleast_1d(x).ravel())[k]
-    radial = radial.reshape(np.shape(x))
-    if nu == 0:
-        out = 2.0 * radial + 0j
-    else:
-        phi = np.angle(alpha)
-        out = 2.0 * radial * np.exp(1j * (m - n) * phi)
-    return out if out.shape else complex(out)

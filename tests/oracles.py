@@ -1,0 +1,187 @@
+"""Reference code that only the tests use.
+
+The package builds every sector generator with one function,
+generators.all_generator_blocks. The routes it does not take, and the
+closed forms the tests pin it against, live here:
+
+- sector and rung read one generator sector, or one correction rung C_j
+  (commutator route) or D_j (Moyal-Galerkin route, D_0 being the Galerkin
+  Poisson generator), from the production builders;
+- the sl(2) sector blocks X1, X2, X3, P and the orthogonal U below;
+- classical_block_analytic, the closed-form Liouville generator;
+- coherent_density and wigner_dyad_symbol, exact states and dyad symbols;
+- break_time, the first split of two first-moment curves;
+- rel_interior, the scale-relative residual on a guarded interior.
+
+Superoperators act on number-basis matrices G by left and right ladder
+multiplication. Because every Hamiltonian here is a function of the number
+operator, all four dynamics preserve the diagonal index nu = row - column,
+and on the sector spanned by the dyads |n+nu><n| the relevant
+superoperators restrict to real tridiagonal matrices:
+
+    X1 = diag(n + (|nu|+1)/2)                     (symmetric, diagonal)
+    X2[n, n+1] = X2[n+1, n] = sqrt((n+1)(n+|nu|+1))/2   (symmetric)
+    X3[n, n+1] = -X3[n+1, n] = sqrt((n+1)(n+|nu|+1))/2  (antisymmetric)
+    P = X1 + X2
+
+with commutation relations [X2, X1] = X3, [X3, X2] = X1, [X3, X1] = X2
+holding exactly in the infinite basis and on the interior of a truncated
+block. With X+- = X2 +- X1 the shifts X3 X+- = X+- (X3 +- 1) hold, so the
+orthogonal matrix U = exp(theta X3) with theta = log(7/3)/4 rescales
+U X+- U^T = (7/3)^(+-1/4) X+-. That gives the similarity identity used to
+diagonalize the sextic semiquantum generator:
+
+    U (3(X1 X2 + X2 X1)/2 - (X1 - X2)^2) U^T = (sqrt(21)/4)(X+^2 - X-^2),
+
+where the right side equals (sqrt(21)/2)(X1 X2 + X2 X1). A commonly quoted
+variant with (X+^2 - X-^2)/4 = X1 X2 + X2 X1 overstates that factor by two;
+the forms implemented here are verified as matrix identities in the tests.
+"""
+
+import math
+
+import numpy as np
+
+from groenewold_lab.errors import ConfigError
+from groenewold_lab.generators import _hilbert_rungs, _interior, _moyal_rungs, all_generator_blocks
+from groenewold_lab.mathkit import hermitian_eig, radial_profiles
+from groenewold_lab.observables import mean_alpha_series
+
+interior = _interior
+
+THETA = math.log(7.0 / 3.0) / 4.0
+
+GUARD = 16
+
+
+def sector(dynamics, model, nu, n):
+    """Generator of one dynamics on sector nu, size n, from all_generator_blocks."""
+    anu = abs(nu)
+    block = all_generator_blocks(dynamics, model, n + anu, nu_top=anu)[anu]
+    return np.conj(block) if nu < 0 else block
+
+
+def rung(engine, model, j, nu, n):
+    """C_j (engine "hilbert") or D_j (engine "moyal") on sector nu >= 0, size n.
+
+    Read from the checked builder of that engine for nmax = n + nu, so
+    the pad-doubling or node-doubling check has run on it.
+    """
+    if engine == "hilbert":
+        return _hilbert_rungs(model, j, n + nu, nu, GUARD)[nu]
+    if engine == "moyal":
+        return _moyal_rungs(model, j, n + nu, nu)[nu]
+    raise ValueError(f"unknown engine {engine!r}")
+
+
+def rel_interior(a, b, guard):
+    # scale-relative residual: block entries grow with basis size, so the
+    # identity gates normalize by the reference magnitude (floor 1)
+    w = min(guard, a.shape[0] - 1)
+    diff = np.abs(interior(a - b, w)).max()
+    return float(diff / max(1.0, np.abs(interior(b, w)).max()))
+
+
+def x_blocks(nu: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Restrictions of X1, X2, X3 to the nu sector, size n."""
+    anu = abs(nu)
+    k = np.arange(n, dtype=float)
+    off = np.sqrt((k[:-1] + 1.0) * (k[:-1] + anu + 1.0)) / 2.0
+    x1 = np.diag(k + (anu + 1.0) / 2.0)
+    x2 = np.diag(off, 1) + np.diag(off, -1)
+    x3 = np.diag(off, 1) - np.diag(off, -1)
+    return x1, x2, x3
+
+
+def p_block(nu: int, n: int) -> np.ndarray:
+    """Tridiagonal P = X1 + X2 on the nu sector."""
+    x1, x2, _ = x_blocks(nu, n)
+    return x1 + x2
+
+
+def u_block(nu: int, n: int) -> np.ndarray:
+    """Orthogonal U = exp(theta X3) via eigendecomposition of i X3.
+
+    X3 is real antisymmetric, so i X3 is Hermitian with real spectrum and
+    exp(theta X3) = V exp(-i theta lambda) V^+ is real orthogonal to
+    rounding; the real part is returned.
+    """
+    _, _, x3 = x_blocks(nu, n)
+    lam, vec = hermitian_eig(1j * x3)
+    u = (vec * np.exp(-1j * THETA * lam)) @ vec.conj().T
+    return u.real
+
+
+def classical_block_analytic(nu: int, model, n: int) -> np.ndarray:
+    """Liouville generator in closed form: -i nu omega h'(P/2).
+
+    The radial symbol derivative h'(u) evaluated on the tridiagonal
+    multiplication operator u -> P/2; exact in the infinite basis,
+    edge-corrupted like any truncated polynomial of a banded matrix.
+    """
+    half_p = p_block(nu, n) / 2.0
+    acc = np.zeros((n, n))
+    coeffs = model.classical_symbol().derivative().coeffs
+    for k, c in enumerate(coeffs):
+        if c:
+            acc = acc + float(c) * np.linalg.matrix_power(half_p, k)
+    sign = 1j if nu < 0 else -1j
+    return sign * abs(nu) * (model.omega / model.mu) * acc
+
+
+def coherent_density(alpha0: complex, n_basis: int) -> np.ndarray:
+    """Exact coherent-state projector |alpha0><alpha0| in the number basis."""
+    v = np.empty(n_basis, dtype=complex)
+    v[0] = np.exp(-abs(alpha0) ** 2 / 2.0)
+    for n in range(1, n_basis):
+        v[n] = v[n - 1] * alpha0 / math.sqrt(n)
+    return np.outer(v, v.conj())
+
+
+def wigner_dyad_symbol(n: int, m: int, q, p, model) -> np.ndarray:
+    """Weyl symbol of the dyad |n><m| at phase-space points (q, p).
+
+    In the complex coordinate alpha = (sqrt(m w) q + i p / sqrt(m w)) /
+    sqrt(2 hbar) the symbol is 2 e^(i (m - n) phi) phi_k^(|n-m|)(4 |alpha|^2)
+    with k = min(n, m); in particular the vacuum dyad gives the positive
+    Gaussian 2 e^(-2 |alpha|^2) and diagonal dyads take the value 2 (-1)^n
+    at the origin. These symbols are mutually orthogonal with weight
+    dq dp / (2 pi hbar), which is what makes diagonal-by-diagonal synthesis
+    and projection exact.
+    """
+    if n < 0 or m < 0:
+        raise ConfigError("dyad indices must be nonnegative")
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    scale = math.sqrt(model.m * model.omega)
+    alpha = (scale * q + 1j * p / scale) / math.sqrt(2.0 * model.hbar)
+    x = 4.0 * np.abs(alpha) ** 2
+    nu = abs(n - m)
+    k = min(n, m)
+    radial = radial_profiles(k, nu, np.atleast_1d(x).ravel())[k]
+    radial = radial.reshape(np.shape(x))
+    if nu == 0:
+        out = 2.0 * radial + 0j
+    else:
+        phi = np.angle(alpha)
+        out = 2.0 * radial * np.exp(1j * (m - n) * phi)
+    return out if out.shape else complex(out)
+
+
+def break_time(traj_a, traj_b, threshold: float) -> float:
+    """First shared time with |<alpha>_A - <alpha>_B| > threshold.
+
+    Returns +inf when the first moments never split past the threshold
+    on the stored grid. The value is grid-resolution limited: a guide,
+    not a sharp quantity.
+    """
+    if not (isinstance(threshold, (int, float)) and math.isfinite(threshold) and threshold > 0):
+        raise ConfigError("threshold must be a positive finite number")
+    ta, tb = traj_a.times, traj_b.times
+    if len(ta) != len(tb) or not np.array_equal(ta, tb):
+        raise ConfigError("trajectories must share one time grid")
+    gap = np.abs(mean_alpha_series(traj_a) - mean_alpha_series(traj_b))
+    over = np.flatnonzero(gap > threshold)
+    if over.size == 0:
+        return math.inf
+    return float(ta[over[0]])

@@ -14,21 +14,21 @@ import pytest
 
 from groenewold_lab import cli
 from groenewold_lab.evolve import BlockPropagator, classical_moment_quadrature, evolve
-from groenewold_lab.generators import (
-    classical_block,
-    classical_block_analytic,
-    moyal_correction_block,
-    quantum_block,
-)
+from groenewold_lab.generators import quantum_block
 from groenewold_lab.model import ModelSpec, number_coefficients
-from groenewold_lab.observables import (
-    break_time,
-    mean_alpha_series,
-    moment_track,
-    squared_negativity,
-)
-from groenewold_lab.sl2 import interior, p_block, u_block, x_blocks
+from groenewold_lab.observables import mean_alpha_series, squared_negativity
 from groenewold_lab.states import GaussianState, groenewold_from_gaussian
+from oracles import (
+    break_time,
+    classical_block_analytic,
+    interior,
+    p_block,
+    rel_interior,
+    rung,
+    sector,
+    u_block,
+    x_blocks,
+)
 
 QUARTIC = ModelSpec.quartic(mu=0.5)
 SEXTIC = ModelSpec.sextic(mu=0.5)
@@ -42,14 +42,6 @@ ALL_DYNAMICS = ("quantum", "semiquantum1", "classical", "semiclassical1")
 
 def passed(number: int, message: str) -> None:
     print(f"[ACCEPTANCE] criterion {number}: PASS - {message}")
-
-
-def rel_interior(a, b, guard):
-    # scale-relative residual: block entries grow with basis size, so the
-    # identity gates normalize by the reference magnitude (floor 1)
-    w = min(guard, a.shape[0] - 1)
-    diff = np.abs(interior(a - b, w)).max()
-    return float(diff / max(1.0, np.abs(interior(b, w)).max()))
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +73,7 @@ def test_criterion_02_quartic_classical_identity():
     n, guard = 96, 16
     worst = 0.0
     for nu in (1, 2, 3):
-        got = classical_block(nu, QUARTIC, n)
+        got = sector("classical", QUARTIC, nu, n)
         want = -1j * nu * QUARTIC.mu * QUARTIC.omega * p_block(nu, n)
         worst = max(worst, rel_interior(got, want, guard))
     assert worst <= 1e-10
@@ -96,11 +88,11 @@ def test_criterion_03_ladder_closure_both_directions():
     for model in (QUARTIC, SEXTIC):
         for nu in (1, 2):
             analytic = classical_block_analytic(nu, model, n + 8)[:n, :n]
-            down = classical_block(nu, model, n)
+            down = sector("classical", model, nu, n)
             worst_down = max(worst_down, rel_interior(down, analytic, guard))
             up = down.copy()
             for j in range(1, model.K):
-                up = up + moyal_correction_block(nu, model, n, j)
+                up = up + rung("moyal", model, j, nu, n)
             q = quantum_block(nu, model, n)
             worst_up = max(worst_up, rel_interior(up, q, guard))
     assert worst_down <= 1e-8

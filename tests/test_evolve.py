@@ -16,15 +16,17 @@ from scipy.linalg import expm
 
 from groenewold_lab import evolve as evolve_module
 from groenewold_lab.errors import ConfigError, QuadratureNotConverged, ValidationFailed
-from groenewold_lab.generators import classical_block_analytic
 from groenewold_lab.evolve import (
     BlockPropagator,
     classical_moment_quadrature,
     evolve,
     whorl_field,
 )
+from groenewold_lab.generators import all_generator_blocks
 from groenewold_lab.model import ModelSpec
+from groenewold_lab.observables import mean_alpha_series
 from groenewold_lab.states import GaussianState, groenewold_from_gaussian
+from oracles import classical_block_analytic
 
 QUARTIC = ModelSpec.quartic(mu=0.5)
 SEXTIC = ModelSpec.sextic(mu=0.5)
@@ -50,7 +52,7 @@ class TestBlockPropagator:
         p = BlockPropagator(np.diag(d))
         assert p.route == "diagonal"
         g = np.array([1.0, 2.0, 3.0], dtype=complex)
-        out = p.at(g, 0.4)
+        out = p.trajectory(g, [0.4])[0]
         assert np.abs(out - np.exp(0.4 * d) * g).max() < 1e-15
 
     def test_unitary_route(self):
@@ -62,8 +64,8 @@ class TestBlockPropagator:
         g = rng.normal(size=6) + 1j * rng.normal(size=6)
         for t in (0.3, 1.7):
             want = expm(-1j * h * t) @ g
-            assert np.abs(p.at(g, t) - want).max() < 1e-12
-            assert abs(np.linalg.norm(p.at(g, t)) - np.linalg.norm(g)) < 1e-12
+            assert np.abs(p.trajectory(g, [t])[0] - want).max() < 1e-12
+            assert abs(np.linalg.norm(p.trajectory(g, [t])[0]) - np.linalg.norm(g)) < 1e-12
 
     def test_diagonalizable_route(self):
         L = np.array([[0.0, 1.0], [-2.0, -3.0]], dtype=complex)
@@ -71,7 +73,7 @@ class TestBlockPropagator:
         assert p.route == "diagonalizable"
         g = np.array([1.0, -1.0], dtype=complex)
         for t in (0.5, 2.0):
-            assert np.abs(p.at(g, t) - expm(L * t) @ g).max() < 1e-10
+            assert np.abs(p.trajectory(g, [t])[0] - expm(L * t) @ g).max() < 1e-10
 
     def test_defective_generator_rejected(self):
         # a Jordan block has no eigenvector basis at all
@@ -97,8 +99,8 @@ class TestBlockPropagator:
         h = h + h.T
         p = BlockPropagator(-1j * h)
         g = rng.normal(size=8) + 1j * rng.normal(size=8)
-        two_step = p.at(p.at(g, 0.6), 1.1)
-        direct = p.at(g, 1.7)
+        two_step = p.trajectory(p.trajectory(g, [0.6])[0], [1.1])[0]
+        direct = p.trajectory(g, [1.7])[0]
         assert np.abs(two_step - direct).max() < 1e-10
 
     def test_shape_and_time_validation(self):
@@ -252,6 +254,49 @@ class TestEvolve:
             evolve(np.eye(3), "classical", QUARTIC, [0.0, 1.0])
 
 
+class TestBasisSizeDependence:
+    """fig3's <alpha> curves at N = 128 against N = 256.
+
+    The state is synthesized at N = 64 and zero-padded, so both runs start
+    from the same matrix. Classical converges in N; semiquantum1 does not:
+    its i L on sector 1 is indefinite, with eigenvalues that grow like N^2.
+    """
+
+    @pytest.fixture(scope="class")
+    def gaps(self):
+        g64 = groenewold_from_gaussian(FIG3_STATE, 64)
+        times = np.linspace(0.0, np.pi, 64)
+        out = {}
+        for dynamics in ("semiquantum1", "classical"):
+            curves = []
+            for n in (128, 256):
+                g0 = np.zeros((n, n), dtype=complex)
+                g0[:64, :64] = g64
+                traj = evolve(g0, dynamics, SEXTIC, times, mode="moments")
+                curves.append(mean_alpha_series(traj))
+            gap = np.abs(curves[0] - curves[1])
+            out[dynamics] = (times[np.flatnonzero(gap > 1e-6)[0]], gap.max())
+        return out
+
+    @staticmethod
+    def sector_one_spectrum(dynamics):
+        ih = 1j * all_generator_blocks(dynamics, SEXTIC, 128, nu_top=1)[1]
+        return np.linalg.eigvalsh(0.5 * (ih + ih.conj().T))
+
+    def test_semiquantum1_depends_on_n_early(self, gaps):
+        t_star, worst = gaps["semiquantum1"]
+        assert t_star < 0.2  # measured 0.150
+        assert worst > 0.1  # measured 0.87
+        w = self.sector_one_spectrum("semiquantum1")
+        assert w.min() < 0.0 < w.max()  # measured [-2.55e4, 1.09e4]
+
+    def test_classical_converges_until_later(self, gaps):
+        t_star, worst = gaps["classical"]
+        assert t_star > 0.6  # measured 0.698
+        assert worst < 1e-2  # measured 5.3e-3
+        assert self.sector_one_spectrum("classical").min() > 0.0  # measured 8.0e-5
+
+
 class TestClassicalMomentQuadrature:
     def test_initial_moments(self):
         state = GaussianState(kappa=2.0, alpha0=0.5 + 0.25j)
@@ -299,7 +344,7 @@ class TestClassicalMomentQuadrature:
         # truncated tridiagonal are edge-corrupted, interior-exact
         block = classical_block_analytic(1, SEXTIC, wide + 7)[: wide - 1, : wide - 1]
         prop = BlockPropagator(block)
-        value = np.sqrt(np.arange(1.0, wide)) @ prop.at(g1, 1.5)
+        value = np.sqrt(np.arange(1.0, wide)) @ prop.trajectory(g1, [1.5])[0]
         fine = abs(value - oracle_late)
         assert fine < 1e-6
         assert fine < coarse / 50.0

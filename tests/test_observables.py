@@ -18,7 +18,6 @@ from groenewold_lab.evolve import evolve
 from groenewold_lab.model import ModelSpec
 from groenewold_lab.observables import (
     MomentRecord,
-    break_time,
     mean_alpha_series,
     moment_track,
     moment_width_variant,
@@ -26,7 +25,8 @@ from groenewold_lab.observables import (
     spectrum_extremes,
     squared_negativity,
 )
-from groenewold_lab.states import GaussianState, coherent_density, groenewold_from_gaussian
+from groenewold_lab.states import GaussianState, groenewold_from_gaussian
+from oracles import break_time, coherent_density
 
 QUARTIC = ModelSpec.quartic(mu=0.5)
 SEXTIC = ModelSpec.sextic(mu=0.5)

@@ -14,7 +14,6 @@ import pytest
 
 from groenewold_lab.errors import ConfigError
 from groenewold_lab.evolve import BlockPropagator, classical_moment_quadrature, evolve
-from groenewold_lab.generators import classical_block_analytic
 from groenewold_lab.model import ModelSpec
 from groenewold_lab.observables import moment_track
 from groenewold_lab.render import (
@@ -27,7 +26,8 @@ from groenewold_lab.render import (
     write_mask_pgm,
     write_pgm,
 )
-from groenewold_lab.states import GaussianState, coherent_density, groenewold_from_gaussian
+from groenewold_lab.states import GaussianState, groenewold_from_gaussian
+from oracles import classical_block_analytic, coherent_density
 
 QUARTIC = ModelSpec.quartic(mu=0.5)
 SEXTIC = ModelSpec.sextic(mu=0.5)
@@ -150,7 +150,7 @@ class TestWignerField:
         gt = np.zeros((dim, dim), dtype=complex)
         for nu in range(nu_top + 1):
             block = classical_block_analytic(nu, QUARTIC, dim - nu + 8)[: dim - nu, : dim - nu]
-            row = BlockPropagator(block).at(np.diagonal(gw, offset=-nu), t)
+            row = BlockPropagator(block).trajectory(np.diagonal(gw, offset=-nu), [t])[0]
             gt[np.arange(nu, dim), np.arange(dim - nu)] = row
             if nu:
                 gt[np.arange(dim - nu), np.arange(nu, dim)] = np.conj(row)

@@ -12,14 +12,7 @@ products are corrupted near the edge.
 import numpy as np
 import pytest
 
-from groenewold_lab.sl2 import (
-    THETA,
-    interior,
-    p_block,
-    u_block,
-    x_blocks,
-)
-from groenewold_lab.states import coherent_density
+from oracles import THETA, coherent_density, interior, p_block, u_block, x_blocks
 
 
 class TestDecompose:

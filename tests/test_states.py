@@ -14,10 +14,10 @@ from groenewold_lab.errors import ConfigError, TailMassExceeded
 from groenewold_lab.model import ModelSpec
 from groenewold_lab.states import (
     GaussianState,
-    coherent_density,
     groenewold_from_gaussian,
     tail_mass,
 )
+from oracles import coherent_density, wigner_dyad_symbol
 
 
 def displaced_thermal_oracle(kappa: float, alpha0: complex, n_basis: int) -> np.ndarray:
@@ -145,8 +145,6 @@ class TestGuards:
 
 class TestDyadSymbol:
     def test_vacuum_symbol_is_gaussian(self):
-        from groenewold_lab.states import wigner_dyad_symbol
-
         model = ModelSpec.quartic(mu=0.5)  # hbar = 1/2
         q = np.linspace(-2, 2, 9)
         p = np.linspace(-2, 2, 9)
@@ -160,22 +158,16 @@ class TestDyadSymbol:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
     def test_diagonal_value_at_origin(self, n):
-        from groenewold_lab.states import wigner_dyad_symbol
-
         model = ModelSpec.sextic(mu=0.5)
         assert wigner_dyad_symbol(n, n, 0.0, 0.0, model) == pytest.approx(
             2.0 * (-1.0) ** n, abs=1e-14
         )
 
     def test_offdiagonal_vanishes_at_origin(self):
-        from groenewold_lab.states import wigner_dyad_symbol
-
         model = ModelSpec.quartic(mu=0.5)
         assert wigner_dyad_symbol(2, 0, 0.0, 0.0, model) == 0.0
 
     def test_angular_dependence(self):
-        from groenewold_lab.states import wigner_dyad_symbol
-
         model = ModelSpec.quartic(mu=0.5)
         # hbar = 1/2, m = omega = 1: alpha = q + i p
         r = 0.7
@@ -185,8 +177,6 @@ class TestDyadSymbol:
             assert got == pytest.approx(base * np.exp(1j * (1 - 3) * phi), abs=1e-13)
 
     def test_hermitian_conjugation(self):
-        from groenewold_lab.states import wigner_dyad_symbol
-
         model = ModelSpec.quartic(mu=0.5)
         a = wigner_dyad_symbol(4, 1, 0.6, -0.3, model)
         b = wigner_dyad_symbol(1, 4, 0.6, -0.3, model)
@@ -194,8 +184,6 @@ class TestDyadSymbol:
 
     def test_trace_orthogonality_by_quadrature(self):
         from groenewold_lab.mathkit import composite_gauss_legendre_rule
-        from groenewold_lab.states import wigner_dyad_symbol
-
         model = ModelSpec.quartic(mu=0.5)
         rule = composite_gauss_legendre_rule(-5.0, 5.0, 24, 10)
         qq, pp = np.meshgrid(rule.nodes, rule.nodes)
@@ -214,8 +202,6 @@ class TestDyadSymbol:
 
     def test_unit_mass_of_diagonal_dyads(self):
         from groenewold_lab.mathkit import composite_gauss_legendre_rule
-        from groenewold_lab.states import wigner_dyad_symbol
-
         model = ModelSpec.quartic(mu=0.5)
         rule = composite_gauss_legendre_rule(-5.0, 5.0, 24, 10)
         qq, pp = np.meshgrid(rule.nodes, rule.nodes)
@@ -226,8 +212,6 @@ class TestDyadSymbol:
             assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_negative_index_rejected(self):
-        from groenewold_lab.states import wigner_dyad_symbol
-
         model = ModelSpec.quartic(mu=0.5)
         with pytest.raises(ConfigError):
             wigner_dyad_symbol(-1, 0, 0.0, 0.0, model)
