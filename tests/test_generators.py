@@ -66,6 +66,21 @@ def ladder_cases():
     ]
 
 
+def assert_classical_routes_agree(model, nu, n):
+    """Commutator and Galerkin classical routes both equal the analytic form."""
+    analytic = classical_block_analytic(nu, model, n)
+    assert rel_interior(sector("classical", model, nu, n), analytic, 16) < 1e-9
+    assert rel_interior(rung("moyal", model, 0, nu, n), analytic, 16) < 1e-9
+
+
+def assert_harmonic_dynamics_coincide(nu, n):
+    """For K = 1 the four dynamics share the diagonal generator -i nu omega."""
+    want = quantum_block(nu, HARMONIC, n)
+    assert np.allclose(np.diagonal(want), -1j * nu * HARMONIC.omega, atol=1e-14)
+    for dynamics in ("classical", "semiquantum1", "semiclassical1"):
+        assert np.abs(sector(dynamics, HARMONIC, nu, n) - want).max() < 1e-12
+
+
 def dense(pair):
     """The square matrix M with M[r, r - d] = v[r] of a one-offset pair (d, v)."""
     d, v = pair
@@ -113,13 +128,10 @@ class TestClassicalThreeRoutes:
     @pytest.mark.parametrize(
         "model, nu, n",
         [pytest.param(m, 1, NMAX - 1, id=name) for name, m in MODELS]
-        + [pytest.param(m, nu, n, id=f"{name}-{nu}-n{n}") for name, m, nu, n in CROSS_CASES]
-        + [pytest.param(HARMONIC, 2, 20, id="harmonic-2-n20")],
+        + [pytest.param(m, nu, n, id=f"{name}-{nu}-n{n}") for name, m, nu, n in CROSS_CASES],
     )
     def test_commutator_equals_analytic_equals_galerkin(self, model, nu, n):
-        analytic = classical_block_analytic(nu, model, n)
-        assert rel_interior(sector("classical", model, nu, n), analytic, 16) < 1e-9
-        assert rel_interior(rung("moyal", model, 0, nu, n), analytic, 16) < 1e-9
+        assert_classical_routes_agree(model, nu, n)
 
     def test_nu_zero_classical_is_zero(self):
         assert np.abs(sector("classical", SEXTIC, 0, 20)).max() == 0.0
@@ -173,11 +185,7 @@ class TestSemiDynamics:
         assert rel_interior(got, quantum_block(1, QUARTIC, n), 16) < 1e-8
 
     def test_harmonic_all_dynamics_coincide(self):
-        for nu, n in ((1, 16), (2, 20)):
-            want = quantum_block(nu, HARMONIC, n)
-            assert np.allclose(np.diagonal(want), -1j * nu * HARMONIC.omega, atol=1e-14)
-            for dynamics in ("classical", "semiquantum1", "semiclassical1"):
-                assert np.abs(sector(dynamics, HARMONIC, nu, n) - want).max() < 1e-12
+        assert_harmonic_dynamics_coincide(1, 16)
 
     @pytest.mark.parametrize(
         "model, nu, n",
@@ -358,6 +366,14 @@ class TestDispatch:
         for dynamics in DYNAMICS:
             blocks = all_generator_blocks(dynamics, SEXTIC, 16)
             assert np.abs(blocks[0]).max() == 0.0
+
+
+class TestCrossValidate:
+    def test_harmonic_report(self):
+        # the harmonic sector nu=2, n=20: both classical routes, and all
+        # four dynamics, reduce to the exact diagonal generator
+        assert_classical_routes_agree(HARMONIC, 2, 20)
+        assert_harmonic_dynamics_coincide(2, 20)
 
 
 @st.composite
