@@ -209,6 +209,11 @@ def _build_state(doc: _Doc, raw: dict, model: ModelSpec) -> GaussianState:
         doc.fail("state", str(exc))
 
 
+def _time_stem(t: float) -> str:
+    """The part of a field file name that names its time."""
+    return f"{t:.12g}"
+
+
 def _build_outputs(doc: _Doc, raw: dict, n_basis: int):
     obj = raw["outputs"]
     _check_keys(
@@ -260,6 +265,16 @@ def _build_outputs(doc: _Doc, raw: dict, n_basis: int):
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
                 doc.fail("outputs.field.time_list", f"entry {i} must be a finite number")
         field_times = tuple(float(v) for v in tl)
+        first: dict[str, int] = {}
+        for i, t in enumerate(field_times):
+            tag = _time_stem(t)
+            if tag in first:
+                doc.fail(
+                    "outputs.field.time_list",
+                    f"entries {first[tag]} and {i} both write field files named by "
+                    f"t = {tag} (times are named to 12 significant digits)",
+                )
+            first[tag] = i
 
     return moments, spectrum_k, negativity, field_grid, field_times, validate
 
@@ -533,7 +548,7 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
         for res in results:
             for pos, t in enumerate(cfg.field_times):
                 field = res.fields[pos]
-                stem = f"field_{res.name}_{t:.12g}"
+                stem = f"field_{res.name}_{_time_stem(t)}"
                 provenance = (
                     f"groenewold-lab {_VERSION} config sha256: {cfg.sha256} "
                     f"dynamics={res.name} t={_fmt(t)}"

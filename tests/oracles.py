@@ -10,6 +10,8 @@ closed forms the tests pin it against, live here:
 - the sl(2) sector blocks X1, X2, X3, P and the orthogonal U below;
 - classical_block_analytic, the closed-form Liouville generator;
 - coherent_density and wigner_dyad_symbol, exact states and dyad symbols;
+- wigner_field_pointwise, the field synthesis that runs every sector's
+  radial recurrence on every grid point rather than once per distinct x;
 - break_time, the first split of two first-moment curves;
 - rel_interior, the scale-relative residual on a guarded interior.
 
@@ -46,6 +48,7 @@ from groenewold_lab.errors import ConfigError
 from groenewold_lab.generators import _hilbert_rungs, _interior, _moyal_rungs, all_generator_blocks
 from groenewold_lab.mathkit import hermitian_eig, radial_profiles
 from groenewold_lab.observables import mean_alpha_series
+from groenewold_lab.render import _sector_profile
 
 interior = _interior
 
@@ -166,6 +169,35 @@ def wigner_dyad_symbol(n: int, m: int, q, p, model) -> np.ndarray:
         phi = np.angle(alpha)
         out = 2.0 * radial * np.exp(1j * (m - n) * phi)
     return out if out.shape else complex(out)
+
+
+def wigner_field_pointwise(g, model, grid) -> np.ndarray:
+    """Values of render.wigner_field with each radial profile evaluated per point.
+
+    Same float operations in the same order as the production path, which
+    evaluates each profile once per distinct x and gathers it back, so the
+    two agree bit for bit.
+    """
+    g = np.asarray(g, dtype=complex)
+    q_min, q_max, p_min, p_max, nq, npts = grid
+    qs = np.linspace(q_min, q_max, nq)
+    ps = np.linspace(p_min, p_max, npts)
+    scale = math.sqrt(model.m * model.omega)
+    alpha = (scale * qs[None, :] + 1j * ps[:, None] / scale) / math.sqrt(2.0 * model.hbar)
+    x = (4.0 * np.abs(alpha) ** 2).ravel()
+    radius = np.abs(alpha).ravel()
+    phasor = np.ones_like(x, dtype=complex)
+    nonzero = radius > 0.0
+    phasor[nonzero] = (alpha.ravel()[nonzero] / radius[nonzero]).conj()
+    total = _sector_profile(np.real(np.diagonal(g)).astype(complex), 0, x).real.astype(float)
+    power = np.ones_like(phasor)
+    for nu in range(1, g.shape[0]):
+        power = power * phasor
+        diag = np.diagonal(g, offset=-nu)
+        if not np.any(diag):
+            continue
+        total = total + 2.0 * (power * _sector_profile(diag, nu, x)).real
+    return (total / (2.0 * math.pi * model.hbar)).reshape(npts, nq)
 
 
 def break_time(traj_a, traj_b, threshold: float) -> float:

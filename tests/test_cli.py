@@ -141,6 +141,24 @@ class TestSchemaErrors:
             "non-empty array of times",
         )
 
+    @pytest.mark.parametrize(
+        "times", ([0.75, 0.75], [1.0, 1.0000000000001, 1.0]), ids=("exact", "12g")
+    )
+    def test_field_times_naming_one_file_rejected(self, tmp_path, capsys, times):
+        # the files of a field are named by t to 12 significant digits,
+        # so two such times would overwrite each other's output
+        config = write_config(tmp_path, lambda r: r["outputs"]["field"].update(time_list=times))
+        line = next(
+            i for i, text in enumerate(config.read_text().splitlines(), 1) if '"time_list"' in text
+        )
+        out = tmp_path / "out"
+        for argv in (["--out", str(out)], ["--validate-only"]):
+            assert cli.main(["run", str(config), *argv]) == 1
+            err = capsys.readouterr().err
+            assert f"cfg.json:{line}: outputs.field.time_list" in err
+            assert "entries 0 and 1" in err and "12 significant digits" in err
+        assert not out.exists()
+
     def test_t1_before_t0(self, tmp_path, capsys):
         self.check_fails(
             tmp_path, capsys, lambda r: r["times"].update(t1=-1.0), "must be >= t0"

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from groenewold_lab import render
 from groenewold_lab.errors import ConfigError
 from groenewold_lab.evolve import BlockPropagator, classical_moment_quadrature, evolve
 from groenewold_lab.model import ModelSpec
@@ -27,7 +28,7 @@ from groenewold_lab.render import (
     write_pgm,
 )
 from groenewold_lab.states import GaussianState, groenewold_from_gaussian
-from oracles import classical_block_analytic, coherent_density
+from oracles import classical_block_analytic, coherent_density, wigner_field_pointwise
 
 QUARTIC = ModelSpec.quartic(mu=0.5)
 SEXTIC = ModelSpec.sextic(mu=0.5)
@@ -48,6 +49,57 @@ def alpha_grid(field: PhaseField, model: ModelSpec) -> np.ndarray:
 def cell_area(field: PhaseField) -> float:
     q_min, q_max, p_min, p_max, nq, npts = field.grid
     return (q_max - q_min) / (nq - 1) * (p_max - p_min) / (npts - 1)
+
+
+@pytest.fixture(scope="module")
+def fig2_matrix():
+    """fig2's quantum matrix at t = pi/4: quartic, mu = 1/2, N = 128."""
+    g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 128))
+    return evolve(g0, "quantum", QUARTIC, [math.pi / 4.0]).matrix(0)
+
+
+class TestDistinctRadii:
+    """wigner_field evaluates each radial profile once per distinct x."""
+
+    def test_fig2_field_bit_equal_to_pointwise(self, fig2_matrix):
+        field = wigner_field(fig2_matrix, QUARTIC, DEFAULT_GRID)
+        want = wigner_field_pointwise(fig2_matrix, QUARTIC, DEFAULT_GRID)
+        assert np.array_equal(field.values, want)
+
+    def test_asymmetric_grid_bit_equal_to_pointwise(self, fig2_matrix):
+        # few radii repeat here, so nearly every point is its own profile entry
+        grid = (-3.1, 4.7, -2.3, 5.9, 97, 131)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryMassWarning)
+            field = wigner_field(fig2_matrix, QUARTIC, grid)
+        assert field.values.shape == (131, 97)
+        assert np.array_equal(field.values, wigner_field_pointwise(fig2_matrix, QUARTIC, grid))
+
+    def test_anisotropic_scale_bit_equal_to_pointwise(self):
+        model = ModelSpec.quartic(mu=0.5, m=2.0, omega=0.7)
+        g0 = np.asarray(groenewold_from_gaussian(GaussianState(kappa=1.5, alpha0=0.4 + 0.3j), 64))
+        g = evolve(g0, "quantum", model, [0.9]).matrix(0)
+        grid = (-4.0, 4.0, -4.0, 4.0, 96, 80)
+        field = wigner_field(g, model, grid)
+        assert np.array_equal(field.values, wigner_field_pointwise(g, model, grid))
+
+    def test_profiles_see_only_distinct_radii(self, fig2_matrix, monkeypatch):
+        sizes = []
+        profile = render._sector_profile
+
+        def counting(diag, nu, x):
+            sizes.append(x.size)
+            return profile(diag, nu, x)
+
+        monkeypatch.setattr(render, "_sector_profile", counting)
+        field = wigner_field(fig2_matrix, QUARTIC, DEFAULT_GRID)
+        alpha = alpha_grid(field, QUARTIC)
+        distinct = np.unique(4.0 * np.abs(alpha) ** 2).size
+        # sign flips and the q <-> p swap leave 9,742 of the 65,536 radii
+        # (numpy 2.4); the exact count rests on linspace rounding
+        assert distinct < field.values.size // 6
+        assert len(sizes) == 24  # nonzero sectors of fig2's matrix
+        assert set(sizes) == {distinct}
 
 
 class TestWignerField:
