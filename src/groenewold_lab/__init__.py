@@ -11,7 +11,6 @@ so moments, spectra and negativity measures are directly comparable.
 from .errors import (
     ConfigError,
     GroenewoldLabError,
-    GuardInsufficient,
     QuadratureNotConverged,
     TailMassExceeded,
     ValidationFailed,
@@ -20,7 +19,6 @@ from .errors import (
 __all__ = [
     "ConfigError",
     "GroenewoldLabError",
-    "GuardInsufficient",
     "QuadratureNotConverged",
     "TailMassExceeded",
     "ValidationFailed",

@@ -30,13 +30,12 @@ import numpy as np
 from .errors import (
     ConfigError,
     GroenewoldLabError,
-    GuardInsufficient,
     QuadratureNotConverged,
     TailMassExceeded,
     ValidationFailed,
 )
 from .evolve import evolve
-from .generators import _INVERSE_SINC
+from .generators import DYNAMICS, rung_count
 from .model import ModelSpec
 from .observables import moment_track, moment_width_variant, spectrum_extremes, squared_negativity
 from .render import (
@@ -49,8 +48,6 @@ from .render import (
 )
 from .states import GaussianState, groenewold_from_gaussian
 
-DYNAMICS_NAMES = ("quantum", "semiquantum1", "classical", "semiclassical1")
-PURITY_CONSERVING = ("quantum", "classical", "semiquantum1")
 TOLERANCES = {
     "trace_err": 1e-10,
     "herm_err": 1e-10,
@@ -150,7 +147,6 @@ class ExperimentConfig:
     model: ModelSpec
     state: GaussianState
     n_basis: int
-    guard: int
     tail_tol: float
     dynamics: tuple
     times: tuple
@@ -294,26 +290,23 @@ def validate_config(doc: _Doc) -> ExperimentConfig:
     trunc = raw.get("truncation", {})
     _check_keys(doc, trunc, "truncation", ("N", "guard", "tail_tol"))
     n_basis = _integer(doc, trunc, "truncation", "N", default=128, minimum=8)
-    guard = _integer(doc, trunc, "truncation", "guard", default=16, minimum=0)
+    # still checked so that older configs validate, but nothing reads it
+    _integer(doc, trunc, "truncation", "guard", minimum=0)
     tail_tol = _real(doc, trunc, "truncation", "tail_tol", default=1e-10, positive=True)
 
     dyn = raw["dynamics"]
     if not isinstance(dyn, list) or not dyn:
         doc.fail("dynamics", "must be a non-empty array")
     for name in dyn:
-        if name not in DYNAMICS_NAMES:
-            doc.fail("dynamics", f"unknown dynamics {name!r} (choose from {', '.join(DYNAMICS_NAMES)})")
+        if name not in DYNAMICS:
+            doc.fail("dynamics", f"unknown dynamics {name!r} (choose from {', '.join(DYNAMICS)})")
     if len(set(dyn)) != len(dyn):
         doc.fail("dynamics", "entries must be unique")
-    full_ladder = [name for name in dyn if name in ("classical", "semiclassical1")]
-    j_top = max(_INVERSE_SINC)
-    if full_ladder and model.K - 1 > j_top:
-        doc.fail(
-            "model.b",
-            f"K = {model.K} needs inverse-sinc corrections through j = {model.K - 1} "
-            f"for {', '.join(full_ladder)}, but they are tabulated through j = {j_top} "
-            f"(K <= {j_top + 1})",
-        )
+    for name in dyn:
+        try:
+            rung_count(name, model.K)
+        except ConfigError as exc:
+            doc.fail("model.b", str(exc))
 
     times_obj = raw["times"]
     _check_keys(doc, times_obj, "times", ("t0", "t1", "steps"), ("t0", "t1", "steps"))
@@ -336,7 +329,6 @@ def validate_config(doc: _Doc) -> ExperimentConfig:
         model=model,
         state=state,
         n_basis=n_basis,
-        guard=guard,
         tail_tol=tail_tol,
         dynamics=tuple(dyn),
         times=times,
@@ -400,7 +392,7 @@ def _compute_dynamics(cfg: ExperimentConfig, name: str, g0, union, row_idx, fiel
     fields: list = []
 
     if need_rows or need_matrix_fields:
-        traj = evolve(g0, name, cfg.model, union, mode="full", guard=cfg.guard)
+        traj = evolve(g0, name, cfg.model, union, mode="full")
         if need_rows:
             records = moment_track(traj)
             trace_err = np.abs(traj.trace_series() - 1.0)
@@ -443,18 +435,14 @@ def _validation_rows(cfg: ExperimentConfig, results, row_idx):
     for res in results:
         for pos, i in enumerate(row_idx):
             t = cfg.times[pos]
-            purity_drift = res.purity_drift[i]
             values = {
                 "trace_err": res.trace_err[i],
                 "herm_err": 0.0,  # a Trajectory is Hermitian by construction
-                "purity_drift": purity_drift,
+                "purity_drift": res.purity_drift[i],
                 "abs2_drift": res.abs2_drift[i],
             }
-            rows.append([t, res.name, values["trace_err"], values["herm_err"],
-                         purity_drift, values["abs2_drift"]])
+            rows.append([t, res.name, *values.values()])
             for metric, value in values.items():
-                if metric == "purity_drift" and res.name not in PURITY_CONSERVING:
-                    continue
                 if value > TOLERANCES[metric]:
                     offender = (value, res.name, metric, t)
                     if worst is None or value > worst[0]:
@@ -633,7 +621,7 @@ def main(argv=None) -> int:
     except ValidationFailed as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 2
-    except (TailMassExceeded, QuadratureNotConverged, GuardInsufficient) as exc:
+    except (TailMassExceeded, QuadratureNotConverged) as exc:
         print(f"truncation failure: {exc}", file=sys.stderr)
         return 3
     except GroenewoldLabError as exc:

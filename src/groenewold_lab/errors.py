@@ -30,14 +30,5 @@ class TailMassExceeded(GroenewoldLabError):
     """
 
 
-class GuardInsufficient(GroenewoldLabError):
-    """Operator construction did not converge in the guard band.
-
-    Growing the construction padding changed the interior matrix elements
-    by more than the stability tolerance, so the requested truncation
-    cannot be certified.
-    """
-
-
 class QuadratureNotConverged(GroenewoldLabError):
     """A numerical integral failed its refinement convergence check."""

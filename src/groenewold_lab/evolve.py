@@ -7,7 +7,7 @@ nu >= 0 are propagated and sector -nu is read as their conjugate. A
 BlockPropagator factors L once and reuses the factorization for every
 requested time. evolve keeps nothing between calls: it looks up
 all_generator_blocks afresh and factors every sector again. The one memo
-on this path is generators._hilbert_rungs, which shares the checked
+on this path is generators._hilbert_rungs, which shares the commutator
 correction rungs between dynamics. The routes are:
 
 - "identity"        zero generator (the frozen nu = 0 sector),
@@ -194,7 +194,6 @@ def evolve(
     times,
     *,
     mode: str = "full",
-    guard: int = 16,
 ) -> Trajectory:
     """Propagate a Hermitian matrix under one of the four flows.
 
@@ -216,7 +215,7 @@ def evolve(
     times = _check_times(times)
     dim = g0.shape[0]
     nu_top = dim - 1 if mode == "full" else min(2, dim - 1)
-    blocks = all_generator_blocks(dynamics, model, dim, guard=guard, nu_top=nu_top)
+    blocks = all_generator_blocks(dynamics, model, dim, nu_top=nu_top)
     history: dict[int, np.ndarray] = {}
     for nu, block in enumerate(blocks):
         try:

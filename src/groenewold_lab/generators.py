@@ -35,12 +35,16 @@ integrands exactly. all_generator_blocks is the one builder of sector
 generators. The tests compare both engines, rung by rung, with each other
 and with the analytic tridiagonal Liouville generator.
 
-Each engine has one checked builder, which always runs its refinement
-check: _hilbert_rungs doubles the construction pad, _moyal_rungs raises
-the quadrature node count. _hilbert_rungs is the module's one memo,
+Each engine has one builder. _hilbert_rungs builds each C_j once on a
+basis padded by exactly 2j levels: a sector entry reads h and the ladder
+values at most 2j indices beyond its row, a reach fixed by the offsets of
+the ladder products and not by the values of h, so every entry is already
+that of any larger pad. _moyal_rungs always runs its refinement check, a
+raised quadrature node count. _hilbert_rungs is the module's one memo,
 because the C_1 and C_2 rungs are shared between semiquantum1, classical
 and semiclassical1. The pair lists and the Moyal rungs are rebuilt on
-every call and not kept: a run needs each of them once.
+every call and not kept: a run needs each of them once. rung_count says
+which rungs each dynamics needs.
 
 The nu = 0 sector is frozen under all four dynamics (every generator is a
 multiple of nu), so correction blocks for nu = 0 are returned as exact
@@ -58,7 +62,7 @@ from math import comb, factorial
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ConfigError, GuardInsufficient, QuadratureNotConverged, ValidationFailed
+from .errors import ConfigError, QuadratureNotConverged, ValidationFailed
 from .mathkit import gauss_genlaguerre_rule, laguerre_orthonormal_bare
 from .model import ModelSpec
 
@@ -68,6 +72,7 @@ __all__ = [
     "hilbert_correction_pairs",
     "nu_block_from_pairs",
     "quantum_block",
+    "rung_count",
 ]
 
 DYNAMICS = ("quantum", "semiquantum1", "classical", "semiclassical1")
@@ -79,20 +84,6 @@ _INVERSE_SINC = {1: Fraction(1, 6), 2: Fraction(7, 360), 3: Fraction(31, 15120)}
 def _require_size(n: int):
     if n < 1:
         raise ConfigError("block size must be at least 1")
-
-
-def _interior(a: np.ndarray, guard: int) -> np.ndarray:
-    """Top-left block with `guard` rows and columns removed.
-
-    Products of truncated banded matrices are corrupted near the edge;
-    refinement checks and identities are asserted on this interior only.
-    """
-    if guard < 0:
-        raise ValueError("guard must be >= 0")
-    n = a.shape[0] - guard
-    if n <= 0:
-        raise ValueError("guard swallows the whole block")
-    return a[:n, :n]
 
 
 # ---------------------------------------------------------------------------
@@ -193,53 +184,27 @@ def nu_block_from_pairs(pairs: list, nu: int, n: int) -> np.ndarray:
     return out
 
 
-def _default_pad(model: ModelSpec, j: int) -> int:
-    return 8 * model.K * max(1, j) + 8
-
-
-def _hilbert_terms_all(model: ModelSpec, j: int, nmax: int, pad: int, nu_top: int) -> tuple:
-    """C_j sector blocks for nu = 0 .. nu_top, sizes nmax - nu."""
-    pairs = hilbert_correction_pairs(model, j, nmax + pad)
-    out = []
-    for nu in range(nu_top + 1):
-        if nu == 0:
-            out.append(np.zeros((nmax, nmax), dtype=complex))
-        else:
-            out.append(nu_block_from_pairs(pairs, nu, nmax - nu))
-    return tuple(out)
-
-
 @lru_cache(maxsize=32)
-def _hilbert_rungs(
-    model: ModelSpec,
-    j: int,
-    nmax: int,
-    nu_top: int,
-    guard: int,
-) -> tuple:
-    """C_j sector blocks for nu = 0 .. nu_top, sizes nmax - nu, pad-doubling checked.
+def _hilbert_rungs(model: ModelSpec, j: int, nmax: int, nu_top: int) -> tuple:
+    """C_j sector blocks for nu = 0 .. nu_top, sizes nmax - nu, memoized and read-only.
 
-    Built on a basis padded by _default_pad beyond nmax so the entries are
-    exact restrictions; the pad is then doubled and GuardInsufficient is
-    raised if any sector interior (last `guard` rows and columns dropped)
-    moves by more than 1e-10 relative. The doubled-pad blocks are returned,
-    memoized and read-only, since every caller receives the same arrays.
+    The pair list is built once on nmax + 2j levels. A product of one-offset
+    matrices reads each factor one index above or below the last, and a
+    pair member carries at most 2j lowering factors: those of the h
+    derivative and those of the G derivative together. So the sector rows
+    below nmax read h and the ladder values only at indices below
+    nmax + 2j, where they equal the untruncated values, and a larger pad
+    adds rows that no entry reads. The reach comes from the offsets alone,
+    not from the values of h, so it holds for every model; with 2j - 1
+    rows the last row's deepest lowering path runs into the truncated
+    edge. Every caller receives the same arrays.
     """
-    pad = _default_pad(model, j)
-    rungs = _hilbert_terms_all(model, j, nmax, pad, nu_top)
-    again = _hilbert_terms_all(model, j, nmax, 2 * pad + 8, nu_top)
-    for nu in range(1, nu_top + 1):
-        w = min(guard, nmax - nu - 1)
-        diff = np.abs(_interior(rungs[nu] - again[nu], w)).max()
-        scale = max(1.0, np.abs(_interior(again[nu], w)).max())
-        if diff > 1e-10 * scale:
-            raise GuardInsufficient(
-                f"sector nu={nu}: interior moved by {diff / scale:.3e} (relative) "
-                f"when the construction pad was doubled; increase truncation.guard"
-            )
-    for block in again:
+    pairs = hilbert_correction_pairs(model, j, nmax + 2 * j)
+    rungs = [np.zeros((nmax, nmax), dtype=complex)]
+    rungs += [nu_block_from_pairs(pairs, nu, nmax - nu) for nu in range(1, nu_top + 1)]
+    for block in rungs:
         block.flags.writeable = False
-    return again
+    return tuple(rungs)
 
 
 # ---------------------------------------------------------------------------
@@ -395,24 +360,44 @@ def _moyal_rungs(
 # ---------------------------------------------------------------------------
 # all sectors at once
 
+def rung_count(dynamics: str, K: int) -> int:
+    """Number of commutator rungs C_j that one dynamics adds for a degree-K model.
+
+    classical and semiclassical1 need the whole ladder, j = 1 .. K - 1;
+    semiquantum1 needs C_1 and quantum none. ConfigError for an unknown
+    dynamics, or when the ladder passes the tabulated inverse-sinc terms.
+    """
+    if dynamics not in DYNAMICS:
+        raise ConfigError(f"unknown dynamics {dynamics!r}; choose from {DYNAMICS}")
+    if dynamics == "quantum":
+        return 0
+    if dynamics == "semiquantum1":
+        return min(1, K - 1)
+    top = max(_INVERSE_SINC)
+    if K - 1 > top:
+        raise ConfigError(
+            f"K = {K} needs inverse-sinc corrections through j = {K - 1} "
+            f"for {dynamics}, but they are tabulated through j = {top} (K <= {top + 1})"
+        )
+    return K - 1
+
+
 def all_generator_blocks(
     dynamics: str,
     model: ModelSpec,
     nmax: int,
-    guard: int = 16,
     nu_top: int | None = None,
 ) -> list:
     """Sector generators for nu = 0 .. nu_top (default nmax-1), sizes nmax - nu.
 
     Shares one padded construction across sectors, which is what makes
-    full-matrix evolution at the working sizes cheap. The checked C_j
-    rungs are memoized per model, truncation and order in _hilbert_rungs,
-    so dynamics that share a rung build and check it once; the Moyal
-    rungs are built on every call. Moment-only workflows pass nu_top = 2
-    and skip the high sectors entirely.
+    full-matrix evolution at the working sizes cheap. The C_j rungs are
+    memoized per model, truncation and order in _hilbert_rungs, so
+    dynamics that share a rung build it once; the Moyal rungs are built
+    on every call. Moment-only workflows pass nu_top = 2 and skip the
+    high sectors entirely.
     """
-    if dynamics not in DYNAMICS:
-        raise ConfigError(f"unknown dynamics {dynamics!r}; choose from {DYNAMICS}")
+    j_top = rung_count(dynamics, model.K)
     _require_size(nmax)
     if nu_top is None:
         nu_top = nmax - 1
@@ -421,8 +406,7 @@ def all_generator_blocks(
     quantum = [quantum_block(nu, model, nmax - nu) for nu in range(nu_top + 1)]
     if dynamics == "quantum":
         return quantum
-    j_top = model.K - 1 if dynamics in ("classical", "semiclassical1") else min(1, model.K - 1)
-    terms = [_hilbert_rungs(model, j, nmax, nu_top, guard) for j in range(1, j_top + 1)]
+    terms = [_hilbert_rungs(model, j, nmax, nu_top) for j in range(1, j_top + 1)]
     out = [quantum[nu] + sum(t[nu] for t in terms) for nu in range(nu_top + 1)]
     if dynamics == "semiclassical1" and model.K > 1:
         moyal = _moyal_rungs(model, 1, nmax, nu_top)

@@ -13,7 +13,8 @@ closed forms the tests pin it against, live here:
 - wigner_field_pointwise, the field synthesis that runs every sector's
   radial recurrence on every grid point rather than once per distinct x;
 - break_time, the first split of two first-moment curves;
-- rel_interior, the scale-relative residual on a guarded interior.
+- interior and rel_interior, a block without its edge rows and the
+  scale-relative residual on it.
 
 Superoperators act on number-basis matrices G by left and right ladder
 multiplication. Because every Hamiltonian here is a function of the number
@@ -45,16 +46,12 @@ import math
 import numpy as np
 
 from groenewold_lab.errors import ConfigError
-from groenewold_lab.generators import _hilbert_rungs, _interior, _moyal_rungs, all_generator_blocks
+from groenewold_lab.generators import _hilbert_rungs, _moyal_rungs, all_generator_blocks
 from groenewold_lab.mathkit import hermitian_eig, radial_profiles
 from groenewold_lab.observables import mean_alpha_series
 from groenewold_lab.render import _sector_profile
 
-interior = _interior
-
 THETA = math.log(7.0 / 3.0) / 4.0
-
-GUARD = 16
 
 
 def sector(dynamics, model, nu, n):
@@ -67,14 +64,28 @@ def sector(dynamics, model, nu, n):
 def rung(engine, model, j, nu, n):
     """C_j (engine "hilbert") or D_j (engine "moyal") on sector nu >= 0, size n.
 
-    Read from the checked builder of that engine for nmax = n + nu, so
-    the pad-doubling or node-doubling check has run on it.
+    Read from the production builder of that engine for nmax = n + nu
+    (for the Moyal route, after its node-doubling check).
     """
     if engine == "hilbert":
-        return _hilbert_rungs(model, j, n + nu, nu, GUARD)[nu]
+        return _hilbert_rungs(model, j, n + nu, nu)[nu]
     if engine == "moyal":
         return _moyal_rungs(model, j, n + nu, nu)[nu]
     raise ValueError(f"unknown engine {engine!r}")
+
+
+def interior(a: np.ndarray, guard: int) -> np.ndarray:
+    """Top-left block with `guard` rows and columns removed.
+
+    Products of truncated banded matrices are corrupted near the edge;
+    identities are asserted on this interior only.
+    """
+    if guard < 0:
+        raise ValueError("guard must be >= 0")
+    n = a.shape[0] - guard
+    if n <= 0:
+        raise ValueError("guard swallows the whole block")
+    return a[:n, :n]
 
 
 def rel_interior(a, b, guard):

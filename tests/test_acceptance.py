@@ -193,11 +193,11 @@ def test_criterion_07_conservation_suite(sextic_trajs):
         assert abs2_drift <= 1e-8, name
         worst["abs2"] = max(worst["abs2"], abs2_drift)
 
-        if name in ("quantum", "classical", "semiquantum1"):
-            purity = traj.purity_series().real
-            drift = float(np.abs(purity - purity[0]).max())
-            assert drift <= 1e-8, name
-            worst["purity"] = max(worst["purity"], drift)
+        # all four flows are unitary, semiclassical1 included (i D1 is real symmetric)
+        purity = traj.purity_series().real
+        drift = float(np.abs(purity - purity[0]).max())
+        assert drift <= 1e-8, name
+        worst["purity"] = max(worst["purity"], drift)
     passed(
         7,
         "trace {trace:.1e}, hermiticity {herm:.1e}, purity drift {purity:.1e}, "

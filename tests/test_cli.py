@@ -16,7 +16,7 @@ from groenewold_lab import cli
 BASE = {
     "model": {"b": [0.0, 1.0], "mu": 0.5},
     "state": {"kappa": 2.0, "alpha0_re": 0.5, "alpha0_im": 0.0},
-    "truncation": {"N": 32, "guard": 8, "tail_tol": 1e-10},
+    "truncation": {"N": 32, "tail_tol": 1e-10},
     "dynamics": ["quantum", "semiquantum1", "classical", "semiclassical1"],
     "times": {"t0": 0.0, "t1": 1.5, "steps": 4},
     "outputs": {
@@ -214,6 +214,12 @@ class TestSchemaErrors:
             "quantum", "semiquantum1"
         }
 
+    @pytest.mark.parametrize("guard", [-1, "x"], ids=["negative", "string"])
+    def test_bad_guard_rejected(self, tmp_path, capsys, guard):
+        def bad(raw):
+            raw["truncation"]["guard"] = guard
+        self.check_fails(tmp_path, capsys, bad, "cfg.json:17: truncation.guard: must be")
+
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert cli.main(["run", str(path), "--preset", "fig1"]) == 1
@@ -327,6 +333,32 @@ class TestDeterminism:
                 assert first.read_bytes() == second.read_bytes()
             else:
                 assert data_lines(first) == data_lines(second)
+
+
+class TestLegacyGuard:
+    def test_guard_is_accepted_and_inert(self, tmp_path):
+        # truncation.guard no longer sets anything: with it at 0, at 16 or
+        # left out, a sextic run (rungs C_1 and C_2) writes the same bytes
+        # apart from the '#' lines, which carry the config's sha256
+        outs = []
+        for guard in (0, 16, None):
+            def sextic(raw):
+                raw["model"]["b"] = [0.0, 0.0, 0.0, 1.0]
+                if guard is not None:
+                    raw["truncation"]["guard"] = guard
+            out = tmp_path / f"guard-{guard}"
+            assert run_cli(write_config(tmp_path, sextic, name=f"{guard}.json"), out) == 0
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert len(names) == 16
+        for out in outs[1:]:
+            assert sorted(p.name for p in out.iterdir()) == names
+            for name in names:
+                first, other = outs[0] / name, out / name
+                if name.endswith(".pgm"):
+                    assert first.read_bytes() == other.read_bytes()
+                else:
+                    assert data_lines(first) == data_lines(other)
 
 
 class TestExitCodes:

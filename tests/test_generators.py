@@ -18,17 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groenewold_lab import generators
-from groenewold_lab.errors import (
-    ConfigError,
-    GuardInsufficient,
-    QuadratureNotConverged,
-)
+from groenewold_lab.errors import ConfigError, QuadratureNotConverged
 from groenewold_lab.generators import (
     DYNAMICS,
     all_generator_blocks,
     hilbert_correction_pairs,
     nu_block_from_pairs,
     quantum_block,
+    rung_count,
 )
 from groenewold_lab.model import ModelSpec
 from oracles import (
@@ -300,19 +297,57 @@ class TestEngineInternals:
         assert rel_interior(got, want, 8) < 1e-9
 
 
+# the models on which the exact 2j pad is pinned, with every rung j <= K - 1
+PAD_MODELS = (
+    ("sextic-fig3", SEXTIC),
+    ("sextic-fig4", ModelSpec.sextic(mu=0.25)),
+    ("quartic", QUARTIC),
+    ("mixed-k3", ModelSpec(b=(0.3, -0.2, 0.5, 0.1), mu=0.25)),
+    ("k4", ModelSpec(b=(0.0, 0.0, 0.0, 0.0, 1.0), mu=0.2)),
+)
+PAD_CASES = [
+    pytest.param(m, j, id=f"{name}-j{j}") for name, m in PAD_MODELS for j in range(1, m.K)
+]
+
+
+def rungs_on_pad(model, j, nmax, pad):
+    """C_j on every sector nu = 1 .. nmax - 1 from the public pair list on nmax + pad levels."""
+    pairs = hilbert_correction_pairs(model, j, nmax + pad)
+    return [nu_block_from_pairs(pairs, nu, nmax - nu) for nu in range(1, nmax)]
+
+
+class TestExactPad:
+    @pytest.mark.parametrize("model, j", PAD_CASES)
+    def test_rungs_need_exactly_2j_rows(self, model, j):
+        # the production rung is bit for bit what the earlier pad-doubling
+        # check built on 8 K j + 8 rows and on twice that plus 8; one row
+        # fewer than 2j changes some sector, so the reach is tight
+        nmax = 48
+        got = generators._hilbert_rungs(model, j, nmax, nmax - 1)[1:]
+        pad = 8 * model.K * j + 8
+        for wide in (pad, 2 * pad + 8):
+            want = rungs_on_pad(model, j, nmax, wide)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+        short = rungs_on_pad(model, j, nmax, 2 * j - 1)
+        assert not all(np.array_equal(g, w) for g, w in zip(got, short, strict=True))
+
+    def test_classical_builds_each_rung_once(self, monkeypatch):
+        calls = []
+
+        def counted(model, j, msize):
+            calls.append((j, msize))
+            return hilbert_correction_pairs(model, j, msize)
+
+        monkeypatch.setattr(generators, "hilbert_correction_pairs", counted)
+        generators._hilbert_rungs.cache_clear()
+        try:
+            all_generator_blocks("classical", SEXTIC, 20)
+        finally:
+            generators._hilbert_rungs.cache_clear()
+        assert calls == [(1, 22), (2, 24)]
+
+
 class TestGuards:
-    @pytest.fixture
-    def fresh_rungs(self):
-        # the memo must not hand back rungs built with the unpatched pad
-        generators._hilbert_rungs.cache_clear()
-        yield
-        generators._hilbert_rungs.cache_clear()
-
-    def test_guard_insufficient_without_padding(self, monkeypatch, fresh_rungs):
-        monkeypatch.setattr(generators, "_default_pad", lambda model, j: 0)
-        with pytest.raises(GuardInsufficient):
-            all_generator_blocks("classical", QUARTIC, 17, guard=1, nu_top=1)
-
     def test_quadrature_not_converged_with_starved_rule(self, monkeypatch):
         # 5 nodes for the nmax = 25 sector nu = 1, then 30
         monkeypatch.setattr(generators, "_EXTRA_NODES", -20)
@@ -330,6 +365,11 @@ class TestGuards:
             nu_block_from_pairs([], -1, 4)
         with pytest.raises(ConfigError):
             all_generator_blocks("classical", QUARTIC, 8, nu_top=8)
+        # K = 5: the full ladder passes the tabulated inverse-sinc terms
+        k5 = ModelSpec(b=(0.0,) * 5 + (1.0,), mu=0.2)
+        assert rung_count("semiquantum1", k5.K) == 1
+        with pytest.raises(ConfigError, match="tabulated through j = 3"):
+            all_generator_blocks("classical", k5, 8)
 
 
 class TestDispatch:
@@ -360,7 +400,7 @@ class TestDispatch:
         info = generators._hilbert_rungs.cache_info()
         assert (info.misses, info.hits) == (2, 3)
         # every caller gets the same arrays, so none may write to them
-        assert not any(b.flags.writeable for b in generators._hilbert_rungs(SEXTIC, 1, 16, 15, 16))
+        assert not any(b.flags.writeable for b in generators._hilbert_rungs(SEXTIC, 1, 16, 15))
 
     def test_frozen_sector_for_every_dynamics(self):
         for dynamics in DYNAMICS:
