@@ -31,4 +31,4 @@ class TailMassExceeded(GroenewoldLabError):
 
 
 class QuadratureNotConverged(GroenewoldLabError):
-    """A numerical integral failed its refinement convergence check."""
+    """A numerical integral failed its refinement check, or a quadrature rule its self-check."""

@@ -39,12 +39,13 @@ Each engine has one builder. _hilbert_rungs builds each C_j once on a
 basis padded by exactly 2j levels: a sector entry reads h and the ladder
 values at most 2j indices beyond its row, a reach fixed by the offsets of
 the ladder products and not by the values of h, so every entry is already
-that of any larger pad. _moyal_rungs always runs its refinement check, a
-raised quadrature node count. _hilbert_rungs is the module's one memo,
-because the C_1 and C_2 rungs are shared between semiquantum1, classical
-and semiclassical1. The pair lists and the Moyal rungs are rebuilt on
-every call and not kept: a run needs each of them once. rung_count says
-which rungs each dynamics needs.
+that of any larger pad. _moyal_rungs projects each D_j sector once, on a
+generalized Gauss-Laguerre rule with more nodes than its polynomial
+integrands need; the rule checks itself in gauss_genlaguerre_rule.
+_hilbert_rungs is the module's one memo, because the C_1 and C_2 rungs
+are shared between semiquantum1, classical and semiclassical1. The pair
+lists and the Moyal rungs are rebuilt on every call and not kept: a run
+needs each of them once. rung_count says which rungs each dynamics needs.
 
 The nu = 0 sector is frozen under all four dynamics (every generator is a
 multiple of nu), so correction blocks for nu = 0 are returned as exact
@@ -62,7 +63,7 @@ from math import comb, factorial
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ConfigError, QuadratureNotConverged, ValidationFailed
+from .errors import ConfigError, ValidationFailed
 from .mathkit import gauss_genlaguerre_rule, laguerre_orthonormal_bare
 from .model import ModelSpec
 
@@ -322,39 +323,21 @@ def _moyal_sector(model: ModelSpec, j: int, nu: int, n: int, q_nodes: int) -> np
     return pref * (vm @ r.T)
 
 
-def _moyal_terms_all(model: ModelSpec, j: int, nmax: int, extra_nodes: int, nu_top: int) -> tuple:
-    out = [np.zeros((nmax, nmax), dtype=complex)]
-    for nu in range(1, nu_top + 1):
-        n = nmax - nu
-        out.append(_moyal_sector(model, j, nu, n, n + nu + extra_nodes))
-    return tuple(out)
+def _moyal_rungs(model: ModelSpec, j: int, nmax: int, nu_top: int) -> tuple:
+    """D_j sector blocks for nu = 0 .. nu_top, sizes nmax - nu, each projected once.
 
-
-_EXTRA_NODES = 16
-
-
-def _moyal_rungs(
-    model: ModelSpec, j: int, nmax: int, nu_top: int
-) -> tuple:
-    """D_j sector blocks for nu = 0 .. nu_top, sizes nmax - nu, node-doubling checked.
-
-    Each sector uses nmax + _EXTRA_NODES generalized Gauss-Laguerre nodes,
-    which integrate the polynomial integrands exactly; the node count then
-    grows by nmax (about doubling it) and QuadratureNotConverged is raised
-    if any sector moves by more than 1e-8 relative. The larger-rule blocks
-    are returned.
+    On sector nu, n = nmax - nu, the integrands for the weight x^nu e^-x
+    are polynomials of degree at most 2n + K - 3: 2(n - 1) from the two
+    Laguerre rows, K - 1 from the jets, because the 2j + 2 Moyal terms
+    share their top-degree part, (-2u)^s h^(s)(u) times the dyad with
+    s = 2j + 1, and their binomial signs sum to zero. So n + K/2 - 1 nodes,
+    rounded up, are exact. The 2 nmax + 16 nodes used keep the blocks
+    bit-identical to the node-doubled build they replaced until the
+    benchmark references are re-recorded (ROADMAP item 6).
     """
-    rungs = _moyal_terms_all(model, j, nmax, _EXTRA_NODES, nu_top)
-    again = _moyal_terms_all(model, j, nmax, _EXTRA_NODES + nmax, nu_top)
-    for nu in range(1, nu_top + 1):
-        diff = np.abs(rungs[nu] - again[nu]).max()
-        scale = max(1.0, np.abs(again[nu]).max())
-        if diff > 1e-8 * scale:
-            raise QuadratureNotConverged(
-                f"sector nu={nu}: Moyal projection moved by {diff / scale:.3e} "
-                f"(relative) when the node count was increased"
-            )
-    return again
+    rungs = [np.zeros((nmax, nmax), dtype=complex)]
+    rungs += [_moyal_sector(model, j, nu, nmax - nu, 2 * nmax + 16) for nu in range(1, nu_top + 1)]
+    return tuple(rungs)
 
 
 # ---------------------------------------------------------------------------

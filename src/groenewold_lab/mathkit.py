@@ -26,7 +26,7 @@ from math import lgamma
 import numpy as np
 from scipy.special import roots_genlaguerre as _roots_genlaguerre
 
-from .errors import ValidationFailed
+from .errors import QuadratureNotConverged, ValidationFailed
 
 __all__ = [
     "QuadratureRule",
@@ -185,8 +185,20 @@ def gauss_genlaguerre_rule(order: int, alpha: float) -> QuadratureRule:
 
     Nodes whose weight underflows to zero are dropped; the corresponding
     integrand tail is below float64 resolution for every integrand used
-    here (all decay at least as fast as the weight).
+    here (all decay at least as fast as the weight). The rule checks
+    itself: QuadratureNotConverged is raised when a node or weight is not
+    finite (scipy's rule of 344 nodes for alpha = 148 is the first that
+    semiclassical1 meets), or when the kept weights miss their exact sum
+    Gamma(alpha + 1) by more than 1e-10 relative (usable rules: 1.3e-13).
     """
-    nodes, weights = _roots_genlaguerre(order, alpha)
-    keep = weights > 0.0
+    with np.errstate(all="ignore"):
+        nodes, weights = _roots_genlaguerre(order, alpha)
+        bad = np.count_nonzero(~np.isfinite([nodes, weights]))
+        keep = weights > 0.0
+        miss = abs(np.expm1(np.log(weights[keep].sum()) - lgamma(alpha + 1.0)))
+    if bad or not miss <= 1e-10:
+        raise QuadratureNotConverged(
+            f"generalized Gauss-Laguerre rule with {order} nodes for alpha = {alpha:g}: "
+            f"{bad} non-finite nodes or weights, weight sum off Gamma(alpha + 1) by {miss:.3e}"
+        )
     return QuadratureRule(nodes=nodes[keep], weights=weights[keep])

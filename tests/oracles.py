@@ -64,8 +64,7 @@ def sector(dynamics, model, nu, n):
 def rung(engine, model, j, nu, n):
     """C_j (engine "hilbert") or D_j (engine "moyal") on sector nu >= 0, size n.
 
-    Read from the production builder of that engine for nmax = n + nu
-    (for the Moyal route, after its node-doubling check).
+    Read from the production builder of that engine for nmax = n + nu.
     """
     if engine == "hilbert":
         return _hilbert_rungs(model, j, n + nu, nu)[nu]

@@ -412,6 +412,14 @@ class TestExitCodes:
         assert err.count("truncation failure") == 2
         assert "kappa = 60" in err and "|alpha0| = 4" in err and "1500" in err
 
+    def test_unwritable_output_exits_one(self, tmp_path, capsys):
+        # --out names an existing regular file, so the directory cannot be made
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli.main(["run", "--preset", "fig1", "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output:") and str(taken) in err
+
     def test_validate_only_writes_nothing(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out = tmp_path / "out"

@@ -297,16 +297,17 @@ class TestEngineInternals:
         assert rel_interior(got, want, 8) < 1e-9
 
 
-# the models on which the exact 2j pad is pinned, with every rung j <= K - 1
-PAD_MODELS = (
+# the models on which the exact 2j pad and the exact Moyal rule are pinned,
+# with every rung j <= K - 1
+RUNG_MODELS = (
     ("sextic-fig3", SEXTIC),
     ("sextic-fig4", ModelSpec.sextic(mu=0.25)),
     ("quartic", QUARTIC),
     ("mixed-k3", ModelSpec(b=(0.3, -0.2, 0.5, 0.1), mu=0.25)),
     ("k4", ModelSpec(b=(0.0, 0.0, 0.0, 0.0, 1.0), mu=0.2)),
 )
-PAD_CASES = [
-    pytest.param(m, j, id=f"{name}-j{j}") for name, m in PAD_MODELS for j in range(1, m.K)
+RUNG_CASES = [
+    pytest.param(m, j, id=f"{name}-j{j}") for name, m in RUNG_MODELS for j in range(1, m.K)
 ]
 
 
@@ -317,7 +318,7 @@ def rungs_on_pad(model, j, nmax, pad):
 
 
 class TestExactPad:
-    @pytest.mark.parametrize("model, j", PAD_CASES)
+    @pytest.mark.parametrize("model, j", RUNG_CASES)
     def test_rungs_need_exactly_2j_rows(self, model, j):
         # the production rung is bit for bit what the earlier pad-doubling
         # check built on 8 K j + 8 rows and on twice that plus 8; one row
@@ -347,12 +348,45 @@ class TestExactPad:
         assert calls == [(1, 22), (2, 24)]
 
 
+def moyal_gap(got, model, j, nodes_over_nmax):
+    """Largest relative gap of the rungs from _moyal_sector on nmax + nodes_over_nmax nodes."""
+    nmax = len(got) + 1
+    gaps = []
+    for nu, block in enumerate(got, start=1):
+        want = generators._moyal_sector(model, j, nu, nmax - nu, nmax + nodes_over_nmax)
+        gaps.append(np.abs(block - want).max() / max(1.0, np.abs(want).max()))
+    return max(gaps)
+
+
+class TestExactRule:
+    @pytest.mark.parametrize("model, j", RUNG_CASES)
+    def test_moyal_rungs_are_exact_and_built_once(self, model, j, monkeypatch):
+        # the integrands have degree <= 2n + K - 3, so nmax + 16 nodes are
+        # already exact and the production rule on 2 nmax + 16 agrees to
+        # rounding (measured 1.1e-12 at most); 20 nodes fewer leave the low
+        # sectors short of the n + K/2 - 1 nodes they need, and the rung
+        # misses by order one (measured 1.02 at least)
+        nmax = 48
+        calls = []
+        build = generators._moyal_sector
+
+        def counted(model, j, nu, n, q_nodes):
+            calls.append(nu)
+            return build(model, j, nu, n, q_nodes)
+
+        monkeypatch.setattr(generators, "_moyal_sector", counted)
+        got = generators._moyal_rungs(model, j, nmax, nmax - 1)[1:]
+        assert calls == list(range(1, nmax))
+        assert moyal_gap(got, model, j, 16) < 1e-11
+        assert moyal_gap(got, model, j, -4) > 0.5
+
+
 class TestGuards:
-    def test_quadrature_not_converged_with_starved_rule(self, monkeypatch):
-        # 5 nodes for the nmax = 25 sector nu = 1, then 30
-        monkeypatch.setattr(generators, "_EXTRA_NODES", -20)
-        with pytest.raises(QuadratureNotConverged):
-            all_generator_blocks("semiclassical1", SEXTIC, 25, nu_top=1)
+    def test_semiclassical1_basis_ceiling(self):
+        # even the sector-1 rule of N = 174 (364 nodes) is beyond scipy's
+        # roots_genlaguerre; semiclassical1 runs up to N = 163
+        with pytest.raises(QuadratureNotConverged, match="364 nodes for alpha = 1:"):
+            all_generator_blocks("semiclassical1", SEXTIC, 174, nu_top=1)
 
     def test_bad_orders_rejected(self):
         with pytest.raises(ConfigError):

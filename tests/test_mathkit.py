@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, ive
 
-from groenewold_lab.errors import ValidationFailed
+from groenewold_lab.errors import QuadratureNotConverged, ValidationFailed
 from groenewold_lab.mathkit import (
     bessel_i_scaled,
     composite_gauss_legendre_rule,
@@ -176,3 +176,15 @@ class TestQuadrature:
         for k in range(10):
             exact = math.exp(math.lgamma(alpha + k + 1))
             assert np.allclose(rule.weights @ rule.nodes**k, exact, rtol=1e-12)
+
+    def test_genlaguerre_rule_rejects_broken_scipy_rule(self):
+        # scipy returns non-finite nodes or weights at 344 nodes for
+        # alpha = 148, the first failing sector rule of semiclassical1 at N = 164
+        with pytest.raises(QuadratureNotConverged, match="344 nodes for alpha = 148"):
+            gauss_genlaguerre_rule(344, 148.0)
+
+    def test_genlaguerre_rule_usable_through_n_163(self):
+        # every sector rule of semiclassical1 at N = 163 passes the check
+        for nu in range(163):
+            rule = gauss_genlaguerre_rule(2 * 163 + 16, float(nu))
+            assert np.all(np.isfinite(rule.nodes)) and np.all(rule.weights > 0.0)
