@@ -5,10 +5,13 @@ matrix diagonal) obeys dg/dt = L g with L from the generators module.
 The matrix is Hermitian and L_{-nu} = conj(L_nu), so only the sectors
 nu >= 0 are propagated and sector -nu is read as their conjugate. A
 BlockPropagator factors L once and reuses the factorization for every
-requested time. evolve keeps nothing between calls: it looks up
-all_generator_blocks afresh and factors every sector again. The one memo
-on this path is generators._hilbert_rungs, which shares the commutator
-correction rungs between dynamics. The routes are:
+requested time. Every flow is linear and acts on one sector at a time,
+so a sector that starts empty stays an exact zero: evolve builds, factors
+and propagates only the sectors up to the initial matrix's top filled
+one, and stores exact zeros above it. It keeps nothing between calls: it
+looks up all_generator_blocks afresh and factors those sectors again.
+The one memo on this path is generators._hilbert_rungs, which shares the
+commutator correction rungs between dynamics. The routes are:
 
 - "identity"        zero generator (the frozen nu = 0 sector),
 - "diagonal"        exactly diagonal generator (the quantum flow); the
@@ -20,8 +23,10 @@ correction rungs between dynamics. The routes are:
 
 A generator whose eigenvector basis is worse conditioned than that raises
 ValidationFailed naming the sector and its condition number (the CLI
-exits 2); none of the four flows comes near the limit. Requests at t = 0
-return the initial vector bit-exactly on every route.
+exits 2); none of the four flows comes near the limit. Only factored
+sectors are checked: an empty sector's answer is zero whatever its
+generator. Requests at t = 0 return the initial vector bit-exactly on
+every route.
 
 The module also carries two continuum references that never touch the
 number basis: classical_moment_quadrature integrates <alpha^m> under the
@@ -48,6 +53,7 @@ __all__ = [
     "Trajectory",
     "classical_moment_quadrature",
     "evolve",
+    "top_filled_sector",
     "whorl_field",
 ]
 
@@ -141,9 +147,10 @@ class Trajectory:
     sub-diagonal G[k + nu, k]. Every flow keeps G Hermitian, so the
     super-diagonal -nu is the conjugate of sector nu: diagonal_history(-nu)
     returns it and matrix() writes it, and every reassembled matrix is
-    exactly Hermitian. In "moments" mode only nu <= 2 is propagated,
-    enough for first and second moments; "full" mode carries every sector
-    and can reassemble complete matrices.
+    exactly Hermitian. In "moments" mode only nu <= 2 is carried, enough
+    for first and second moments; "full" mode carries every sector and can
+    reassemble complete matrices. Sectors above the initial matrix's top
+    filled one hold exact zeros, never built or factored.
     """
 
     dynamics: str
@@ -187,6 +194,11 @@ class Trajectory:
         return total
 
 
+def top_filled_sector(g0: np.ndarray, nu_top: int) -> int:
+    """Highest nu <= nu_top whose lower diagonal of g0 has a nonzero entry, else 0."""
+    return next((nu for nu in range(nu_top, 0, -1) if np.any(np.diagonal(g0, -nu))), 0)
+
+
 def evolve(
     g0,
     dynamics: str,
@@ -201,7 +213,9 @@ def evolve(
     else ConfigError. Its diagonal's real part and its lower triangle are
     propagated, one BlockPropagator per sector nu >= 0; the upper triangle
     follows by conjugation because every sector generator satisfies
-    L_{-nu} = conj(L_nu).
+    L_{-nu} = conj(L_nu). Only the sectors up to top_filled_sector are
+    built, factored and propagated; exp(t L) 0 = 0 on every route, so the
+    empty sectors above it are stored as exact zeros.
     """
     g0 = np.asarray(g0, dtype=complex)
     if g0.ndim != 2 or g0.shape[0] != g0.shape[1] or g0.shape[0] < 1:
@@ -215,15 +229,18 @@ def evolve(
     times = _check_times(times)
     dim = g0.shape[0]
     nu_top = dim - 1 if mode == "full" else min(2, dim - 1)
-    blocks = all_generator_blocks(dynamics, model, dim, nu_top=nu_top)
+    filled = top_filled_sector(g0, nu_top)
+    blocks = all_generator_blocks(dynamics, model, dim, nu_top=filled)
     history: dict[int, np.ndarray] = {}
-    for nu, block in enumerate(blocks):
+    for nu in range(filled + 1):
         try:
-            p = BlockPropagator(block)
+            p = BlockPropagator(blocks[nu])
         except ValidationFailed as exc:
             raise ValidationFailed(f"{dynamics} sector nu={nu}: {exc}") from None
         g = np.diagonal(g0, offset=-nu)
         history[nu] = p.trajectory(g if nu else g.real, times)
+    for nu in range(filled + 1, nu_top + 1):
+        history[nu] = np.zeros((len(times), dim - nu), dtype=complex)
     return Trajectory(
         dynamics=dynamics,
         model=model,

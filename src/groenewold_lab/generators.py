@@ -71,6 +71,7 @@ __all__ = [
     "DYNAMICS",
     "all_generator_blocks",
     "hilbert_correction_pairs",
+    "moyal_node_count",
     "nu_block_from_pairs",
     "quantum_block",
     "rung_count",
@@ -323,6 +324,11 @@ def _moyal_sector(model: ModelSpec, j: int, nu: int, n: int, q_nodes: int) -> np
     return pref * (vm @ r.T)
 
 
+def moyal_node_count(nmax: int) -> int:
+    """Nodes of the Gauss-Laguerre rule each D_j sector of an nmax basis is projected on."""
+    return 2 * nmax + 16
+
+
 def _moyal_rungs(model: ModelSpec, j: int, nmax: int, nu_top: int) -> tuple:
     """D_j sector blocks for nu = 0 .. nu_top, sizes nmax - nu, each projected once.
 
@@ -331,12 +337,13 @@ def _moyal_rungs(model: ModelSpec, j: int, nmax: int, nu_top: int) -> tuple:
     Laguerre rows, K - 1 from the jets, because the 2j + 2 Moyal terms
     share their top-degree part, (-2u)^s h^(s)(u) times the dyad with
     s = 2j + 1, and their binomial signs sum to zero. So n + K/2 - 1 nodes,
-    rounded up, are exact. The 2 nmax + 16 nodes used keep the blocks
-    bit-identical to the node-doubled build they replaced until the
-    benchmark references are re-recorded (ROADMAP item 6).
+    rounded up, are exact. The 2 nmax + 16 nodes of moyal_node_count keep
+    the blocks bit-identical to the node-doubled build they replaced until
+    the benchmark references are re-recorded (ROADMAP item 6).
     """
+    q_nodes = moyal_node_count(nmax)
     rungs = [np.zeros((nmax, nmax), dtype=complex)]
-    rungs += [_moyal_sector(model, j, nu, nmax - nu, 2 * nmax + 16) for nu in range(1, nu_top + 1)]
+    rungs += [_moyal_sector(model, j, nu, nmax - nu, q_nodes) for nu in range(1, nu_top + 1)]
     return tuple(rungs)
 
 
@@ -377,8 +384,9 @@ def all_generator_blocks(
     full-matrix evolution at the working sizes cheap. The C_j rungs are
     memoized per model, truncation and order in _hilbert_rungs, so
     dynamics that share a rung build it once; the Moyal rungs are built
-    on every call. Moment-only workflows pass nu_top = 2 and skip the
-    high sectors entirely.
+    on every call. evolve passes the initial matrix's top filled sector
+    (at most 2 for moment-only workflows), so the empty sectors above it
+    are never built.
     """
     j_top = rung_count(dynamics, model.K)
     _require_size(nmax)
@@ -387,8 +395,8 @@ def all_generator_blocks(
     if not 0 <= nu_top <= nmax - 1:
         raise ConfigError("nu_top must lie in [0, nmax - 1]")
     quantum = [quantum_block(nu, model, nmax - nu) for nu in range(nu_top + 1)]
-    if dynamics == "quantum":
-        return quantum
+    if dynamics == "quantum" or nu_top == 0:
+        return quantum  # every correction rung is zero on the frozen nu = 0 sector
     terms = [_hilbert_rungs(model, j, nmax, nu_top) for j in range(1, j_top + 1)]
     out = [quantum[nu] + sum(t[nu] for t in terms) for nu in range(nu_top + 1)]
     if dynamics == "semiclassical1" and model.K > 1:

@@ -187,9 +187,10 @@ def gauss_genlaguerre_rule(order: int, alpha: float) -> QuadratureRule:
     integrand tail is below float64 resolution for every integrand used
     here (all decay at least as fast as the weight). The rule checks
     itself: QuadratureNotConverged is raised when a node or weight is not
-    finite (scipy's rule of 344 nodes for alpha = 148 is the first that
-    semiclassical1 meets), or when the kept weights miss their exact sum
-    Gamma(alpha + 1) by more than 1e-10 relative (usable rules: 1.3e-13).
+    finite (scipy's first broken rule of 344 nodes is alpha = 148, of 362
+    nodes alpha = 13, which fig3's semiclassical1 meets at N = 173), or
+    when the kept weights miss their exact sum Gamma(alpha + 1) by more
+    than 1e-10 relative (usable rules: 1.3e-13).
     """
     with np.errstate(all="ignore"):
         nodes, weights = _roots_genlaguerre(order, alpha)

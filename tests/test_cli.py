@@ -7,6 +7,7 @@ rotation, making moment columns checkable against a closed form.
 import copy
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -419,6 +420,36 @@ class TestExitCodes:
         assert cli.main(["run", "--preset", "fig1", "--out", str(taken)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output:") and str(taken) in err
+
+    @staticmethod
+    def fig3_semiclassical1(tmp_path, n_basis):
+        preset = resources.files("groenewold_lab").joinpath("presets", "fig3.json")
+        raw = json.loads(preset.read_text(encoding="ascii"))
+        raw["truncation"]["N"] = n_basis
+        raw["dynamics"] = ["semiclassical1"]
+        raw["times"]["steps"] = 8
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(raw))
+        return config
+
+    # fig3's state fills sectors 0-23, so semiclassical1 needs the Moyal rules
+    # of 2N + 16 nodes for alpha = 1 .. 23 only; scipy's rule of 362 nodes
+    # (N = 173) is broken at alpha = 13
+    @pytest.mark.parametrize("n_basis, code", [(172, 0), (173, 3)])
+    def test_semiclassical1_ceiling_set_by_filled_sectors(self, tmp_path, capsys, n_basis, code):
+        assert run_cli(self.fig3_semiclassical1(tmp_path, n_basis), tmp_path / "out") == code
+        if code:
+            assert "362 nodes for alpha = 13:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_basis, code", [(172, 0), (173, 3)])
+    def test_validate_only_builds_the_moyal_rules(self, tmp_path, capsys, n_basis, code):
+        config = self.fig3_semiclassical1(tmp_path, n_basis)
+        assert cli.main(["run", str(config), "--validate-only"]) == code
+        out = capsys.readouterr()
+        if code:
+            assert "truncation failure" in out.err and "362 nodes for alpha = 13:" in out.err
+        else:
+            assert "config ok" in out.out
 
     def test_validate_only_writes_nothing(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -22,7 +22,8 @@ from groenewold_lab.evolve import (
     evolve,
     whorl_field,
 )
-from groenewold_lab.generators import all_generator_blocks
+from groenewold_lab import generators
+from groenewold_lab.generators import DYNAMICS, all_generator_blocks
 from groenewold_lab.model import ModelSpec
 from groenewold_lab.observables import mean_alpha_series
 from groenewold_lab.states import GaussianState, groenewold_from_gaussian
@@ -191,7 +192,8 @@ class TestEvolve:
         with pytest.raises(ConfigError):
             fast.purity_series()
 
-    @pytest.mark.parametrize("mode,calls", [("full", 32), ("moments", 3)])
+    # FIG3_STATE fills sectors 0-23 at N = 32; the empty ones are never propagated
+    @pytest.mark.parametrize("mode,calls", [("full", 24), ("moments", 3)])
     def test_one_propagation_per_sector(self, monkeypatch, mode, calls):
         seen = []
         original = BlockPropagator.trajectory
@@ -204,6 +206,52 @@ class TestEvolve:
         g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 32))
         evolve(g0, "semiquantum1", QUARTIC, [0.0, 0.8], mode=mode)
         assert seen == [32 - nu for nu in range(calls)]
+
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_only_filled_sectors_are_built(self, monkeypatch, dynamics):
+        # the oracle propagates every sector of the full build; evolve builds
+        # sectors 0-23, the ones FIG3_STATE fills, and must match it bit for
+        # bit there, with exact zeros above
+        n = 48
+        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, n))
+        times = np.linspace(0.0, np.pi, 5)
+        asked = []
+
+        def recording(*args, nu_top):
+            asked.append(nu_top)
+            return all_generator_blocks(*args, nu_top=nu_top)
+
+        monkeypatch.setattr(evolve_module, "all_generator_blocks", recording)
+        traj = evolve(g0, dynamics, SEXTIC, times)
+        assert asked == [23]
+        for nu, block in enumerate(all_generator_blocks(dynamics, SEXTIC, n)):
+            g = np.diagonal(g0, offset=-nu)
+            want = BlockPropagator(block).trajectory(g if nu else g.real, times)
+            if nu < 24:
+                assert np.array_equal(traj.history[nu], want)
+            else:
+                assert traj.history[nu].shape == (len(times), n - nu)
+                assert not np.any(traj.history[nu])
+
+    def test_centred_state_builds_no_correction_rung(self, monkeypatch):
+        # a Gaussian centred at the origin fills sector 0 only, which every
+        # flow freezes, so semiclassical1 needs neither C_j nor D_j
+        built = []
+        pairs, sector = generators.hilbert_correction_pairs, generators._moyal_sector
+        monkeypatch.setattr(
+            generators, "hilbert_correction_pairs", lambda *a: built.append("C") or pairs(*a)
+        )
+        monkeypatch.setattr(generators, "_moyal_sector", lambda *a: built.append("D") or sector(*a))
+        generators._hilbert_rungs.cache_clear()
+        g0 = np.asarray(groenewold_from_gaussian(GaussianState(kappa=2.0, alpha0=0.0), 32))
+        try:
+            traj = evolve(g0, "semiclassical1", SEXTIC, [0.0, 0.8, 1.6])
+        finally:
+            generators._hilbert_rungs.cache_clear()
+        assert built == []
+        assert np.array_equal(traj.history[0], np.tile(g0.diagonal().real, (3, 1)))
+        for nu in range(1, 32):
+            assert traj.history[nu].shape == (3, 32 - nu) and not np.any(traj.history[nu])
 
     @pytest.mark.parametrize("dynamics", ["quantum", "classical", "semiquantum1", "semiclassical1"])
     def test_upper_diagonals_are_conjugates(self, dynamics):
@@ -243,15 +291,32 @@ class TestEvolve:
         with pytest.raises(ConfigError):
             evolve(g0, "stochastic", QUARTIC, [0.0])
 
-    def test_ill_conditioned_sector_named(self, monkeypatch):
+    @staticmethod
+    def jordan_in_sector_one(monkeypatch):
         jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        monkeypatch.setattr(
-            evolve_module,
-            "all_generator_blocks",
-            lambda *args, **kwargs: [np.zeros((3, 3)), jordan, np.zeros((1, 1))],
-        )
+        asked = []
+
+        def defective(*args, nu_top):
+            asked.append(nu_top)
+            return [np.zeros((3, 3)), jordan, np.zeros((1, 1))]
+
+        monkeypatch.setattr(evolve_module, "all_generator_blocks", defective)
+        return asked
+
+    def test_ill_conditioned_sector_named(self, monkeypatch):
+        asked = self.jordan_in_sector_one(monkeypatch)
+        g0 = np.eye(3, dtype=complex)
+        g0[1, 0] = g0[0, 1] = 0.25  # sector 1 filled, so its generator is factored
         with pytest.raises(ValidationFailed, match="classical sector nu=1: .*condition number"):
-            evolve(np.eye(3), "classical", QUARTIC, [0.0, 1.0])
+            evolve(g0, "classical", QUARTIC, [0.0, 1.0])
+        assert asked == [1]
+
+    def test_defective_block_in_empty_sector_is_not_factored(self, monkeypatch):
+        # the exact answer in an empty sector is zero whatever its generator
+        asked = self.jordan_in_sector_one(monkeypatch)
+        traj = evolve(np.eye(3), "classical", QUARTIC, [0.0, 1.0])
+        assert asked == [0]
+        assert not np.any(traj.diagonal_history(1)) and not np.any(traj.diagonal_history(2))
 
 
 class TestBasisSizeDependence:

@@ -179,12 +179,14 @@ class TestQuadrature:
 
     def test_genlaguerre_rule_rejects_broken_scipy_rule(self):
         # scipy returns non-finite nodes or weights at 344 nodes for
-        # alpha = 148, the first failing sector rule of semiclassical1 at N = 164
+        # alpha = 148, the first rule of N = 164 that fails; semiclassical1
+        # meets it only when the state fills sector 148
         with pytest.raises(QuadratureNotConverged, match="344 nodes for alpha = 148"):
             gauss_genlaguerre_rule(344, 148.0)
 
     def test_genlaguerre_rule_usable_through_n_163(self):
-        # every sector rule of semiclassical1 at N = 163 passes the check
+        # every sector rule of N = 163 passes the check, so semiclassical1
+        # runs at N = 163 whichever sectors the state fills
         for nu in range(163):
             rule = gauss_genlaguerre_rule(2 * 163 + 16, float(nu))
             assert np.all(np.isfinite(rule.nodes)) and np.all(rule.weights > 0.0)
