@@ -444,7 +444,7 @@ def _validation_rows(cfg: ExperimentConfig, results, row_idx):
             }
             rows.append([t, res.name, *values.values()])
             for metric, value in values.items():
-                if value > TOLERANCES[metric]:
+                if not value <= TOLERANCES[metric]:
                     offender = (value, res.name, metric, t)
                     if worst is None or value > worst[0]:
                         worst = offender

@@ -44,13 +44,14 @@ import numpy as np
 
 from .errors import ConfigError, QuadratureNotConverged, ValidationFailed
 from .generators import all_generator_blocks
-from .mathkit import bessel_i_scaled, check_hermitian, composite_gauss_legendre_rule
+from .mathkit import _SERIES_MAX_X, bessel_i_scaled, check_hermitian, composite_gauss_legendre_rule
 from .model import ModelSpec
-from .states import GaussianState, check_bessel_domain
+from .states import GaussianState
 
 __all__ = [
     "BlockPropagator",
     "Trajectory",
+    "check_bessel_domain",
     "classical_moment_quadrature",
     "evolve",
     "top_filled_sector",
@@ -257,6 +258,20 @@ def evolve(
 def _rate_prime_coeffs(model: ModelSpec) -> np.ndarray:
     hpp = model.classical_symbol().derivative().derivative()
     return (model.omega / model.mu) * np.array([float(c) for c in hpp.coeffs])
+
+
+def check_bessel_domain(what: str, state: GaussianState, r_max: float) -> None:
+    """Raise QuadratureNotConverged if ive(nu, 2 kappa r |alpha0|) on [0, r_max]
+    leaves the series domain of bessel_i_scaled.
+    """
+    a0 = abs(complex(state.alpha0))
+    top = 2.0 * state.kappa * r_max * a0
+    if top > _SERIES_MAX_X:
+        raise QuadratureNotConverged(
+            f"{what} needs the scaled Bessel kernel at 2 kappa r |alpha0| = "
+            f"{top:.4g} (kappa = {state.kappa:.6g}, |alpha0| = {a0:.6g}), above its "
+            f"series domain limit {_SERIES_MAX_X:g}; lower kappa or |alpha0|"
+        )
 
 
 def classical_moment_quadrature(

@@ -61,7 +61,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigError, ValidationFailed
 from .mathkit import gauss_genlaguerre_rule, laguerre_orthonormal_bare
@@ -279,6 +278,8 @@ def _polyval(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _moyal_sector(model: ModelSpec, j: int, nu: int, n: int, q_nodes: int) -> np.ndarray:
     """Galerkin matrix of the j-th odd Moyal term on sector nu (nu > 0)."""
+    from scipy.special import gammaln  # only semiclassical1 runs pay its import
+
     s = 2 * j + 1
     h_coeffs = np.array([float(c) for c in model.classical_symbol().coeffs])
     rule = gauss_genlaguerre_rule(q_nodes, alpha=float(nu))

@@ -1,21 +1,20 @@
 """Numerical kernels shared across the package.
 
 Hand-authored special functions (scaled Bessel I and the orthonormal
-associated Laguerre families) plus a checked Hermitian eigensolver and
+associated Laguerre family) plus a checked Hermitian eigensolver and
 Gaussian quadrature rules. The hand-authored kernels are the only
 special-function implementations used at runtime; numpy supplies
 eigendecompositions and Gauss-Legendre nodes, scipy the generalized
-Gauss-Laguerre nodes.
+Gauss-Laguerre nodes. scipy is imported inside gauss_genlaguerre_rule, so
+only a run that builds a Moyal rung (semiclassical1) loads it.
 
 Scaling conventions, chosen so that every array touched at runtime stays
 inside float64 range even at basis size N = 128:
 
 * ``bessel_i_scaled(m, x)``   -> e^-x I_m(x), always in [0, 1].
-* ``radial_profiles``         -> phi_n(x) = (-1)^n sqrt(n!/(n+nu)!)
-                                 x^(nu/2) e^(-x/2) L_n^(nu)(x),
-                                 an orthonormal family on [0, inf) w.r.t. dx.
-* ``laguerre_orthonormal_bare`` -> same without the x^(nu/2) e^(-x/2) factor,
-                                 for use with weighted quadrature rules.
+* ``laguerre_orthonormal_bare`` -> (-1)^n sqrt(n!/(n+nu)!) L_n^(nu)(x),
+                                 discretely orthonormal under a Gauss rule
+                                 for the weight x^nu e^-x.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
-from scipy.special import roots_genlaguerre as _roots_genlaguerre
 
 from .errors import QuadratureNotConverged, ValidationFailed
 
@@ -36,7 +34,6 @@ __all__ = [
     "gauss_genlaguerre_rule",
     "hermitian_eig",
     "laguerre_orthonormal_bare",
-    "radial_profiles",
 ]
 
 _SERIES_MAX_X = 1500.0
@@ -98,28 +95,6 @@ def _orthonormal_recurrence(rows: np.ndarray, nu: int, x: np.ndarray) -> None:
         bn = np.sqrt(n * (n + nu))
         bn1 = np.sqrt((n + 1.0) * (n + 1 + nu))
         rows[n + 1] = ((x - (2 * n + nu + 1.0)) * rows[n] - bn * rows[n - 1]) / bn1
-
-
-def radial_profiles(nmax: int, nu: int, x) -> np.ndarray:
-    """Orthonormal radial profiles phi_n^(nu)(x) for n = 0..nmax.
-
-    phi_n(x) = (-1)^n sqrt(n!/(n+nu)!) x^(nu/2) e^(-x/2) L_n^(nu)(x).
-    The rows satisfy integral_0^inf phi_m phi_n dx = delta_mn, so every
-    entry is O(1); this is the overflow-safe route to number-basis radial
-    functions at large n and nu.
-    """
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    rows = np.empty((nmax + 1, x.size))
-    phi0 = np.zeros(x.size)
-    pos = x > 0
-    phi0[pos] = np.exp(0.5 * nu * np.log(x[pos]) - 0.5 * x[pos] - 0.5 * lgamma(nu + 1))
-    if nu == 0:
-        phi0[~pos] = 1.0
-    rows[0] = phi0
-    _orthonormal_recurrence(rows, nu, x)
-    return rows
 
 
 def laguerre_orthonormal_bare(nmax: int, nu: int, x) -> np.ndarray:
@@ -192,8 +167,10 @@ def gauss_genlaguerre_rule(order: int, alpha: float) -> QuadratureRule:
     when the kept weights miss their exact sum Gamma(alpha + 1) by more
     than 1e-10 relative (usable rules: 1.3e-13).
     """
+    from scipy.special import roots_genlaguerre  # only semiclassical1 runs pay its import
+
     with np.errstate(all="ignore"):
-        nodes, weights = _roots_genlaguerre(order, alpha)
+        nodes, weights = roots_genlaguerre(order, alpha)
         bad = np.count_nonzero(~np.isfinite([nodes, weights]))
         keep = weights > 0.0
         miss = abs(np.expm1(np.log(weights[keep].sum()) - lgamma(alpha + 1.0)))

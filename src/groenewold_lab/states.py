@@ -6,38 +6,41 @@ The initial state is an isotropic Gaussian density on phase space,
 
 normalized so its phase-space integral is 1. Its Groenewold matrix G (the
 number-basis matrix of the operator whose Weyl transform is 2 pi hbar rho)
-is assembled here diagonal by diagonal with radial quadrature:
+is the displaced thermal operator
 
-    G[n+nu, n] = e^(i nu phi0) * 4 kappa *
-        integral_0^inf s phi_n^(nu)(4 s^2) e^(-kappa (s-a0)^2)
-                       ive(nu, 2 kappa s a0) ds,
+    G = (1 - z) D(alpha0) z^n D(alpha0)^+,    z = (2 - kappa)/(2 + kappa),
 
-where a0 = |alpha0|, phi0 = arg(alpha0), phi_n^(nu) are the orthonormal
-radial Laguerre profiles and ive is the scaled Bessel function. Every
-factor in the integrand is O(1), so the synthesis is overflow-safe at any
-truncation used here.
+whose entries are Laguerre polynomials (Cahill & Glauber, Phys. Rev. 177,
+1857 (1969)). With a0 = |alpha0|, phi0 = arg(alpha0), w = (1 - z) a0^2
+and c = (1 - z) w, diagonal nu of G is
 
-Closed-form structure (used as a test oracle, recorded here as measured
-behavior): G equals the displaced operator (1-z) D(alpha0) z^n D(alpha0)^+
-with z = (2 - kappa)/(2 + kappa). Hence kappa = 2 gives exactly the
-coherent projector (eigenvalues {1, 0, ...}), kappa < 2 gives a positive
-thermal-like operator, and kappa > 2 gives z < 0 with negative eigenvalues
-already at t = 0: kappa = 2 is the exact positivity threshold.
+    G[n+nu, n] = e^(i nu phi0) (1 - z) e^(-w) (a0 (1 - z))^nu / sqrt(nu!) * r_n,
+
+    r_0 = 1,  r_1 = (z (1 + nu) + c) / sqrt(1 + nu),
+    r_(n+1) = ((z (2n + 1 + nu) + c) r_n - z^2 sqrt(n (n + nu)) r_(n-1))
+              / sqrt((n + 1)(n + 1 + nu)),
+
+a recurrence with no division by z, so it holds at kappa = 2 (z = 0, the
+coherent projector, eigenvalues {1, 0, ...}) and for kappa > 2 (z < 0,
+negative eigenvalues already at t = 0: kappa = 2 is the exact positivity
+threshold). For kappa < 2 the operator is positive and thermal-like. The
+sector scale is carried in log space, but r_n itself peaks near
+e^w / sqrt(2 pi w), so the synthesis holds for w below about 714: the log
+of the largest float (709.8) plus the log of that width. Past it an entry
+is not finite and the synthesis raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, ceil, pi, sqrt
+from math import atan2, exp, inf, lgamma, log, sqrt
 
 import numpy as np
 
 from .errors import ConfigError, QuadratureNotConverged, TailMassExceeded
-from .mathkit import _SERIES_MAX_X, bessel_i_scaled, composite_gauss_legendre_rule, radial_profiles
 
 __all__ = [
     "GaussianState",
-    "check_bessel_domain",
     "groenewold_from_gaussian",
     "tail_mass",
 ]
@@ -85,47 +88,56 @@ def tail_mass(g: np.ndarray, rows: int = TAIL_ROWS) -> float:
     return float(d[-rows:].sum())
 
 
-def check_bessel_domain(what: str, state: GaussianState, r_max: float) -> None:
-    """Raise QuadratureNotConverged if ive(nu, 2 kappa r |alpha0|) on [0, r_max]
-    leaves the series domain of bessel_i_scaled.
+def groenewold_from_gaussian(
+    state: GaussianState,
+    n_basis: int,
+    tail_tol: float = 1e-10,
+) -> np.ndarray:
+    """Number-basis matrix of the state's Groenewold operator, in closed form.
 
-    The state synthesis and the continuum moment oracle both integrate
-    this kernel over a radial rule.
+    A plain ndarray, exactly Hermitian by construction (each upper
+    diagonal is the conjugate of its lower one). Sectors are filled in
+    order of nu and the fill stops after two in a row whose entries all
+    lie below 1e-17; the higher sectors, below 1e-17 for these states,
+    are dropped and stay exact zeros. Raises TailMassExceeded when the
+    occupation of the last few basis states is not within tail_tol, and
+    QuadratureNotConverged when an entry is not finite: the recurrence
+    overflows once (1 - z)|alpha0|^2 passes about 714 (measured for
+    kappa from 0.3 to 5).
     """
-    a0 = abs(complex(state.alpha0))
-    top = 2.0 * state.kappa * r_max * a0
-    if top > _SERIES_MAX_X:
-        raise QuadratureNotConverged(
-            f"{what} needs the scaled Bessel kernel at 2 kappa r |alpha0| = "
-            f"{top:.4g} (kappa = {state.kappa:.6g}, |alpha0| = {a0:.6g}), above its "
-            f"series domain limit {_SERIES_MAX_X:g}; lower kappa or |alpha0|"
-        )
-
-
-def _synthesis_rule(state: GaussianState, n_basis: int, refine: int = 1):
-    a0 = abs(state.alpha0)
-    smax = a0 + 10.0 / sqrt(state.kappa)
-    # radial oscillation wavenumber of the highest profile, uniform in s
-    k_s = 4.0 * sqrt(1.5 * n_basis + 1.0)
-    h = min(0.2, pi / k_s)
-    panels = max(8, ceil(smax / h)) * refine
-    return composite_gauss_legendre_rule(0.0, smax, panels, 10)
-
-
-def _synthesize(state: GaussianState, n_basis: int, rule) -> np.ndarray:
+    if n_basis < TAIL_ROWS + 2:
+        raise ConfigError(f"n_basis must be at least {TAIL_ROWS + 2}")
+    z = (2.0 - state.kappa) / (2.0 + state.kappa)
     a0 = abs(state.alpha0)
     phi0 = atan2(state.alpha0.imag, state.alpha0.real) if a0 > 0 else 0.0
-    kappa = state.kappa
-    s = rule.nodes
-    check_bessel_domain("state synthesis", state, float(s.max()))
-    x = 4.0 * s * s
-    base = rule.weights * s * np.exp(-kappa * (s - a0) ** 2)
+    w = (1.0 - z) * a0 * a0
+    c = (1.0 - z) * w
     g = np.zeros((n_basis, n_basis), dtype=complex)
     quiet = 0
     for nu in range(n_basis):
-        rows = radial_profiles(n_basis - 1 - nu, nu, x)
-        bess = bessel_i_scaled(nu, 2.0 * kappa * s * a0)
-        col = 4.0 * kappa * (rows @ (base * bess))
+        # r_n = sqrt(n! nu! / (n+nu)!) z^n L_n^(nu)(-c/z), with r_-1 = 0;
+        # each coefficient is divided before it multiplies, so r_n only
+        # overflows when it is itself above the float range
+        r = np.empty(n_basis - nu)
+        prev, cur = 0.0, 1.0
+        r[0] = cur
+        for n in range(n_basis - nu - 1):
+            d = sqrt((n + 1) * (n + 1 + nu))
+            prev, cur = cur, (
+                (z * (2 * n + 1 + nu) + c) / d * cur - z * z * sqrt(n * (n + nu)) / d * prev
+            )
+            r[n + 1] = cur
+        if not np.isfinite(r).all():
+            raise QuadratureNotConverged(
+                f"state synthesis overflows in sector nu = {nu}: (1 - z)|alpha0|^2 = "
+                f"{w:.4g} (kappa = {state.kappa:.6g}, |alpha0| = {a0:.6g}) is at or "
+                f"above its limit of about 714; lower kappa or |alpha0|"
+            )
+        # (1 - z) e^(-w) |alpha0 (1 - z)|^nu / sqrt(nu!)
+        log_scale = log(1.0 - z) - w - 0.5 * lgamma(nu + 1.0)
+        if nu:
+            log_scale += nu * log(a0 * (1.0 - z)) if a0 > 0 else -inf
+        col = exp(log_scale) * r
         peak = float(np.abs(col).max())
         phase = np.exp(1j * nu * phi0)
         idx = np.arange(n_basis - nu)
@@ -135,35 +147,8 @@ def _synthesize(state: GaussianState, n_basis: int, rule) -> np.ndarray:
         quiet = quiet + 1 if peak < 1e-17 else 0
         if quiet >= 2:
             break
-    return g
-
-
-def groenewold_from_gaussian(
-    state: GaussianState,
-    n_basis: int,
-    tail_tol: float = 1e-10,
-) -> np.ndarray:
-    """Number-basis matrix of the state's Groenewold operator.
-
-    A plain ndarray, exactly Hermitian by construction (each upper
-    diagonal is the conjugate of its lower one) with trace 1 to
-    quadrature accuracy; the refined radial rule's result is returned.
-    Raises TailMassExceeded when the occupation of the last few basis
-    states is above tail_tol, and QuadratureNotConverged when refining the
-    radial rule still moves the result or when kappa and |alpha0| put the
-    Bessel kernel's argument outside its domain.
-    """
-    if n_basis < TAIL_ROWS + 2:
-        raise ConfigError(f"n_basis must be at least {TAIL_ROWS + 2}")
-    coarse = _synthesize(state, n_basis, _synthesis_rule(state, n_basis, refine=1))
-    g = _synthesize(state, n_basis, _synthesis_rule(state, n_basis, refine=2))
-    drift = float(np.abs(coarse - g).max())
-    if drift > 1e-11:
-        raise QuadratureNotConverged(
-            f"state synthesis drift {drift:.3e} on refinement (> 1e-11)"
-        )
     mass = tail_mass(g)
-    if mass > tail_tol:
+    if not mass <= tail_tol:
         raise TailMassExceeded(
             f"tail occupation {mass:.3e} exceeds tail_tol {tail_tol:.1e}; "
             f"increase the basis size"

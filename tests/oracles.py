@@ -10,6 +10,9 @@ closed forms the tests pin it against, live here:
 - the sl(2) sector blocks X1, X2, X3, P and the orthogonal U below;
 - classical_block_analytic, the closed-form Liouville generator;
 - coherent_density and wigner_dyad_symbol, exact states and dyad symbols;
+- radial_profiles, the weighted orthonormal Laguerre functions, and
+  groenewold_by_quadrature, the initial state by Bessel-weighted radial
+  quadrature, a route independent of the closed form in states;
 - wigner_field_pointwise, the field synthesis that runs every sector's
   radial recurrence on every grid point rather than once per distinct x;
 - break_time, the first split of two first-moment curves;
@@ -47,7 +50,12 @@ import numpy as np
 
 from groenewold_lab.errors import ConfigError
 from groenewold_lab.generators import _hilbert_rungs, _moyal_rungs, all_generator_blocks
-from groenewold_lab.mathkit import hermitian_eig, radial_profiles
+from groenewold_lab.mathkit import (
+    _orthonormal_recurrence,
+    bessel_i_scaled,
+    composite_gauss_legendre_rule,
+    hermitian_eig,
+)
 from groenewold_lab.observables import mean_alpha_series
 from groenewold_lab.render import _sector_profile
 
@@ -149,6 +157,68 @@ def coherent_density(alpha0: complex, n_basis: int) -> np.ndarray:
     for n in range(1, n_basis):
         v[n] = v[n - 1] * alpha0 / math.sqrt(n)
     return np.outer(v, v.conj())
+
+
+def radial_profiles(nmax: int, nu: int, x) -> np.ndarray:
+    """Orthonormal radial profiles phi_n^(nu)(x) for n = 0..nmax.
+
+    phi_n(x) = (-1)^n sqrt(n!/(n+nu)!) x^(nu/2) e^(-x/2) L_n^(nu)(x).
+    The rows satisfy integral_0^inf phi_m phi_n dx = delta_mn, so every
+    entry is O(1); this is the overflow-safe route to number-basis radial
+    functions at large n and nu.
+    """
+    if nu < 0:
+        raise ValueError("nu must be >= 0")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    rows = np.empty((nmax + 1, x.size))
+    phi0 = np.zeros(x.size)
+    pos = x > 0
+    phi0[pos] = np.exp(0.5 * nu * np.log(x[pos]) - 0.5 * x[pos] - 0.5 * math.lgamma(nu + 1))
+    if nu == 0:
+        phi0[~pos] = 1.0
+    rows[0] = phi0
+    _orthonormal_recurrence(rows, nu, x)
+    return rows
+
+
+def groenewold_by_quadrature(state, n_basis: int) -> np.ndarray:
+    """Groenewold matrix of a Gaussian state by radial quadrature.
+
+    Diagonal by diagonal,
+
+        G[n+nu, n] = e^(i nu phi0) * 4 kappa *
+            integral_0^inf s phi_n^(nu)(4 s^2) e^(-kappa (s-a0)^2)
+                           ive(nu, 2 kappa s a0) ds,
+
+    on a composite Gauss-Legendre rule over [0, a0 + 10/sqrt(kappa)] with
+    40 nodes per oscillation of the highest profile. Every factor is O(1),
+    and bessel_i_scaled raises ValueError once 2 kappa s a0 passes its
+    series domain (1500). Sectors stop, as in the closed form, after two
+    in a row whose entries all lie below 1e-17.
+    """
+    a0 = abs(state.alpha0)
+    phi0 = math.atan2(state.alpha0.imag, state.alpha0.real) if a0 > 0 else 0.0
+    kappa = state.kappa
+    smax = a0 + 10.0 / math.sqrt(kappa)
+    # radial oscillation wavenumber of the highest profile, uniform in s
+    h = min(0.2, math.pi / (4.0 * math.sqrt(1.5 * n_basis + 1.0)))
+    rule = composite_gauss_legendre_rule(0.0, smax, 2 * max(8, math.ceil(smax / h)), 10)
+    s = rule.nodes
+    x = 4.0 * s * s
+    base = rule.weights * s * np.exp(-kappa * (s - a0) ** 2)
+    g = np.zeros((n_basis, n_basis), dtype=complex)
+    quiet = 0
+    for nu in range(n_basis):
+        rows = radial_profiles(n_basis - 1 - nu, nu, x)
+        bess = bessel_i_scaled(nu, 2.0 * kappa * s * a0)
+        col = np.exp(1j * nu * phi0) * 4.0 * kappa * (rows @ (base * bess))
+        idx = np.arange(n_basis - nu)
+        g[idx + nu, idx] = col
+        g[idx, idx + nu] = np.conj(col)
+        quiet = quiet + 1 if np.abs(col).max() < 1e-17 else 0
+        if quiet >= 2:
+            break
+    return g
 
 
 def wigner_dyad_symbol(n: int, m: int, q, p, model) -> np.ndarray:

@@ -7,7 +7,11 @@ rotation, making moment columns checkable against a closed form.
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,14 +368,32 @@ class TestLegacyGuard:
 
 class TestExitCodes:
     def test_validation_gate_exits_two(self, tmp_path, monkeypatch, capsys):
-        # force the gate with an impossible tolerance; only the residual
-        # table is written so the failure is inspectable but not mistakable
-        # for results
-        monkeypatch.setitem(cli.TOLERANCES, "trace_err", 1e-300)
+        # force the gate with a tolerance no residual can meet, since residuals
+        # are >= 0 and may be exactly 0; only the residual table is written so
+        # the failure is inspectable but not mistakable for results
+        monkeypatch.setitem(cli.TOLERANCES, "trace_err", -1.0)
         config = write_config(tmp_path)
         out = tmp_path / "out"
         assert run_cli(config, out) == 2
         assert "validation failed" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["validate.csv"]
+
+    def test_nan_history_exits_two(self, tmp_path, monkeypatch, capsys):
+        # a NaN residual fails the gate instead of comparing False against it;
+        # no spectrum or negativity, whose eigensolvers reject a NaN matrix
+        evolve = cli.evolve
+
+        def poisoned(g0, name, model, times, **kwargs):
+            traj = evolve(g0, name, model, times, **kwargs)
+            traj.history[0][-1, 0] = np.nan
+            return traj
+
+        monkeypatch.setattr(cli, "evolve", poisoned)
+        outputs = {"moments": True, "validate": True}
+        config = write_config(tmp_path, lambda r: r.update(outputs=outputs))
+        out = tmp_path / "out"
+        assert run_cli(config, out) == 2
+        assert "validation failed: quantum trace_err = nan" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["validate.csv"]
 
     def test_ill_conditioned_generator_exits_two(self, tmp_path, monkeypatch, capsys):
@@ -394,24 +416,37 @@ class TestExitCodes:
         assert run_cli(config, tmp_path / "out") == 3
         assert "truncation failure" in capsys.readouterr().err
 
-    def test_bessel_domain_exits_three(self, tmp_path, capsys):
-        # 2 kappa s |alpha0| reaches about 2500 on the synthesis rule, past
-        # the scaled Bessel series domain (1500)
+    @staticmethod
+    def coherent_config(tmp_path, alpha0, n_basis):
         raw = {
             "model": {"K": 2, "b": [0, 0, 1], "mu": 0.5},
-            "state": {"kappa": 60, "alpha0_re": 4},
-            "truncation": {"N": 64},
+            "state": {"kappa": 2, "alpha0_re": alpha0},
+            "truncation": {"N": n_basis},
             "dynamics": ["quantum"],
             "times": {"t0": 0, "t1": 1, "steps": 3},
-            "outputs": {"moments": True},
+            "outputs": {"moments": True, "validate": True},
         }
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(raw))
-        assert run_cli(config, tmp_path / "out") == 3
+        return config
+
+    def test_wide_coherent_state_runs(self, tmp_path, capsys):
+        # a radial-quadrature synthesis would need its Bessel kernel at
+        # 2 kappa s |alpha0| = 1637 here, past its series domain (1500);
+        # the closed form has no such domain
+        config = self.coherent_config(tmp_path, 17, 512)
+        assert cli.main(["run", str(config), "--validate-only"]) == 0
+        assert run_cli(config, tmp_path / "out") == 0
+        for row in rows_of(tmp_path / "out" / "validate.csv"):
+            assert float(row["trace_err"]) < 1e-14
+
+    def test_recurrence_overflow_exits_three(self, tmp_path, capsys):
+        # (1 - z)|alpha0|^2 = 756 is past the closed form's float range (714)
+        config = self.coherent_config(tmp_path, 27.5, 1400)
         assert cli.main(["run", str(config), "--validate-only"]) == 3
         err = capsys.readouterr().err
-        assert err.count("truncation failure") == 2
-        assert "kappa = 60" in err and "|alpha0| = 4" in err and "1500" in err
+        assert err.startswith("truncation failure: state synthesis overflows")
+        assert "kappa = 2" in err and "|alpha0| = 27.5" in err and "limit of about 714" in err
 
     def test_unwritable_output_exits_one(self, tmp_path, capsys):
         # --out names an existing regular file, so the directory cannot be made
@@ -464,6 +499,39 @@ class TestExitCodes:
             raw["truncation"]["N"] = 16
         config = write_config(tmp_path, widen)
         assert cli.main(["run", str(config), "--validate-only"]) == 3
+
+
+class TestStartup:
+    # scipy is imported only where a Moyal rung is built, so the CLI and every
+    # run without semiclassical1 start without it
+    PROBE = (
+        "import sys\n"
+        "from groenewold_lab import cli\n"
+        "assert 'scipy' not in sys.modules, 'import groenewold_lab.cli loaded scipy'\n"
+        "code = cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "dynamics, loads_scipy",
+        [(["quantum"], False), (["quantum", "semiquantum1", "classical"], False),
+         (["semiclassical1"], True)],
+    )
+    def test_scipy_loaded_only_for_moyal_rungs(self, tmp_path, dynamics, loads_scipy):
+        def quartic(raw):
+            raw["model"]["b"] = [0.0, 0.0, 1.0]
+            raw["dynamics"] = dynamics
+        config = write_config(tmp_path, quartic)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE, str(config), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == f"0 {loads_scipy}"
 
 
 class TestPresets:

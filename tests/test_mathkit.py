@@ -20,8 +20,8 @@ from groenewold_lab.mathkit import (
     gauss_genlaguerre_rule,
     hermitian_eig,
     laguerre_orthonormal_bare,
-    radial_profiles,
 )
+from oracles import radial_profiles
 
 # mpmath (dps=40) values of e^-x I_m(x)
 BESSEL_SCALED_ORACLE = [

@@ -1,23 +1,25 @@
 """Tests for Gaussian state synthesis.
 
-Oracles: the exact coherent projector at kappa = 2, and the displaced
-thermal closed form (1-z) D(alpha0) z^n D(alpha0)^+ with
-z = (2-kappa)/(2+kappa), built independently via the matrix exponential
-of the displacement generator on an enlarged basis.
+Oracles: the exact coherent projector at kappa = 2; the displaced thermal
+operator (1-z) D(alpha0) z^n D(alpha0)^+ with z = (2-kappa)/(2+kappa),
+built independently via the matrix exponential of the displacement
+generator on an enlarged basis; and the Bessel-weighted radial quadrature
+of the phase-space density (oracles.groenewold_by_quadrature).
 """
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from groenewold_lab.errors import ConfigError, TailMassExceeded
+from groenewold_lab.errors import ConfigError, QuadratureNotConverged, TailMassExceeded
+from groenewold_lab.evolve import top_filled_sector
 from groenewold_lab.model import ModelSpec
 from groenewold_lab.states import (
     GaussianState,
     groenewold_from_gaussian,
     tail_mass,
 )
-from oracles import coherent_density, wigner_dyad_symbol
+from oracles import coherent_density, groenewold_by_quadrature, wigner_dyad_symbol
 
 
 def displaced_thermal_oracle(kappa: float, alpha0: complex, n_basis: int) -> np.ndarray:
@@ -32,6 +34,8 @@ def displaced_thermal_oracle(kappa: float, alpha0: complex, n_basis: int) -> np.
 
 
 NBASIS = 48
+FIG3_STATE = GaussianState(kappa=2.0, alpha0=0.5)
+FIG4_STATE = GaussianState(kappa=1.0, alpha0=1 / np.sqrt(2.0))
 
 
 class TestCoherentLimit:
@@ -64,7 +68,7 @@ class TestDisplacedThermalOracle:
         state = GaussianState(kappa=kappa, alpha0=alpha0)
         g = groenewold_from_gaussian(state, NBASIS)
         ref = displaced_thermal_oracle(kappa, alpha0, NBASIS)
-        assert np.abs(g - ref).max() < 1e-10
+        assert np.abs(g - ref).max() < 1e-13
 
     def test_purity_closed_form(self):
         # Tr G^2 = kappa / 2 for every isotropic Gaussian
@@ -83,6 +87,25 @@ class TestDisplacedThermalOracle:
         )
         assert below.min() > -1e-12
         assert above.min() < -1e-3
+
+
+class TestQuadratureOracle:
+    @pytest.mark.parametrize("state", [FIG3_STATE, FIG4_STATE], ids=["fig3", "fig4"])
+    def test_matches_radial_quadrature(self, state):
+        g = groenewold_from_gaussian(state, 128)
+        assert np.abs(g - groenewold_by_quadrature(state, 128)).max() < 1e-14
+
+
+class TestStopRule:
+    # sectors stop after two in a row below 1e-17; without the rule the
+    # closed form resolves entries down to underflow and fills every sector
+    @pytest.mark.parametrize("state", [FIG3_STATE, FIG4_STATE], ids=["fig3", "fig4"])
+    @pytest.mark.parametrize("n_basis", [128, 1024])
+    def test_top_filled_sector(self, state, n_basis):
+        g = groenewold_from_gaussian(state, n_basis)
+        assert top_filled_sector(g, n_basis - 1) == 23
+        assert np.abs(np.diagonal(g, -22)).max() < 1e-17
+        assert np.abs(np.diagonal(g, -21)).max() >= 1e-17
 
 
 class TestInvariants:
@@ -117,6 +140,18 @@ class TestGuards:
     def test_tail_mass_exceeded(self):
         with pytest.raises(TailMassExceeded):
             groenewold_from_gaussian(GaussianState(1.0, 2.0), 8)
+
+    def test_overflow_raises_and_names_the_limit(self):
+        # z = 0 at kappa = 2, so (1 - z)|alpha0|^2 = 27.5^2 = 756: the recurrence overflows
+        with pytest.raises(QuadratureNotConverged, match="limit of about 714"):
+            groenewold_from_gaussian(GaussianState(2.0, 27.5), 1400)
+
+    def test_below_the_limit_runs(self):
+        # (1 - z)|alpha0|^2 = 289, while the radial quadrature would need its
+        # Bessel kernel at 2 kappa s |alpha0| = 1637, past its domain (1500)
+        g = groenewold_from_gaussian(GaussianState(2.0, 17.0), 512)
+        assert abs(np.trace(g).real - 1.0) < 1e-14
+        assert np.abs(g - coherent_density(17.0, 512)).max() < 1e-13
 
     def test_tail_mass_function(self):
         g = np.diag(np.ones(10))
