@@ -7,9 +7,10 @@ every run-varying datum lives in '#' header comments, so outputs are
 byte-identical across runs once those lines are stripped.
 
 Exit codes: 0 success, 1 config schema error (line-precise), 2 validation
-failure (conservation residuals over tolerance, or a sector generator too
-ill-conditioned to factor), 3 quadrature or truncation failure (state does
-not fit the basis).
+failure (conservation residuals over tolerance, a sector generator too
+ill-conditioned to factor, a non-Hermitian or non-finite snapshot for the
+eigensolvers, or a non-finite field), 3 quadrature or truncation failure
+(state does not fit the basis).
 """
 
 from __future__ import annotations
@@ -410,12 +411,14 @@ def _compute_dynamics(cfg: ExperimentConfig, name: str, g0, union, row_idx, fiel
                 if cfg.negativity:
                     sqneg.append(squared_negativity(snapshot))
         if need_matrix_fields:
-            for i in field_idx:
-                fields.append(wigner_field(traj.matrix(int(i)), cfg.model, cfg.field_grid))
+            fields = wigner_field(traj.take(field_idx), cfg.model, cfg.field_grid)
     if cfg.field_times and name == "classical":
         # exact continuum whorl density: no basis truncation at late times
         for t in cfg.field_times:
             fields.append(whorl_phase_field(cfg.state, cfg.model, t, cfg.field_grid))
+    for t, fld in zip(cfg.field_times, fields):
+        if not np.all(np.isfinite(fld.values)):
+            raise ValidationFailed(f"{name} field at t = {_fmt(t)} is not finite")
 
     return _DynamicsResult(
         name=name,

@@ -182,6 +182,18 @@ class Trajectory:
                 out[k[: self.dim - nu], k[: self.dim - nu] + nu] = np.conj(rows)
         return out
 
+    def take(self, indices) -> Trajectory:
+        """The same flow restricted to times[indices], in the order given."""
+        indices = np.asarray(indices, dtype=int)
+        return Trajectory(
+            dynamics=self.dynamics,
+            model=self.model,
+            times=self.times[indices],
+            mode=self.mode,
+            dim=self.dim,
+            history={nu: rows[indices] for nu, rows in self.history.items()},
+        )
+
     def trace_series(self) -> np.ndarray:
         return self.history[0].sum(axis=1)
 

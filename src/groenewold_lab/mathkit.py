@@ -114,11 +114,14 @@ def laguerre_orthonormal_bare(nmax: int, nu: int, x) -> np.ndarray:
 
 
 def check_hermitian(a, tol: float = 1e-10) -> None:
-    """Raise ValidationFailed if max|A - A^H| exceeds tol * max(1, max|A|)."""
+    """Raise ValidationFailed unless max|A - A^H| <= tol * max(1, max|A|).
+
+    A matrix with a NaN entry fails: its deviation compares False.
+    """
     a = np.asarray(a)
     scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
     dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-    if dev > tol * scale:
+    if not dev <= tol * scale:
         raise ValidationFailed(
             f"matrix not hermitian: deviation {dev:.3e} > {tol:.1e} * scale {scale:.3e}"
         )

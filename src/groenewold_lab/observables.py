@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .evolve import Trajectory
-from .mathkit import hermitian_eig
+from .mathkit import check_hermitian, hermitian_eig
 from .model import ModelSpec
 
 __all__ = [
@@ -167,9 +167,11 @@ def spectrum_extremes(g, k: int) -> tuple[np.ndarray, np.ndarray]:
 def squared_negativity(g) -> float:
     """Sum of squared negative eigenvalues; 0 for positive semidefinite.
 
-    The input must be Hermitian: eigvalsh reads only its lower triangle.
+    The input must be Hermitian, checked as for spectrum_extremes, since
+    eigvalsh reads only its lower triangle.
     """
     g = _as_square(g)
+    check_hermitian(g)
     w = np.linalg.eigvalsh(g)
     neg = w[w < 0.0]
     return float(neg @ neg)

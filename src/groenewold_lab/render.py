@@ -8,6 +8,9 @@ x^(nu/2) e^(-x/2) / sqrt(nu!) is fused into one exponential so high
 sectors neither overflow nor underflow on the way to an order-one value.
 Each profile is evaluated once per distinct x = 4|alpha|^2 and gathered
 back; being elementwise in x, it is bit-equal to a per-point evaluation.
+Given a trajectory, it renders all of its times together: each sector
+runs the recurrence once and accumulates every time's coefficients
+against it, and each field stays bit-equal to rendering its matrix alone.
 
 Fields carry their own mass (Riemann sum times cell area) and a boolean
 mask of the strictly negative cells. A state whose support leaks off the
@@ -20,7 +23,8 @@ File formats: binary PGM (P5, maxval 255) with the affine value map
 vscale = max|value| (stored in a '# vscale=' header comment, so the map
 inverts to value ~ (gray - 128) / 127 * vscale), a 0/255 PGM for the
 negative mask, and a CSV matrix with '#' header lines, one grid row per
-line, 17 significant digits.
+line, 17 significant digits, each row written by one '%.17g' format call
+(the same bytes as formatting value by value).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .evolve import whorl_field
+from .evolve import Trajectory, whorl_field
 from .model import ModelSpec
 from .states import GaussianState
 
@@ -118,12 +122,19 @@ def _package(values: np.ndarray, grid) -> PhaseField:
     )
 
 
-def _sector_profile(diag: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
-    """Radial sum_k diag[k] rho_k^(nu)(x) on flat x >= 0.
+def _sector_profile(diags: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
+    """Radial sum_k diags[f, k] rho_k^(nu)(x) on flat x >= 0, one row per f.
 
     rho_k^(nu)(x) = 2 (-1)^k sqrt(k!/(k+nu)!) x^(nu/2) e^(-x/2) L_k^(nu)(x),
-    evaluated as weight(x) * sum_k diag[k] (-1)^k binom(k+nu, k)^(-1/2)
+    evaluated as weight(x) * sum_k diags[f, k] (-1)^k binom(k+nu, k)^(-1/2)
     L_k^(nu)(x) with the weight exponent fused against 1/sqrt(nu!).
+
+    The recurrence in k runs once for all rows. Each row accumulates the
+    real and imaginary parts of its terms apart, in order of k, skipping
+    its own zero coefficients (0 * inf would put NaN where the Laguerre
+    values overflow); that is bit-equal to accumulating the complex terms
+    row by row, as the product of a complex coefficient and a real
+    Laguerre value has exactly those parts.
     """
     if nu == 0:
         weight = 2.0 * np.exp(-0.5 * x)
@@ -132,38 +143,71 @@ def _sector_profile(diag: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
         pos = x > 0.0
         exponent[pos] = 0.5 * nu * np.log(x[pos]) - 0.5 * x[pos] - 0.5 * math.lgamma(nu + 1)
         weight = 2.0 * np.exp(exponent)
-    acc = np.zeros(x.shape, dtype=complex)
+    rows, depth = diags.shape
+    acc = np.zeros((2 * rows, x.size))  # real parts above imaginary parts
+    term = np.empty_like(acc)
     l_prev = np.zeros_like(x)
     l_cur = np.ones_like(x)
+    l_next = np.empty_like(x)
+    scratch = np.empty_like(x)
     coef = 1.0
-    for k in range(len(diag)):
+    for k in range(depth):
         if k > 0:
-            l_prev, l_cur = l_cur, ((2 * k - 1 + nu - x) * l_cur - (k - 1 + nu) * l_prev) / k
+            # l_next = ((2k - 1 + nu - x) l_cur - (k - 1 + nu) l_prev) / k
+            np.subtract(2 * k - 1 + nu, x, out=l_next)
+            l_next *= l_cur
+            np.multiply(k - 1 + nu, l_prev, out=scratch)
+            l_next -= scratch
+            l_next /= k
+            l_prev, l_cur, l_next = l_cur, l_next, l_prev
             coef *= -math.sqrt(k / (k + nu))
-        if diag[k] != 0.0:
-            acc += (coef * diag[k]) * l_cur
-    return weight * acc
+        live = diags[:, k] != 0.0
+        if not live.any():
+            continue
+        c = coef * diags[:, k]
+        np.multiply(np.concatenate((c.real, c.imag))[:, None], l_cur, out=term)
+        if live.all():
+            acc += term
+        else:
+            np.add(acc, term, out=acc, where=np.concatenate((live, live))[:, None])
+    profiles = np.empty((rows, x.size), dtype=complex)
+    profiles.real = acc[:rows]
+    profiles.imag = acc[rows:]
+    profiles *= weight
+    return profiles
 
 
-def wigner_field(g, model: ModelSpec, grid=DEFAULT_GRID) -> PhaseField:
-    """Phase-space symbol of a block matrix over 2 pi hbar, on a grid.
+def wigner_field(g, model: ModelSpec, grid=DEFAULT_GRID) -> PhaseField | list[PhaseField]:
+    """Phase-space symbol of Hermitian matrices over 2 pi hbar, on a grid.
 
-    The input must be Hermitian, as every matrix evolve reassembles is
-    exactly: only the real part of its diagonal and its lower diagonals
-    are read, so the field is real by construction. Mass approximates the
-    trace.
+    g is one square matrix, giving one PhaseField, or a full-mode
+    Trajectory, giving a list with one PhaseField per stored time; a
+    trajectory's sector rows are read as they are stored, with no matrix
+    reassembled. The input must be Hermitian, as every matrix evolve
+    reassembles is exactly: only the real part of its diagonal and its
+    lower diagonals are read, so the field is real by construction. Mass
+    approximates the trace.
 
     Radial profiles are computed on the distinct x = 4|alpha|^2 only (a
     symmetric grid has about a sixth as many as points, since np.abs is
     exact under sign flips and the q <-> p swap) and gathered back before
     the per-point phasor; equal x give bit-equal profiles, so this is exact.
+    Each sector runs its radial recurrence once for every time it holds,
+    and a time whose sector is empty skips it, so every field is bit-equal
+    to rendering its matrix alone.
     """
-    g = np.asarray(g, dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
-        raise ConfigError("expected a square matrix")
+    if isinstance(g, Trajectory):
+        if g.mode != "full":
+            raise ConfigError("wigner_field needs a trajectory with mode='full'")
+        dim, history = g.dim, g.history
+    else:
+        g = np.asarray(g, dtype=complex)
+        if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
+            raise ConfigError("expected a square matrix")
+        dim = g.shape[0]
+        history = {nu: np.diagonal(g, offset=-nu)[None, :] for nu in range(dim)}
     grid = _check_grid(grid)
     q_min, q_max, p_min, p_max, nq, npts = grid
-    dim = g.shape[0]
     qs = np.linspace(q_min, q_max, nq)
     ps = np.linspace(p_min, p_max, npts)
     hbar = model.hbar
@@ -175,16 +219,22 @@ def wigner_field(g, model: ModelSpec, grid=DEFAULT_GRID) -> PhaseField:
     phasor = np.ones_like(x, dtype=complex)
     nonzero = radius > 0.0
     phasor[nonzero] = (alpha.ravel()[nonzero] / radius[nonzero]).conj()
-    total = _sector_profile(np.real(np.diagonal(g)).astype(complex), 0, xu)[inv].real.astype(float)
+    profiles = _sector_profile(np.real(history[0]).astype(complex), 0, xu)
+    totals = [profile[inv].real.astype(float) for profile in profiles]
     power = np.ones_like(phasor)
     for nu in range(1, dim):
         power = power * phasor
-        diag = np.diagonal(g, offset=-nu)
-        if not np.any(diag):
+        rows = history[nu]
+        filled = np.flatnonzero(rows.any(axis=1))
+        if filled.size == 0:
             continue
-        total = total + 2.0 * (power * _sector_profile(diag, nu, xu)[inv]).real
-    values = (total / (2.0 * math.pi * hbar)).reshape(npts, nq)
-    return _package(values, grid)
+        for f, profile in zip(filled, _sector_profile(rows[filled], nu, xu)):
+            totals[f] += 2.0 * (power * profile[inv]).real
+    fields = []
+    for total in totals:  # a loop, not a comprehension, keeps _package's stacklevel
+        total /= 2.0 * math.pi * hbar
+        fields.append(_package(total.reshape(npts, nq), grid))
+    return fields if isinstance(g, Trajectory) else fields[0]
 
 
 def whorl_phase_field(
@@ -239,6 +289,6 @@ def write_field_csv(field: PhaseField, path, provenance: str = "") -> None:
         fh.write(f"# grid q_min={q_min:.17g} q_max={q_max:.17g} nq={nq}\n")
         fh.write(f"# grid p_min={p_min:.17g} p_max={p_max:.17g} np={npts}\n")
         fh.write(f"# total_mass={field.total_mass:.17g}\n")
+        line = ",".join(["%.17g"] * field.values.shape[1]) + "\n"
         for row in field.values.tolist():
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+            fh.write(line % tuple(row))

@@ -14,7 +14,8 @@ closed forms the tests pin it against, live here:
   groenewold_by_quadrature, the initial state by Bessel-weighted radial
   quadrature, a route independent of the closed form in states;
 - wigner_field_pointwise, the field synthesis that runs every sector's
-  radial recurrence on every grid point rather than once per distinct x;
+  radial recurrence on every grid point rather than once per distinct x,
+  one matrix at a time (sector_profile_rowwise);
 - break_time, the first split of two first-moment curves;
 - interior and rel_interior, a block without its edge rows and the
   scale-relative residual on it.
@@ -57,7 +58,6 @@ from groenewold_lab.mathkit import (
     hermitian_eig,
 )
 from groenewold_lab.observables import mean_alpha_series
-from groenewold_lab.render import _sector_profile
 
 THETA = math.log(7.0 / 3.0) / 4.0
 
@@ -251,12 +251,41 @@ def wigner_dyad_symbol(n: int, m: int, q, p, model) -> np.ndarray:
     return out if out.shape else complex(out)
 
 
+def sector_profile_rowwise(diag, nu, x) -> np.ndarray:
+    """One matrix's radial profile of sector nu, as render._sector_profile.
+
+    The complex terms are accumulated in one complex array, recurrence and
+    all, for this diagonal alone; the production profile runs the
+    recurrence once for several diagonals and adds real and imaginary parts
+    apart, which must agree with this bit for bit.
+    """
+    if nu == 0:
+        weight = 2.0 * np.exp(-0.5 * x)
+    else:
+        exponent = np.full_like(x, -np.inf)
+        pos = x > 0.0
+        exponent[pos] = 0.5 * nu * np.log(x[pos]) - 0.5 * x[pos] - 0.5 * math.lgamma(nu + 1)
+        weight = 2.0 * np.exp(exponent)
+    acc = np.zeros(x.shape, dtype=complex)
+    l_prev = np.zeros_like(x)
+    l_cur = np.ones_like(x)
+    coef = 1.0
+    for k in range(len(diag)):
+        if k > 0:
+            l_prev, l_cur = l_cur, ((2 * k - 1 + nu - x) * l_cur - (k - 1 + nu) * l_prev) / k
+            coef *= -math.sqrt(k / (k + nu))
+        if diag[k] != 0.0:
+            acc += (coef * diag[k]) * l_cur
+    return weight * acc
+
+
 def wigner_field_pointwise(g, model, grid) -> np.ndarray:
     """Values of render.wigner_field with each radial profile evaluated per point.
 
     Same float operations in the same order as the production path, which
-    evaluates each profile once per distinct x and gathers it back, so the
-    two agree bit for bit.
+    evaluates each profile once per distinct x and gathers it back and
+    accumulates several matrices' profiles at once, so the two agree bit
+    for bit.
     """
     g = np.asarray(g, dtype=complex)
     q_min, q_max, p_min, p_max, nq, npts = grid
@@ -269,14 +298,15 @@ def wigner_field_pointwise(g, model, grid) -> np.ndarray:
     phasor = np.ones_like(x, dtype=complex)
     nonzero = radius > 0.0
     phasor[nonzero] = (alpha.ravel()[nonzero] / radius[nonzero]).conj()
-    total = _sector_profile(np.real(np.diagonal(g)).astype(complex), 0, x).real.astype(float)
+    diag0 = np.real(np.diagonal(g)).astype(complex)
+    total = sector_profile_rowwise(diag0, 0, x).real.astype(float)
     power = np.ones_like(phasor)
     for nu in range(1, g.shape[0]):
         power = power * phasor
         diag = np.diagonal(g, offset=-nu)
         if not np.any(diag):
             continue
-        total = total + 2.0 * (power * _sector_profile(diag, nu, x)).real
+        total = total + 2.0 * (power * sector_profile_rowwise(diag, nu, x)).real
     return (total / (2.0 * math.pi * model.hbar)).reshape(npts, nq)
 
 

@@ -396,6 +396,39 @@ class TestExitCodes:
         assert "validation failed: quantum trace_err = nan" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["validate.csv"]
 
+    @staticmethod
+    def poison_history(monkeypatch, rows):
+        evolve = cli.evolve
+
+        def poisoned(g0, name, model, times, **kwargs):
+            traj = evolve(g0, name, model, times, **kwargs)
+            traj.history[0][rows, 0] = np.nan
+            return traj
+
+        monkeypatch.setattr(cli, "evolve", poisoned)
+
+    @pytest.mark.parametrize("outputs", [{"spectrum": {"k": 2}}, {"negativity": True}])
+    def test_nan_snapshot_exits_two(self, tmp_path, monkeypatch, capsys, outputs):
+        # both eigensolver callers check the snapshot, which a NaN fails
+        self.poison_history(monkeypatch, -1)
+        config = write_config(tmp_path, lambda r: r.update(outputs=outputs))
+        out = tmp_path / "out"
+        assert run_cli(config, out) == 2
+        err = capsys.readouterr().err
+        assert "validation failed: matrix not hermitian: deviation nan" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_nan_field_exits_two(self, tmp_path, monkeypatch, capsys):
+        self.poison_history(monkeypatch, slice(None))
+        outputs = {"field": BASE["outputs"]["field"]}
+        config = write_config(tmp_path, lambda r: r.update(outputs=outputs))
+        out = tmp_path / "out"
+        assert run_cli(config, out) == 2
+        err = capsys.readouterr().err
+        assert "validation failed: quantum field at t = 0.75 is not finite" in err
+        assert list(out.iterdir()) == []
+
     def test_ill_conditioned_generator_exits_two(self, tmp_path, monkeypatch, capsys):
         from groenewold_lab import evolve as evolve_module
 

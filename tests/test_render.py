@@ -14,7 +14,7 @@ import pytest
 
 from groenewold_lab import render
 from groenewold_lab.errors import ConfigError
-from groenewold_lab.evolve import BlockPropagator, classical_moment_quadrature, evolve
+from groenewold_lab.evolve import BlockPropagator, Trajectory, classical_moment_quadrature, evolve
 from groenewold_lab.model import ModelSpec
 from groenewold_lab.observables import moment_track
 from groenewold_lab.render import (
@@ -100,6 +100,71 @@ class TestDistinctRadii:
         assert distinct < field.values.size // 6
         assert len(sizes) == 24  # nonzero sectors of fig2's matrix
         assert set(sizes) == {distinct}
+
+
+def stacked_trajectory(mats, model):
+    """A full-mode Trajectory holding the given Hermitian matrices as its times."""
+    dim = mats[0].shape[0]
+    history = {nu: np.stack([np.diagonal(g, -nu) for g in mats]) for nu in range(dim)}
+    times = np.arange(len(mats), dtype=float)
+    return Trajectory("quantum", model, times, "full", dim, history)
+
+
+class TestBatchedRender:
+    """wigner_field renders every time of a trajectory in one pass per sector."""
+
+    GRID = (-4.0, 4.0, -3.5, 4.5, 72, 80)
+
+    def check_batch(self, fields, mats, model):
+        assert len(fields) == len(mats)
+        for field, g in zip(fields, mats):
+            alone = wigner_field(g, model, self.GRID)
+            assert np.array_equal(field.values, alone.values)
+            assert np.array_equal(field.negative_mask, alone.negative_mask)
+            assert field.total_mass == alone.total_mass
+            assert np.array_equal(field.values, wigner_field_pointwise(g, model, self.GRID))
+
+    def test_trajectory_times_bit_equal_to_one_at_a_time(self):
+        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 64))
+        times = [0.0, 0.4, 1.1, 2.5]
+        traj = evolve(g0, "quantum", QUARTIC, times).take([3, 1, 2])
+        assert np.array_equal(traj.times, [2.5, 0.4, 1.1])
+        fields = wigner_field(traj, QUARTIC, self.GRID)
+        self.check_batch(fields, [traj.matrix(i) for i in range(3)], QUARTIC)
+
+    def test_empty_upper_sectors_beside_filled_ones(self):
+        # the vacuum fills one entry of sector 0 and no other sector, so the
+        # batch skips rows within a sector and whole sectors of one time only
+        mats = [
+            coherent_density(0.3 + 0.2j, 24),
+            coherent_density(0.0, 24),
+            coherent_density(-0.5 + 0.1j, 24),
+        ]
+        assert not np.any(np.tril(mats[1], -1))
+        fields = wigner_field(stacked_trajectory(mats, QUARTIC), QUARTIC, self.GRID)
+        self.check_batch(fields, mats, QUARTIC)
+
+    def test_zero_terms_skipped_per_time(self):
+        # far out on a wide grid the Laguerre values of a 256-level basis
+        # overflow; the vacuum's zero coefficients there are skipped, as
+        # they are when it renders alone, so its field stays finite
+        n = 256
+        vacuum = np.zeros((n, n), dtype=complex)
+        vacuum[0, 0] = 1.0
+        thermal = np.diag(0.5 ** np.arange(1.0, n + 1.0)).astype(complex)
+        grid = (-60.0, 60.0, -60.0, 60.0, 13, 13)
+        with np.errstate(all="ignore"):
+            fields = wigner_field(stacked_trajectory([vacuum, thermal], QUARTIC), QUARTIC, grid)
+            alone = [wigner_field(g, QUARTIC, grid) for g in (vacuum, thermal)]
+        assert np.isfinite(fields[0].values).all()
+        for field, one in zip(fields, alone):
+            assert np.array_equal(field.values, one.values, equal_nan=True)
+
+    def test_moments_mode_rejected(self):
+        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 32))
+        traj = evolve(g0, "quantum", QUARTIC, [0.0, 1.0], mode="moments")
+        with pytest.raises(ConfigError):
+            wigner_field(traj, QUARTIC, self.GRID)
 
 
 class TestWignerField:
@@ -307,6 +372,19 @@ class TestFileFormats:
         assert values == {0, 255}
         grid_mask = np.frombuffer(payload, dtype=np.uint8).reshape(16, 16) == 255
         assert np.array_equal(grid_mask, field.negative_mask)
+
+    def test_csv_rows_match_per_value_format(self, tmp_path):
+        values = np.array([
+            [-0.0, 5e-324, 1e308, 0.1],
+            [0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0 * 1e-300, 1.2345678901234567e-5],
+        ])
+        field = PhaseField((-1.0, 1.0, -1.0, 1.0, 4, 2), values, values < 0.0, 0.0)
+        path = tmp_path / "field.csv"
+        write_field_csv(field, path)
+        body = [ln for ln in path.read_bytes().split(b"\n") if not ln.startswith(b"#")]
+        want = [",".join(f"{v:.17g}" for v in row).encode("ascii") for row in values.tolist()]
+        assert body == want + [b""]
+        assert body[0].startswith(b"-0,4.9406564584124654e-324,")
 
     def test_csv_round_trip(self, tmp_path):
         field = whorl_phase_field(FIG3_STATE, QUARTIC, 0.9, (-4.0, 4.0, -4.0, 4.0, 24, 16))
