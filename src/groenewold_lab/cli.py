@@ -416,9 +416,6 @@ def _compute_dynamics(cfg: ExperimentConfig, name: str, g0, union, row_idx, fiel
         # exact continuum whorl density: no basis truncation at late times
         for t in cfg.field_times:
             fields.append(whorl_phase_field(cfg.state, cfg.model, t, cfg.field_grid))
-    for t, fld in zip(cfg.field_times, fields):
-        if not np.all(np.isfinite(fld.values)):
-            raise ValidationFailed(f"{name} field at t = {_fmt(t)} is not finite")
 
     return _DynamicsResult(
         name=name,
@@ -488,6 +485,13 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
             )
             print(f"wrote {path}")
             return 2
+
+    # after the conservation gate, which then keeps its validate.csv, and
+    # before any output below is written
+    for res in results:
+        for t, field in zip(cfg.field_times, res.fields):
+            if not np.all(np.isfinite(field.values)):
+                raise ValidationFailed(f"{res.name} field at t = {_fmt(t)} is not finite")
 
     if cfg.moments:
         rows = []

@@ -130,11 +130,12 @@ def _sector_profile(diags: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
     L_k^(nu)(x) with the weight exponent fused against 1/sqrt(nu!).
 
     The recurrence in k runs once for all rows. Each row accumulates the
-    real and imaginary parts of its terms apart, in order of k, skipping
-    its own zero coefficients (0 * inf would put NaN where the Laguerre
-    values overflow); that is bit-equal to accumulating the complex terms
-    row by row, as the product of a complex coefficient and a real
-    Laguerre value has exactly those parts.
+    real and imaginary parts of its terms apart, in order of k; that is
+    bit-equal to accumulating the complex terms row by row, as the product
+    of a complex coefficient and a real Laguerre value has exactly those
+    parts. A row's zero coefficient adds +0.0 in place of its term (0 * inf
+    would put NaN where the Laguerre values overflow), which leaves the sum
+    bit-equal to skipping it: a sum that starts at +0.0 is never -0.0.
     """
     if nu == 0:
         weight = 2.0 * np.exp(-0.5 * x)
@@ -148,28 +149,18 @@ def _sector_profile(diags: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
     term = np.empty_like(acc)
     l_prev = np.zeros_like(x)
     l_cur = np.ones_like(x)
-    l_next = np.empty_like(x)
-    scratch = np.empty_like(x)
     coef = 1.0
     for k in range(depth):
         if k > 0:
-            # l_next = ((2k - 1 + nu - x) l_cur - (k - 1 + nu) l_prev) / k
-            np.subtract(2 * k - 1 + nu, x, out=l_next)
-            l_next *= l_cur
-            np.multiply(k - 1 + nu, l_prev, out=scratch)
-            l_next -= scratch
-            l_next /= k
-            l_prev, l_cur, l_next = l_cur, l_next, l_prev
+            l_prev, l_cur = l_cur, ((2 * k - 1 + nu - x) * l_cur - (k - 1 + nu) * l_prev) / k
             coef *= -math.sqrt(k / (k + nu))
         live = diags[:, k] != 0.0
         if not live.any():
             continue
         c = coef * diags[:, k]
         np.multiply(np.concatenate((c.real, c.imag))[:, None], l_cur, out=term)
-        if live.all():
-            acc += term
-        else:
-            np.add(acc, term, out=acc, where=np.concatenate((live, live))[:, None])
+        term[~np.concatenate((live, live))] = 0.0
+        acc += term
     profiles = np.empty((rows, x.size), dtype=complex)
     profiles.real = acc[:rows]
     profiles.imag = acc[rows:]

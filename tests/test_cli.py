@@ -429,6 +429,18 @@ class TestExitCodes:
         assert "validation failed: quantum field at t = 0.75 is not finite" in err
         assert list(out.iterdir()) == []
 
+    def test_nan_field_with_validate_trips_the_gate_first(self, tmp_path, monkeypatch, capsys):
+        # the conservation gate still reports first and keeps its validate.csv
+        self.poison_history(monkeypatch, slice(None))
+        outputs = {"field": BASE["outputs"]["field"], "validate": True}
+        config = write_config(tmp_path, lambda r: r.update(outputs=outputs))
+        out = tmp_path / "out"
+        assert run_cli(config, out) == 2
+        err = capsys.readouterr().err
+        assert "validation failed: quantum trace_err = nan" in err
+        assert "not finite" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["validate.csv"]
+
     def test_ill_conditioned_generator_exits_two(self, tmp_path, monkeypatch, capsys):
         from groenewold_lab import evolve as evolve_module
 
