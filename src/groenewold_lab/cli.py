@@ -23,11 +23,12 @@ import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from importlib import metadata, resources
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import (
     ConfigError,
     GroenewoldLabError,
@@ -56,11 +57,6 @@ TOLERANCES = {
     "purity_drift": 1e-8,
     "abs2_drift": 1e-8,
 }
-
-try:
-    _VERSION = metadata.version("groenewold-lab")
-except metadata.PackageNotFoundError:  # running from a source tree
-    _VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +350,7 @@ def _fmt(value) -> str:
 def _header_lines(cfg: ExperimentConfig) -> list[str]:
     tol = " ".join(f"{k}={v:.0e}" for k, v in TOLERANCES.items())
     return [
-        f"# groenewold-lab {_VERSION}",
+        f"# groenewold-lab {__version__}",
         f"# config sha256: {cfg.sha256}",
         f"# generated: {datetime.now(timezone.utc).isoformat(timespec='seconds')}",
         f"# tolerances: {tol}",
@@ -546,7 +542,7 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
                 field = res.fields[pos]
                 stem = f"field_{res.name}_{_time_stem(t)}"
                 provenance = (
-                    f"groenewold-lab {_VERSION} config sha256: {cfg.sha256} "
+                    f"groenewold-lab {__version__} config sha256: {cfg.sha256} "
                     f"dynamics={res.name} t={_fmt(t)}"
                 )
                 pgm = out_dir / f"{stem}.pgm"

@@ -171,17 +171,21 @@ def nu_block_from_pairs(pairs: list, nu: int, n: int) -> np.ndarray:
     sector. Pairs are added in list order, so each entry sums the same
     rounded terms in the same order as the dense Hadamard contraction
     sum c * (L[nu:, nu:] * R.T), and the block is bit-identical to it.
+    Each pair adds through a strided view of its diagonal; |d| >= n has none.
     """
     if nu < 0:
         raise ConfigError("sector restriction expects nu >= 0; conjugate for nu < 0")
     out = np.zeros((n, n), dtype=complex)
+    flat = out.reshape(-1)
     for (dl, vl), (dr, vr), c in pairs:
         if len(vl) < nu + n:
             raise ConfigError("pair matrices too small for the requested sector")
-        if dl + dr:
+        m = n - abs(dl)
+        if dl + dr or m <= 0:
             continue
-        rows = np.arange(max(0, dl), min(n, n + dl))
-        out[rows, rows - dl] += c * (vl[rows + nu] * vr[rows - dl])
+        r0 = max(0, dl)
+        diag = flat[r0 * (n + 1) - dl :: n + 1][:m]  # out[r, r - dl] for r >= r0
+        diag += c * (vl[r0 + nu : r0 + nu + m] * vr[r0 - dl : r0 - dl + m])
     return out
 
 
@@ -286,7 +290,8 @@ def _moyal_sector(model: ModelSpec, j: int, nu: int, n: int, q_nodes: int) -> np
     x = rule.nodes
     u = x / 4.0
     sqw = np.sqrt(rule.weights)
-    vm = laguerre_orthonormal_bare(n - 1, nu, x) * sqw
+    lag = laguerre_orthonormal_bare(n - 1, nu, x)
+    vm = lag * sqw
     prof: dict = {}
     for i in range(s + 1):
         coef = comb(s, i) * (-1.0) ** i
@@ -316,7 +321,7 @@ def _moyal_sector(model: ModelSpec, j: int, nu: int, n: int, q_nodes: int) -> np
     for sh, vals in prof.items():
         if sh >= n:
             continue
-        rows = laguerre_orthonormal_bare(n - 1 - sh, nu + sh, x)
+        rows = lag if sh == 0 else laguerre_orthonormal_bare(n - 1 - sh, nu + sh, x)
         rowcoef = (-1.0) ** sh * np.exp(
             0.5 * (gammaln(idx[sh:] + 1.0) - gammaln(idx[sh:] - sh + 1.0))
         )

@@ -1,8 +1,8 @@
 """Numerical kernels shared across the package.
 
 Hand-authored special functions (scaled Bessel I and the orthonormal
-associated Laguerre family) plus a checked Hermitian eigensolver and
-Gaussian quadrature rules. The hand-authored kernels are the only
+associated Laguerre family) plus a hermiticity check and Gaussian
+quadrature rules. The hand-authored kernels are the only
 special-function implementations used at runtime; numpy supplies
 eigendecompositions and Gauss-Legendre nodes, scipy the generalized
 Gauss-Laguerre nodes. scipy is imported inside gauss_genlaguerre_rule, so
@@ -32,7 +32,6 @@ __all__ = [
     "check_hermitian",
     "composite_gauss_legendre_rule",
     "gauss_genlaguerre_rule",
-    "hermitian_eig",
     "laguerre_orthonormal_bare",
 ]
 
@@ -125,16 +124,6 @@ def check_hermitian(a, tol: float = 1e-10) -> None:
         raise ValidationFailed(
             f"matrix not hermitian: deviation {dev:.3e} > {tol:.1e} * scale {scale:.3e}"
         )
-
-
-def hermitian_eig(a, tol: float = 1e-10):
-    """Eigendecomposition of a Hermitian matrix, after check_hermitian.
-
-    Returns (eigenvalues ascending, eigenvector columns).
-    """
-    a = np.asarray(a)
-    check_hermitian(a, tol)
-    return np.linalg.eigh(a)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ NaN), which is why the first-principles form is primary and both are
 emitted side by side in the CSV outputs.
 
 Spectral diagnostics (extreme eigenvalues, squared negativity) run a full
-Hermitian eigendecomposition; the negativity needs the whole negative
-subspace anyway, so no extremal iteration is used.
+Hermitian eigenvalue solve without eigenvectors; the negativity needs the
+whole negative spectrum anyway, so no extremal iteration is used.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .evolve import Trajectory
-from .mathkit import check_hermitian, hermitian_eig
+from .mathkit import check_hermitian
 from .model import ModelSpec
 
 __all__ = [
@@ -152,15 +152,16 @@ def mean_alpha_series(traj: Trajectory) -> np.ndarray:
 def spectrum_extremes(g, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k largest (descending) and k smallest (ascending) eigenvalues.
 
-    The input must be Hermitian; the full spectrum comes from one
-    Hermitian eigendecomposition.
+    The input must be Hermitian, checked as for squared_negativity; the
+    full spectrum comes from one eigenvalue-only Hermitian solve.
     """
     g = _as_square(g)
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ConfigError("k must be an integer")
     if not 1 <= k <= g.shape[0]:
         raise ConfigError(f"k must lie in [1, {g.shape[0]}]")
-    w, _ = hermitian_eig(g)
+    check_hermitian(g)
+    w = np.linalg.eigvalsh(g)
     return w[::-1][:k].copy(), w[:k].copy()
 
 

@@ -7,7 +7,8 @@ closed forms the tests pin it against, live here:
 - sector and rung read one generator sector, or one correction rung C_j
   (commutator route) or D_j (Moyal-Galerkin route, D_0 being the Galerkin
   Poisson generator), from the production builders;
-- the sl(2) sector blocks X1, X2, X3, P and the orthogonal U below;
+- the sl(2) sector blocks X1, X2, X3, P and the orthogonal U below, U from
+  hermitian_eig, a Hermitian eigendecomposition after check_hermitian;
 - classical_block_analytic, the closed-form Liouville generator;
 - coherent_density and wigner_dyad_symbol, exact states and dyad symbols;
 - radial_profiles, the weighted orthonormal Laguerre functions, and
@@ -54,8 +55,8 @@ from groenewold_lab.generators import _hilbert_rungs, _moyal_rungs, all_generato
 from groenewold_lab.mathkit import (
     _orthonormal_recurrence,
     bessel_i_scaled,
+    check_hermitian,
     composite_gauss_legendre_rule,
-    hermitian_eig,
 )
 from groenewold_lab.observables import mean_alpha_series
 
@@ -118,6 +119,16 @@ def p_block(nu: int, n: int) -> np.ndarray:
     """Tridiagonal P = X1 + X2 on the nu sector."""
     x1, x2, _ = x_blocks(nu, n)
     return x1 + x2
+
+
+def hermitian_eig(a, tol: float = 1e-10):
+    """Eigendecomposition of a Hermitian matrix, after check_hermitian.
+
+    Returns (eigenvalues ascending, eigenvector columns).
+    """
+    a = np.asarray(a)
+    check_hermitian(a, tol)
+    return np.linalg.eigh(a)
 
 
 def u_block(nu: int, n: int) -> np.ndarray:

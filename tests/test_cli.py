@@ -8,6 +8,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import groenewold_lab
 from groenewold_lab import cli
 
 BASE = {
@@ -548,11 +550,13 @@ class TestExitCodes:
 
 class TestStartup:
     # scipy is imported only where a Moyal rung is built, so the CLI and every
-    # run without semiclassical1 start without it
+    # run without semiclassical1 start without it; the version string comes
+    # from the package itself, so importlib.metadata is never loaded
     PROBE = (
         "import sys\n"
         "from groenewold_lab import cli\n"
         "assert 'scipy' not in sys.modules, 'import groenewold_lab.cli loaded scipy'\n"
+        "assert 'importlib.metadata' not in sys.modules, 'the CLI loaded importlib.metadata'\n"
         "code = cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
         "print(code, 'scipy' in sys.modules)\n"
     )
@@ -577,6 +581,13 @@ class TestStartup:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == f"0 {loads_scipy}"
+
+
+def test_version_matches_pyproject():
+    # no tomllib before Python 3.11, so the one version line is read by pattern
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    found = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
+    assert found and groenewold_lab.__version__ == found.group(1)
 
 
 class TestPresets:

@@ -10,6 +10,8 @@ moments have a one-dimensional radial Bessel reduction, with
 <alpha>(t) = alpha0 e^{-i omega t} for the harmonic model at any width.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -77,10 +79,44 @@ class TestBlockPropagator:
             assert np.abs(p.trajectory(g, [t])[0] - expm(L * t) @ g).max() < 1e-10
 
     def test_defective_generator_rejected(self):
-        # a Jordan block has no eigenvector basis at all
+        # a Jordan block has no eigenvector basis at all; its near-parallel
+        # eigenvectors overflow the Frobenius product, silently
         L = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(ValidationFailed, match="condition number"):
-            BlockPropagator(L)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationFailed, match="condition number"):
+                BlockPropagator(L)
+
+    def test_singular_eigenvector_basis_rejected(self):
+        # inv cannot invert this nilpotent block's eigenvector basis at all:
+        # an infinite condition number, not a LinAlgError
+        with pytest.raises(ValidationFailed, match="condition number inf"):
+            BlockPropagator(np.diag(np.ones(5), 1))
+
+    @pytest.mark.parametrize("dynamics", ["classical", "semiclassical1"])
+    def test_frobenius_gate_bounds_the_two_norm_condition(self, dynamics):
+        # ||V||_F ||V^-1||_F lies in [cond_2(V), n cond_2(V)], so the gate
+        # on it is at least as strict as one on cond_2; fig3's sectors pass
+        factored = [BlockPropagator(L) for L in all_generator_blocks(dynamics, SEXTIC, 48)]
+        general = [p for p in factored if p.route == "diagonalizable"]
+        assert len(general) >= 30
+        for p in general:
+            frobenius = np.linalg.norm(p._v) * np.linalg.norm(p._vinv)
+            cond = np.linalg.cond(p._v)
+            assert cond <= frobenius * (1 + 1e-9)
+            assert frobenius <= len(p._v) * cond * (1 + 1e-9)  # near-unitary V reaches n
+            assert frobenius < 1e8
+
+    @pytest.mark.parametrize("dynamics", ["classical", "semiclassical1"])
+    def test_general_route_runs_no_svd(self, monkeypatch, dynamics):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the diagonalizable route ran an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        monkeypatch.setattr(np.linalg, "cond", forbidden)
+        g0 = groenewold_from_gaussian(FIG3_STATE, 48)
+        traj = evolve(g0, dynamics, SEXTIC, [0.0, 0.5, 1.0], mode="moments")
+        assert np.all(np.isfinite(traj.diagonal_history(1)))
 
     def test_time_zero_bit_exact_on_every_route(self):
         rng = np.random.default_rng(3)

@@ -223,12 +223,14 @@ class TestEngineInternals:
 
     @pytest.mark.parametrize(
         "model, j, msize",
-        [(SEXTIC, 1, 48), (SEXTIC, 2, 64), (QUARTIC, 1, 56)],
-        ids=["sextic-j1", "sextic-j2", "quartic-j1"],
+        [(SEXTIC, 1, 48), (SEXTIC, 2, 64), (QUARTIC, 1, 56),
+         (SEXTIC, 1, 1), (SEXTIC, 2, 2), (SEXTIC, 2, 3)],
+        ids=["sextic-j1", "sextic-j2", "quartic-j1", "sextic-j1-n1", "sextic-j2-n2", "sextic-j2-n3"],
     )
     def test_one_offset_restriction_matches_dense_contraction(self, model, j, msize):
         # oracle: densify every returned pair and contract it the way the
-        # engine once did, a Hadamard product of the two sector windows
+        # engine once did, a Hadamard product of the two sector windows; the
+        # tiny bases put most pair offsets at or beyond the block size
         pairs = hilbert_correction_pairs(model, j, msize)
         dense_pairs = [(dense(l), dense(r), c) for l, r, c in pairs]
         for nu in range(msize):

@@ -13,12 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, ive
 
-from groenewold_lab.errors import QuadratureNotConverged, ValidationFailed
+from groenewold_lab.errors import QuadratureNotConverged
 from groenewold_lab.mathkit import (
     bessel_i_scaled,
     composite_gauss_legendre_rule,
     gauss_genlaguerre_rule,
-    hermitian_eig,
     laguerre_orthonormal_bare,
 )
 from oracles import radial_profiles
@@ -141,21 +140,6 @@ class TestRadialProfiles:
         assert np.all(np.isfinite(rows))
         v = rows * np.sqrt(rule.weights)
         assert np.allclose(v @ v.T, np.eye(nmax + 1), atol=1e-10)
-
-
-class TestLinearAlgebra:
-    def test_hermitian_eig_matches_numpy(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        h = a + a.conj().T
-        w, v = hermitian_eig(h)
-        assert np.allclose(v @ np.diag(w) @ v.conj().T, h, atol=1e-12)
-        assert np.all(np.diff(w) >= 0)
-
-    def test_hermitian_eig_rejects_nonhermitian(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValidationFailed):
-            hermitian_eig(a)
 
 
 class TestQuadrature:
