@@ -367,109 +367,84 @@ def _write_csv(path: Path, cfg: ExperimentConfig, columns: list[str], rows) -> N
             fh.write("\n")
 
 
-@dataclass
-class _DynamicsResult:
-    name: str
-    records: list
-    trace_err: np.ndarray
-    purity: np.ndarray
-    purity_drift: np.ndarray
-    abs2_drift: np.ndarray
-    spectrum: list
-    sqneg: list
-    fields: list
-
-
-def _compute_dynamics(cfg: ExperimentConfig, name: str, g0, union, row_idx, field_idx):
-    need_rows = cfg.moments or cfg.spectrum_k or cfg.negativity or cfg.validate
-    need_matrix_fields = bool(cfg.field_times) and name != "classical"
-    records = []
-    trace_err = purity = purity_drift = abs2_drift = np.zeros(0)
-    spectrum: list = []
-    sqneg: list = []
-    fields: list = []
-
-    if need_rows or need_matrix_fields:
-        traj = evolve(g0, name, cfg.model, union, mode="full")
-        if need_rows:
-            records = moment_track(traj)
-            trace_err = np.abs(traj.trace_series() - 1.0)
-            purity = traj.purity_series().real
-            purity_drift = np.abs(purity - purity[0])
-            occ = np.arange(cfg.n_basis) + 0.5
-            abs2 = traj.diagonal_history(0).real @ occ
-            abs2_drift = np.abs(abs2 - abs2[0])
-        if cfg.spectrum_k or cfg.negativity:
-            for i in row_idx:
-                snapshot = traj.matrix(int(i))
-                if cfg.spectrum_k:
-                    spectrum.append(spectrum_extremes(snapshot, cfg.spectrum_k))
-                if cfg.negativity:
-                    sqneg.append(squared_negativity(snapshot))
-        if need_matrix_fields:
-            fields = wigner_field(traj.take(field_idx), cfg.model, cfg.field_grid)
-    if cfg.field_times and name == "classical":
-        # exact continuum whorl density: no basis truncation at late times
-        for t in cfg.field_times:
-            fields.append(whorl_phase_field(cfg.state, cfg.model, t, cfg.field_grid))
-
-    return _DynamicsResult(
-        name=name,
-        records=records,
-        trace_err=trace_err,
-        purity=purity,
-        purity_drift=purity_drift,
-        abs2_drift=abs2_drift,
-        spectrum=spectrum,
-        sqneg=sqneg,
-        fields=fields,
-    )
-
-
-def _validation_rows(cfg: ExperimentConfig, results, row_idx):
-    rows = []
-    worst = None
-    for res in results:
-        for pos, i in enumerate(row_idx):
-            t = cfg.times[pos]
-            values = {
-                "trace_err": res.trace_err[i],
-                "herm_err": 0.0,  # a Trajectory is Hermitian by construction
-                "purity_drift": res.purity_drift[i],
-                "abs2_drift": res.abs2_drift[i],
-            }
-            rows.append([t, res.name, *values.values()])
-            for metric, value in values.items():
-                if not value <= TOLERANCES[metric]:
-                    offender = (value, res.name, metric, t)
-                    if worst is None or value > worst[0]:
-                        worst = offender
-    return rows, worst
-
-
 def run(cfg: ExperimentConfig, out_dir: Path) -> int:
-    """Execute one validated config, writing artifacts into out_dir."""
+    """Execute one validated config, writing artifacts into out_dir.
+
+    Each dynamics is evolved once over the union of the row and field
+    times, and its trajectory is released before the next one is evolved.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     g0 = groenewold_from_gaussian(cfg.state, cfg.n_basis, tail_tol=cfg.tail_tol)
 
     union = sorted(set(cfg.times) | set(cfg.field_times))
     row_idx = [union.index(t) for t in cfg.times]
     field_idx = [union.index(t) for t in cfg.field_times]
+    need_rows = cfg.moments or cfg.spectrum_k or cfg.negativity or cfg.validate
 
-    results = [
-        _compute_dynamics(cfg, name, g0, union, row_idx, field_idx)
-        for name in cfg.dynamics
-    ]
+    validate_rows: list = []
+    moment_rows: list = []
+    spectrum_rows: list = []
+    negativity_rows: list = []
+    fields: list = []  # (dynamics, t, PhaseField)
+    worst = None
+    for name in cfg.dynamics:
+        matrix_fields = bool(cfg.field_times) and name != "classical"
+        if cfg.field_times and not matrix_fields:
+            # exact continuum whorl density: no basis truncation at late times
+            for t in cfg.field_times:
+                field = whorl_phase_field(cfg.state, cfg.model, t, cfg.field_grid)
+                fields.append((name, t, field))
+        if not (need_rows or matrix_fields):
+            continue
+        traj = evolve(g0, name, cfg.model, union)
+        if need_rows:
+            records = moment_track(traj)
+            trace_err = np.abs(traj.trace_series() - 1.0)
+            purity = traj.purity_series().real
+            for t, i in zip(cfg.times, row_idx):
+                r = records[i]
+                if cfg.validate:
+                    values = {
+                        "trace_err": trace_err[i],
+                        "herm_err": 0.0,  # a Trajectory is Hermitian by construction
+                        "purity_drift": abs(purity[i] - purity[0]),
+                        "abs2_drift": abs(r.abs2 - records[0].abs2),
+                    }
+                    validate_rows.append([t, name, *values.values()])
+                    for metric, value in values.items():
+                        failed = not value <= TOLERANCES[metric]
+                        if failed and (worst is None or value > worst[0]):
+                            worst = (value, name, metric, t)
+                if cfg.moments:
+                    dq_paper, dp_paper = moment_width_variant(r, cfg.model)
+                    moment_rows.append([
+                        r.t, name,
+                        r.mean_alpha.real, r.mean_alpha.imag,
+                        r.alpha2.real, r.alpha2.imag,
+                        r.abs2, r.mean_q, r.mean_p, r.dq, r.dp,
+                        dq_paper, dp_paper,
+                        trace_err[i], purity[i],
+                    ])
+                if cfg.spectrum_k or cfg.negativity:
+                    snapshot = traj.matrix(i)
+                    if cfg.spectrum_k:
+                        maxes, mins = spectrum_extremes(snapshot, cfg.spectrum_k)
+                        spectrum_rows.append([t, name, *maxes, *mins])
+                    if cfg.negativity:
+                        negativity_rows.append([t, name, squared_negativity(snapshot)])
+        if matrix_fields:
+            rendered = wigner_field(traj.take(field_idx), cfg.field_grid)
+            fields += [(name, t, field) for t, field in zip(cfg.field_times, rendered)]
+        del traj  # released before the next dynamics is evolved
 
     written: list[Path] = []
 
     if cfg.validate:
-        rows, worst = _validation_rows(cfg, results, row_idx)
         path = out_dir / "validate.csv"
         _write_csv(
             path, cfg,
             ["t", "dynamics", "trace_err", "herm_err", "purity_drift", "abs2_drift"],
-            rows,
+            validate_rows,
         )
         written.append(path)
         if worst is not None:
@@ -484,32 +459,18 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     # after the conservation gate, which then keeps its validate.csv, and
     # before any output below is written
-    for res in results:
-        for t, field in zip(cfg.field_times, res.fields):
-            if not np.all(np.isfinite(field.values)):
-                raise ValidationFailed(f"{res.name} field at t = {_fmt(t)} is not finite")
+    for name, t, field in fields:
+        if not np.all(np.isfinite(field.values)):
+            raise ValidationFailed(f"{name} field at t = {_fmt(t)} is not finite")
 
     if cfg.moments:
-        rows = []
-        for res in results:
-            for pos, i in enumerate(row_idx):
-                r = res.records[i]
-                dq_paper, dp_paper = moment_width_variant(r, cfg.model)
-                rows.append([
-                    r.t, res.name,
-                    r.mean_alpha.real, r.mean_alpha.imag,
-                    r.alpha2.real, r.alpha2.imag,
-                    r.abs2, r.mean_q, r.mean_p, r.dq, r.dp,
-                    dq_paper, dp_paper,
-                    res.trace_err[i], res.purity[i],
-                ])
         path = out_dir / "moments.csv"
         _write_csv(
             path, cfg,
             ["t", "dynamics", "re_alpha", "im_alpha", "re_alpha2", "im_alpha2",
              "abs2", "q", "p", "dq", "dp", "dq_paper", "dp_paper",
              "trace_err", "purity"],
-            rows,
+            moment_rows,
         )
         written.append(path)
 
@@ -518,40 +479,28 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
         columns = ["t", "dynamics"]
         columns += [f"lambda_max{j}" for j in range(1, k + 1)]
         columns += [f"lambda_min{j}" for j in range(1, k + 1)]
-        rows = []
-        for res in results:
-            for pos in range(len(cfg.times)):
-                maxes, mins = res.spectrum[pos]
-                rows.append([cfg.times[pos], res.name, *maxes, *mins])
         path = out_dir / "spectrum.csv"
-        _write_csv(path, cfg, columns, rows)
+        _write_csv(path, cfg, columns, spectrum_rows)
         written.append(path)
 
     if cfg.negativity:
-        rows = []
-        for res in results:
-            for pos in range(len(cfg.times)):
-                rows.append([cfg.times[pos], res.name, res.sqneg[pos]])
         path = out_dir / "negativity.csv"
-        _write_csv(path, cfg, ["t", "dynamics", "sqneg"], rows)
+        _write_csv(path, cfg, ["t", "dynamics", "sqneg"], negativity_rows)
         written.append(path)
 
-    if cfg.field_times:
-        for res in results:
-            for pos, t in enumerate(cfg.field_times):
-                field = res.fields[pos]
-                stem = f"field_{res.name}_{_time_stem(t)}"
-                provenance = (
-                    f"groenewold-lab {__version__} config sha256: {cfg.sha256} "
-                    f"dynamics={res.name} t={_fmt(t)}"
-                )
-                pgm = out_dir / f"{stem}.pgm"
-                csv = out_dir / f"{stem}.csv"
-                mask = out_dir / f"{stem}_mask.pgm"
-                write_pgm(field, pgm)
-                write_field_csv(field, csv, provenance=provenance)
-                write_mask_pgm(field, mask)
-                written += [pgm, csv, mask]
+    for name, t, field in fields:
+        stem = f"field_{name}_{_time_stem(t)}"
+        provenance = (
+            f"groenewold-lab {__version__} config sha256: {cfg.sha256} "
+            f"dynamics={name} t={_fmt(t)}"
+        )
+        pgm = out_dir / f"{stem}.pgm"
+        csv = out_dir / f"{stem}.csv"
+        mask = out_dir / f"{stem}_mask.pgm"
+        write_pgm(field, pgm)
+        write_field_csv(field, csv, provenance=provenance)
+        write_mask_pgm(field, mask)
+        written += [pgm, csv, mask]
 
     for path in written:
         print(f"wrote {path}")

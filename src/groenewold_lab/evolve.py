@@ -13,8 +13,8 @@ looks up all_generator_blocks afresh and factors those sectors again.
 The one memo on this path is generators._hilbert_rungs, which shares the
 commutator correction rungs between dynamics. The routes are:
 
-- "identity"        zero generator (the frozen nu = 0 sector),
-- "diagonal"        exactly diagonal generator (the quantum flow); the
+- "diagonal"        exactly diagonal generator (the quantum flow, and the
+                    zero generator of the frozen nu = 0 sector); the
                     stored phases are the diagonal itself, no eigensolve,
 - "unitary"         i L is Hermitian to float precision, so exp(t L) is
                     unitary and comes from one Hermitian eigensolve,
@@ -70,18 +70,14 @@ class BlockPropagator:
 
     def __init__(self, L: np.ndarray):
         L = np.asarray(L, dtype=complex)
-        if L.ndim != 2 or L.shape[0] != L.shape[1]:
-            raise ConfigError("sector generator must be a square matrix")
+        if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] == 0:
+            raise ConfigError("sector generator must be a non-empty square matrix")
         self.L = L
-        n = L.shape[0]
-        scale = float(np.abs(L).max()) if n else 0.0
-        if scale == 0.0:
-            self.route = "identity"
-            return
         if float(np.abs(L - np.diag(np.diagonal(L))).max()) == 0.0:
             self.route = "diagonal"
             self._d = np.diagonal(L).copy()
             return
+        scale = float(np.abs(L).max())
         a = 1j * L
         if float(np.abs(a - a.conj().T).max()) <= _HERMITIAN_TOL * max(1.0, scale):
             h = 0.5 * (a + a.conj().T)
@@ -118,14 +114,11 @@ class BlockPropagator:
                 f"initial sector vector has length {g0.shape}, "
                 f"generator is {self.L.shape[0]}x{self.L.shape[0]}"
             )
-        out = np.empty((len(times), len(g0)), dtype=complex)
-        if self.route == "identity":
-            out[:] = g0
-            return out
         if self.route == "diagonal":
             out = np.exp(times[:, None] * self._d) * g0
             out[times == 0.0] = g0
             return out
+        out = np.empty((len(times), len(g0)), dtype=complex)
         if self.route == "unitary":
             c = self._v.conj().T @ g0
             v = self._v.astype(complex, copy=False)  # cast once, not at every time
@@ -157,31 +150,24 @@ class Trajectory:
     sub-diagonal G[k + nu, k]. Every flow keeps G Hermitian, so the
     super-diagonal -nu is the conjugate of sector nu: diagonal_history(-nu)
     returns it and matrix() writes it, and every reassembled matrix is
-    exactly Hermitian. In "moments" mode only nu <= 2 is carried, enough
-    for first and second moments; "full" mode carries every sector and can
-    reassemble complete matrices. Sectors above the initial matrix's top
-    filled one hold exact zeros, never built or factored.
+    exactly Hermitian. Every sector is carried; those above the initial
+    matrix's top filled one hold exact zeros, never built or factored.
     """
 
     dynamics: str
     model: ModelSpec
     times: np.ndarray
-    mode: str
     dim: int
     history: dict = field(repr=False)
 
     def diagonal_history(self, nu: int) -> np.ndarray:
-        if abs(nu) not in self.history:
-            raise ConfigError(
-                f"sector {nu} was not propagated (mode='{self.mode}', dim={self.dim})"
-            )
+        if abs(nu) >= self.dim:
+            raise ConfigError(f"sector {nu} lies outside a {self.dim}x{self.dim} matrix")
         rows = self.history[abs(nu)]
         return np.conj(rows) if nu < 0 else rows
 
     def matrix(self, index: int) -> np.ndarray:
         """Reassembled full matrix at times[index]."""
-        if self.mode != "full":
-            raise ConfigError("matrix() needs mode='full'")
         out = np.zeros((self.dim, self.dim), dtype=complex)
         k = np.arange(self.dim)
         for nu in range(self.dim):
@@ -198,7 +184,6 @@ class Trajectory:
             dynamics=self.dynamics,
             model=self.model,
             times=self.times[indices],
-            mode=self.mode,
             dim=self.dim,
             history={nu: rows[indices] for nu, rows in self.history.items()},
         )
@@ -208,8 +193,6 @@ class Trajectory:
 
     def purity_series(self) -> np.ndarray:
         """Tr G(t)^2 = sum_nu sum_k g_nu g_-nu over nu = -(N-1) .. N-1."""
-        if self.mode != "full":
-            raise ConfigError("purity_series() needs mode='full'")
         total = np.zeros(len(self.times), dtype=complex)
         for nu in range(-self.dim + 1, self.dim):
             total += (self.diagonal_history(nu) * self.diagonal_history(-nu)).sum(axis=1)
@@ -221,14 +204,7 @@ def top_filled_sector(g0: np.ndarray, nu_top: int) -> int:
     return next((nu for nu in range(nu_top, 0, -1) if np.any(np.diagonal(g0, -nu))), 0)
 
 
-def evolve(
-    g0,
-    dynamics: str,
-    model: ModelSpec,
-    times,
-    *,
-    mode: str = "full",
-) -> Trajectory:
+def evolve(g0, dynamics: str, model: ModelSpec, times) -> Trajectory:
     """Propagate a Hermitian matrix under one of the four flows.
 
     g0 must be Hermitian to the relative bound of mathkit.check_hermitian,
@@ -246,12 +222,9 @@ def evolve(
         check_hermitian(g0)
     except ValidationFailed as exc:
         raise ConfigError(f"initial {exc}") from None
-    if mode not in ("full", "moments"):
-        raise ConfigError("mode must be 'full' or 'moments'")
     times = _check_times(times)
     dim = g0.shape[0]
-    nu_top = dim - 1 if mode == "full" else min(2, dim - 1)
-    filled = top_filled_sector(g0, nu_top)
+    filled = top_filled_sector(g0, dim - 1)
     blocks = all_generator_blocks(dynamics, model, dim, nu_top=filled)
     history: dict[int, np.ndarray] = {}
     for nu in range(filled + 1):
@@ -261,13 +234,12 @@ def evolve(
             raise ValidationFailed(f"{dynamics} sector nu={nu}: {exc}") from None
         g = np.diagonal(g0, offset=-nu)
         history[nu] = p.trajectory(g if nu else g.real, times)
-    for nu in range(filled + 1, nu_top + 1):
+    for nu in range(filled + 1, dim):
         history[nu] = np.zeros((len(times), dim - nu), dtype=complex)
     return Trajectory(
         dynamics=dynamics,
         model=model,
         times=times,
-        mode=mode,
         dim=dim,
         history=history,
     )

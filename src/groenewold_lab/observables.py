@@ -1,9 +1,13 @@
-"""Comparison diagnostics for snapshots and trajectories.
+"""Comparison diagnostics for trajectories and their snapshots.
 
-Moments and position-momentum statistics come straight from the matrix
-diagonals: <alpha> from the first sub-diagonal, <alpha^2> from the second,
-<|alpha|^2> as the symmetric-ordering trace Tr(G (n + 1/2)). Widths use
-the first-principles second-moment formulas
+Moments and position-momentum statistics come straight from a
+trajectory's sector histories, with no matrix reassembled:
+
+    <alpha>     = Tr(G a)   = sum_k sqrt(k+1) G[k+1, k],
+    <alpha^2>   = Tr(G a^2) = sum_k sqrt((k+1)(k+2)) G[k+2, k],
+    <|alpha|^2> = Tr(G (n + 1/2))  (symmetric ordering).
+
+Widths use the first-principles second-moment formulas
 
     dq^2 = (hbar / m w) (<|alpha|^2> + Re<alpha^2>) - <q>^2,
     dp^2 = (hbar m w)   (<|alpha|^2> - Re<alpha^2>) - <p>^2.
@@ -14,9 +18,10 @@ displaced states (the radicand can reach zero or go negative, reported as
 NaN), which is why the first-principles form is primary and both are
 emitted side by side in the CSV outputs.
 
-Spectral diagnostics (extreme eigenvalues, squared negativity) run a full
-Hermitian eigenvalue solve without eigenvectors; the negativity needs the
-whole negative spectrum anyway, so no extremal iteration is used.
+Spectral diagnostics (extreme eigenvalues, squared negativity) take one
+reassembled matrix and run a full Hermitian eigenvalue solve without
+eigenvectors; the negativity needs the whole negative spectrum anyway, so
+no extremal iteration is used.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ __all__ = [
     "mean_alpha_series",
     "moment_track",
     "moment_width_variant",
-    "moments",
     "spectrum_extremes",
     "squared_negativity",
 ]
@@ -88,26 +92,6 @@ def _record(
     )
 
 
-def moments(g, model: ModelSpec, t: float = 0.0) -> MomentRecord:
-    """Moment snapshot of one matrix.
-
-    <alpha>   = Tr(G a)   = sum_k sqrt(k+1) G[k+1, k],
-    <alpha^2> = Tr(G a^2) = sum_k sqrt((k+1)(k+2)) G[k+2, k],
-    <|alpha|^2> = Tr(G (n + 1/2))  (symmetric ordering).
-    """
-    g = _as_square(g)
-    dim = g.shape[0]
-    k = np.arange(dim - 1, dtype=float)
-    mean_alpha = complex(np.sqrt(k + 1.0) @ np.diagonal(g, offset=-1)) if dim > 1 else 0.0j
-    if dim > 2:
-        k2 = np.arange(dim - 2, dtype=float)
-        alpha2 = complex(np.sqrt((k2 + 1.0) * (k2 + 2.0)) @ np.diagonal(g, offset=-2))
-    else:
-        alpha2 = 0.0j
-    abs2 = float(np.real((np.arange(dim) + 0.5) @ np.diagonal(g)))
-    return _record(t, mean_alpha, alpha2, abs2, model)
-
-
 def moment_width_variant(record: MomentRecord, model: ModelSpec) -> tuple[float, float]:
     """Widths from the variant formula using Re{<alpha>^2}.
 
@@ -126,7 +110,7 @@ def moment_width_variant(record: MomentRecord, model: ModelSpec) -> tuple[float,
 
 
 def moment_track(traj: Trajectory) -> list[MomentRecord]:
-    """MomentRecord at every stored time of a trajectory."""
+    """MomentRecord at every stored time of a trajectory, read from sectors 0-2."""
     dim = traj.dim
     mean = mean_alpha_series(traj)
     if dim > 2:

@@ -1,16 +1,17 @@
 """Phase-space fields and their file formats.
 
-wigner_field synthesizes the phase-space symbol of a block matrix on a
-rectangular grid, diagonal by diagonal: sector nu contributes a radial
+wigner_field synthesizes the phase-space symbol of every matrix a
+trajectory holds on a rectangular grid, diagonal by diagonal, from the
+stored sector rows: sector nu contributes a radial
 profile (a Laguerre series evaluated by the three-term recurrence in the
 degree) times the angular phasor e^(-i nu phi). The radial weight
 x^(nu/2) e^(-x/2) / sqrt(nu!) is fused into one exponential so high
 sectors neither overflow nor underflow on the way to an order-one value.
 Each profile is evaluated once per distinct x = 4|alpha|^2 and gathered
 back; being elementwise in x, it is bit-equal to a per-point evaluation.
-Given a trajectory, it renders all of its times together: each sector
-runs the recurrence once and accumulates every time's coefficients
-against it, and each field stays bit-equal to rendering its matrix alone.
+All times render together: each sector runs the recurrence once and
+accumulates every time's coefficients against it, and each field stays
+bit-equal to rendering its time alone.
 
 Fields carry their own mass (Riemann sum times cell area) and a boolean
 mask of the strictly negative cells. A state whose support leaks off the
@@ -168,16 +169,14 @@ def _sector_profile(diags: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
     return profiles
 
 
-def wigner_field(g, model: ModelSpec, grid=DEFAULT_GRID) -> PhaseField | list[PhaseField]:
-    """Phase-space symbol of Hermitian matrices over 2 pi hbar, on a grid.
+def wigner_field(traj: Trajectory, grid=DEFAULT_GRID) -> list[PhaseField]:
+    """Phase-space symbols over 2 pi hbar of a trajectory's matrices, on a grid.
 
-    g is one square matrix, giving one PhaseField, or a full-mode
-    Trajectory, giving a list with one PhaseField per stored time; a
-    trajectory's sector rows are read as they are stored, with no matrix
-    reassembled. The input must be Hermitian, as every matrix evolve
-    reassembles is exactly: only the real part of its diagonal and its
-    lower diagonals are read, so the field is real by construction. Mass
-    approximates the trace.
+    Returns one PhaseField per stored time, in the trajectory's order,
+    under its model's units. The sector rows are read as they are stored,
+    with no matrix reassembled: only the real part of the diagonal and
+    the lower diagonals, so each field is the real symbol of the Hermitian
+    matrix the rows stand for. Mass approximates the trace.
 
     Radial profiles are computed on the distinct x = 4|alpha|^2 only (a
     symmetric grid has about a sixth as many as points, since np.abs is
@@ -185,24 +184,14 @@ def wigner_field(g, model: ModelSpec, grid=DEFAULT_GRID) -> PhaseField | list[Ph
     the per-point phasor; equal x give bit-equal profiles, so this is exact.
     Each sector runs its radial recurrence once for every time it holds,
     and a time whose sector is empty skips it, so every field is bit-equal
-    to rendering its matrix alone.
+    to rendering its time alone.
     """
-    if isinstance(g, Trajectory):
-        if g.mode != "full":
-            raise ConfigError("wigner_field needs a trajectory with mode='full'")
-        dim, history = g.dim, g.history
-    else:
-        g = np.asarray(g, dtype=complex)
-        if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
-            raise ConfigError("expected a square matrix")
-        dim = g.shape[0]
-        history = {nu: np.diagonal(g, offset=-nu)[None, :] for nu in range(dim)}
     grid = _check_grid(grid)
     q_min, q_max, p_min, p_max, nq, npts = grid
     qs = np.linspace(q_min, q_max, nq)
     ps = np.linspace(p_min, p_max, npts)
-    hbar = model.hbar
-    scale = math.sqrt(model.m * model.omega)
+    hbar = traj.model.hbar
+    scale = math.sqrt(traj.model.m * traj.model.omega)
     alpha = (scale * qs[None, :] + 1j * ps[:, None] / scale) / math.sqrt(2.0 * hbar)
     x = (4.0 * np.abs(alpha) ** 2).ravel()
     xu, inv = np.unique(x, return_inverse=True)
@@ -210,12 +199,12 @@ def wigner_field(g, model: ModelSpec, grid=DEFAULT_GRID) -> PhaseField | list[Ph
     phasor = np.ones_like(x, dtype=complex)
     nonzero = radius > 0.0
     phasor[nonzero] = (alpha.ravel()[nonzero] / radius[nonzero]).conj()
-    profiles = _sector_profile(np.real(history[0]).astype(complex), 0, xu)
+    profiles = _sector_profile(np.real(traj.history[0]).astype(complex), 0, xu)
     totals = [profile[inv].real.astype(float) for profile in profiles]
     power = np.ones_like(phasor)
-    for nu in range(1, dim):
+    for nu in range(1, traj.dim):
         power = power * phasor
-        rows = history[nu]
+        rows = traj.history[nu]
         filled = np.flatnonzero(rows.any(axis=1))
         if filled.size == 0:
             continue
@@ -225,7 +214,7 @@ def wigner_field(g, model: ModelSpec, grid=DEFAULT_GRID) -> PhaseField | list[Ph
     for total in totals:  # a loop, not a comprehension, keeps _package's stacklevel
         total /= 2.0 * math.pi * hbar
         fields.append(_package(total.reshape(npts, nq), grid))
-    return fields if isinstance(g, Trajectory) else fields[0]
+    return fields
 
 
 def whorl_phase_field(

@@ -11,6 +11,9 @@ closed forms the tests pin it against, live here:
   hermitian_eig, a Hermitian eigendecomposition after check_hermitian;
 - classical_block_analytic, the closed-form Liouville generator;
 - coherent_density and wigner_dyad_symbol, exact states and dyad symbols;
+- stacked_trajectory, a Trajectory holding given Hermitian matrices as its
+  times, which is how the tests hand a matrix to wigner_field or
+  moment_track;
 - radial_profiles, the weighted orthonormal Laguerre functions, and
   groenewold_by_quadrature, the initial state by Bessel-weighted radial
   quadrature, a route independent of the closed form in states;
@@ -51,6 +54,7 @@ import math
 import numpy as np
 
 from groenewold_lab.errors import ConfigError
+from groenewold_lab.evolve import Trajectory
 from groenewold_lab.generators import _hilbert_rungs, _moyal_rungs, all_generator_blocks
 from groenewold_lab.mathkit import (
     _orthonormal_recurrence,
@@ -168,6 +172,15 @@ def coherent_density(alpha0: complex, n_basis: int) -> np.ndarray:
     for n in range(1, n_basis):
         v[n] = v[n - 1] * alpha0 / math.sqrt(n)
     return np.outer(v, v.conj())
+
+
+def stacked_trajectory(mats, model):
+    """A Trajectory holding the given Hermitian matrices as its times 0, 1, ..."""
+    mats = [np.asarray(g, dtype=complex) for g in mats]
+    dim = mats[0].shape[0]
+    history = {nu: np.stack([np.diagonal(g, -nu) for g in mats]) for nu in range(dim)}
+    times = np.arange(len(mats), dtype=float)
+    return Trajectory("quantum", model, times, dim, history)
 
 
 def radial_profiles(nmax: int, nu: int, x) -> np.ndarray:

@@ -145,7 +145,7 @@ def test_criterion_05_quantum_recurrence(g0_fig3):
 def test_criterion_06_classical_two_path_oracle(g0_fig3):
     times = np.linspace(0.0, math.pi, 64)
 
-    traj = evolve(g0_fig3, "classical", QUARTIC, times, mode="moments")
+    traj = evolve(g0_fig3, "classical", QUARTIC, times)
     matrix_route = mean_alpha_series(traj)
     quad_route = np.array(
         [classical_moment_quadrature(1, FIG3_STATE, QUARTIC, t) for t in times]
@@ -216,8 +216,8 @@ def test_criterion_08_qualitative_orderings(g0_fig3, g0_fig4, sextic_trajs):
         ("large", QUARTIC, g0_fig3),
         ("small", QUARTIC_SMALL, g0_fig4),
     ):
-        tq = evolve(g0, "quantum", model, times, mode="moments")
-        tc = evolve(g0, "classical", model, times, mode="moments")
+        tq = evolve(g0, "quantum", model, times)
+        tc = evolve(g0, "classical", model, times)
         pairs[tag] = break_time(tq, tc, 0.1)
     assert math.isfinite(pairs["large"])
     assert pairs["small"] > pairs["large"]
@@ -267,7 +267,7 @@ def test_criterion_10_linear_degeneracy():
     want = 0.5 * np.exp(-1j * model.omega * times)
     worst = 0.0
     for name in ALL_DYNAMICS:
-        traj = evolve(g0, name, model, times, mode="moments")
+        traj = evolve(g0, name, model, times)
         dev = float(np.abs(mean_alpha_series(traj) - want).max())
         worst = max(worst, dev)
     assert worst <= 1e-10

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -340,6 +341,59 @@ class TestDeterminism:
                 assert first.read_bytes() == second.read_bytes()
             else:
                 assert data_lines(first) == data_lines(second)
+
+
+class TestMergedLoop:
+    """One evolve per dynamics feeds every output a run requests."""
+
+    OUTPUTS = {
+        "moments": True,
+        "validate": True,
+        "spectrum": {"k": 2},
+        "negativity": True,
+        # 0.75 lies off the row grid 0, 0.5, 1, 1.5; 1.0 lies on it
+        "field": {"grid": [-3.0, 3.0, -3.0, 3.0, 24, 24], "time_list": [0.75, 1.0]},
+    }
+
+    @staticmethod
+    def quartic_run(tmp_path, tag, outputs):
+        def mutate(raw):
+            raw["model"]["b"] = [0.0, 0.0, 1.0]
+            raw["dynamics"] = ["quantum", "classical"]
+            raw["outputs"] = outputs
+        out = tmp_path / tag
+        assert run_cli(write_config(tmp_path, mutate, name=f"{tag}.json"), out) == 0
+        return out
+
+    def test_all_outputs_match_one_output_runs(self, tmp_path):
+        merged = self.quartic_run(tmp_path, "all", self.OUTPUTS)
+        names = sorted(p.name for p in merged.iterdir())
+        assert len(names) == 4 + 2 * 2 * 3
+        seen = []
+        for key, value in self.OUTPUTS.items():
+            alone = self.quartic_run(tmp_path, key, {key: value})
+            for path in alone.iterdir():
+                seen.append(path.name)
+                if path.suffix == ".pgm":
+                    assert path.read_bytes() == (merged / path.name).read_bytes()
+                else:
+                    assert data_lines(path) == data_lines(merged / path.name)
+        assert sorted(seen) == names
+
+    def test_previous_trajectory_released_before_next_evolve(self, tmp_path, monkeypatch):
+        # one trajectory in memory at a time bounds the run's peak memory
+        evolve = cli.evolve
+        refs = []
+
+        def tracked(g0, name, model, times):
+            assert all(ref() is None for ref in refs), f"a trajectory outlives {name}'s start"
+            traj = evolve(g0, name, model, times)
+            refs.append(weakref.ref(traj))
+            return traj
+
+        monkeypatch.setattr(cli, "evolve", tracked)
+        assert run_cli(write_config(tmp_path), tmp_path / "out") == 0
+        assert len(refs) == len(BASE["dynamics"])
 
 
 class TestLegacyGuard:

@@ -44,11 +44,21 @@ def mean_alpha(traj, index):
 
 class TestBlockPropagator:
     def test_identity_route(self):
+        # the zero generator (the frozen nu = 0 sector) takes the diagonal
+        # route, and exp(0 t) g is g bit for bit for the real vectors that
+        # sector holds, signed zeros included
         p = BlockPropagator(np.zeros((4, 4)))
-        assert p.route == "identity"
-        g = np.arange(4.0) + 1j
+        assert p.route == "diagonal"
+        g = np.array([1.0, -0.0, 2.5, 0.0]) + 0j
         out = p.trajectory(g, [0.0, 2.0])
-        assert np.array_equal(out[0], g) and np.array_equal(out[1], g)
+        for row in out:
+            assert np.array_equal(row, g)
+            assert np.array_equal(np.signbit(row.real), np.signbit(g.real))
+            assert np.array_equal(np.signbit(row.imag), np.signbit(g.imag))
+
+    def test_empty_generator_rejected(self):
+        with pytest.raises(ConfigError, match="non-empty"):
+            BlockPropagator(np.zeros((0, 0)))
 
     def test_diagonal_route(self):
         d = np.array([-1j, -3j, -7j])
@@ -115,7 +125,7 @@ class TestBlockPropagator:
         monkeypatch.setattr(np.linalg, "svd", forbidden)
         monkeypatch.setattr(np.linalg, "cond", forbidden)
         g0 = groenewold_from_gaussian(FIG3_STATE, 48)
-        traj = evolve(g0, dynamics, SEXTIC, [0.0, 0.5, 1.0], mode="moments")
+        traj = evolve(g0, dynamics, SEXTIC, [0.0, 0.5, 1.0])
         assert np.all(np.isfinite(traj.diagonal_history(1)))
 
     def test_time_zero_bit_exact_on_every_route(self):
@@ -184,7 +194,7 @@ class TestEvolve:
     def test_quartic_classical_does_not_recur(self):
         g0 = groenewold_from_gaussian(FIG3_STATE, 64)
         T = 2.0 * np.pi / (QUARTIC.mu * QUARTIC.omega)
-        traj = evolve(np.asarray(g0), "classical", QUARTIC, [0.0, T], mode="moments")
+        traj = evolve(np.asarray(g0), "classical", QUARTIC, [0.0, T])
         g1 = traj.diagonal_history(1)
         rel = np.linalg.norm(g1[1] - g1[0]) / np.linalg.norm(g1[0])
         assert rel > 0.1
@@ -214,23 +224,8 @@ class TestEvolve:
             m = traj.matrix(i)
             assert abs(traj.purity_series()[i] - np.trace(m @ m)) < 1e-12
 
-    def test_moments_mode_matches_full(self):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 32))
-        times = [0.0, 0.8]
-        full = evolve(g0, "classical", QUARTIC, times, mode="full")
-        fast = evolve(g0, "classical", QUARTIC, times, mode="moments")
-        for nu in (-2, -1, 0, 1, 2):
-            assert np.abs(full.diagonal_history(nu) - fast.diagonal_history(nu)).max() < 1e-14
-        with pytest.raises(ConfigError):
-            fast.matrix(0)
-        with pytest.raises(ConfigError):
-            fast.diagonal_history(3)
-        with pytest.raises(ConfigError):
-            fast.purity_series()
-
     # FIG3_STATE fills sectors 0-23 at N = 32; the empty ones are never propagated
-    @pytest.mark.parametrize("mode,calls", [("full", 24), ("moments", 3)])
-    def test_one_propagation_per_sector(self, monkeypatch, mode, calls):
+    def test_one_propagation_per_sector(self, monkeypatch):
         seen = []
         original = BlockPropagator.trajectory
 
@@ -240,8 +235,8 @@ class TestEvolve:
 
         monkeypatch.setattr(BlockPropagator, "trajectory", counting)
         g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 32))
-        evolve(g0, "semiquantum1", QUARTIC, [0.0, 0.8], mode=mode)
-        assert seen == [32 - nu for nu in range(calls)]
+        evolve(g0, "semiquantum1", QUARTIC, [0.0, 0.8])
+        assert seen == [32 - nu for nu in range(24)]
 
     @pytest.mark.parametrize("dynamics", DYNAMICS)
     def test_only_filled_sectors_are_built(self, monkeypatch, dynamics):
@@ -323,9 +318,11 @@ class TestEvolve:
         with pytest.raises(ConfigError):
             evolve(g0, "quantum", QUARTIC, [1.0, 0.0])
         with pytest.raises(ConfigError):
-            evolve(g0, "quantum", QUARTIC, [0.0], mode="blocks")
-        with pytest.raises(ConfigError):
             evolve(g0, "stochastic", QUARTIC, [0.0])
+        traj = evolve(g0, "quantum", QUARTIC, [0.0])
+        assert traj.diagonal_history(-3).shape == (1, 1)
+        with pytest.raises(ConfigError):
+            traj.diagonal_history(-4)
 
     @staticmethod
     def jordan_in_sector_one(monkeypatch):
@@ -373,7 +370,7 @@ class TestBasisSizeDependence:
             for n in (128, 256):
                 g0 = np.zeros((n, n), dtype=complex)
                 g0[:64, :64] = g64
-                traj = evolve(g0, dynamics, SEXTIC, times, mode="moments")
+                traj = evolve(g0, dynamics, SEXTIC, times)
                 curves.append(mean_alpha_series(traj))
             gap = np.abs(curves[0] - curves[1])
             out[dynamics] = (times[np.flatnonzero(gap > 1e-6)[0]], gap.max())
@@ -423,7 +420,7 @@ class TestClassicalMomentQuadrature:
         # two independent routes: Fock-basis propagation vs Bessel quadrature
         g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 96))
         times = [0.5, 1.0, 1.5]
-        traj = evolve(g0, "classical", QUARTIC, times, mode="moments")
+        traj = evolve(g0, "classical", QUARTIC, times)
         for i, t in enumerate(times):
             oracle = classical_moment_quadrature(1, FIG3_STATE, QUARTIC, t)
             assert abs(mean_alpha(traj, i) - oracle) < 1e-6
@@ -433,7 +430,7 @@ class TestClassicalMomentQuadrature:
         # resolves the flow to t ~ 0.5 only, and the residual at later t
         # is truncation, not disagreement; it dies as the basis grows
         g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 96))
-        traj = evolve(g0, "classical", SEXTIC, [0.5, 1.5], mode="moments")
+        traj = evolve(g0, "classical", SEXTIC, [0.5, 1.5])
         oracle_early = classical_moment_quadrature(1, FIG3_STATE, SEXTIC, 0.5)
         assert abs(mean_alpha(traj, 0) - oracle_early) < 1e-6
         oracle_late = classical_moment_quadrature(1, FIG3_STATE, SEXTIC, 1.5)

@@ -14,19 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groenewold_lab.errors import ConfigError, ValidationFailed
-from groenewold_lab.evolve import evolve
+from groenewold_lab.evolve import Trajectory, evolve
 from groenewold_lab.model import ModelSpec
 from groenewold_lab.observables import (
     MomentRecord,
     mean_alpha_series,
     moment_track,
     moment_width_variant,
-    moments,
     spectrum_extremes,
     squared_negativity,
 )
 from groenewold_lab.states import GaussianState, groenewold_from_gaussian
-from oracles import break_time, coherent_density
+from oracles import break_time, coherent_density, stacked_trajectory
 
 QUARTIC = ModelSpec.quartic(mu=0.5)
 SEXTIC = ModelSpec.sextic(mu=0.5)
@@ -42,10 +41,15 @@ def ladder(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
 
 
+def snapshot(g, model) -> MomentRecord:
+    """Moments of one matrix, read as a one-time trajectory."""
+    return moment_track(stacked_trajectory([g], model))[0]
+
+
 class TestMoments:
     def test_coherent_closed_forms(self):
         g = coherent_density(0.5, 40)
-        rec = moments(g, QUARTIC)
+        rec = snapshot(g, QUARTIC)
         assert abs(rec.mean_alpha - 0.5) < 1e-13
         assert abs(rec.abs2 - 0.75) < 1e-13
         assert abs(rec.alpha2 - 0.25) < 1e-13
@@ -54,13 +58,13 @@ class TestMoments:
         # <|alpha|^2> = |alpha0|^2 + 1/kappa, exactly, for any width
         for state, want in ((FIG3_STATE, 0.75), (FIG4_STATE, 1.5)):
             g = groenewold_from_gaussian(state, 64)
-            rec = moments(np.asarray(g), QUARTIC)
+            rec = snapshot(np.asarray(g), QUARTIC)
             assert abs(rec.abs2 - want) < 1e-12
             assert abs(rec.mean_alpha - state.alpha0) < 1e-12
 
     def test_vacuum_widths(self):
         g = coherent_density(0.0, 16)
-        rec = moments(g, QUARTIC)  # hbar = mu E / omega = 1/2
+        rec = snapshot(g, QUARTIC)  # hbar = mu E / omega = 1/2
         assert rec.mean_alpha == 0.0
         assert rec.mean_q == 0.0 and rec.mean_p == 0.0
         assert abs(rec.dq - 0.5) < 1e-14
@@ -68,7 +72,7 @@ class TestMoments:
 
     def test_displaced_coherent_statistics(self):
         g = coherent_density(0.3 + 0.4j, 48)
-        rec = moments(g, SEXTIC)
+        rec = snapshot(g, SEXTIC)
         assert abs(rec.mean_q - 0.3) < 1e-12
         assert abs(rec.mean_p - 0.4) < 1e-12
         # coherent widths are displacement independent
@@ -77,7 +81,7 @@ class TestMoments:
 
     def test_units_enter_widths(self):
         model = ModelSpec.quartic(mu=0.5, m=4.0, omega=2.0)  # hbar = 1/4
-        rec = moments(coherent_density(0.0, 16), model)
+        rec = snapshot(coherent_density(0.0, 16), model)
         assert abs(rec.dq - math.sqrt(model.hbar / (2.0 * 4.0 * 2.0))) < 1e-14
         assert abs(rec.dp - math.sqrt(model.hbar * 4.0 * 2.0 / 2.0)) < 1e-14
 
@@ -88,7 +92,7 @@ class TestMoments:
         g = 0.5 * (raw + raw.conj().T)
         g = g / np.trace(g).real
         a = ladder(dim)
-        rec = moments(g, QUARTIC)
+        rec = snapshot(g, QUARTIC)
         assert abs(rec.mean_alpha - np.trace(g @ a)) < 1e-12
         assert abs(rec.alpha2 - np.trace(g @ a @ a)) < 1e-12
         num = np.diag(np.arange(dim) + 0.5)
@@ -96,17 +100,18 @@ class TestMoments:
 
     def test_small_matrices(self):
         one = np.array([[1.0]])
-        rec = moments(one, HARMONIC)
+        rec = snapshot(one, HARMONIC)
         assert rec.mean_alpha == 0.0 and rec.alpha2 == 0.0
         assert abs(rec.abs2 - 0.5) < 1e-15
         two = np.diag([0.25, 0.75]).astype(complex)
-        rec2 = moments(two, HARMONIC)
+        rec2 = snapshot(two, HARMONIC)
         assert rec2.alpha2 == 0.0
         assert abs(rec2.abs2 - (0.25 * 0.5 + 0.75 * 1.5)) < 1e-14
 
     def test_rejects_non_square(self):
+        # a trajectory, the only input of the moment path, starts from a square matrix
         with pytest.raises(ConfigError):
-            moments(np.ones((2, 3)), QUARTIC)
+            moment_track(evolve(np.ones((2, 3)), "quantum", QUARTIC, [0.0]))
 
     @given(
         kappa=st.floats(0.5, 4.0),
@@ -116,68 +121,59 @@ class TestMoments:
     @settings(max_examples=20, deadline=None)
     def test_invariants_on_gaussian_family(self, kappa, re, im):
         state = GaussianState(kappa=kappa, alpha0=complex(re, im))
-        rec = moments(np.asarray(groenewold_from_gaussian(state, 72)), QUARTIC)
+        rec = snapshot(np.asarray(groenewold_from_gaussian(state, 72)), QUARTIC)
         assert rec.dq >= 0.0 and rec.dp >= 0.0
         assert rec.abs2 >= abs(rec.mean_alpha) ** 2
 
 
 class TestWidthVariant:
     def test_matches_primary_at_origin(self):
-        rec = moments(coherent_density(0.0, 16), QUARTIC)
+        rec = snapshot(coherent_density(0.0, 16), QUARTIC)
         dq, dp = moment_width_variant(rec, QUARTIC)
         assert abs(dq - rec.dq) < 1e-14
         assert abs(dp - rec.dp) < 1e-14
 
     def test_degenerates_for_displaced_states(self):
         # real displacement beyond 1/2 drives the q radicand negative
-        rec = moments(coherent_density(0.6, 48), QUARTIC)
+        rec = snapshot(coherent_density(0.6, 48), QUARTIC)
         dq, dp = moment_width_variant(rec, QUARTIC)
         assert math.isnan(dq)
         assert abs(dp - 0.5) < 1e-12
         # imaginary displacement makes Re{<alpha>^2} negative, inflating
         # the variant dq (true width 0.5) while dp lands on 0.5 again
-        rec2 = moments(coherent_density(0.6j, 48), QUARTIC)
+        rec2 = snapshot(coherent_density(0.6j, 48), QUARTIC)
         dq2, dp2 = moment_width_variant(rec2, QUARTIC)
         assert abs(dq2 - math.sqrt(0.61)) < 1e-12
         assert abs(dp2 - 0.5) < 1e-12
 
     def test_primary_widths_stay_finite_there(self):
-        rec = moments(coherent_density(0.6, 48), QUARTIC)
+        rec = snapshot(coherent_density(0.6, 48), QUARTIC)
         assert abs(rec.dq - 0.5) < 1e-12
         assert abs(rec.dp - 0.5) < 1e-12
 
 
 class TestMomentTrack:
-    def test_matches_snapshot_moments(self):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 24))
-        times = [0.0, 0.3, 1.1]
-        traj = evolve(g0, "quantum", QUARTIC, times)
-        track = moment_track(traj)
-        for i, t in enumerate(times):
-            rec = moments(traj.matrix(i), QUARTIC, t=t)
-            got = track[i]
-            assert got.t == t
-            assert abs(got.mean_alpha - rec.mean_alpha) < 1e-13
-            assert abs(got.alpha2 - rec.alpha2) < 1e-13
-            assert abs(got.abs2 - rec.abs2) < 1e-13
-            assert abs(got.dq - rec.dq) < 1e-13
-            assert abs(got.dp - rec.dp) < 1e-13
-
     def test_harmonic_rotation(self):
         g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 32))
         times = np.linspace(0.0, 2.0, 9)
         for dynamics in ("quantum", "classical"):
-            traj = evolve(g0, dynamics, HARMONIC, times, mode="moments")
+            traj = evolve(g0, dynamics, HARMONIC, times)
             series = mean_alpha_series(traj)
             want = FIG3_STATE.alpha0 * np.exp(-1j * times)
             assert np.abs(series - want).max() < 1e-12
 
     def test_works_in_moments_mode(self):
+        # the moment sectors nu <= 2 alone give every record, bit for bit
         g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 24))
-        traj = evolve(g0, "classical", QUARTIC, [0.0, 0.5], mode="moments")
-        track = moment_track(traj)
+        traj = evolve(g0, "classical", QUARTIC, [0.0, 0.5])
+        low = Trajectory(
+            traj.dynamics, traj.model, traj.times, traj.dim,
+            {nu: traj.history[nu] for nu in range(3)},
+        )
+        track = moment_track(low)
         assert len(track) == 2
         assert isinstance(track[0], MomentRecord)
+        assert track == moment_track(traj)
 
 
 class TestSpectrumExtremes:
@@ -258,8 +254,8 @@ class TestBreakTime:
         pairs = []
         for model, state in ((QUARTIC, FIG3_STATE), (QUARTIC_SMALL_HBAR, FIG4_STATE)):
             g0 = np.asarray(groenewold_from_gaussian(state, 96))
-            quantum = evolve(g0, "quantum", model, times, mode="moments")
-            classical = evolve(g0, "classical", model, times, mode="moments")
+            quantum = evolve(g0, "quantum", model, times)
+            classical = evolve(g0, "classical", model, times)
             pairs.append(break_time(quantum, classical, 0.1))
         large_hbar, small_hbar = pairs
         # halving hbar keeps the gap under threshold through pi: sentinel
@@ -272,7 +268,7 @@ class TestBreakTime:
         times = np.linspace(0.0, np.pi, 64)
         g0 = np.asarray(groenewold_from_gaussian(FIG4_STATE, 96))
         runs = {
-            d: evolve(g0, d, SEXTIC_SMALL_HBAR, times, mode="moments")
+            d: evolve(g0, d, SEXTIC_SMALL_HBAR, times)
             for d in ("quantum", "classical", "semiquantum1", "semiclassical1")
         }
         bt_sc = break_time(runs["semiclassical1"], runs["quantum"], 0.1)

@@ -14,7 +14,7 @@ import pytest
 
 from groenewold_lab import render
 from groenewold_lab.errors import ConfigError
-from groenewold_lab.evolve import BlockPropagator, Trajectory, classical_moment_quadrature, evolve
+from groenewold_lab.evolve import BlockPropagator, classical_moment_quadrature, evolve
 from groenewold_lab.model import ModelSpec
 from groenewold_lab.observables import moment_track
 from groenewold_lab.render import (
@@ -28,7 +28,12 @@ from groenewold_lab.render import (
     write_pgm,
 )
 from groenewold_lab.states import GaussianState, groenewold_from_gaussian
-from oracles import classical_block_analytic, coherent_density, wigner_field_pointwise
+from oracles import (
+    classical_block_analytic,
+    coherent_density,
+    stacked_trajectory,
+    wigner_field_pointwise,
+)
 
 QUARTIC = ModelSpec.quartic(mu=0.5)
 SEXTIC = ModelSpec.sextic(mu=0.5)
@@ -51,39 +56,45 @@ def cell_area(field: PhaseField) -> float:
     return (q_max - q_min) / (nq - 1) * (p_max - p_min) / (npts - 1)
 
 
+def field_of(g, model=QUARTIC, grid=DEFAULT_GRID) -> PhaseField:
+    """The field of one matrix, rendered as a one-time trajectory."""
+    return wigner_field(stacked_trajectory([g], model), grid)[0]
+
+
 @pytest.fixture(scope="module")
-def fig2_matrix():
-    """fig2's quantum matrix at t = pi/4: quartic, mu = 1/2, N = 128."""
+def fig2_trajectory():
+    """fig2's quantum flow at t = pi/4 alone: quartic, mu = 1/2, N = 128."""
     g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 128))
-    return evolve(g0, "quantum", QUARTIC, [math.pi / 4.0]).matrix(0)
+    return evolve(g0, "quantum", QUARTIC, [math.pi / 4.0])
 
 
 class TestDistinctRadii:
     """wigner_field evaluates each radial profile once per distinct x."""
 
-    def test_fig2_field_bit_equal_to_pointwise(self, fig2_matrix):
-        field = wigner_field(fig2_matrix, QUARTIC, DEFAULT_GRID)
-        want = wigner_field_pointwise(fig2_matrix, QUARTIC, DEFAULT_GRID)
+    def test_fig2_field_bit_equal_to_pointwise(self, fig2_trajectory):
+        (field,) = wigner_field(fig2_trajectory, DEFAULT_GRID)
+        want = wigner_field_pointwise(fig2_trajectory.matrix(0), QUARTIC, DEFAULT_GRID)
         assert np.array_equal(field.values, want)
 
-    def test_asymmetric_grid_bit_equal_to_pointwise(self, fig2_matrix):
+    def test_asymmetric_grid_bit_equal_to_pointwise(self, fig2_trajectory):
         # few radii repeat here, so nearly every point is its own profile entry
         grid = (-3.1, 4.7, -2.3, 5.9, 97, 131)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryMassWarning)
-            field = wigner_field(fig2_matrix, QUARTIC, grid)
+            (field,) = wigner_field(fig2_trajectory, grid)
         assert field.values.shape == (131, 97)
-        assert np.array_equal(field.values, wigner_field_pointwise(fig2_matrix, QUARTIC, grid))
+        want = wigner_field_pointwise(fig2_trajectory.matrix(0), QUARTIC, grid)
+        assert np.array_equal(field.values, want)
 
     def test_anisotropic_scale_bit_equal_to_pointwise(self):
         model = ModelSpec.quartic(mu=0.5, m=2.0, omega=0.7)
         g0 = np.asarray(groenewold_from_gaussian(GaussianState(kappa=1.5, alpha0=0.4 + 0.3j), 64))
-        g = evolve(g0, "quantum", model, [0.9]).matrix(0)
+        traj = evolve(g0, "quantum", model, [0.9])
         grid = (-4.0, 4.0, -4.0, 4.0, 96, 80)
-        field = wigner_field(g, model, grid)
-        assert np.array_equal(field.values, wigner_field_pointwise(g, model, grid))
+        (field,) = wigner_field(traj, grid)
+        assert np.array_equal(field.values, wigner_field_pointwise(traj.matrix(0), model, grid))
 
-    def test_profiles_see_only_distinct_radii(self, fig2_matrix, monkeypatch):
+    def test_profiles_see_only_distinct_radii(self, fig2_trajectory, monkeypatch):
         sizes = []
         profile = render._sector_profile
 
@@ -92,7 +103,7 @@ class TestDistinctRadii:
             return profile(diag, nu, x)
 
         monkeypatch.setattr(render, "_sector_profile", counting)
-        field = wigner_field(fig2_matrix, QUARTIC, DEFAULT_GRID)
+        (field,) = wigner_field(fig2_trajectory, DEFAULT_GRID)
         alpha = alpha_grid(field, QUARTIC)
         distinct = np.unique(4.0 * np.abs(alpha) ** 2).size
         # sign flips and the q <-> p swap leave 9,742 of the 65,536 radii
@@ -100,14 +111,6 @@ class TestDistinctRadii:
         assert distinct < field.values.size // 6
         assert len(sizes) == 24  # nonzero sectors of fig2's matrix
         assert set(sizes) == {distinct}
-
-
-def stacked_trajectory(mats, model):
-    """A full-mode Trajectory holding the given Hermitian matrices as its times."""
-    dim = mats[0].shape[0]
-    history = {nu: np.stack([np.diagonal(g, -nu) for g in mats]) for nu in range(dim)}
-    times = np.arange(len(mats), dtype=float)
-    return Trajectory("quantum", model, times, "full", dim, history)
 
 
 class TestBatchedRender:
@@ -118,7 +121,7 @@ class TestBatchedRender:
     def check_batch(self, fields, mats, model):
         assert len(fields) == len(mats)
         for field, g in zip(fields, mats):
-            alone = wigner_field(g, model, self.GRID)
+            alone = field_of(g, model, self.GRID)
             assert np.array_equal(field.values, alone.values)
             assert np.array_equal(field.negative_mask, alone.negative_mask)
             assert field.total_mass == alone.total_mass
@@ -129,7 +132,7 @@ class TestBatchedRender:
         times = [0.0, 0.4, 1.1, 2.5]
         traj = evolve(g0, "quantum", QUARTIC, times).take([3, 1, 2])
         assert np.array_equal(traj.times, [2.5, 0.4, 1.1])
-        fields = wigner_field(traj, QUARTIC, self.GRID)
+        fields = wigner_field(traj, self.GRID)
         self.check_batch(fields, [traj.matrix(i) for i in range(3)], QUARTIC)
 
     def test_empty_upper_sectors_beside_filled_ones(self):
@@ -141,7 +144,7 @@ class TestBatchedRender:
             coherent_density(-0.5 + 0.1j, 24),
         ]
         assert not np.any(np.tril(mats[1], -1))
-        fields = wigner_field(stacked_trajectory(mats, QUARTIC), QUARTIC, self.GRID)
+        fields = wigner_field(stacked_trajectory(mats, QUARTIC), self.GRID)
         self.check_batch(fields, mats, QUARTIC)
 
     def test_zero_terms_skipped_per_time(self):
@@ -154,22 +157,16 @@ class TestBatchedRender:
         thermal = np.diag(0.5 ** np.arange(1.0, n + 1.0)).astype(complex)
         grid = (-60.0, 60.0, -60.0, 60.0, 13, 13)
         with np.errstate(all="ignore"):
-            fields = wigner_field(stacked_trajectory([vacuum, thermal], QUARTIC), QUARTIC, grid)
-            alone = [wigner_field(g, QUARTIC, grid) for g in (vacuum, thermal)]
+            fields = wigner_field(stacked_trajectory([vacuum, thermal], QUARTIC), grid)
+            alone = [field_of(g, QUARTIC, grid) for g in (vacuum, thermal)]
         assert np.isfinite(fields[0].values).all()
         for field, one in zip(fields, alone):
             assert np.array_equal(field.values, one.values, equal_nan=True)
 
-    def test_moments_mode_rejected(self):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 32))
-        traj = evolve(g0, "quantum", QUARTIC, [0.0, 1.0], mode="moments")
-        with pytest.raises(ConfigError):
-            wigner_field(traj, QUARTIC, self.GRID)
-
 
 class TestWignerField:
     def test_vacuum_closed_form(self):
-        field = wigner_field(coherent_density(0.0, 24), QUARTIC)
+        field = field_of(coherent_density(0.0, 24))
         alpha = alpha_grid(field, QUARTIC)
         want = np.exp(-2.0 * np.abs(alpha) ** 2) / (math.pi * HBAR)
         assert np.abs(field.values - want).max() < 1e-12
@@ -179,7 +176,7 @@ class TestWignerField:
     def test_first_excited_dyad(self):
         g = np.zeros((8, 8), dtype=complex)
         g[1, 1] = 1.0
-        field = wigner_field(g, QUARTIC)
+        field = field_of(g)
         alpha = alpha_grid(field, QUARTIC)
         u = np.abs(alpha) ** 2
         want = (4.0 * u - 1.0) * np.exp(-2.0 * u) / (math.pi * HBAR)
@@ -198,7 +195,7 @@ class TestWignerField:
             (GaussianState(kappa=1.0, alpha0=2.0**-0.5), wide),
         ):
             g = np.asarray(groenewold_from_gaussian(state, 96))
-            field = wigner_field(g, QUARTIC, grid)
+            field = field_of(g, QUARTIC, grid)
             whorl = whorl_phase_field(state, QUARTIC, 0.0, grid)
             assert np.abs(field.values - whorl.values).max() < 1e-10
             assert abs(field.total_mass - 1.0) < 1e-6
@@ -208,7 +205,7 @@ class TestWignerField:
         g = np.zeros((6, 6), dtype=complex)
         g[0, 1] = 0.5
         g[1, 0] = 0.5
-        field = wigner_field(g, QUARTIC)
+        field = field_of(g)
         alpha = alpha_grid(field, QUARTIC)
         want = 2.0 * np.real(alpha) * np.exp(-2.0 * np.abs(alpha) ** 2) / (math.pi * HBAR)
         assert np.abs(field.values - want).max() < 1e-12
@@ -217,7 +214,7 @@ class TestWignerField:
         g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 96))
         for model in (QUARTIC, SEXTIC):
             traj = evolve(g0, "quantum", model, [math.pi / 4.0])
-            field = wigner_field(traj.matrix(0), model, (-4.0, 4.0, -4.0, 4.0, 128, 128))
+            (field,) = wigner_field(traj, (-4.0, 4.0, -4.0, 4.0, 128, 128))
             assert field.negative_mask.any()
             assert abs(field.total_mass - 1.0) < 1e-6
 
@@ -226,9 +223,7 @@ class TestWignerField:
         small = (-4.0, 4.0, -4.0, 4.0, 128, 128)
         for dynamics in ("quantum", "classical", "semiquantum1", "semiclassical1"):
             traj = evolve(g0, dynamics, QUARTIC, [0.0, 1.2])
-            masses = [
-                wigner_field(traj.matrix(i), QUARTIC, small).total_mass for i in range(2)
-            ]
+            masses = [field.total_mass for field in wigner_field(traj, small)]
             assert abs(masses[0] - 1.0) < 1e-6
             assert abs(masses[1] - masses[0]) < 1e-6
 
@@ -237,7 +232,7 @@ class TestWignerField:
         g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 128))
         for t, tol in ((math.pi / 4.0, 1e-5), (math.pi / 2.0, 2e-5)):
             traj = evolve(g0, "classical", QUARTIC, [t])
-            field = wigner_field(traj.matrix(0), QUARTIC)
+            (field,) = wigner_field(traj)
             whorl = whorl_phase_field(FIG3_STATE, QUARTIC, t, DEFAULT_GRID)
             nq = DEFAULT_GRID[4]
             inner = slice(nq // 8, nq - nq // 8)
@@ -259,7 +254,7 @@ class TestWignerField:
 
         g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 128))
         traj = evolve(g0, "classical", QUARTIC, [t])
-        coarse_field = wigner_field(traj.matrix(0), QUARTIC, grid)
+        (coarse_field,) = wigner_field(traj, grid)
         coarse = np.abs(coarse_field.values[inner, inner] - whorl.values[inner, inner]).max()
 
         dim, nu_top = 768, 32
@@ -271,7 +266,7 @@ class TestWignerField:
             gt[np.arange(nu, dim), np.arange(dim - nu)] = row
             if nu:
                 gt[np.arange(dim - nu), np.arange(nu, dim)] = np.conj(row)
-        field = wigner_field(gt, QUARTIC, grid)
+        field = field_of(gt, QUARTIC, grid)
         fine = np.abs(field.values[inner, inner] - whorl.values[inner, inner]).max()
 
         assert fine < 1e-5
@@ -283,7 +278,7 @@ class TestWignerField:
         g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 128))
         traj = evolve(g0, "classical", QUARTIC, [t])
         record = moment_track(traj)[0]
-        field = wigner_field(traj.matrix(0), QUARTIC)
+        (field,) = wigner_field(traj)
         alpha = alpha_grid(field, QUARTIC)
         grid_mean = (field.values * alpha).sum() * cell_area(field) / (2.0 * HBAR)
         oracle = classical_moment_quadrature(1, FIG3_STATE, QUARTIC, t)
@@ -294,10 +289,10 @@ class TestWignerField:
     def test_boundary_warning(self):
         g = coherent_density(1.5, 48)
         with pytest.warns(BoundaryMassWarning):
-            wigner_field(g, QUARTIC, (-1.0, 1.0, -1.0, 1.0, 64, 64))
+            field_of(g, QUARTIC, (-1.0, 1.0, -1.0, 1.0, 64, 64))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            wigner_field(g, QUARTIC, (-4.5, 4.5, -4.5, 4.5, 64, 64))
+            field_of(g, QUARTIC, (-4.5, 4.5, -4.5, 4.5, 64, 64))
 
     def test_grid_validation(self):
         g = coherent_density(0.0, 8)
@@ -310,9 +305,7 @@ class TestWignerField:
             (-np.inf, 1.0, -1.0, 1.0, 8, 8),
         ):
             with pytest.raises(ConfigError):
-                wigner_field(g, QUARTIC, bad)
-        with pytest.raises(ConfigError):
-            wigner_field(np.ones((2, 3)), QUARTIC)
+                field_of(g, QUARTIC, bad)
 
 
 class TestWhorlPhaseField:
@@ -350,7 +343,7 @@ class TestFileFormats:
         assert (tmp_path / "again.pgm").read_bytes() == raw
 
     def test_pgm_affine_map_inverts(self, tmp_path):
-        field = wigner_field(coherent_density(0.3, 24), QUARTIC, (-4.0, 4.0, -4.0, 4.0, 32, 32))
+        field = field_of(coherent_density(0.3, 24), QUARTIC, (-4.0, 4.0, -4.0, 4.0, 32, 32))
         path = tmp_path / "map.pgm"
         write_pgm(field, path)
         raw = path.read_bytes()
@@ -363,7 +356,7 @@ class TestFileFormats:
     def test_mask_pgm_binary_values(self, tmp_path):
         g = np.zeros((8, 8), dtype=complex)
         g[1, 1] = 1.0
-        field = wigner_field(g, QUARTIC, (-3.0, 3.0, -3.0, 3.0, 16, 16))
+        field = field_of(g, QUARTIC, (-3.0, 3.0, -3.0, 3.0, 16, 16))
         path = tmp_path / "mask.pgm"
         write_mask_pgm(field, path)
         raw = path.read_bytes()
