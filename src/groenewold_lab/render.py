@@ -2,9 +2,9 @@
 
 wigner_field synthesizes the phase-space symbol of every matrix a
 trajectory holds on a rectangular grid, diagonal by diagonal, from the
-stored sector rows: sector nu contributes a radial
-profile (a Laguerre series evaluated by the three-term recurrence in the
-degree) times the angular phasor e^(-i nu phi). The radial weight
+stored sector rows: sector nu contributes a radial profile (a Laguerre
+series evaluated by the three-term recurrence in the degree) times the
+angular phasor e^(-i nu phi). The radial weight
 x^(nu/2) e^(-x/2) / sqrt(nu!) is fused into one exponential so high
 sectors neither overflow nor underflow on the way to an order-one value.
 Each profile is evaluated once per distinct x = 4|alpha|^2 and gathered
