@@ -37,8 +37,7 @@ from .errors import (
     ValidationFailed,
 )
 from .evolve import evolve, top_filled_sector
-from .generators import DYNAMICS, moyal_node_count, rung_count
-from .mathkit import gauss_genlaguerre_rule
+from .generators import DYNAMICS, all_generator_blocks, rung_count
 from .model import ModelSpec
 from .observables import moment_track, moment_width_variant, spectrum_extremes, squared_negativity
 from .render import (
@@ -548,7 +547,7 @@ def main(argv=None) -> int:
     runp.add_argument("--preset", help="bundled preset name (fig1..fig6)")
     runp.add_argument(
         "--validate-only", action="store_true",
-        help="check the config, the basis fit and the quadrature rules, write nothing",
+        help="check the config and the basis fit and build the generators, write nothing",
     )
     args = parser.parse_args(argv)
 
@@ -562,10 +561,9 @@ def main(argv=None) -> int:
     try:
         if args.validate_only:
             g0 = groenewold_from_gaussian(cfg.state, cfg.n_basis, tail_tol=cfg.tail_tol)
-            if "semiclassical1" in cfg.dynamics and cfg.model.K > 1:
-                # the Moyal rules run builds, one per filled sector nu >= 1
-                for nu in range(1, top_filled_sector(g0, cfg.n_basis - 1) + 1):
-                    gauss_genlaguerre_rule(moyal_node_count(cfg.n_basis), float(nu))
+            filled = top_filled_sector(g0, cfg.n_basis - 1)
+            for name in cfg.dynamics:  # what run builds, Moyal rules included
+                all_generator_blocks(name, cfg.model, cfg.n_basis, nu_top=filled)
             print(
                 f"config ok: K={cfg.model.K} N={cfg.n_basis} "
                 f"dynamics={','.join(cfg.dynamics)} steps={len(cfg.times)}"

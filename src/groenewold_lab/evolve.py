@@ -6,10 +6,10 @@ The matrix is Hermitian and L_{-nu} = conj(L_nu), so only the sectors
 nu >= 0 are propagated and sector -nu is read as their conjugate. A
 BlockPropagator factors L once and reuses the factorization for every
 requested time. Every flow is linear and acts on one sector at a time,
-so a sector that starts empty stays an exact zero: evolve builds, factors
-and propagates only the sectors up to the initial matrix's top filled
-one, and stores exact zeros above it. It keeps nothing between calls: it
-looks up all_generator_blocks afresh and factors those sectors again.
+so a sector that starts empty stays an exact zero: evolve builds, factors,
+propagates and stores only the sectors up to the initial matrix's top
+filled one. It keeps nothing between calls: it looks up
+all_generator_blocks afresh and factors those sectors again.
 The one memo on this path is generators._hilbert_rungs, which shares the
 commutator correction rungs between dynamics. The routes are:
 
@@ -28,8 +28,9 @@ as one on it and needs no SVD. A basis that fails it, or that inv finds
 singular (condition number inf), raises ValidationFailed naming the
 sector and the number (the CLI exits 2); none of the four flows comes
 near the limit. Only factored sectors are checked: an empty sector's
-answer is zero whatever its generator. Requests at t = 0 return the
-initial vector bit-exactly on every route.
+answer is zero whatever its generator. Each route forms all requested
+times in one array product, and requests at t = 0 return the initial
+vector bit-exactly on every route.
 
 The module also carries two continuum references that never touch the
 number basis: classical_moment_quadrature integrates <alpha^m> under the
@@ -116,18 +117,11 @@ class BlockPropagator:
             )
         if self.route == "diagonal":
             out = np.exp(times[:, None] * self._d) * g0
-            out[times == 0.0] = g0
-            return out
-        out = np.empty((len(times), len(g0)), dtype=complex)
-        if self.route == "unitary":
-            c = self._v.conj().T @ g0
-            v = self._v.astype(complex, copy=False)  # cast once, not at every time
-            for i, t in enumerate(times):
-                out[i] = g0 if t == 0.0 else v @ (np.exp(-1j * t * self._w) * c)
-            return out
-        c = self._vinv @ g0
-        for i, t in enumerate(times):
-            out[i] = g0 if t == 0.0 else self._v @ (np.exp(t * self._w) * c)
+        elif self.route == "unitary":
+            out = (np.exp(-1j * times[:, None] * self._w) * (self._v.conj().T @ g0)) @ self._v.T
+        else:
+            out = (np.exp(times[:, None] * self._w) * (self._vinv @ g0)) @ self._v.T
+        out[times == 0.0] = g0
         return out
 
 
@@ -146,12 +140,13 @@ def _check_times(times) -> np.ndarray:
 class Trajectory:
     """Sector histories of one Hermitian flow over a common time grid.
 
-    history[nu] for nu >= 0 has shape (len(times), N - nu) and holds the
-    sub-diagonal G[k + nu, k]. Every flow keeps G Hermitian, so the
+    history[nu] for nu = 0 .. top has shape (len(times), N - nu) and holds
+    the sub-diagonal G[k + nu, k]. Every flow keeps G Hermitian, so the
     super-diagonal -nu is the conjugate of sector nu: diagonal_history(-nu)
     returns it and matrix() writes it, and every reassembled matrix is
-    exactly Hermitian. Every sector is carried; those above the initial
-    matrix's top filled one hold exact zeros, never built or factored.
+    exactly Hermitian. Only the sectors up to the initial matrix's top
+    filled one are stored; diagonal_history returns exact zeros for the
+    sectors of the matrix above it.
     """
 
     dynamics: str
@@ -163,15 +158,17 @@ class Trajectory:
     def diagonal_history(self, nu: int) -> np.ndarray:
         if abs(nu) >= self.dim:
             raise ConfigError(f"sector {nu} lies outside a {self.dim}x{self.dim} matrix")
-        rows = self.history[abs(nu)]
+        rows = self.history.get(abs(nu))
+        if rows is None:
+            return np.zeros((len(self.times), self.dim - abs(nu)), dtype=complex)
         return np.conj(rows) if nu < 0 else rows
 
     def matrix(self, index: int) -> np.ndarray:
         """Reassembled full matrix at times[index]."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
         k = np.arange(self.dim)
-        for nu in range(self.dim):
-            rows = self.history[nu][index]
+        for nu, history in self.history.items():
+            rows = history[index]
             out[k[: self.dim - nu] + nu, k[: self.dim - nu]] = rows
             if nu:
                 out[k[: self.dim - nu], k[: self.dim - nu] + nu] = np.conj(rows)
@@ -192,9 +189,10 @@ class Trajectory:
         return self.history[0].sum(axis=1)
 
     def purity_series(self) -> np.ndarray:
-        """Tr G(t)^2 = sum_nu sum_k g_nu g_-nu over nu = -(N-1) .. N-1."""
+        """Tr G(t)^2 = sum_nu sum_k g_nu g_-nu over the stored nu = -top .. top."""
+        top = max(self.history)
         total = np.zeros(len(self.times), dtype=complex)
-        for nu in range(-self.dim + 1, self.dim):
+        for nu in range(-top, top + 1):
             total += (self.diagonal_history(nu) * self.diagonal_history(-nu)).sum(axis=1)
         return total
 
@@ -212,8 +210,8 @@ def evolve(g0, dynamics: str, model: ModelSpec, times) -> Trajectory:
     propagated, one BlockPropagator per sector nu >= 0; the upper triangle
     follows by conjugation because every sector generator satisfies
     L_{-nu} = conj(L_nu). Only the sectors up to top_filled_sector are
-    built, factored and propagated; exp(t L) 0 = 0 on every route, so the
-    empty sectors above it are stored as exact zeros.
+    built, factored, propagated and stored; exp(t L) 0 = 0 on every route,
+    so the empty sectors above it need nothing.
     """
     g0 = np.asarray(g0, dtype=complex)
     if g0.ndim != 2 or g0.shape[0] != g0.shape[1] or g0.shape[0] < 1:
@@ -234,8 +232,6 @@ def evolve(g0, dynamics: str, model: ModelSpec, times) -> Trajectory:
             raise ValidationFailed(f"{dynamics} sector nu={nu}: {exc}") from None
         g = np.diagonal(g0, offset=-nu)
         history[nu] = p.trajectory(g if nu else g.real, times)
-    for nu in range(filled + 1, dim):
-        history[nu] = np.zeros((len(times), dim - nu), dtype=complex)
     return Trajectory(
         dynamics=dynamics,
         model=model,

@@ -70,9 +70,7 @@ __all__ = [
     "DYNAMICS",
     "all_generator_blocks",
     "hilbert_correction_pairs",
-    "moyal_node_count",
     "nu_block_from_pairs",
-    "quantum_block",
     "rung_count",
 ]
 
@@ -80,22 +78,6 @@ DYNAMICS = ("quantum", "semiquantum1", "classical", "semiclassical1")
 
 # x / sin(x) = 1 + x^2/6 + 7 x^4/360 + 31 x^6/15120 + ...
 _INVERSE_SINC = {1: Fraction(1, 6), 2: Fraction(7, 360), 3: Fraction(31, 15120)}
-
-
-def _require_size(n: int):
-    if n < 1:
-        raise ConfigError("block size must be at least 1")
-
-
-# ---------------------------------------------------------------------------
-# quantum
-
-def quantum_block(nu: int, model: ModelSpec, n: int) -> np.ndarray:
-    """Diagonal commutator generator: -i (E_{k+|nu|} - E_k) / hbar."""
-    _require_size(n)
-    freq = model.level_frequencies(abs(nu), n)
-    block = np.diag(-1j * freq)
-    return np.conj(block) if nu < 0 else block
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +312,6 @@ def _moyal_sector(model: ModelSpec, j: int, nu: int, n: int, q_nodes: int) -> np
     return pref * (vm @ r.T)
 
 
-def moyal_node_count(nmax: int) -> int:
-    """Nodes of the Gauss-Laguerre rule each D_j sector of an nmax basis is projected on."""
-    return 2 * nmax + 16
-
-
 def _moyal_rungs(model: ModelSpec, j: int, nmax: int, nu_top: int) -> tuple:
     """D_j sector blocks for nu = 0 .. nu_top, sizes nmax - nu, each projected once.
 
@@ -343,11 +320,11 @@ def _moyal_rungs(model: ModelSpec, j: int, nmax: int, nu_top: int) -> tuple:
     Laguerre rows, K - 1 from the jets, because the 2j + 2 Moyal terms
     share their top-degree part, (-2u)^s h^(s)(u) times the dyad with
     s = 2j + 1, and their binomial signs sum to zero. So n + K/2 - 1 nodes,
-    rounded up, are exact. The 2 nmax + 16 nodes of moyal_node_count keep
-    the blocks bit-identical to the node-doubled build they replaced until
-    the benchmark references are re-recorded (ROADMAP item 6).
+    rounded up, are exact. The 2 nmax + 16 nodes used here keep the blocks
+    bit-identical to the node-doubled build they replaced until the
+    benchmark references are re-recorded (ROADMAP item 6).
     """
-    q_nodes = moyal_node_count(nmax)
+    q_nodes = 2 * nmax + 16
     rungs = [np.zeros((nmax, nmax), dtype=complex)]
     rungs += [_moyal_sector(model, j, nu, nmax - nu, q_nodes) for nu in range(1, nu_top + 1)]
     return tuple(rungs)
@@ -386,21 +363,27 @@ def all_generator_blocks(
 ) -> list:
     """Sector generators for nu = 0 .. nu_top (default nmax-1), sizes nmax - nu.
 
+    The quantum part of sector nu is the diagonal
+    -i (E_{k+nu} - E_k) / hbar, read from one spectrum E_0 .. E_{nmax-1}.
     Shares one padded construction across sectors, which is what makes
     full-matrix evolution at the working sizes cheap. The C_j rungs are
     memoized per model, truncation and order in _hilbert_rungs, so
     dynamics that share a rung build it once; the Moyal rungs are built
     on every call. evolve passes the initial matrix's top filled sector
-    (at most 2 for moment-only workflows), so the empty sectors above it
-    are never built.
+    (23 for fig3's state at N = 128), so the empty sectors above it are
+    never built.
     """
     j_top = rung_count(dynamics, model.K)
-    _require_size(nmax)
+    if nmax < 1:
+        raise ConfigError("block size must be at least 1")
     if nu_top is None:
         nu_top = nmax - 1
     if not 0 <= nu_top <= nmax - 1:
         raise ConfigError("nu_top must lie in [0, nmax - 1]")
-    quantum = [quantum_block(nu, model, nmax - nu) for nu in range(nu_top + 1)]
+    e = model.eigenvalues(nmax)
+    quantum = [
+        np.diag(-1j * ((e[nu:] - e[: nmax - nu]) / model.hbar)) for nu in range(nu_top + 1)
+    ]
     if dynamics == "quantum" or nu_top == 0:
         return quantum  # every correction rung is zero on the frozen nu = 0 sector
     terms = [_hilbert_rungs(model, j, nmax, nu_top) for j in range(1, j_top + 1)]

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -155,11 +154,6 @@ def number_coefficients(b, mu) -> tuple[Fraction, ...]:
     )
 
 
-@lru_cache(maxsize=128)
-def _number_coefficients_float(b: tuple, mu: float) -> tuple[float, ...]:
-    return tuple(float(c) for c in number_coefficients(b, mu))
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """A concrete model: coefficients b, nonlinearity scale mu, units.
@@ -232,8 +226,8 @@ class ModelSpec:
         )
 
     def number_coefficients(self) -> tuple[float, ...]:
-        """c[k] with H_op = E sum_k c[k] mu^k (n + 1/2)^k, as floats (memoized)."""
-        return _number_coefficients_float(tuple(self.b), self.mu)
+        """c[k] with H_op = E sum_k c[k] mu^k (n + 1/2)^k, as floats."""
+        return tuple(float(c) for c in number_coefficients(self.b, self.mu))
 
     def eigenvalues(self, n_levels: int) -> np.ndarray:
         """Quantum energies E_n for n = 0..n_levels-1."""

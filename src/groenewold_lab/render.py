@@ -202,7 +202,7 @@ def wigner_field(traj: Trajectory, grid=DEFAULT_GRID) -> list[PhaseField]:
     profiles = _sector_profile(np.real(traj.history[0]).astype(complex), 0, xu)
     totals = [profile[inv].real.astype(float) for profile in profiles]
     power = np.ones_like(phasor)
-    for nu in range(1, traj.dim):
+    for nu in range(1, len(traj.history)):
         power = power * phasor
         rows = traj.history[nu]
         filled = np.flatnonzero(rows.any(axis=1))

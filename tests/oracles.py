@@ -7,6 +7,8 @@ closed forms the tests pin it against, live here:
 - sector and rung read one generator sector, or one correction rung C_j
   (commutator route) or D_j (Moyal-Galerkin route, D_0 being the Galerkin
   Poisson generator), from the production builders;
+- quantum_block, the quantum sector generator from
+  ModelSpec.level_frequencies, one spectrum per sector;
 - the sl(2) sector blocks X1, X2, X3, P and the orthogonal U below, U from
   hermitian_eig, a Hermitian eigendecomposition after check_hermitian;
 - classical_block_analytic, the closed-form Liouville generator;
@@ -21,6 +23,8 @@ closed forms the tests pin it against, live here:
   radial recurrence on every grid point rather than once per distinct x,
   one matrix at a time (sector_profile_rowwise);
 - break_time, the first split of two first-moment curves;
+- lie_poisson_flow, the classical limit of the sector algebra: the
+  su(1,1) Lie-Poisson flow of a function Q of J = (J1, J2, J3);
 - interior and rel_interior, a block without its edge rows and the
   scale-relative residual on it.
 
@@ -52,6 +56,7 @@ the forms implemented here are verified as matrix identities in the tests.
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from groenewold_lab.errors import ConfigError
 from groenewold_lab.evolve import Trajectory
@@ -71,6 +76,12 @@ def sector(dynamics, model, nu, n):
     """Generator of one dynamics on sector nu, size n, from all_generator_blocks."""
     anu = abs(nu)
     block = all_generator_blocks(dynamics, model, n + anu, nu_top=anu)[anu]
+    return np.conj(block) if nu < 0 else block
+
+
+def quantum_block(nu, model, n):
+    """Diagonal commutator generator -i (E_{k+|nu|} - E_k) / hbar on sector nu, size n."""
+    block = np.diag(-1j * model.level_frequencies(abs(nu), n))
     return np.conj(block) if nu < 0 else block
 
 
@@ -351,3 +362,25 @@ def break_time(traj_a, traj_b, threshold: float) -> float:
     if over.size == 0:
         return math.inf
     return float(ta[over[0]])
+
+
+def lie_poisson_flow(grad_q, k: float, t_end: float, escape: float = 1e8):
+    """Integrate dJ/dt = {J, Q} from J = (k, 0, 0) on the su(1,1) hyperboloid.
+
+    The brackets are {J1, J2} = J3, {J2, J3} = -J1 and {J3, J1} = J2, so
+    J1^2 - J2^2 - J3^2 (= k^2 at the start) is a Casimir. grad_q(J)
+    returns (dQ/dJ1, dQ/dJ2, dQ/dJ3). solve_ivp runs at rtol 1e-10 and
+    atol 1e-12 and stops at t_end or when max|J| passes escape. Returns
+    (t, J), J of shape (3, len(t)), the last column being where it stopped.
+    """
+
+    def rhs(_, j):
+        q1, q2, q3 = grad_q(j)
+        return [q2 * j[2] - q3 * j[1], -q1 * j[2] - q3 * j[0], q1 * j[1] + q2 * j[0]]
+
+    def escaped(_, j):
+        return np.abs(j).max() - escape
+
+    escaped.terminal = True
+    sol = solve_ivp(rhs, (0.0, t_end), [k, 0.0, 0.0], rtol=1e-10, atol=1e-12, events=escaped)
+    return sol.t, sol.y

@@ -14,7 +14,6 @@ import pytest
 
 from groenewold_lab import cli
 from groenewold_lab.evolve import BlockPropagator, classical_moment_quadrature, evolve
-from groenewold_lab.generators import quantum_block
 from groenewold_lab.model import ModelSpec, number_coefficients
 from groenewold_lab.observables import mean_alpha_series, squared_negativity
 from groenewold_lab.states import GaussianState, groenewold_from_gaussian
@@ -23,6 +22,7 @@ from oracles import (
     classical_block_analytic,
     interior,
     p_block,
+    quantum_block,
     rel_interior,
     rung,
     sector,

@@ -5,6 +5,9 @@ rotation, making moment columns checkable against a closed form.
 """
 
 import copy
+import importlib
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -20,6 +23,7 @@ import pytest
 
 import groenewold_lab
 from groenewold_lab import cli
+from groenewold_lab.evolve import BlockPropagator
 
 BASE = {
     "model": {"b": [0.0, 1.0], "mu": 0.5},
@@ -635,6 +639,26 @@ class TestStartup:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == f"0 {loads_scipy}"
+
+
+def test_benchmark_span_targets_resolve():
+    # perfbench/spans.py wraps these names in a traced run, and a name it
+    # cannot find leaves its span metrics at 0; resolve each the way its
+    # install() does, patching nothing
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module_name, attr_path, _ in spans.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr_path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module_name}.{attr_path}")
+    assert missing == []
+    # the propagate hook reads g0 as the second positional argument
+    assert list(inspect.signature(BlockPropagator.trajectory).parameters) == ["self", "g0", "times"]
 
 
 def test_version_matches_pyproject():

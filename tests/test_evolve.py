@@ -22,6 +22,7 @@ from groenewold_lab.evolve import (
     BlockPropagator,
     classical_moment_quadrature,
     evolve,
+    top_filled_sector,
     whorl_field,
 )
 from groenewold_lab import generators
@@ -75,18 +76,19 @@ class TestBlockPropagator:
         p = BlockPropagator(-1j * h)
         assert p.route == "unitary"
         g = rng.normal(size=6) + 1j * rng.normal(size=6)
-        for t in (0.3, 1.7):
-            want = expm(-1j * h * t) @ g
-            assert np.abs(p.trajectory(g, [t])[0] - want).max() < 1e-12
-            assert abs(np.linalg.norm(p.trajectory(g, [t])[0]) - np.linalg.norm(g)) < 1e-12
+        times = [0.3, 1.7]
+        for t, row in zip(times, p.trajectory(g, times)):
+            assert np.abs(row - expm(-1j * h * t) @ g).max() < 1e-12
+            assert abs(np.linalg.norm(row) - np.linalg.norm(g)) < 1e-12
 
     def test_diagonalizable_route(self):
         L = np.array([[0.0, 1.0], [-2.0, -3.0]], dtype=complex)
         p = BlockPropagator(L)
         assert p.route == "diagonalizable"
         g = np.array([1.0, -1.0], dtype=complex)
-        for t in (0.5, 2.0):
-            assert np.abs(p.trajectory(g, [t])[0] - expm(L * t) @ g).max() < 1e-10
+        times = [0.5, 2.0]
+        for t, row in zip(times, p.trajectory(g, times)):
+            assert np.abs(row - expm(L * t) @ g).max() < 1e-10
 
     def test_defective_generator_rejected(self):
         # a Jordan block has no eigenvector basis at all; its near-parallel
@@ -116,6 +118,16 @@ class TestBlockPropagator:
             assert cond <= frobenius * (1 + 1e-9)
             assert frobenius <= len(p._v) * cond * (1 + 1e-9)  # near-unitary V reaches n
             assert frobenius < 1e8
+
+    # i L of semiquantum1 and classical is Hermitian by construction, yet on
+    # fig3's filled sectors (N = 128, nu = 1 .. 23) the 1e-12 test sends
+    # semiquantum1's nu = 1 (off by 1.15e-12 relative) and all 23 classical
+    # sectors to general eig; the closed-form generators should flip these
+    @pytest.mark.xfail(strict=True, reason="rounding misses the Hermitian test (ROADMAP item 3)")
+    @pytest.mark.parametrize("dynamics", ["semiquantum1", "classical"])
+    def test_hermitian_flows_take_the_unitary_route(self, dynamics):
+        blocks = all_generator_blocks(dynamics, SEXTIC, 128, nu_top=23)
+        assert [BlockPropagator(L).route for L in blocks[1:]] == ["unitary"] * 23
 
     @pytest.mark.parametrize("dynamics", ["classical", "semiclassical1"])
     def test_general_route_runs_no_svd(self, monkeypatch, dynamics):
@@ -241,8 +253,8 @@ class TestEvolve:
     @pytest.mark.parametrize("dynamics", DYNAMICS)
     def test_only_filled_sectors_are_built(self, monkeypatch, dynamics):
         # the oracle propagates every sector of the full build; evolve builds
-        # sectors 0-23, the ones FIG3_STATE fills, and must match it bit for
-        # bit there, with exact zeros above
+        # and stores sectors 0-23, the ones FIG3_STATE fills, and must match
+        # it bit for bit there, with exact zeros read above
         n = 48
         g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, n))
         times = np.linspace(0.0, np.pi, 5)
@@ -255,14 +267,17 @@ class TestEvolve:
         monkeypatch.setattr(evolve_module, "all_generator_blocks", recording)
         traj = evolve(g0, dynamics, SEXTIC, times)
         assert asked == [23]
+        assert len(traj.history) == 24
         for nu, block in enumerate(all_generator_blocks(dynamics, SEXTIC, n)):
             g = np.diagonal(g0, offset=-nu)
             want = BlockPropagator(block).trajectory(g if nu else g.real, times)
             if nu < 24:
                 assert np.array_equal(traj.history[nu], want)
             else:
-                assert traj.history[nu].shape == (len(times), n - nu)
-                assert not np.any(traj.history[nu])
+                assert not np.any(want)
+                for signed in (nu, -nu):
+                    zeros = traj.diagonal_history(signed)
+                    assert zeros.shape == (len(times), n - nu) and not np.any(zeros)
 
     def test_centred_state_builds_no_correction_rung(self, monkeypatch):
         # a Gaussian centred at the origin fills sector 0 only, which every
@@ -280,21 +295,29 @@ class TestEvolve:
         finally:
             generators._hilbert_rungs.cache_clear()
         assert built == []
+        assert len(traj.history) == 1
         assert np.array_equal(traj.history[0], np.tile(g0.diagonal().real, (3, 1)))
         for nu in range(1, 32):
-            assert traj.history[nu].shape == (3, 32 - nu) and not np.any(traj.history[nu])
+            for signed in (nu, -nu):
+                zeros = traj.diagonal_history(signed)
+                assert zeros.shape == (3, 32 - nu) and not np.any(zeros)
 
     @pytest.mark.parametrize("dynamics", ["quantum", "classical", "semiquantum1", "semiclassical1"])
     def test_upper_diagonals_are_conjugates(self, dynamics):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 24))
+        # FIG3_STATE fills sectors 0-23 of 32, so 24-31 are read as zeros
+        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 32))
         times = [0.0, 0.4, 1.1]
         traj = evolve(g0, dynamics, QUARTIC, times)
-        for nu in range(1, 24):
+        for nu in range(1, 32):
             assert np.array_equal(traj.diagonal_history(-nu), np.conj(traj.diagonal_history(nu)))
         for i in range(len(times)):
             m = traj.matrix(i)
             assert np.array_equal(m, m.conj().T)
-        assert sorted(traj.history) == list(range(24))
+        top = top_filled_sector(g0, 31)
+        assert top == 23
+        assert len(traj.history) == top + 1 and sorted(traj.history) == list(range(top + 1))
+        for nu in range(top + 1, 32):
+            assert not np.any(traj.diagonal_history(nu)) and not np.any(traj.diagonal_history(-nu))
 
     def test_non_hermitian_input_rejected(self):
         g0 = np.eye(4, dtype=complex)

@@ -24,7 +24,6 @@ from groenewold_lab.generators import (
     all_generator_blocks,
     hilbert_correction_pairs,
     nu_block_from_pairs,
-    quantum_block,
     rung_count,
 )
 from groenewold_lab.model import ModelSpec
@@ -32,6 +31,7 @@ from oracles import (
     classical_block_analytic,
     interior,
     p_block,
+    quantum_block,
     rel_interior,
     rung,
     sector,
@@ -102,6 +102,13 @@ class TestQuantumBlock:
 
     def test_nu_zero_is_exactly_zero(self):
         assert np.abs(quantum_block(0, SEXTIC, 9)).max() == 0.0
+
+    @pytest.mark.parametrize("model", [QUARTIC, SEXTIC, MIXED], ids=["quartic", "sextic", "mixed"])
+    def test_builder_reads_one_spectrum_bit_exactly(self, model):
+        # all_generator_blocks slices one spectrum; the oracle asks
+        # level_frequencies for each sector's own, the same operations
+        for nu, block in enumerate(all_generator_blocks("quantum", model, NMAX)):
+            assert np.array_equal(block, quantum_block(nu, model, NMAX - nu))
 
 
 class TestClassicalThreeRoutes:
@@ -396,8 +403,8 @@ class TestGuards:
             hilbert_correction_pairs(QUARTIC, 0, 8)
         with pytest.raises(ConfigError):
             hilbert_correction_pairs(QUARTIC, 4, 8)
-        with pytest.raises(ConfigError):
-            quantum_block(1, QUARTIC, 0)
+        with pytest.raises(ConfigError, match="block size"):
+            all_generator_blocks("quantum", QUARTIC, 0)
         with pytest.raises(ConfigError):
             nu_block_from_pairs([], -1, 4)
         with pytest.raises(ConfigError):

@@ -12,7 +12,15 @@ products are corrupted near the edge.
 import numpy as np
 import pytest
 
-from oracles import THETA, coherent_density, interior, p_block, u_block, x_blocks
+from oracles import (
+    THETA,
+    coherent_density,
+    interior,
+    lie_poisson_flow,
+    p_block,
+    u_block,
+    x_blocks,
+)
 
 
 class TestDecompose:
@@ -130,3 +138,56 @@ class TestAlgebra:
 
     def test_theta_value(self):
         assert THETA == pytest.approx(np.log(7 / 3) / 4, abs=0)
+
+
+def grad_semiquantum1(j):
+    """Q = -(J1^2 + J2^2)/4 + (5/4) J1 J2."""
+    return -j[0] / 2 + 1.25 * j[1], -j[1] / 2 + 1.25 * j[0], 0.0
+
+
+def grad_classical(j):
+    """Q = (3/16)(J1 + J2)^2."""
+    s = 0.375 * (j[0] + j[1])
+    return s, s, 0.0
+
+
+def grad_semiclassical1(j):
+    """Q = (3/16)(J1 + J2)^2 + (3/8)(J1^2 - J2^2)."""
+    s = 0.375 * (j[0] + j[1])
+    return s + 0.75 * j[0], s - 0.75 * j[1], 0.0
+
+
+class TestLiePoissonLimit:
+    """The classical limit of fig3's sector generators, in units of t nu.
+
+    With J1 = X1, J2 = X2 and J3 = i X3 the sector algebra is su(1,1), and
+    i L / nu of semiquantum1, classical and semiclassical1 on the sextic is
+    a quadratic Q(J) plus a constant. Its Lie-Poisson flow from
+    J = (k, 0, 0), k = (nu + 1)/2, escapes to infinity in finite time for
+    semiquantum1's indefinite Q and stays finite for the other two; the
+    pinned values were reproduced with lie_poisson_flow to 1e-3 relative.
+    These tests pin that classical mechanism. They do not prove, or
+    disprove, that any truncated generator converges to a self-adjoint one.
+    """
+
+    @pytest.mark.parametrize("k, t_escape", [(1.0, 1.3267), (3.5, 0.3790)])
+    def test_semiquantum1_escapes_in_finite_time(self, k, t_escape):
+        t, j = lie_poisson_flow(grad_semiquantum1, k, 50.0)
+        assert np.abs(j[:, -1]).max() == pytest.approx(1e8, rel=1e-6)
+        assert t[-1] == pytest.approx(t_escape, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "grad, t_end, k, peak",
+        [
+            (grad_classical, 50.0, 1.0, 176.78),
+            (grad_classical, 50.0, 3.5, 7540.1),
+            (grad_semiclassical1, 5.0, 1.0, 5.378),
+            (grad_semiclassical1, 5.0, 3.5, 1.408e4),
+        ],
+    )
+    def test_bounded_flows_stay_finite_on_the_hyperboloid(self, grad, t_end, k, peak):
+        t, j = lie_poisson_flow(grad, k, t_end)
+        assert t[-1] == t_end
+        assert np.abs(j).max() == pytest.approx(peak, rel=1e-3)
+        casimir = j[0] ** 2 - j[1] ** 2 - j[2] ** 2
+        assert np.abs(casimir - k * k).max() <= 1e-8 * k * k
