@@ -322,7 +322,7 @@ def _moyal_rungs(model: ModelSpec, j: int, nmax: int, nu_top: int) -> tuple:
     s = 2j + 1, and their binomial signs sum to zero. So n + K/2 - 1 nodes,
     rounded up, are exact. The 2 nmax + 16 nodes used here keep the blocks
     bit-identical to the node-doubled build they replaced until the
-    benchmark references are re-recorded (ROADMAP item 6).
+    benchmark references are re-recorded (ROADMAP item 1).
     """
     q_nodes = 2 * nmax + 16
     rungs = [np.zeros((nmax, nmax), dtype=complex)]

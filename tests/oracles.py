@@ -21,7 +21,11 @@ closed forms the tests pin it against, live here:
   quadrature, a route independent of the closed form in states;
 - wigner_field_pointwise, the field synthesis that runs every sector's
   radial recurrence on every grid point rather than once per distinct x,
-  one matrix at a time (sector_profile_rowwise);
+  one matrix at a time (sector_profile_rowwise), each sector row cut where
+  its tail of coefficients drops to TAIL_FLOOR times the matrix's largest
+  |entry| (series_cut) as production cuts it; wigner_field_full_depth,
+  the same synthesis with no cut, and the sum of the moduli of its sector
+  terms at each point, which bounds every partial sum of the field;
 - break_time, the first split of two first-moment curves;
 - lie_poisson_flow, the classical limit of the sector algebra: the
   su(1,1) Lie-Poisson flow of a function Q of J = (J1, J2, J3);
@@ -286,6 +290,25 @@ def wigner_dyad_symbol(n: int, m: int, q, p, model) -> np.ndarray:
     return out if out.shape else complex(out)
 
 
+TAIL_FLOOR = 2.0**-100
+
+
+def series_cut(diag, floor: float) -> np.ndarray:
+    """diag up to its last entry k whose tail sum_{j >= k} |diag[j]| is not at most floor.
+
+    The tail is summed from the end one term at a time, so it rounds as
+    a running sum does, and a NaN tail is kept; a row whose whole sum is
+    at most floor is cut to nothing.
+    """
+    mags = np.abs(diag)
+    tail = 0.0
+    for k in range(len(diag) - 1, -1, -1):
+        tail = tail + mags[k]
+        if not tail <= floor:
+            return diag[: k + 1]
+    return diag[:0]
+
+
 def sector_profile_rowwise(diag, nu, x) -> np.ndarray:
     """One matrix's radial profile of sector nu, as render._sector_profile.
 
@@ -314,15 +337,19 @@ def sector_profile_rowwise(diag, nu, x) -> np.ndarray:
     return weight * acc
 
 
-def wigner_field_pointwise(g, model, grid) -> np.ndarray:
-    """Values of render.wigner_field with each radial profile evaluated per point.
+def sector_terms_pointwise(g, model, grid, full_depth: bool = False):
+    """Each nonzero sector's term in the field sum of g, and its modulus, per grid point.
 
-    Same float operations in the same order as the production path, which
-    evaluates each profile once per distinct x and gathers it back and
-    accumulates several matrices' profiles at once, so the two agree bit
-    for bit.
+    Yields pairs of flat arrays in order of nu, sector 0 first: Re of its
+    profile and |profile|, then 2 Re(e^(-i nu phi) profile) and 2 |profile|
+    for each higher sector whose row the cut leaves nonzero. Each sector
+    row is cut where its tail of |coefficients| drops to TAIL_FLOOR times
+    the largest |entry| of g, as render.wigner_field cuts it; full_depth,
+    or a non-finite entry, keeps every nonzero coefficient.
     """
     g = np.asarray(g, dtype=complex)
+    peak = np.abs(np.tril(g)).max()
+    floor = TAIL_FLOOR * peak if math.isfinite(peak) and not full_depth else 0.0
     q_min, q_max, p_min, p_max, nq, npts = grid
     qs = np.linspace(q_min, q_max, nq)
     ps = np.linspace(p_min, p_max, npts)
@@ -333,16 +360,47 @@ def wigner_field_pointwise(g, model, grid) -> np.ndarray:
     phasor = np.ones_like(x, dtype=complex)
     nonzero = radius > 0.0
     phasor[nonzero] = (alpha.ravel()[nonzero] / radius[nonzero]).conj()
-    diag0 = np.real(np.diagonal(g)).astype(complex)
-    total = sector_profile_rowwise(diag0, 0, x).real.astype(float)
+    diag0 = series_cut(np.real(np.diagonal(g)).astype(complex), floor)
+    profile = sector_profile_rowwise(diag0, 0, x)
+    yield profile.real.astype(float), np.abs(profile)
     power = np.ones_like(phasor)
     for nu in range(1, g.shape[0]):
         power = power * phasor
-        diag = np.diagonal(g, offset=-nu)
-        if not np.any(diag):
-            continue
-        total = total + 2.0 * (power * sector_profile_rowwise(diag, nu, x)).real
-    return (total / (2.0 * math.pi * model.hbar)).reshape(npts, nq)
+        diag = series_cut(np.diagonal(g, offset=-nu), floor)
+        if np.any(diag):
+            profile = sector_profile_rowwise(diag, nu, x)
+            yield 2.0 * (power * profile).real, 2.0 * np.abs(profile)
+
+
+def wigner_field_pointwise(g, model, grid) -> np.ndarray:
+    """Values of render.wigner_field with each radial profile evaluated per point.
+
+    Same float operations in the same order as the production path, which
+    evaluates each profile once per distinct x and gathers it back and
+    accumulates several matrices' profiles at once, so the two agree bit
+    for bit; sector_terms_pointwise says where the series are cut.
+    """
+    terms = sector_terms_pointwise(g, model, grid)
+    total, _ = next(terms)
+    for term, _ in terms:
+        total = total + term
+    return (total / (2.0 * math.pi * model.hbar)).reshape(grid[5], grid[4])
+
+
+def wigner_field_full_depth(g, model, grid) -> tuple[np.ndarray, np.ndarray]:
+    """The field of g with every series at full depth, and its rounding scale.
+
+    The scale is the sum of the moduli of the sector terms at each point:
+    every sector term and every partial sum of the field is within it in
+    magnitude, so one rounding of any of them moves the field by at most
+    about its ulp. Both are divided by 2 pi hbar, as the field is.
+    """
+    total = scale = 0.0
+    for term, modulus in sector_terms_pointwise(g, model, grid, full_depth=True):
+        total = total + term
+        scale = scale + modulus
+    norm = 2.0 * math.pi * model.hbar
+    return (total / norm).reshape(grid[5], grid[4]), (scale / norm).reshape(grid[5], grid[4])
 
 
 def break_time(traj_a, traj_b, threshold: float) -> float:

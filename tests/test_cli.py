@@ -489,6 +489,42 @@ class TestExitCodes:
         assert "validation failed: quantum field at t = 0.75 is not finite" in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("diag, code", [
+        (0.5 ** np.arange(1.0, 257.0), 0),
+        (0.9 ** np.arange(256.0), 2),
+    ], ids=["thermal", "slow"])
+    def test_wide_grid_field_finite_only_past_the_cut(self, tmp_path, monkeypatch, capsys, diag, code):
+        # on this grid the Laguerre values of a 256-level basis overflow; the
+        # thermal diagonal 0.5^(n+1) cuts its series at k = 100 first and
+        # renders, the 0.9^n diagonal keeps every column and is refused
+        evolve = cli.evolve
+
+        def diagonal(g0, name, model, times, **kwargs):
+            traj = evolve(g0, name, model, times, **kwargs)
+            rows = np.tile(diag.astype(complex), (len(times), 1))
+            traj.history.clear()
+            traj.history[0] = rows
+            return traj
+
+        monkeypatch.setattr(cli, "evolve", diagonal)
+
+        def mutate(raw):
+            raw["truncation"]["N"] = 256
+            raw["dynamics"] = ["quantum"]
+            raw["outputs"] = {
+                "field": {"grid": [-60.0, 60.0, -60.0, 60.0, 13, 13], "time_list": [0.75]}
+            }
+
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run_cli(write_config(tmp_path, mutate), out) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "validation failed: quantum field at t = 0.75 is not finite" in err
+            assert list(out.iterdir()) == []
+        else:
+            assert len(list(out.glob("field_quantum_*.csv"))) == 1
+
     def test_nan_field_with_validate_trips_the_gate_first(self, tmp_path, monkeypatch, capsys):
         # the conservation gate still reports first and keeps its validate.csv
         self.poison_history(monkeypatch, slice(None))

@@ -123,7 +123,7 @@ class TestBlockPropagator:
     # fig3's filled sectors (N = 128, nu = 1 .. 23) the 1e-12 test sends
     # semiquantum1's nu = 1 (off by 1.15e-12 relative) and all 23 classical
     # sectors to general eig; the closed-form generators should flip these
-    @pytest.mark.xfail(strict=True, reason="rounding misses the Hermitian test (ROADMAP item 3)")
+    @pytest.mark.xfail(strict=True, reason="rounding misses the Hermitian test (ROADMAP item 2)")
     @pytest.mark.parametrize("dynamics", ["semiquantum1", "classical"])
     def test_hermitian_flows_take_the_unitary_route(self, dynamics):
         blocks = all_generator_blocks(dynamics, SEXTIC, 128, nu_top=23)

@@ -32,6 +32,7 @@ from oracles import (
     classical_block_analytic,
     coherent_density,
     stacked_trajectory,
+    wigner_field_full_depth,
     wigner_field_pointwise,
 )
 
@@ -39,6 +40,8 @@ QUARTIC = ModelSpec.quartic(mu=0.5)
 SEXTIC = ModelSpec.sextic(mu=0.5)
 FIG3_STATE = GaussianState(kappa=2.0, alpha0=0.5)
 HBAR = QUARTIC.hbar
+# far enough out that the Laguerre values of a 256-level basis overflow
+WIDE_GRID = (-60.0, 60.0, -60.0, 60.0, 13, 13)
 
 
 def grid_axes(field: PhaseField):
@@ -66,6 +69,14 @@ def fig2_trajectory():
     """fig2's quantum flow at t = pi/4 alone: quartic, mu = 1/2, N = 128."""
     g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 128))
     return evolve(g0, "quantum", QUARTIC, [math.pi / 4.0])
+
+
+@pytest.fixture(scope="module")
+def fig2_fields():
+    """fig2's four quantum fields and their trajectory, as the preset renders them."""
+    g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 128))
+    traj = evolve(g0, "quantum", QUARTIC, [math.pi / 4.0 * i for i in range(1, 5)])
+    return traj, wigner_field(traj, DEFAULT_GRID)
 
 
 class TestDistinctRadii:
@@ -150,18 +161,101 @@ class TestBatchedRender:
     def test_zero_terms_skipped_per_time(self):
         # far out on a wide grid the Laguerre values of a 256-level basis
         # overflow; the vacuum's zero coefficients there are skipped, as
-        # they are when it renders alone, so its field stays finite
+        # they are when it renders alone, and so are the thermal state's
+        # columns past its cut (k > 100), so both fields stay finite; the
+        # 0.9^n diagonal keeps all its columns and overflows
         n = 256
         vacuum = np.zeros((n, n), dtype=complex)
         vacuum[0, 0] = 1.0
         thermal = np.diag(0.5 ** np.arange(1.0, n + 1.0)).astype(complex)
-        grid = (-60.0, 60.0, -60.0, 60.0, 13, 13)
+        slow = np.diag(0.9 ** np.arange(n)).astype(complex)
+        mats = [vacuum, thermal, slow]
         with np.errstate(all="ignore"):
-            fields = wigner_field(stacked_trajectory([vacuum, thermal], QUARTIC), grid)
-            alone = [field_of(g, QUARTIC, grid) for g in (vacuum, thermal)]
+            fields = wigner_field(stacked_trajectory(mats, QUARTIC), WIDE_GRID)
+            alone = [field_of(g, QUARTIC, WIDE_GRID) for g in mats]
         assert np.isfinite(fields[0].values).all()
+        assert np.isfinite(fields[1].values).all()
+        assert not np.isfinite(fields[2].values).all()
         for field, one in zip(fields, alone):
             assert np.array_equal(field.values, one.values, equal_nan=True)
+
+
+class TestSeriesCut:
+    """Each time's Laguerre series stops once its tail cannot move a field value."""
+
+    GRID = (-10.0, 10.0, -10.0, 10.0, 61, 61)
+
+    @staticmethod
+    def check_within_bound(field, g, model, grid):
+        # the documented bound, plus one rounding of the sum over sectors
+        filled = [nu for nu in range(len(g)) if np.diagonal(g, -nu).any()]
+        top = max(filled)
+        peak = np.abs(np.tril(g)).max()
+        bound = (2 + 4 * top) * 2.0**-100 * peak / (2.0 * math.pi * model.hbar)
+        full, scale = wigner_field_full_depth(g, model, grid)
+        assert np.all(np.abs(field.values - full) <= bound + np.spacing(scale))
+
+    def test_fig2_fields_within_bound_of_full_depth(self, fig2_fields):
+        traj, fields = fig2_fields
+        for i, field in enumerate(fields):
+            self.check_within_bound(field, traj.matrix(i), QUARTIC, DEFAULT_GRID)
+
+    @pytest.mark.parametrize("ratio", [0.9, 0.5])
+    def test_thermal_diagonal_within_bound_of_full_depth(self, ratio):
+        g = np.diag((1.0 - ratio) * ratio ** np.arange(128.0)).astype(complex)
+        self.check_within_bound(field_of(g, QUARTIC, self.GRID), g, QUARTIC, self.GRID)
+
+    def test_cut_adapts_to_the_state(self, fig2_fields, monkeypatch):
+        depths = []
+        profile = render._sector_profile
+
+        def recording(diags, nu, x):
+            depths.append(diags.shape[1])
+            return profile(diags, nu, x)
+
+        monkeypatch.setattr(render, "_sector_profile", recording)
+        traj, _ = fig2_fields
+        wigner_field(traj, self.GRID)
+        # fig2's coefficients fall below 1e-30 by k = 20
+        assert max(depths) <= 21
+        depths.clear()
+        # the tail of 0.5^n from k = 101 on, 2^-100 less rounding, is past the cut
+        for ratio, kept in ((0.9, 128), (0.5, 101)):
+            g = np.diag(ratio ** np.arange(128.0)).astype(complex)
+            field_of(g, QUARTIC, self.GRID)
+            assert depths.pop() == kept
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_non_finite_entry_is_not_cut(self, poison):
+        # the coherent state's entries at n = 20 lie far below the floor,
+        # so only the poisoned entry keeps its column; the NaN also makes
+        # the time's largest |entry| NaN
+        g = coherent_density(0.3, 24)
+        g[20, 20] = poison
+        with np.errstate(all="ignore"):
+            field = field_of(g, QUARTIC, self.GRID)
+            want = wigner_field_pointwise(g, QUARTIC, self.GRID)
+        assert not np.isfinite(field.values).all()
+        assert np.array_equal(field.values, want, equal_nan=True)
+
+    def test_radial_functions_bounded_by_two(self):
+        # |rho_k^nu(x)| = 2 sqrt(k!/(k+nu)!) x^(nu/2) e^(-x/2) |L_k^nu(x)| <= 2,
+        # the dyad-Wigner bound the cut rests on, by a 50-digit recurrence
+        import mpmath
+
+        peak = 0.0
+        with mpmath.workdps(50):
+            for nu in (0, 1, 2, 3, 5, 8, 13, 21, 34, 60):
+                for x in map(mpmath.mpf, np.geomspace(1e-3, 900.0, 60)):
+                    weight = 2 * x ** (nu / 2) * mpmath.exp(-x / 2) / mpmath.sqrt(mpmath.factorial(nu))
+                    l_prev, l_cur = mpmath.mpf(0), mpmath.mpf(1)
+                    for k in range(121):
+                        if k > 0:
+                            l_prev, l_cur = l_cur, ((2 * k - 1 + nu - x) * l_cur - (k - 1 + nu) * l_prev) / k
+                            weight *= mpmath.sqrt(mpmath.mpf(k) / (k + nu))
+                        peak = max(peak, abs(weight * l_cur))
+        assert peak <= 2
+        assert peak > 1.999  # nu = k = 0 at the smallest x: 2 e^(-x/2)
 
 
 class TestWignerField:
