@@ -36,12 +36,28 @@ File formats: binary PGM (P5, maxval 255) with the affine value map
 vscale = max|value| (stored in a '# vscale=' header comment, so the map
 inverts to value ~ (gray - 128) / 127 * vscale), a 0/255 PGM for the
 negative mask, and a CSV matrix with '#' header lines, one grid row per
-line, 17 significant digits, each row written by one '%.17g' format call
-(the same bytes as formatting value by value).
+line, each value written exactly as '%.17g' writes it.
+
+The CSV is formatted by a numpy kernel, 16 grid rows at a time. For each
+cell it takes E = floor(log10|x|) and forms |x| 10^(16 - E) as a
+double-double: Dekker's exact product of |x| and the double nearest
+10^(16 - E), plus |x| times the rest of that power. The sum carries an
+error of about 1e-14 on a value near 1e17, so its integer part I and
+fraction f are exact up to that; an I outside [1e16, 1e17) steps E by
+one and is recomputed. The 17 digits are D = I + (f > 1/2), with
+D = 1e17 read as 1e16 at E + 1, which is '%.17g''s correctly rounded
+significand, and E picks its notation: scientific for E < -4 or E >= 17,
+trailing zeros dropped, an exponent of at least two digits. Where that
+argument does not hold, the cell is formatted by '%.17g' itself:
+|f - 1/2| < 1e-7 (ties, which '%.17g' rounds half to even); f within
+1e-7 of an integer while I is 1e16 or 1e17 - 1 (the decade is in doubt);
+an I still outside [1e16, 1e17); and |x| outside [1e-250, 1e250), zero,
+NaN and +-inf.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -310,14 +326,162 @@ def write_mask_pgm(field: PhaseField, path) -> None:
 
 
 def write_field_csv(field: PhaseField, path, provenance: str = "") -> None:
-    """CSV matrix of the field, one grid row (fixed p) per line."""
+    """CSV matrix of the field, one grid row (fixed p) per line.
+
+    Each value is written as '%.17g' writes it, byte for byte, by the
+    kernel the module docstring describes, _CSV_BLOCK_ROWS rows at a
+    time; the cells that kernel cannot prove exact go to '%.17g' itself.
+    """
     q_min, q_max, p_min, p_max, nq, npts = field.grid
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        if provenance:
-            fh.write(f"# {provenance}\n")
-        fh.write(f"# grid q_min={q_min:.17g} q_max={q_max:.17g} nq={nq}\n")
-        fh.write(f"# grid p_min={p_min:.17g} p_max={p_max:.17g} np={npts}\n")
-        fh.write(f"# total_mass={field.total_mass:.17g}\n")
-        line = ",".join(["%.17g"] * field.values.shape[1]) + "\n"
-        for row in field.values.tolist():
-            fh.write(line % tuple(row))
+    values = np.asarray(field.values, dtype=float)
+    header = ""
+    if provenance:
+        header += f"# {provenance}\n"
+    header += f"# grid q_min={q_min:.17g} q_max={q_max:.17g} nq={nq}\n"
+    header += f"# grid p_min={p_min:.17g} p_max={p_max:.17g} np={npts}\n"
+    header += f"# total_mass={field.total_mass:.17g}\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for start in range(0, values.shape[0], _CSV_BLOCK_ROWS):
+            fh.write(_csv_rows(values[start : start + _CSV_BLOCK_ROWS]))
+
+
+_CSV_BLOCK_ROWS = 16
+# the kernel formats |x| in [_CSV_LOW, _CSV_HIGH); the rest goes to '%.17g'
+_CSV_LOW, _CSV_HIGH = 1e-250, 1e250
+# a fraction this close to 1/2, or to an integer at a decade edge, goes to '%.17g'
+_CSV_MARGIN = 1e-7
+# decimal exponents the tables cover, with room for log10 to be one off
+_E_MIN, _E_MAX = -256, 256
+_VELTKAMP = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
+
+
+def _words(slots: np.ndarray) -> np.ndarray:
+    """Rows of 8 byte slots as little-endian words, so slot k is bits 8k to 8k+7."""
+    return np.ascontiguousarray(slots, dtype=np.uint8).view("<u8")[..., 0]
+
+
+@functools.cache
+def _csv_tables() -> tuple[np.ndarray, ...]:
+    """Tables for _csv_rows, built on first use.
+
+    Indexed by E - _E_MIN: hi + lo is 10^(16 - E) to about 2^-106
+    relative; lead holds E's '0.000' in slots 1 to 5 and exp its 'e+XX'
+    in slots 0 to 4 of a word, NUL where E's notation has none; point is
+    the digit a decimal point follows in fixed notation. Indexed by 0 to
+    9999: quad holds the four digits in slots 0, 2, 4, 6 and zeros their
+    count of trailing zeros (4 for 0). keep[j, s] masks the digits of
+    quad word j (digits 4j + 1 to 4j + 4) up to digit s.
+    """
+    exps = range(_E_MIN, _E_MAX + 1)
+    hi = np.empty(len(exps))
+    lo = np.empty(len(exps))
+    lead = np.zeros((len(exps), 8), dtype=np.uint8)
+    exp = np.zeros((len(exps), 8), dtype=np.uint8)
+    point = np.zeros(len(exps), dtype=np.int64)
+    for i, e in enumerate(exps):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi[i] = num / den  # int / int rounds correctly, as does the line below
+        h_num, h_den = float(hi[i]).as_integer_ratio()
+        lo[i] = (num * h_den - h_num * den) / (den * h_den)
+        if -4 <= e < 0:
+            text = b"0." + b"0" * (-1 - e)
+            lead[i, 1 : 1 + len(text)] = np.frombuffer(text, dtype=np.uint8)
+        elif 0 <= e < 17:
+            point[i] = e
+        else:
+            text = b"e%+03d" % e
+            if len(text) == 4:
+                text = text[:2] + b"\0" + text[2:]
+            exp[i, :5] = np.frombuffer(text, dtype=np.uint8)
+    q = np.arange(10000)
+    quad = np.zeros((10000, 8), dtype=np.uint8)
+    quad[:, 0::2] = q[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+    zeros = sum(q % 10**k == 0 for k in range(1, 5))
+    keep = np.zeros((4, 17, 8), dtype=np.uint8)
+    digit = 4 * np.arange(4)[:, None, None] + 1 + np.arange(4)
+    keep[:, :, 0::2] = np.where(digit <= np.arange(17)[:, None], 0xFF, 0)
+    return hi, lo, _words(lead), _words(exp), point, _words(quad), zeros, _words(keep)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray, hi: np.ndarray, lo: np.ndarray):
+    """Integer part I and fraction f of a * 10^(16 - e), to about 1e-14.
+
+    a * hi is taken exactly as p plus its rounding error (Dekker's
+    product, Numer. Math. 18, 224 (1971), with Veltkamp's split, as numpy
+    has no fused multiply-add); a * lo is added to the error.
+    """
+    h, l = hi[e - _E_MIN], lo[e - _E_MIN]
+    p = a * h
+    a1, a2 = _split(a)
+    h1, h2 = _split(h)
+    err = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2
+    whole = np.floor(p)
+    rest = (p - whole) + (err + a * l)
+    carry = np.floor(rest)
+    return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _VELTKAMP * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _csv_rows(values: np.ndarray) -> bytes:
+    """The CSV lines of a block of rows, each ','.join('%.17g' % v) + '\\n'.
+
+    A cell is 48 byte slots, written as six words: sign | '0.000' lead |
+    17 digits, each followed by an optional point | 'e+XXX' | separator,
+    then two spare slots. Slots a cell does not use hold NUL, which
+    bytes.translate squeezes out. The cells that the module docstring
+    sends to '%.17g' overwrite their slots with its bytes.
+    """
+    hi, lo, lead, exp, point, quad, zeros, keep = _csv_tables()
+    cols = values.shape[1]
+    x = values.ravel()
+    a = np.abs(x)
+    fast = (a >= _CSV_LOW) & (a < _CSV_HIGH)  # false on NaN
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    whole, frac = _scaled(a, e, hi, lo)
+    # log10 can miss the decade by one next to a power of ten
+    step = (whole >= 10**17).astype(np.int64) - (whole < 10**16)
+    moved = np.flatnonzero(step)
+    if moved.size:
+        e[moved] += step[moved]
+        whole[moved], frac[moved] = _scaled(a[moved], e[moved], hi, lo)
+    near_int = (frac < _CSV_MARGIN) | (frac > 1.0 - _CSV_MARGIN)
+    fast &= (whole >= 10**16) & (whole < 10**17) & (np.abs(frac - 0.5) >= _CSV_MARGIN)
+    fast &= ~(near_int & ((whole == 10**16) | (whole == 10**17 - 1)))
+    digits = np.where(fast, whole + (frac > 0.5), 10**16)
+    top = digits == 10**17
+    digits[top] = 10**16
+    e[top] += 1
+    e[~fast] = 0
+    i = e - _E_MIN
+
+    first, rest = np.divmod(digits, 10**16)
+    upper, lower = np.divmod(rest, 10**8)
+    quads = [*np.divmod(upper, 10**4), *np.divmod(lower, 10**4)]
+    trailing = zeros[quads[3]]
+    for n, q in enumerate(quads[2::-1], 1):
+        trailing += np.where(trailing == 4 * n, zeros[q], 0)
+    last = 16 - trailing  # the last nonzero digit; digit 0 is never zero
+    at = point[i]
+    shown = np.maximum(last, at)
+    words = np.empty((x.size, 6), dtype="<u8")
+    words[:, 0] = lead[i] | (first.astype("<u8") + ord("0")) << 48
+    words[:, 0] |= np.signbit(x).astype("<u8") * ord("-")
+    for j, q in enumerate(quads):
+        words[:, 1 + j] = quad[q] & keep[j, shown]
+    words[:, 5] = exp[i] | ord(",") << 40
+    words[cols - 1 :: cols, 5] ^= (ord(",") ^ ord("\n")) << 40
+    slots = words.view(np.uint8)
+    dot = np.flatnonzero((last > at) & (lead[i] == 0))
+    slots[dot, 7 + 2 * at[dot]] = ord(".")
+    for k in np.flatnonzero(~fast):
+        text = b"%.17g" % x[k]
+        slots[k, :45] = 0
+        slots[k, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return slots.tobytes().translate(None, b"\0")

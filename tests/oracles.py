@@ -26,6 +26,8 @@ closed forms the tests pin it against, live here:
   |entry| (series_cut) as production cuts it; wigner_field_full_depth,
   the same synthesis with no cut, and the sum of the moduli of its sector
   terms at each point, which bounds every partial sum of the field;
+- field_csv_pointwise, the field CSV written one '%.17g' call per value,
+  the reference for render.write_field_csv's vectorized formatter;
 - break_time, the first split of two first-moment curves;
 - lie_poisson_flow, the classical limit of the sector algebra: the
   su(1,1) Lie-Poisson flow of a function Q of J = (J1, J2, J3);
@@ -401,6 +403,19 @@ def wigner_field_full_depth(g, model, grid) -> tuple[np.ndarray, np.ndarray]:
         scale = scale + modulus
     norm = 2.0 * math.pi * model.hbar
     return (total / norm).reshape(grid[5], grid[4]), (scale / norm).reshape(grid[5], grid[4])
+
+
+def field_csv_pointwise(field, path, provenance: str = "") -> None:
+    """The CSV that render.write_field_csv writes, formatting one value at a time."""
+    q_min, q_max, p_min, p_max, nq, npts = field.grid
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        if provenance:
+            fh.write(f"# {provenance}\n")
+        fh.write(f"# grid q_min={q_min:.17g} q_max={q_max:.17g} nq={nq}\n")
+        fh.write(f"# grid p_min={p_min:.17g} p_max={p_max:.17g} np={npts}\n")
+        fh.write(f"# total_mass={field.total_mass:.17g}\n")
+        for row in field.values.tolist():
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
 def break_time(traj_a, traj_b, threshold: float) -> float:

@@ -645,12 +645,14 @@ class TestExitCodes:
 class TestStartup:
     # scipy is imported only where a Moyal rung is built, so the CLI and every
     # run without semiclassical1 start without it; the version string comes
-    # from the package itself, so importlib.metadata is never loaded
+    # from the package itself, so importlib.metadata is never loaded; the
+    # CSV formatter's tables are built on the first field written, not at import
     PROBE = (
         "import sys\n"
-        "from groenewold_lab import cli\n"
+        "from groenewold_lab import cli, render\n"
         "assert 'scipy' not in sys.modules, 'import groenewold_lab.cli loaded scipy'\n"
         "assert 'importlib.metadata' not in sys.modules, 'the CLI loaded importlib.metadata'\n"
+        "assert render._csv_tables.cache_info().currsize == 0, 'the CLI import built CSV tables'\n"
         "code = cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
         "print(code, 'scipy' in sys.modules)\n"
     )

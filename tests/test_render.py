@@ -11,6 +11,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from groenewold_lab import render
 from groenewold_lab.errors import ConfigError
@@ -31,6 +34,7 @@ from groenewold_lab.states import GaussianState, groenewold_from_gaussian
 from oracles import (
     classical_block_analytic,
     coherent_density,
+    field_csv_pointwise,
     stacked_trajectory,
     wigner_field_full_depth,
     wigner_field_pointwise,
@@ -484,3 +488,72 @@ class TestFileFormats:
         assert len(body) == 16
         parsed = np.array([[float(tok) for tok in ln.split(",")] for ln in body])
         assert np.array_equal(parsed, field.values)
+
+
+def csv_bytes(write, values: np.ndarray, folder) -> bytes:
+    """The bytes write puts in a field CSV of values, on a grid of their shape."""
+    rows, cols = values.shape
+    field = PhaseField((-1.0, 1.0, -1.0, 1.0, cols, rows), values, values < 0.0, 0.25)
+    path = folder / f"{write.__name__}.csv"
+    write(field, path, provenance="csv kernel")
+    return path.read_bytes()
+
+
+def assert_csv_matches_pointwise(values, folder) -> None:
+    got = csv_bytes(write_field_csv, values, folder)
+    want = csv_bytes(field_csv_pointwise, values, folder)
+    assert got.split(b"\n") == want.split(b"\n")
+    assert got == want
+
+
+def as_rows(values, cols: int = 7) -> np.ndarray:
+    """values padded with 1.0 to full rows of cols."""
+    values = np.asarray(values, dtype=float).ravel()
+    return np.concatenate((values, np.ones(-values.size % cols))).reshape(-1, cols)
+
+
+class TestCsvKernel:
+    """write_field_csv against one '%.17g' call per value, byte for byte."""
+
+    def test_fig1_and_fig2_fields(self, fig2_fields, tmp_path):
+        _, quantum = fig2_fields
+        times = [math.pi / 4.0 * i for i in range(1, 5)]
+        classical = [whorl_phase_field(FIG3_STATE, QUARTIC, t) for t in times]
+        for field in classical + quantum:
+            assert_csv_matches_pointwise(field.values, tmp_path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+            elements=st.floats(),
+        )
+    )
+    def test_any_floats(self, values, tmp_path_factory):
+        assert_csv_matches_pointwise(values, tmp_path_factory.mktemp("csv"))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (17, 3), (33, 5)])
+    def test_row_count_off_the_block_size(self, shape, tmp_path):
+        rng = np.random.default_rng(sum(shape))
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+        assert_csv_matches_pointwise(values, tmp_path)
+
+    def test_every_fallback_branch(self, tmp_path):
+        rng = np.random.default_rng(17)
+        # m/4 >= 1e15 has 18 significant digits ending in 5: a tie at 17,
+        # which '%.17g' rounds half to even
+        m = rng.integers(2**51, 2**52, 4000) | 1
+        ties = np.array([1e15 + 0.25, 1e15 + 0.75, 1125899906842623.75])
+        powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        edges = np.array([1e-5, 1e16, 1e17, 99999999999999999.0])
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
+        values = np.concatenate([m / 4.0, ties, special])
+        for centre in (powers, edges):
+            values = np.concatenate(
+                [values, centre, np.nextafter(centre, 0.0), np.nextafter(centre, np.inf)]
+            )
+        values = np.concatenate([values, -values])
+        assert_csv_matches_pointwise(as_rows(values), tmp_path)
+        body = csv_bytes(write_field_csv, as_rows(ties[:2], 2), tmp_path).split(b"\n")[-2]
+        assert body == b"1000000000000000.2,1000000000000000.8"
