@@ -296,6 +296,15 @@ def whorl_phase_field(
 # ---------------------------------------------------------------------------
 # File formats
 
+_CSV_BLOCK_ROWS = 16
+# the kernel formats |x| in [_CSV_LOW, _CSV_HIGH); the rest goes to '%.17g'
+_CSV_LOW, _CSV_HIGH = 1e-250, 1e250
+# a fraction this close to 1/2, or to an integer at a decade edge, goes to '%.17g'
+_CSV_MARGIN = 1e-7
+# decimal exponents the tables cover, with room for log10 to be one off
+_E_MIN, _E_MAX = -256, 256
+_VELTKAMP = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
+
 
 def _gray_map(values: np.ndarray) -> tuple[np.ndarray, float]:
     vscale = float(np.abs(values).max())
@@ -344,16 +353,6 @@ def write_field_csv(field: PhaseField, path, provenance: str = "") -> None:
         fh.write(header.encode("ascii"))
         for start in range(0, values.shape[0], _CSV_BLOCK_ROWS):
             fh.write(_csv_rows(values[start : start + _CSV_BLOCK_ROWS]))
-
-
-_CSV_BLOCK_ROWS = 16
-# the kernel formats |x| in [_CSV_LOW, _CSV_HIGH); the rest goes to '%.17g'
-_CSV_LOW, _CSV_HIGH = 1e-250, 1e250
-# a fraction this close to 1/2, or to an integer at a decade edge, goes to '%.17g'
-_CSV_MARGIN = 1e-7
-# decimal exponents the tables cover, with room for log10 to be one off
-_E_MIN, _E_MAX = -256, 256
-_VELTKAMP = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
 
 
 def _words(slots: np.ndarray) -> np.ndarray:
