@@ -563,7 +563,8 @@ def main(argv=None) -> int:
             g0 = groenewold_from_gaussian(cfg.state, cfg.n_basis, tail_tol=cfg.tail_tol)
             filled = top_filled_sector(g0, cfg.n_basis - 1)
             for name in cfg.dynamics:  # what run builds, Moyal rules included
-                all_generator_blocks(name, cfg.model, cfg.n_basis, nu_top=filled)
+                for _ in all_generator_blocks(name, cfg.model, cfg.n_basis, nu_top=filled):
+                    pass
             print(
                 f"config ok: K={cfg.model.K} N={cfg.n_basis} "
                 f"dynamics={','.join(cfg.dynamics)} steps={len(cfg.times)}"

@@ -8,10 +8,10 @@ BlockPropagator factors L once and reuses the factorization for every
 requested time. Every flow is linear and acts on one sector at a time,
 so a sector that starts empty stays an exact zero: evolve builds, factors,
 propagates and stores only the sectors up to the initial matrix's top
-filled one. It keeps nothing between calls: it looks up
-all_generator_blocks afresh and factors those sectors again.
-The one memo on this path is generators._hilbert_rungs, which shares the
-commutator correction rungs between dynamics. The routes are:
+filled one, one sector at a time, each factored before the next is built.
+Nothing on this path is kept between calls: evolve looks up
+all_generator_blocks afresh, and the generators are rebuilt and factored
+again on every call. The routes are:
 
 - "diagonal"        exactly diagonal generator (the quantum flow, and the
                     zero generator of the frozen nu = 0 sector); the
@@ -73,7 +73,7 @@ class BlockPropagator:
         L = np.asarray(L, dtype=complex)
         if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] == 0:
             raise ConfigError("sector generator must be a non-empty square matrix")
-        self.L = L
+        self.size = L.shape[0]
         if float(np.abs(L - np.diag(np.diagonal(L))).max()) == 0.0:
             self.route = "diagonal"
             self._d = np.diagonal(L).copy()
@@ -110,10 +110,10 @@ class BlockPropagator:
         """Rows exp(t L) g0 for each requested time (sorted, finite)."""
         times = _check_times(times)
         g0 = np.asarray(g0, dtype=complex)
-        if g0.shape != (self.L.shape[0],):
+        if g0.shape != (self.size,):
             raise ConfigError(
                 f"initial sector vector has length {g0.shape}, "
-                f"generator is {self.L.shape[0]}x{self.L.shape[0]}"
+                f"generator is {self.size}x{self.size}"
             )
         if self.route == "diagonal":
             out = np.exp(times[:, None] * self._d) * g0
@@ -211,7 +211,9 @@ def evolve(g0, dynamics: str, model: ModelSpec, times) -> Trajectory:
     follows by conjugation because every sector generator satisfies
     L_{-nu} = conj(L_nu). Only the sectors up to top_filled_sector are
     built, factored, propagated and stored; exp(t L) 0 = 0 on every route,
-    so the empty sectors above it need nothing.
+    so the empty sectors above it need nothing. Each sector is factored as
+    its generator arrives, and no more than top_filled_sector + 1 blocks
+    are taken from the builder.
     """
     g0 = np.asarray(g0, dtype=complex)
     if g0.ndim != 2 or g0.shape[0] != g0.shape[1] or g0.shape[0] < 1:
@@ -225,9 +227,9 @@ def evolve(g0, dynamics: str, model: ModelSpec, times) -> Trajectory:
     filled = top_filled_sector(g0, dim - 1)
     blocks = all_generator_blocks(dynamics, model, dim, nu_top=filled)
     history: dict[int, np.ndarray] = {}
-    for nu in range(filled + 1):
+    for nu, block in zip(range(filled + 1), blocks):
         try:
-            p = BlockPropagator(blocks[nu])
+            p = BlockPropagator(block)
         except ValidationFailed as exc:
             raise ValidationFailed(f"{dynamics} sector nu={nu}: {exc}") from None
         g = np.diagonal(g0, offset=-nu)

@@ -35,29 +35,26 @@ integrands exactly. all_generator_blocks is the one builder of sector
 generators. The tests compare both engines, rung by rung, with each other
 and with the analytic tridiagonal Liouville generator.
 
-Each engine has one builder. _hilbert_rungs builds each C_j once on a
-basis padded by exactly 2j levels: a sector entry reads h and the ladder
-values at most 2j indices beyond its row, a reach fixed by the offsets of
-the ladder products and not by the values of h, so every entry is already
-that of any larger pad. _moyal_rungs projects each D_j sector once, on a
-generalized Gauss-Laguerre rule with more nodes than its polynomial
-integrands need; the rule checks itself in gauss_genlaguerre_rule.
-_hilbert_rungs is the module's one memo, because the C_1 and C_2 rungs
-are shared between semiquantum1, classical and semiclassical1. The pair
-lists and the Moyal rungs are rebuilt on every call and not kept: a run
-needs each of them once. rung_count says which rungs each dynamics needs.
+Each engine builds one sector at a time. all_generator_blocks builds
+each C_j pair list once per call, on a basis padded by exactly the 2j
+levels a sector entry reads, and _moyal_sector projects one D_j sector on
+a generalized Gauss-Laguerre rule that checks itself in
+gauss_genlaguerre_rule; the builder's comments give both sizes. The
+module keeps nothing between calls: the dynamics that share the C_1 and
+C_2 rungs each rebuild them. rung_count says which rungs each dynamics
+needs.
 
 The nu = 0 sector is frozen under all four dynamics (every generator is a
-multiple of nu), so correction blocks for nu = 0 are returned as exact
-zeros; the engines themselves are cross-checked against that statement in
-the tests. Blocks are built for nu >= 0 only; the block for -nu is the
-complex conjugate of the block for nu.
+multiple of nu), so its generator is the quantum one, an exact zero, and
+no correction is built for it; the engines themselves are cross-checked
+against that statement in the tests. Blocks are built for nu >= 0 only;
+the block for -nu is the complex conjugate of the block for nu.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -169,29 +166,6 @@ def nu_block_from_pairs(pairs: list, nu: int, n: int) -> np.ndarray:
         diag = flat[r0 * (n + 1) - dl :: n + 1][:m]  # out[r, r - dl] for r >= r0
         diag += c * (vl[r0 + nu : r0 + nu + m] * vr[r0 - dl : r0 - dl + m])
     return out
-
-
-@lru_cache(maxsize=32)
-def _hilbert_rungs(model: ModelSpec, j: int, nmax: int, nu_top: int) -> tuple:
-    """C_j sector blocks for nu = 0 .. nu_top, sizes nmax - nu, memoized and read-only.
-
-    The pair list is built once on nmax + 2j levels. A product of one-offset
-    matrices reads each factor one index above or below the last, and a
-    pair member carries at most 2j lowering factors: those of the h
-    derivative and those of the G derivative together. So the sector rows
-    below nmax read h and the ladder values only at indices below
-    nmax + 2j, where they equal the untruncated values, and a larger pad
-    adds rows that no entry reads. The reach comes from the offsets alone,
-    not from the values of h, so it holds for every model; with 2j - 1
-    rows the last row's deepest lowering path runs into the truncated
-    edge. Every caller receives the same arrays.
-    """
-    pairs = hilbert_correction_pairs(model, j, nmax + 2 * j)
-    rungs = [np.zeros((nmax, nmax), dtype=complex)]
-    rungs += [nu_block_from_pairs(pairs, nu, nmax - nu) for nu in range(1, nu_top + 1)]
-    for block in rungs:
-        block.flags.writeable = False
-    return tuple(rungs)
 
 
 # ---------------------------------------------------------------------------
@@ -312,26 +286,8 @@ def _moyal_sector(model: ModelSpec, j: int, nu: int, n: int, q_nodes: int) -> np
     return pref * (vm @ r.T)
 
 
-def _moyal_rungs(model: ModelSpec, j: int, nmax: int, nu_top: int) -> tuple:
-    """D_j sector blocks for nu = 0 .. nu_top, sizes nmax - nu, each projected once.
-
-    On sector nu, n = nmax - nu, the integrands for the weight x^nu e^-x
-    are polynomials of degree at most 2n + K - 3: 2(n - 1) from the two
-    Laguerre rows, K - 1 from the jets, because the 2j + 2 Moyal terms
-    share their top-degree part, (-2u)^s h^(s)(u) times the dyad with
-    s = 2j + 1, and their binomial signs sum to zero. So n + K/2 - 1 nodes,
-    rounded up, are exact. The 2 nmax + 16 nodes used here keep the blocks
-    bit-identical to the node-doubled build they replaced until the
-    benchmark references are re-recorded (ROADMAP item 1).
-    """
-    q_nodes = 2 * nmax + 16
-    rungs = [np.zeros((nmax, nmax), dtype=complex)]
-    rungs += [_moyal_sector(model, j, nu, nmax - nu, q_nodes) for nu in range(1, nu_top + 1)]
-    return tuple(rungs)
-
-
 # ---------------------------------------------------------------------------
-# all sectors at once
+# sector generators, one at a time
 
 def rung_count(dynamics: str, K: int) -> int:
     """Number of commutator rungs C_j that one dynamics adds for a degree-K model.
@@ -360,18 +316,19 @@ def all_generator_blocks(
     model: ModelSpec,
     nmax: int,
     nu_top: int | None = None,
-) -> list:
+) -> Iterator[np.ndarray]:
     """Sector generators for nu = 0 .. nu_top (default nmax-1), sizes nmax - nu.
 
-    The quantum part of sector nu is the diagonal
-    -i (E_{k+nu} - E_k) / hbar, read from one spectrum E_0 .. E_{nmax-1}.
-    Shares one padded construction across sectors, which is what makes
-    full-matrix evolution at the working sizes cheap. The C_j rungs are
-    memoized per model, truncation and order in _hilbert_rungs, so
-    dynamics that share a rung build it once; the Moyal rungs are built
-    on every call. evolve passes the initial matrix's top filled sector
-    (23 for fig3's state at N = 128), so the empty sectors above it are
-    never built.
+    The arguments are checked, and the spectrum and the C_j pair lists
+    built, at the call. The returned iterator then builds each sector's
+    generator when it is asked for it: the quantum diagonal
+    -i (E_{k+nu} - E_k) / hbar from one spectrum E_0 .. E_{nmax-1}, plus
+    the C_j sector blocks in order of j, plus D_1 for semiclassical1.
+    Nothing is kept between calls, so dynamics that share a rung each
+    rebuild it. evolve passes the initial matrix's top filled sector (23
+    for fig3's state at N = 128) and factors each block as it arrives, so
+    the empty sectors above it are never built and no whole-run list of
+    blocks is held.
     """
     j_top = rung_count(dynamics, model.K)
     if nmax < 1:
@@ -381,14 +338,38 @@ def all_generator_blocks(
     if not 0 <= nu_top <= nmax - 1:
         raise ConfigError("nu_top must lie in [0, nmax - 1]")
     e = model.eigenvalues(nmax)
-    quantum = [
-        np.diag(-1j * ((e[nu:] - e[: nmax - nu]) / model.hbar)) for nu in range(nu_top + 1)
-    ]
-    if dynamics == "quantum" or nu_top == 0:
-        return quantum  # every correction rung is zero on the frozen nu = 0 sector
-    terms = [_hilbert_rungs(model, j, nmax, nu_top) for j in range(1, j_top + 1)]
-    out = [quantum[nu] + sum(t[nu] for t in terms) for nu in range(nu_top + 1)]
-    if dynamics == "semiclassical1" and model.K > 1:
-        moyal = _moyal_rungs(model, 1, nmax, nu_top)
-        out = [out[nu] + moyal[nu] for nu in range(nu_top + 1)]
-    return out
+    # Each C_j pair list is built on nmax + 2j levels. A product of
+    # one-offset matrices reads each factor one index above or below the
+    # last, and a pair member carries at most 2j lowering factors: those of
+    # the h derivative and those of the G derivative together. So the
+    # sector rows below nmax read h and the ladder values only at indices
+    # below nmax + 2j, where they equal the untruncated values, and a
+    # larger pad adds rows that no entry reads. The reach comes from the
+    # offsets alone, not from the values of h, so it holds for every model;
+    # with 2j - 1 rows the last row's deepest lowering path runs into the
+    # truncated edge. The frozen nu = 0 sector needs no rung.
+    if nu_top == 0:
+        j_top = 0
+    pairs = [hilbert_correction_pairs(model, j, nmax + 2 * j) for j in range(1, j_top + 1)]
+    # On sector nu, n = nmax - nu, the D_j integrands for the weight
+    # x^nu e^-x are polynomials of degree at most 2n + K - 3: 2(n - 1) from
+    # the two Laguerre rows, K - 1 from the jets, because the 2j + 2 Moyal
+    # terms share their top-degree part, (-2u)^s h^(s)(u) times the dyad
+    # with s = 2j + 1, and their binomial signs sum to zero. So n + K/2 - 1
+    # nodes, rounded up, are exact. The 2 nmax + 16 nodes used here keep the
+    # blocks bit-identical to the node-doubled build they replaced until the
+    # benchmark references are re-recorded (ROADMAP item 1).
+    q_nodes = 2 * nmax + 16
+    moyal = dynamics == "semiclassical1" and model.K > 1
+
+    def sectors():
+        for nu in range(nu_top + 1):
+            n = nmax - nu
+            block = np.diag(-1j * ((e[nu:] - e[:n]) / model.hbar))
+            if nu and dynamics != "quantum":  # every correction is zero on nu = 0
+                block = block + sum(nu_block_from_pairs(p, nu, n) for p in pairs)
+                if moyal:
+                    block = block + _moyal_sector(model, 1, nu, n, q_nodes)
+            yield block
+
+    return sectors()

@@ -4,9 +4,10 @@ The package builds every sector generator with one function,
 generators.all_generator_blocks. The routes it does not take, and the
 closed forms the tests pin it against, live here:
 
-- sector and rung read one generator sector, or one correction rung C_j
-  (commutator route) or D_j (Moyal-Galerkin route, D_0 being the Galerkin
-  Poisson generator), from the production builders;
+- sector reads one generator sector from the production builder, and
+  rung builds one correction rung C_j (commutator route) or D_j
+  (Moyal-Galerkin route, D_0 being the Galerkin Poisson generator) on one
+  sector with the production engines, pad and node count;
 - quantum_block, the quantum sector generator from
   ModelSpec.level_frequencies, one spectrum per sector;
 - the sl(2) sector blocks X1, X2, X3, P and the orthogonal U below, U from
@@ -64,9 +65,10 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from groenewold_lab import generators
 from groenewold_lab.errors import ConfigError
 from groenewold_lab.evolve import Trajectory
-from groenewold_lab.generators import _hilbert_rungs, _moyal_rungs, all_generator_blocks
+from groenewold_lab.generators import all_generator_blocks
 from groenewold_lab.mathkit import (
     _orthonormal_recurrence,
     bessel_i_scaled,
@@ -81,7 +83,7 @@ THETA = math.log(7.0 / 3.0) / 4.0
 def sector(dynamics, model, nu, n):
     """Generator of one dynamics on sector nu, size n, from all_generator_blocks."""
     anu = abs(nu)
-    block = all_generator_blocks(dynamics, model, n + anu, nu_top=anu)[anu]
+    block = list(all_generator_blocks(dynamics, model, n + anu, nu_top=anu))[anu]
     return np.conj(block) if nu < 0 else block
 
 
@@ -94,12 +96,15 @@ def quantum_block(nu, model, n):
 def rung(engine, model, j, nu, n):
     """C_j (engine "hilbert") or D_j (engine "moyal") on sector nu >= 0, size n.
 
-    Read from the production builder of that engine for nmax = n + nu.
+    Built by that engine for nmax = n + nu on the pad and node count that
+    all_generator_blocks uses: the pair list on nmax + 2j levels, the
+    Gauss-Laguerre rule on 2 nmax + 16 nodes.
     """
     if engine == "hilbert":
-        return _hilbert_rungs(model, j, n + nu, nu)[nu]
+        pairs = generators.hilbert_correction_pairs(model, j, n + nu + 2 * j)
+        return generators.nu_block_from_pairs(pairs, nu, n)
     if engine == "moyal":
-        return _moyal_rungs(model, j, n + nu, nu)[nu]
+        return generators._moyal_sector(model, j, nu, n, 2 * (n + nu) + 16)
     raise ValueError(f"unknown engine {engine!r}")
 
 

@@ -333,7 +333,7 @@ class TestExactPad:
         # check built on 8 K j + 8 rows and on twice that plus 8; one row
         # fewer than 2j changes some sector, so the reach is tight
         nmax = 48
-        got = generators._hilbert_rungs(model, j, nmax, nmax - 1)[1:]
+        got = [rung("hilbert", model, j, nu, nmax - nu) for nu in range(1, nmax)]
         pad = 8 * model.K * j + 8
         for wide in (pad, 2 * pad + 8):
             want = rungs_on_pad(model, j, nmax, wide)
@@ -349,11 +349,7 @@ class TestExactPad:
             return hilbert_correction_pairs(model, j, msize)
 
         monkeypatch.setattr(generators, "hilbert_correction_pairs", counted)
-        generators._hilbert_rungs.cache_clear()
-        try:
-            all_generator_blocks("classical", SEXTIC, 20)
-        finally:
-            generators._hilbert_rungs.cache_clear()
+        all_generator_blocks("classical", SEXTIC, 20)
         assert calls == [(1, 22), (2, 24)]
 
 
@@ -384,7 +380,7 @@ class TestExactRule:
             return build(model, j, nu, n, q_nodes)
 
         monkeypatch.setattr(generators, "_moyal_sector", counted)
-        got = generators._moyal_rungs(model, j, nmax, nmax - 1)[1:]
+        got = [rung("moyal", model, j, nu, nmax - nu) for nu in range(1, nmax)]
         assert calls == list(range(1, nmax))
         assert moyal_gap(got, model, j, 16) < 1e-11
         assert moyal_gap(got, model, j, -4) > 0.5
@@ -396,9 +392,11 @@ class TestGuards:
         # roots_genlaguerre; below that, the ceiling depends on the sectors
         # the state fills (fig3's state, sectors 0-23: N = 172)
         with pytest.raises(QuadratureNotConverged, match="364 nodes for alpha = 1:"):
-            all_generator_blocks("semiclassical1", SEXTIC, 174, nu_top=1)
+            list(all_generator_blocks("semiclassical1", SEXTIC, 174, nu_top=1))
 
     def test_bad_orders_rejected(self):
+        # all_generator_blocks checks its arguments at the call: no case
+        # here advances the iterator it returns
         with pytest.raises(ConfigError):
             hilbert_correction_pairs(QUARTIC, 0, 8)
         with pytest.raises(ConfigError):
@@ -409,6 +407,8 @@ class TestGuards:
             nu_block_from_pairs([], -1, 4)
         with pytest.raises(ConfigError):
             all_generator_blocks("classical", QUARTIC, 8, nu_top=8)
+        with pytest.raises(ConfigError, match="nu_top"):
+            all_generator_blocks("semiclassical1", QUARTIC, 8, nu_top=-1)
         # K = 5: the full ladder passes the tabulated inverse-sinc terms
         k5 = ModelSpec(b=(0.0,) * 5 + (1.0,), mu=0.2)
         assert rung_count("semiquantum1", k5.K) == 1
@@ -418,6 +418,7 @@ class TestGuards:
 
 class TestDispatch:
     def test_unknown_dynamics_rejected(self):
+        # at the call, like every argument check
         with pytest.raises(ConfigError):
             all_generator_blocks("stochastic", QUARTIC, 8)
 
@@ -426,29 +427,18 @@ class TestDispatch:
         # stopping at nu_top, as moment runs do, leaves every block it
         # builds bit for bit unchanged
         nmax = 24
-        blocks = all_generator_blocks(dynamics, SEXTIC, nmax)
+        blocks = list(all_generator_blocks(dynamics, SEXTIC, nmax))
         assert len(blocks) == nmax
         for nu_top in (0, 1, 5):
-            top = all_generator_blocks(dynamics, SEXTIC, nmax, nu_top=nu_top)
+            top = list(all_generator_blocks(dynamics, SEXTIC, nmax, nu_top=nu_top))
             assert len(top) == nu_top + 1
             for nu, block in enumerate(top):
                 assert block.shape == (nmax - nu, nmax - nu)
                 assert np.array_equal(block, blocks[nu])
 
-    def test_shared_rungs_built_once(self):
-        # semiquantum1 builds C_1; classical reuses it and builds C_2;
-        # semiclassical1 reuses both
-        generators._hilbert_rungs.cache_clear()
-        for dynamics in ("semiquantum1", "classical", "semiclassical1"):
-            all_generator_blocks(dynamics, SEXTIC, 16)
-        info = generators._hilbert_rungs.cache_info()
-        assert (info.misses, info.hits) == (2, 3)
-        # every caller gets the same arrays, so none may write to them
-        assert not any(b.flags.writeable for b in generators._hilbert_rungs(SEXTIC, 1, 16, 15))
-
     def test_frozen_sector_for_every_dynamics(self):
         for dynamics in DYNAMICS:
-            blocks = all_generator_blocks(dynamics, SEXTIC, 16)
+            blocks = list(all_generator_blocks(dynamics, SEXTIC, 16))
             assert np.abs(blocks[0]).max() == 0.0
 
 
