@@ -42,6 +42,7 @@ from .model import ModelSpec
 from .observables import moment_track, moment_width_variant, spectrum_extremes, squared_negativity
 from .render import (
     DEFAULT_GRID,
+    _check_grid,
     whorl_phase_field,
     wigner_field,
     write_field_csv,
@@ -234,23 +235,10 @@ def _build_outputs(doc: _Doc, raw: dict, n_basis: int):
             doc.fail("outputs.field", "must be false or an object")
         _check_keys(doc, fld, "outputs.field", ("grid", "time_list"), ("time_list",))
         grid = fld.get("grid")
-        if grid is None:
-            field_grid = DEFAULT_GRID
-        else:
-            if not isinstance(grid, list) or len(grid) != 6:
-                doc.fail("outputs.field.grid", "must be [q_min, q_max, p_min, p_max, nq, np]")
-            for i, v in enumerate(grid):
-                if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                    doc.fail("outputs.field.grid", f"entry {i} must be a finite number")
-            if not (grid[0] < grid[1] and grid[2] < grid[3]):
-                doc.fail("outputs.field.grid", "needs q_min < q_max and p_min < p_max")
-            for i in (4, 5):
-                if not isinstance(grid[i], int) or grid[i] < 2:
-                    doc.fail("outputs.field.grid", f"entry {i} must be an integer >= 2")
-            field_grid = (
-                float(grid[0]), float(grid[1]), float(grid[2]), float(grid[3]),
-                grid[4], grid[5],
-            )
+        try:
+            field_grid = DEFAULT_GRID if grid is None else _check_grid(grid)
+        except ConfigError as exc:
+            doc.fail("outputs.field.grid", str(exc))
         tl = fld["time_list"]
         if not isinstance(tl, list) or not tl:
             doc.fail("outputs.field.time_list", "must be a non-empty array of times")
@@ -366,6 +354,16 @@ def _write_csv(path: Path, cfg: ExperimentConfig, columns: list[str], rows) -> N
             fh.write("\n")
 
 
+def _needs_rows(cfg: ExperimentConfig) -> bool:
+    return bool(cfg.moments or cfg.spectrum_k or cfg.negativity or cfg.validate)
+
+
+def _evolved(cfg: ExperimentConfig, name: str) -> bool:
+    """Whether run evolves a dynamics: for rows, or for fields drawn from its
+    matrices. Classical fields are the continuum whorl density instead."""
+    return _needs_rows(cfg) or (bool(cfg.field_times) and name != "classical")
+
+
 def run(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Execute one validated config, writing artifacts into out_dir.
 
@@ -378,7 +376,7 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
     union = sorted(set(cfg.times) | set(cfg.field_times))
     row_idx = [union.index(t) for t in cfg.times]
     field_idx = [union.index(t) for t in cfg.field_times]
-    need_rows = cfg.moments or cfg.spectrum_k or cfg.negativity or cfg.validate
+    need_rows = _needs_rows(cfg)
 
     validate_rows: list = []
     moment_rows: list = []
@@ -387,13 +385,13 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
     fields: list = []  # (dynamics, t, PhaseField)
     worst = None
     for name in cfg.dynamics:
-        matrix_fields = bool(cfg.field_times) and name != "classical"
-        if cfg.field_times and not matrix_fields:
+        whorl = name == "classical"
+        if whorl:
             # exact continuum whorl density: no basis truncation at late times
             for t in cfg.field_times:
                 field = whorl_phase_field(cfg.state, cfg.model, t, cfg.field_grid)
                 fields.append((name, t, field))
-        if not (need_rows or matrix_fields):
+        if not _evolved(cfg, name):
             continue
         traj = evolve(g0, name, cfg.model, union)
         if need_rows:
@@ -431,7 +429,7 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
                         spectrum_rows.append([t, name, *maxes, *mins])
                     if cfg.negativity:
                         negativity_rows.append([t, name, squared_negativity(snapshot)])
-        if matrix_fields:
+        if cfg.field_times and not whorl:
             rendered = wigner_field(traj.take(field_idx), cfg.field_grid)
             fields += [(name, t, field) for t, field in zip(cfg.field_times, rendered)]
         del traj  # released before the next dynamics is evolved
@@ -562,9 +560,10 @@ def main(argv=None) -> int:
         if args.validate_only:
             g0 = groenewold_from_gaussian(cfg.state, cfg.n_basis, tail_tol=cfg.tail_tol)
             filled = top_filled_sector(g0, cfg.n_basis - 1)
-            for name in cfg.dynamics:  # what run builds, Moyal rules included
-                for _ in all_generator_blocks(name, cfg.model, cfg.n_basis, nu_top=filled):
-                    pass
+            for name in cfg.dynamics:
+                if _evolved(cfg, name):  # what run builds, Moyal rules included
+                    for _ in all_generator_blocks(name, cfg.model, cfg.n_basis, nu_top=filled):
+                        pass
             print(
                 f"config ok: K={cfg.model.K} N={cfg.n_basis} "
                 f"dynamics={','.join(cfg.dynamics)} steps={len(cfg.times)}"

@@ -32,12 +32,10 @@ answer is zero whatever its generator. Each route forms all requested
 times in one array product, and requests at t = 0 return the initial
 vector bit-exactly on every route.
 
-The module also carries two continuum references that never touch the
+The module also carries a continuum reference that never touches the
 number basis: classical_moment_quadrature integrates <alpha^m> under the
-Liouville flow of the Gaussian density by a radial Bessel quadrature, and
-whorl_field evaluates that density on a position-momentum grid, each
-point rotated at the radius-dependent classical rate. Both serve as
-independent oracles for the matrix route.
+Liouville flow of the Gaussian density by a radial Bessel quadrature, an
+independent oracle for the matrix route.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ __all__ = [
     "classical_moment_quadrature",
     "evolve",
     "top_filled_sector",
-    "whorl_field",
 ]
 
 _HERMITIAN_TOL = 1e-12
@@ -327,38 +324,3 @@ def classical_moment_quadrature(
         )
     return np.exp(1j * m * phi0) * second
 
-
-def whorl_field(
-    state: GaussianState,
-    model: ModelSpec,
-    t: float,
-    qs: np.ndarray,
-    ps: np.ndarray,
-) -> np.ndarray:
-    """Classically evolved Gaussian density on a position-momentum grid.
-
-    Every phase-space point rotates at the radius-dependent rate
-    Omega(|alpha|^2), so the density at time t is the initial Gaussian
-    kappa e^{-kappa |alpha e^{+i Omega t} - alpha0|^2} / (2 pi hbar),
-    evaluated pointwise; |alpha| is conserved, the origin is a fixed
-    point, and the map is area-preserving so the mass stays 1. Returns
-    values[i, j] = W(qs[j], ps[i]).
-    """
-    qs = np.asarray(qs, dtype=float)
-    ps = np.asarray(ps, dtype=float)
-    if qs.ndim != 1 or ps.ndim != 1 or qs.size == 0 or ps.size == 0:
-        raise ConfigError("qs and ps must be non-empty 1-D arrays")
-    if not np.isfinite(t):
-        raise ConfigError("time must be finite")
-    hbar = model.hbar
-    s = np.sqrt(model.m * model.omega)
-    qgrid, pgrid = np.meshgrid(qs, ps)
-    alpha = (s * qgrid + 1j * pgrid / s) / np.sqrt(2.0 * hbar)
-    u = np.abs(alpha) ** 2
-    rotated = alpha * np.exp(1j * model.classical_rate(u) * t)
-    kappa = state.kappa
-    return (
-        kappa
-        / (2.0 * np.pi * hbar)
-        * np.exp(-kappa * np.abs(rotated - complex(state.alpha0)) ** 2)
-    )

@@ -1,5 +1,12 @@
 """Phase-space fields and their file formats.
 
+This module owns the field grid (q_min, q_max, p_min, p_max, nq, np): its
+check (_check_grid, which the CLI also calls for outputs.field.grid), its
+map (q, p) -> alpha = (sqrt(m omega) q + i p / sqrt(m omega)) / sqrt(2 hbar)
+(_alpha), and both kinds of field drawn on it: wigner_field, the symbol of
+a trajectory's matrices, and whorl_phase_field, the classically evolved
+continuum density.
+
 wigner_field synthesizes the phase-space symbol of every matrix a
 trajectory holds on a rectangular grid, diagonal by diagonal, from the
 stored sector rows: sector nu contributes a radial profile (a Laguerre
@@ -59,13 +66,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .evolve import Trajectory, whorl_field
+from .evolve import Trajectory
 from .model import ModelSpec
 from .states import GaussianState
 
@@ -97,7 +105,8 @@ class BoundaryMassWarning(UserWarning):
 class PhaseField:
     """A real field on a rectangular position-momentum grid.
 
-    values[i, j] is the field at (q = qs[j], p = ps[i]); the mask marks
+    values[i, j] is the field at the j-th q node and the i-th p node of the
+    grid, each axis evenly spaced from its min to its max; the mask marks
     strictly negative cells; total_mass is the Riemann sum times the cell
     area.
     """
@@ -107,27 +116,31 @@ class PhaseField:
     negative_mask: np.ndarray
     total_mass: float
 
-    def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        q_min, q_max, p_min, p_max, nq, npts = self.grid
-        return np.linspace(q_min, q_max, nq), np.linspace(p_min, p_max, npts)
-
 
 def _check_grid(grid) -> tuple[float, float, float, float, int, int]:
-    try:
-        q_min, q_max, p_min, p_max, nq, npts = grid
-    except (TypeError, ValueError):
-        raise ConfigError(
-            "grid must be (q_min, q_max, p_min, p_max, nq, np)"
-        ) from None
-    for name, count in (("nq", nq), ("np", npts)):
-        if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 2:
-            raise ConfigError(f"grid {name} must be an integer >= 2")
-    vals = (float(q_min), float(q_max), float(p_min), float(p_max))
-    if not all(math.isfinite(v) for v in vals):
-        raise ConfigError("grid bounds must be finite")
-    if not (vals[0] < vals[1] and vals[2] < vals[3]):
-        raise ConfigError("grid bounds must satisfy q_min < q_max and p_min < p_max")
-    return vals[0], vals[1], vals[2], vals[3], int(nq), int(npts)
+    """grid as float bounds and int counts, or ConfigError with the message
+    the CLI prints for outputs.field.grid."""
+    if not isinstance(grid, (list, tuple)) or len(grid) != 6:
+        raise ConfigError("must be [q_min, q_max, p_min, p_max, nq, np]")
+    for i, v in enumerate(grid):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise ConfigError(f"entry {i} must be a finite number")
+    q_min, q_max, p_min, p_max, nq, npts = grid
+    if not (q_min < q_max and p_min < p_max):
+        raise ConfigError("needs q_min < q_max and p_min < p_max")
+    for i in (4, 5):
+        if not isinstance(grid[i], numbers.Integral) or grid[i] < 2:
+            raise ConfigError(f"entry {i} must be an integer >= 2")
+    return float(q_min), float(q_max), float(p_min), float(p_max), int(nq), int(npts)
+
+
+def _alpha(model: ModelSpec, grid) -> np.ndarray:
+    """alpha[i, j] at (q = qs[j], p = ps[i]) on a checked grid, in model's units."""
+    q_min, q_max, p_min, p_max, nq, npts = grid
+    qs = np.linspace(q_min, q_max, nq)
+    ps = np.linspace(p_min, p_max, npts)
+    scale = math.sqrt(model.m * model.omega)
+    return (scale * qs[None, :] + 1j * ps[:, None] / scale) / math.sqrt(2.0 * model.hbar)
 
 
 def _package(values: np.ndarray, grid) -> PhaseField:
@@ -247,12 +260,8 @@ def wigner_field(traj: Trajectory, grid=DEFAULT_GRID) -> list[PhaseField]:
     sector, plus the rounding the dropped terms would have caused.
     """
     grid = _check_grid(grid)
-    q_min, q_max, p_min, p_max, nq, npts = grid
-    qs = np.linspace(q_min, q_max, nq)
-    ps = np.linspace(p_min, p_max, npts)
     hbar = traj.model.hbar
-    scale = math.sqrt(traj.model.m * traj.model.omega)
-    alpha = (scale * qs[None, :] + 1j * ps[:, None] / scale) / math.sqrt(2.0 * hbar)
+    alpha = _alpha(traj.model, grid)
     x = (4.0 * np.abs(alpha) ** 2).ravel()
     xu, inv = np.unique(x, return_inverse=True)
     radius = np.abs(alpha).ravel()
@@ -278,19 +287,35 @@ def wigner_field(traj: Trajectory, grid=DEFAULT_GRID) -> list[PhaseField]:
     fields = []
     for total in totals:  # a loop, not a comprehension, keeps _package's stacklevel
         total /= 2.0 * math.pi * hbar
-        fields.append(_package(total.reshape(npts, nq), grid))
+        fields.append(_package(total.reshape(alpha.shape), grid))
     return fields
 
 
 def whorl_phase_field(
     state: GaussianState, model: ModelSpec, t: float, grid=DEFAULT_GRID
 ) -> PhaseField:
-    """Classical continuum density at time t, packaged like wigner_field."""
+    """Classically evolved Gaussian density at time t, packaged like wigner_field.
+
+    Every phase-space point rotates at the radius-dependent rate
+    Omega(|alpha|^2), so the density at time t is the initial Gaussian
+    kappa e^{-kappa |alpha e^{+i Omega t} - alpha0|^2} / (2 pi hbar),
+    evaluated pointwise; |alpha| is conserved, the origin is a fixed
+    point, and the map is area-preserving so the mass stays 1. No number
+    basis is involved, so the field is an independent oracle for the
+    classical matrix route.
+    """
     grid = _check_grid(grid)
-    q_min, q_max, p_min, p_max, nq, npts = grid
-    qs = np.linspace(q_min, q_max, nq)
-    ps = np.linspace(p_min, p_max, npts)
-    return _package(whorl_field(state, model, t, qs, ps), grid)
+    if not np.isfinite(t):
+        raise ConfigError("time must be finite")
+    alpha = _alpha(model, grid)
+    rotated = alpha * np.exp(1j * model.classical_rate(np.abs(alpha) ** 2) * t)
+    kappa = state.kappa
+    values = (
+        kappa
+        / (2.0 * np.pi * model.hbar)
+        * np.exp(-kappa * np.abs(rotated - complex(state.alpha0)) ** 2)
+    )
+    return _package(values, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ closed forms the tests pin it against, live here:
   |entry| (series_cut) as production cuts it; wigner_field_full_depth,
   the same synthesis with no cut, and the sum of the moduli of its sector
   terms at each point, which bounds every partial sum of the field;
+- whorl_field_pointwise, the classical whorl density on meshgrid axes, the
+  reference for render.whorl_phase_field's grid map;
 - field_csv_pointwise, the field CSV written one '%.17g' call per value,
   the reference for render.write_field_csv's vectorized formatter;
 - break_time, the first split of two first-moment curves;
@@ -408,6 +410,25 @@ def wigner_field_full_depth(g, model, grid) -> tuple[np.ndarray, np.ndarray]:
         scale = scale + modulus
     norm = 2.0 * math.pi * model.hbar
     return (total / norm).reshape(grid[5], grid[4]), (scale / norm).reshape(grid[5], grid[4])
+
+
+def whorl_field_pointwise(state, model, t, qs, ps) -> np.ndarray:
+    """Values of render.whorl_phase_field on the axes qs and ps, by meshgrid.
+
+    W(qs[j], ps[i]) at [i, j]: the initial Gaussian at alpha rotated by
+    e^(+i Omega(|alpha|^2) t), with alpha formed on np.meshgrid axes rather
+    than render._alpha's broadcast ones, so the two agree bit for bit.
+    """
+    s = np.sqrt(model.m * model.omega)
+    qgrid, pgrid = np.meshgrid(qs, ps)
+    alpha = (s * qgrid + 1j * pgrid / s) / np.sqrt(2.0 * model.hbar)
+    rotated = alpha * np.exp(1j * model.classical_rate(np.abs(alpha) ** 2) * t)
+    kappa = state.kappa
+    return (
+        kappa
+        / (2.0 * np.pi * model.hbar)
+        * np.exp(-kappa * np.abs(rotated - complex(state.alpha0)) ** 2)
+    )
 
 
 def field_csv_pointwise(field, path, provenance: str = "") -> None:

@@ -23,7 +23,13 @@ import pytest
 
 import groenewold_lab
 from groenewold_lab import cli
+from groenewold_lab import evolve as evolve_module
+from groenewold_lab.errors import ConfigError
 from groenewold_lab.evolve import BlockPropagator
+from groenewold_lab.model import ModelSpec
+from groenewold_lab.render import DEFAULT_GRID, whorl_phase_field, wigner_field
+from groenewold_lab.states import GaussianState
+from oracles import coherent_density, stacked_trajectory
 
 BASE = {
     "model": {"b": [0.0, 1.0], "mu": 0.5},
@@ -247,6 +253,60 @@ class TestSchemaErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+
+# each bad outputs.field.grid, and the message the CLI prints for it after
+# the config path and line
+BAD_GRIDS = [
+    pytest.param(["-4", 4.0, -4.0, 4.0, 32, 32], "entry 0 must be a finite number", id="text-bound"),
+    pytest.param([-4.0, True, -4.0, 4.0, 32, 32], "entry 1 must be a finite number", id="bool-bound"),
+    pytest.param([-4.0, 4.0, "a", 4.0, 32, 32], "entry 2 must be a finite number", id="letter-bound"),
+    pytest.param([-4.0, 4.0, -4.0, None, 32, 32], "entry 3 must be a finite number", id="null-bound"),
+    pytest.param([math.nan, 4.0, -4.0, 4.0, 32, 32], "entry 0 must be a finite number", id="nan-bound"),
+    pytest.param([-4.0, 4.0, -4.0, 4.0, 32.0, 32], "entry 4 must be an integer >= 2", id="float-count"),
+    pytest.param([-4.0, 4.0, -4.0, 4.0, 32, 1], "entry 5 must be an integer >= 2", id="count-one"),
+    pytest.param(
+        [-4.0, 4.0, -4.0, 4.0, 32], "must be [q_min, q_max, p_min, p_max, nq, np]", id="five-entries"
+    ),
+    pytest.param(
+        [4.0, -4.0, -4.0, 4.0, 32, 32], "needs q_min < q_max and p_min < p_max", id="q-reversed"
+    ),
+    pytest.param([4.0, 4.0, -4.0, 4.0, 32, 32], "needs q_min < q_max and p_min < p_max", id="q-equal"),
+]
+
+
+class TestFieldGrid:
+    """render._check_grid is the one grid check, for the library and the CLI alike."""
+
+    @pytest.mark.parametrize("grid, message", BAD_GRIDS)
+    def test_library_and_cli_reject_alike(self, tmp_path, capsys, grid, message):
+        model = ModelSpec.quartic(mu=0.5)
+        state = GaussianState(kappa=2.0, alpha0=0.5)
+        traj = stacked_trajectory([coherent_density(0.5, 8)], model)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            wigner_field(traj, grid)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            whorl_phase_field(state, model, 0.0, grid)
+        path = write_config(tmp_path, lambda r: r["outputs"]["field"].update(grid=grid))
+        line = next(
+            i for i, text in enumerate(path.read_text().splitlines(), 1) if '"grid"' in text
+        )
+        assert run_cli(path, tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:{line}: outputs.field.grid: {message}\n"
+        )
+
+    def test_null_grid_renders_on_the_default_grid(self, tmp_path):
+        def classical_field(raw):
+            raw["dynamics"] = ["classical"]
+            raw["outputs"] = {"field": {"grid": None, "time_list": [0.75]}}
+        path = write_config(tmp_path, classical_field)
+        assert cli.validate_config(cli._Doc(path.read_text(), str(path))).field_grid == DEFAULT_GRID
+        assert run_cli(path, tmp_path / "out") == 0
+        lines = (tmp_path / "out" / "field_classical_0.75.csv").read_text().splitlines()
+        assert "# grid q_min=-4 q_max=4 nq=256" in lines
+        assert "# grid p_min=-4 p_max=4 np=256" in lines
+        assert len(data_lines(tmp_path / "out" / "field_classical_0.75.csv")) == 256
 
 
 @pytest.fixture(scope="module")
@@ -710,6 +770,38 @@ class TestPresets:
     def test_all_presets_validate(self, capsys):
         for name in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6"):
             assert cli.main(["run", "--preset", name, "--validate-only"]) == 0
+
+    @staticmethod
+    def spy_builds(monkeypatch, module):
+        built = []
+        real = module.all_generator_blocks
+
+        def spy(name, *args, **kwargs):
+            built.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(module, "all_generator_blocks", spy)
+        return built
+
+    # run evolves a dynamics only for rows or for fields drawn from its
+    # matrices; fig1's classical fields are whorl densities, built from none
+    @pytest.mark.parametrize("preset, dynamics", [
+        ("fig1", []),
+        ("fig2", ["quantum"]),
+        ("fig3", ["quantum", "semiquantum1", "classical", "semiclassical1"]),
+    ])
+    def test_validate_only_builds_what_run_builds(self, monkeypatch, capsys, preset, dynamics):
+        built = self.spy_builds(monkeypatch, cli)
+        assert cli.main(["run", "--preset", preset, "--validate-only"]) == 0
+        assert built == dynamics
+
+    @pytest.mark.parametrize("preset, dynamics", [("fig1", []), ("fig2", ["quantum"])])
+    def test_run_builds_for_its_evolved_dynamics_only(
+        self, tmp_path, monkeypatch, capsys, preset, dynamics
+    ):
+        built = self.spy_builds(monkeypatch, evolve_module)
+        assert cli.main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
+        assert built == dynamics
 
     def test_fig1_writes_whorl_fields(self, tmp_path):
         out = tmp_path / "fig1"

@@ -25,12 +25,12 @@ from groenewold_lab.evolve import (
     classical_moment_quadrature,
     evolve,
     top_filled_sector,
-    whorl_field,
 )
 from groenewold_lab import generators
 from groenewold_lab.generators import DYNAMICS, all_generator_blocks
 from groenewold_lab.model import ModelSpec
 from groenewold_lab.observables import mean_alpha_series
+from groenewold_lab.render import BoundaryMassWarning, whorl_phase_field
 from groenewold_lab.states import GaussianState, groenewold_from_gaussian
 from oracles import classical_block_analytic
 
@@ -562,18 +562,27 @@ class TestClassicalMomentQuadrature:
             classical_moment_quadrature(1, FIG3_STATE, QUARTIC, np.inf)
 
 
+def whorl_node(model, t, q, p):
+    """The whorl density at the point (q, p) alone, as the [0, 0] node of a 2x2 grid."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryMassWarning)  # the grid clips the state
+        return whorl_phase_field(FIG3_STATE, model, t, (q, q + 1.0, p, p + 1.0, 2, 2)).values[0, 0]
+
+
 class TestWhorlField:
     def test_mass_is_one(self):
         qs = np.linspace(-4.0, 4.0, 513)
         cell = (qs[1] - qs[0]) ** 2
         for t in (0.0, np.pi / 4.0, np.pi):
-            w = whorl_field(FIG3_STATE, QUARTIC, t, qs, qs)
+            w = whorl_phase_field(FIG3_STATE, QUARTIC, t, (-4.0, 4.0, -4.0, 4.0, 513, 513)).values
             assert abs(float(w.sum()) * cell - 1.0) < 1e-8
 
     def test_origin_is_fixed_point(self):
-        qs = np.linspace(-4.0, 4.0, 9)
-        w0 = whorl_field(FIG3_STATE, QUARTIC, 0.0, qs, qs)
-        wt = whorl_field(FIG3_STATE, QUARTIC, 2.7, qs, qs)
+        grid = (-4.0, 4.0, -4.0, 4.0, 9, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryMassWarning)
+            w0 = whorl_phase_field(FIG3_STATE, QUARTIC, 0.0, grid).values
+            wt = whorl_phase_field(FIG3_STATE, QUARTIC, 2.7, grid).values
         assert w0[4, 4] == wt[4, 4]
 
     def test_harmonic_whorl_is_rigid_rotation(self):
@@ -581,19 +590,20 @@ class TestWhorlField:
         qs = np.array([0.3, -0.8, 1.7])
         ps = np.array([0.5, 0.2, -1.4])
         s = np.sqrt(HARMONIC.m * HARMONIC.omega)
-        wt = whorl_field(FIG3_STATE, HARMONIC, t, qs, ps)
-        for i, p in enumerate(ps):
-            for j, q in enumerate(qs):
+        for p in ps:
+            for q in qs:
                 alpha = (s * q + 1j * p / s) / np.sqrt(2.0 * HARMONIC.hbar)
                 rot = alpha * np.exp(1j * HARMONIC.omega * t)
                 q2 = np.sqrt(2.0 * HARMONIC.hbar) * rot.real / s
                 p2 = np.sqrt(2.0 * HARMONIC.hbar) * rot.imag * s
-                w0 = whorl_field(FIG3_STATE, HARMONIC, 0.0, np.array([q2]), np.array([p2]))
-                assert abs(wt[i, j] - w0[0, 0]) < 1e-12
+                wt = whorl_node(HARMONIC, t, q, p)
+                w0 = whorl_node(HARMONIC, 0.0, q2, p2)
+                assert abs(wt - w0) < 1e-12
 
     def test_radius_is_invariant_under_the_flow_map(self):
         qs = np.linspace(-3.0, 3.0, 41)
-        w_sum = whorl_field(FIG3_STATE, SEXTIC, 0.9 + 1.3, qs, qs)
+        grid = (-3.0, 3.0, -3.0, 3.0, 41, 41)
+        w_sum = whorl_phase_field(FIG3_STATE, SEXTIC, 0.9 + 1.3, grid).values
         # composing the rotation in two stages is the same map because the
         # rotation rate depends only on the conserved radius
         s = np.sqrt(SEXTIC.m * SEXTIC.omega)
@@ -610,6 +620,4 @@ class TestWhorlField:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            whorl_field(FIG3_STATE, QUARTIC, 0.0, np.zeros((2, 2)), np.zeros(2))
-        with pytest.raises(ConfigError):
-            whorl_field(FIG3_STATE, QUARTIC, np.nan, np.zeros(2), np.zeros(2))
+            whorl_phase_field(FIG3_STATE, QUARTIC, np.nan, (-1.0, 1.0, -1.0, 1.0, 2, 2))

@@ -36,6 +36,7 @@ from oracles import (
     coherent_density,
     field_csv_pointwise,
     stacked_trajectory,
+    whorl_field_pointwise,
     wigner_field_full_depth,
     wigner_field_pointwise,
 )
@@ -49,11 +50,12 @@ WIDE_GRID = (-60.0, 60.0, -60.0, 60.0, 13, 13)
 
 
 def grid_axes(field: PhaseField):
-    return field.axes()
+    q_min, q_max, p_min, p_max, nq, npts = field.grid
+    return np.linspace(q_min, q_max, nq), np.linspace(p_min, p_max, npts)
 
 
 def alpha_grid(field: PhaseField, model: ModelSpec) -> np.ndarray:
-    qs, ps = field.axes()
+    qs, ps = grid_axes(field)
     scale = math.sqrt(model.m * model.omega)
     return (scale * qs[None, :] + 1j * ps[:, None] / scale) / math.sqrt(2.0 * model.hbar)
 
@@ -408,8 +410,6 @@ class TestWignerField:
 
 class TestWhorlPhaseField:
     def test_matches_raw_field(self):
-        from groenewold_lab.evolve import whorl_field
-
         # the deliberately tight window clips the state, so the boundary
         # warning is expected here; the point is bit-exact value pass-through
         grid = (-3.0, 3.0, -2.0, 2.0, 48, 32)
@@ -417,7 +417,7 @@ class TestWhorlPhaseField:
             field = whorl_phase_field(FIG3_STATE, SEXTIC, 0.7, grid)
         qs = np.linspace(-3.0, 3.0, 48)
         ps = np.linspace(-2.0, 2.0, 32)
-        want = whorl_field(FIG3_STATE, SEXTIC, 0.7, qs, ps)
+        want = whorl_field_pointwise(FIG3_STATE, SEXTIC, 0.7, qs, ps)
         assert np.array_equal(field.values, want)
         assert field.values.shape == (32, 48)
 
