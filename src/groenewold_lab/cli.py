@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -36,8 +35,9 @@ from .errors import (
     TailMassExceeded,
     ValidationFailed,
 )
-from .evolve import evolve, top_filled_sector
+from .evolve import evolve
 from .generators import DYNAMICS, all_generator_blocks, rung_count
+from .mathkit import is_finite_real
 from .model import ModelSpec
 from .observables import moment_track, moment_width_variant, spectrum_extremes, squared_negativity
 from .render import (
@@ -115,7 +115,7 @@ def _real(doc: _Doc, obj, path: str, key: str, default=None, positive=False):
     if key not in obj:
         return default
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    if not is_finite_real(v):
         doc.fail(f"{path}.{key}", "must be a finite number")
     if positive and v <= 0:
         doc.fail(f"{path}.{key}", "must be positive")
@@ -164,7 +164,7 @@ def _build_model(doc: _Doc, raw: dict) -> ModelSpec:
     if not isinstance(b, list) or not b:
         doc.fail("model.b", "must be a non-empty array of numbers")
     for i, v in enumerate(b):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not is_finite_real(v):
             doc.fail("model.b", f"entry {i} must be a finite number")
     k_given = _integer(doc, obj, "model", "K", minimum=1)
     if k_given is not None and k_given != len(b) - 1:
@@ -243,7 +243,7 @@ def _build_outputs(doc: _Doc, raw: dict, n_basis: int):
         if not isinstance(tl, list) or not tl:
             doc.fail("outputs.field.time_list", "must be a non-empty array of times")
         for i, v in enumerate(tl):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            if not is_finite_real(v):
                 doc.fail("outputs.field.time_list", f"entry {i} must be a finite number")
         field_times = tuple(float(v) for v in tl)
         first: dict[str, int] = {}
@@ -559,10 +559,10 @@ def main(argv=None) -> int:
     try:
         if args.validate_only:
             g0 = groenewold_from_gaussian(cfg.state, cfg.n_basis, tail_tol=cfg.tail_tol)
-            filled = top_filled_sector(g0, cfg.n_basis - 1)
+            top = len(g0) - 1
             for name in cfg.dynamics:
                 if _evolved(cfg, name):  # what run builds, Moyal rules included
-                    for _ in all_generator_blocks(name, cfg.model, cfg.n_basis, nu_top=filled):
+                    for _ in all_generator_blocks(name, cfg.model, cfg.n_basis, nu_top=top):
                         pass
             print(
                 f"config ok: K={cfg.model.K} N={cfg.n_basis} "

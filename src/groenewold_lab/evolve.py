@@ -1,21 +1,21 @@
-"""Time evolution of block matrices under the four flows.
+"""Time evolution of a Hermitian matrix, given as its sector rows, under the four flows.
 
-Each angular sector evolves independently: the sector vector g (a single
-matrix diagonal) obeys dg/dt = L g with L from the generators module.
-The matrix is Hermitian and L_{-nu} = conj(L_nu), so only the sectors
-nu >= 0 are propagated and sector -nu is read as their conjugate. A
-BlockPropagator factors L once and reuses the factorization for every
-requested time. Every flow is linear and acts on one sector at a time,
-so a sector that starts empty stays an exact zero: evolve builds, factors,
-propagates and stores only the sectors up to the initial matrix's top
-filled one, one sector at a time, each factored before the next is built.
-Nothing on this path is kept between calls: evolve looks up
-all_generator_blocks afresh, and the generators are rebuilt and factored
-again on every call. The routes are:
+The state is g0[nu][k] = G[k + nu, k] for nu = 0 .. top, as
+states.groenewold_from_gaussian returns it. Each sector evolves
+independently: dg/dt = L g with L from the generators module. G is
+Hermitian and L_{-nu} = conj(L_nu), so only the sectors nu >= 0 are
+propagated and sector -nu is read as their conjugate. A BlockPropagator
+factors L once and reuses the factorization for every requested time.
+Every flow is linear and acts on one sector at a time, so a sector that
+starts empty stays an exact zero: evolve builds, factors, propagates and
+stores only the sectors 0 .. top, one at a time, each factored before
+the next is built. Nothing on this path is kept between calls: evolve
+looks up all_generator_blocks afresh, and the generators are rebuilt and
+factored again on every call. The routes are:
 
-- "diagonal"        exactly diagonal generator (the quantum flow, and the
-                    zero generator of the frozen nu = 0 sector); the
-                    stored phases are the diagonal itself, no eigensolve,
+- "diagonal"        a 1-D generator (a sector with no correction: every
+                    quantum sector and the frozen nu = 0 sector); the
+                    stored phases are that diagonal itself, no eigensolve,
 - "unitary"         i L is Hermitian to float precision, so exp(t L) is
                     unitary and comes from one Hermitian eigensolve,
 - "diagonalizable"  general eigensolve, accepted when the eigenvector
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, QuadratureNotConverged, ValidationFailed
 from .generators import all_generator_blocks
-from .mathkit import _SERIES_MAX_X, bessel_i_scaled, check_hermitian, composite_gauss_legendre_rule
+from .mathkit import _SERIES_MAX_X, bessel_i_scaled, composite_gauss_legendre_rule
 from .model import ModelSpec
 from .states import GaussianState
 
@@ -56,7 +56,6 @@ __all__ = [
     "check_bessel_domain",
     "classical_moment_quadrature",
     "evolve",
-    "top_filled_sector",
 ]
 
 _HERMITIAN_TOL = 1e-12
@@ -68,12 +67,12 @@ class BlockPropagator:
 
     def __init__(self, L: np.ndarray):
         L = np.asarray(L, dtype=complex)
-        if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] == 0:
-            raise ConfigError("sector generator must be a non-empty square matrix")
-        self.size = L.shape[0]
-        if float(np.abs(L - np.diag(np.diagonal(L))).max()) == 0.0:
+        if L.ndim not in (1, 2) or L.size == 0 or L.shape != (len(L),) * L.ndim:
+            raise ConfigError("sector generator must be a non-empty diagonal or square matrix")
+        self.size = len(L)
+        if L.ndim == 1:
             self.route = "diagonal"
-            self._d = np.diagonal(L).copy()
+            self._d = L.copy()
             return
         scale = float(np.abs(L).max())
         a = 1j * L
@@ -141,9 +140,9 @@ class Trajectory:
     the sub-diagonal G[k + nu, k]. Every flow keeps G Hermitian, so the
     super-diagonal -nu is the conjugate of sector nu: diagonal_history(-nu)
     returns it and matrix() writes it, and every reassembled matrix is
-    exactly Hermitian. Only the sectors up to the initial matrix's top
-    filled one are stored; diagonal_history returns exact zeros for the
-    sectors of the matrix above it.
+    exactly Hermitian. Only the sectors 0 .. top of the initial rows are
+    stored; diagonal_history returns exact zeros for the sectors of the
+    matrix above them.
     """
 
     dynamics: str
@@ -194,50 +193,41 @@ class Trajectory:
         return total
 
 
-def top_filled_sector(g0: np.ndarray, nu_top: int) -> int:
-    """Highest nu <= nu_top whose lower diagonal of g0 has a nonzero entry, else 0."""
-    return next((nu for nu in range(nu_top, 0, -1) if np.any(np.diagonal(g0, -nu))), 0)
+def _check_rows(g0) -> list:
+    """The rows of g0, sector 0 made real, after the checks evolve documents."""
+    rows = [np.asarray(row) for row in g0]
+    if not rows:
+        raise ConfigError("initial state has no sector rows")
+    n = len(rows[0]) if rows[0].ndim == 1 else 0
+    for nu, row in enumerate(rows):
+        if row.shape != (n - nu,) or nu >= n:
+            raise ConfigError(f"initial sector {nu} has shape {row.shape}, not ({n - nu},)")
+        if not np.isfinite(row).all():
+            raise ConfigError(f"initial sector {nu} has an entry that is not finite")
+    if np.any(np.imag(rows[0])):
+        raise ConfigError("initial sector 0 (the diagonal) must be real")
+    return [rows[0].real, *rows[1:]]
 
 
 def evolve(g0, dynamics: str, model: ModelSpec, times) -> Trajectory:
-    """Propagate a Hermitian matrix under one of the four flows.
+    """Propagate a Hermitian matrix, given as its sector rows, under one of the four flows.
 
-    g0 must be Hermitian to the relative bound of mathkit.check_hermitian,
-    else ConfigError. Its diagonal's real part and its lower triangle are
-    propagated, one BlockPropagator per sector nu >= 0; the upper triangle
-    follows by conjugation because every sector generator satisfies
-    L_{-nu} = conj(L_nu). Only the sectors up to top_filled_sector are
-    built, factored, propagated and stored; exp(t L) 0 = 0 on every route,
-    so the empty sectors above it need nothing. Each sector is factored as
-    its generator arrives, and no more than top_filled_sector + 1 blocks
-    are taken from the builder.
+    ConfigError unless g0 has at least one row, row nu has length N - nu,
+    every entry is finite and sector 0 is real. Each row is propagated by
+    one BlockPropagator, factored as its generator arrives; sector -nu
+    follows by conjugation.
     """
-    g0 = np.asarray(g0, dtype=complex)
-    if g0.ndim != 2 or g0.shape[0] != g0.shape[1] or g0.shape[0] < 1:
-        raise ConfigError("initial matrix must be square and non-empty")
-    try:
-        check_hermitian(g0)
-    except ValidationFailed as exc:
-        raise ConfigError(f"initial {exc}") from None
+    rows = _check_rows(g0)
     times = _check_times(times)
-    dim = g0.shape[0]
-    filled = top_filled_sector(g0, dim - 1)
-    blocks = all_generator_blocks(dynamics, model, dim, nu_top=filled)
+    blocks = all_generator_blocks(dynamics, model, len(rows[0]), nu_top=len(rows) - 1)
     history: dict[int, np.ndarray] = {}
-    for nu, block in zip(range(filled + 1), blocks):
+    for nu, (row, block) in enumerate(zip(rows, blocks)):
         try:
             p = BlockPropagator(block)
         except ValidationFailed as exc:
             raise ValidationFailed(f"{dynamics} sector nu={nu}: {exc}") from None
-        g = np.diagonal(g0, offset=-nu)
-        history[nu] = p.trajectory(g if nu else g.real, times)
-    return Trajectory(
-        dynamics=dynamics,
-        model=model,
-        times=times,
-        dim=dim,
-        history=history,
-    )
+        history[nu] = p.trajectory(row, times)
+    return Trajectory(dynamics, model, times, len(rows[0]), history)
 
 
 # ---------------------------------------------------------------------------

@@ -27,18 +27,17 @@ r - d leaves the basis: a product is one elementwise product plus a
 shift, and a pair adds to one diagonal of a sector block. Each entry of
 a truncated dense product of such matrices is one rounded product (the
 other terms are exact zeros), so the result is bit-exact against dense
-matrices. The Moyal-Galerkin route
-applies the odd derivative terms of the Moyal bracket to the dyad symbols
-in closed form (a symbolic radial jet per sector) and projects back with a
-generalized Gauss-Laguerre rule that integrates the resulting polynomial
-integrands exactly. all_generator_blocks is the one builder of sector
-generators. The tests compare both engines, rung by rung, with each other
-and with the analytic tridiagonal Liouville generator.
+matrices. The Moyal-Galerkin route applies the odd derivative terms of
+the Moyal bracket to the dyad symbols in closed form (a symbolic radial
+jet per sector) and projects back with a generalized Gauss-Laguerre rule
+that integrates the resulting polynomial integrands exactly. The tests
+compare both engines, rung by rung, with each other and with the
+analytic tridiagonal Liouville generator.
 
-Each engine builds one sector at a time. all_generator_blocks builds
-each C_j pair list once per call, on a basis padded by exactly the 2j
-levels a sector entry reads, and _moyal_sector projects one D_j sector on
-a generalized Gauss-Laguerre rule that checks itself in
+all_generator_blocks, the one builder of sector generators, builds one
+sector at a time: each C_j pair list once per call, on a basis padded by
+exactly the 2j levels a sector entry reads, and each D_j sector on a
+generalized Gauss-Laguerre rule that checks itself in
 gauss_genlaguerre_rule; the builder's comments give both sizes. The
 module keeps nothing between calls: the dynamics that share the C_1 and
 C_2 rungs each rebuild them. rung_count says which rungs each dynamics
@@ -47,8 +46,10 @@ needs.
 The nu = 0 sector is frozen under all four dynamics (every generator is a
 multiple of nu), so its generator is the quantum one, an exact zero, and
 no correction is built for it; the engines themselves are cross-checked
-against that statement in the tests. Blocks are built for nu >= 0 only;
-the block for -nu is the complex conjugate of the block for nu.
+against that statement in the tests. A sector with no correction is
+yielded as its 1-D diagonal, only a corrected one as a square block.
+Blocks are built for nu >= 0 only; the block for -nu is the complex
+conjugate of the block for nu.
 """
 
 from __future__ import annotations
@@ -323,12 +324,11 @@ def all_generator_blocks(
     built, at the call. The returned iterator then builds each sector's
     generator when it is asked for it: the quantum diagonal
     -i (E_{k+nu} - E_k) / hbar from one spectrum E_0 .. E_{nmax-1}, plus
-    the C_j sector blocks in order of j, plus D_1 for semiclassical1.
-    Nothing is kept between calls, so dynamics that share a rung each
-    rebuild it. evolve passes the initial matrix's top filled sector (23
-    for fig3's state at N = 128) and factors each block as it arrives, so
-    the empty sectors above it are never built and no whole-run list of
-    blocks is held.
+    the C_j sector blocks in order of j, plus D_1 for semiclassical1. A
+    sector with no correction (nu = 0, every quantum sector, every sector
+    of a K = 1 model) is yielded as that 1-D diagonal. evolve passes the
+    top sector of its rows (23 for fig3's state at N = 128) and factors
+    each generator as it arrives, so no whole-run list is held.
     """
     j_top = rung_count(dynamics, model.K)
     if nmax < 1:
@@ -365,9 +365,9 @@ def all_generator_blocks(
     def sectors():
         for nu in range(nu_top + 1):
             n = nmax - nu
-            block = np.diag(-1j * ((e[nu:] - e[:n]) / model.hbar))
-            if nu and dynamics != "quantum":  # every correction is zero on nu = 0
-                block = block + sum(nu_block_from_pairs(p, nu, n) for p in pairs)
+            block = -1j * ((e[nu:] - e[:n]) / model.hbar)  # the quantum diagonal
+            if nu and (pairs or moyal):  # every correction is zero on nu = 0
+                block = np.diag(block) + sum(nu_block_from_pairs(p, nu, n) for p in pairs)
                 if moyal:
                     block = block + _moyal_sector(model, 1, nu, n, q_nodes)
             yield block

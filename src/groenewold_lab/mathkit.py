@@ -19,6 +19,8 @@ inside float64 range even at basis size N = 128:
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 from math import lgamma
 
@@ -32,6 +34,7 @@ __all__ = [
     "check_hermitian",
     "composite_gauss_legendre_rule",
     "gauss_genlaguerre_rule",
+    "is_finite_real",
     "laguerre_orthonormal_bare",
 ]
 
@@ -110,6 +113,14 @@ def laguerre_orthonormal_bare(nmax: int, nu: int, x) -> np.ndarray:
     rows[0] = np.exp(-0.5 * lgamma(nu + 1))
     _orthonormal_recurrence(rows, nu, x)
     return rows
+
+
+def is_finite_real(v) -> bool:
+    """Whether v is a real number, not a bool, in the float range (so not NaN,
+    not +-inf and not an int too large for a float)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    return bool(abs(v) <= sys.float_info.max)
 
 
 def check_hermitian(a, tol: float = 1e-10) -> None:

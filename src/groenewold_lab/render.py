@@ -74,6 +74,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .evolve import Trajectory
+from .mathkit import is_finite_real
 from .model import ModelSpec
 from .states import GaussianState
 
@@ -123,7 +124,7 @@ def _check_grid(grid) -> tuple[float, float, float, float, int, int]:
     if not isinstance(grid, (list, tuple)) or len(grid) != 6:
         raise ConfigError("must be [q_min, q_max, p_min, p_max, nq, np]")
     for i, v in enumerate(grid):
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        if not is_finite_real(v):
             raise ConfigError(f"entry {i} must be a finite number")
     q_min, q_max, p_min, p_max, nq, npts = grid
     if not (q_min < q_max and p_min < p_max):

@@ -1,4 +1,4 @@
-"""Gaussian phase-space densities and their number-basis matrices.
+"""Gaussian phase-space densities and their number-basis matrices as sector rows.
 
 The initial state is an isotropic Gaussian density on phase space,
 
@@ -82,28 +82,27 @@ class GaussianState:
         return abs(self.alpha0) ** 2 + 1.0 / self.kappa
 
 
-def tail_mass(g: np.ndarray, rows: int = TAIL_ROWS) -> float:
-    """Occupation of the last `rows` number states (edge of the basis)."""
-    d = np.abs(np.diagonal(g))
-    return float(d[-rows:].sum())
+def tail_mass(g: list, levels: int = TAIL_ROWS) -> float:
+    """Occupation of the last `levels` number states, from sector 0 of the rows g."""
+    return float(np.abs(g[0][-levels:]).sum())
 
 
 def groenewold_from_gaussian(
     state: GaussianState,
     n_basis: int,
     tail_tol: float = 1e-10,
-) -> np.ndarray:
-    """Number-basis matrix of the state's Groenewold operator, in closed form.
+) -> list:
+    """The state's Groenewold matrix G as sector rows, in closed form.
 
-    A plain ndarray, exactly Hermitian by construction (each upper
-    diagonal is the conjugate of its lower one). Sectors are filled in
-    order of nu and the fill stops after two in a row whose entries all
-    lie below 1e-17; the higher sectors, below 1e-17 for these states,
-    are dropped and stay exact zeros. Raises TailMassExceeded when the
-    occupation of the last few basis states is not within tail_tol, and
-    QuadratureNotConverged when an entry is not finite: the recurrence
-    overflows once (1 - z)|alpha0|^2 passes about 714 (measured for
-    kappa from 0.3 to 5).
+    rows[nu][k] = G[k + nu, k] for nu = 0 .. top, sector 0 real; sector
+    -nu is the conjugate of sector nu, and no N x N array is built. The
+    fill stops after two sectors in a row whose entries all lie below
+    1e-17, and trailing exact-zero sectors are dropped, so top is the
+    highest sector with a nonzero entry (0 for a centred state). Raises
+    TailMassExceeded when the occupation of the last few basis states is
+    not within tail_tol, and QuadratureNotConverged when an entry is not
+    finite: the recurrence overflows once (1 - z)|alpha0|^2 passes about
+    714 (measured for kappa from 0.3 to 5).
     """
     if n_basis < TAIL_ROWS + 2:
         raise ConfigError(f"n_basis must be at least {TAIL_ROWS + 2}")
@@ -112,7 +111,7 @@ def groenewold_from_gaussian(
     phi0 = atan2(state.alpha0.imag, state.alpha0.real) if a0 > 0 else 0.0
     w = (1.0 - z) * a0 * a0
     c = (1.0 - z) * w
-    g = np.zeros((n_basis, n_basis), dtype=complex)
+    rows = []
     quiet = 0
     for nu in range(n_basis):
         # r_n = sqrt(n! nu! / (n+nu)!) z^n L_n^(nu)(-c/z), with r_-1 = 0;
@@ -139,18 +138,16 @@ def groenewold_from_gaussian(
             log_scale += nu * log(a0 * (1.0 - z)) if a0 > 0 else -inf
         col = exp(log_scale) * r
         peak = float(np.abs(col).max())
-        phase = np.exp(1j * nu * phi0)
-        idx = np.arange(n_basis - nu)
-        g[idx + nu, idx] = phase * col
-        if nu > 0:
-            g[idx, idx + nu] = np.conj(phase * col)
+        rows.append(np.exp(1j * nu * phi0) * col if nu else col)
         quiet = quiet + 1 if peak < 1e-17 else 0
         if quiet >= 2:
             break
-    mass = tail_mass(g)
+    while len(rows) > 1 and not np.any(rows[-1]):
+        rows.pop()
+    mass = tail_mass(rows)
     if not mass <= tail_tol:
         raise TailMassExceeded(
             f"tail occupation {mass:.3e} exceeds tail_tol {tail_tol:.1e}; "
             f"increase the basis size"
         )
-    return g
+    return rows

@@ -4,7 +4,8 @@ The package builds every sector generator with one function,
 generators.all_generator_blocks. The routes it does not take, and the
 closed forms the tests pin it against, live here:
 
-- sector reads one generator sector from the production builder, and
+- sector reads one generator sector from the production builder as a
+  square block (square turns a 1-D uncorrected sector into one), and
   rung builds one correction rung C_j (commutator route) or D_j
   (Moyal-Galerkin route, D_0 being the Galerkin Poisson generator) on one
   sector with the production engines, pad and node count;
@@ -17,6 +18,8 @@ closed forms the tests pin it against, live here:
 - stacked_trajectory, a Trajectory holding given Hermitian matrices as its
   times, which is how the tests hand a matrix to wigner_field or
   moment_track;
+- sector_rows, the sector rows 0 .. top that evolve takes, read from a
+  Hermitian test matrix, and dense, the matrix reassembled from them;
 - radial_profiles, the weighted orthonormal Laguerre functions, and
   groenewold_by_quadrature, the initial state by Bessel-weighted radial
   quadrature, a route independent of the closed form in states;
@@ -83,10 +86,17 @@ THETA = math.log(7.0 / 3.0) / 4.0
 
 
 def sector(dynamics, model, nu, n):
-    """Generator of one dynamics on sector nu, size n, from all_generator_blocks."""
+    """Generator of one dynamics on sector nu, size n, from all_generator_blocks,
+    as a square block."""
     anu = abs(nu)
-    block = list(all_generator_blocks(dynamics, model, n + anu, nu_top=anu))[anu]
+    block = square(list(all_generator_blocks(dynamics, model, n + anu, nu_top=anu))[anu])
     return np.conj(block) if nu < 0 else block
+
+
+def square(block: np.ndarray) -> np.ndarray:
+    """A sector generator as a square block: a sector with no correction
+    arrives as its 1-D diagonal."""
+    return np.diag(block) if block.ndim == 1 else block
 
 
 def quantum_block(nu, model, n):
@@ -205,6 +215,29 @@ def stacked_trajectory(mats, model):
     history = {nu: np.stack([np.diagonal(g, -nu) for g in mats]) for nu in range(dim)}
     times = np.arange(len(mats), dtype=float)
     return Trajectory("quantum", model, times, dim, history)
+
+
+def sector_rows(m) -> list:
+    """Sector rows of a Hermitian matrix, as groenewold_from_gaussian returns them.
+
+    rows[nu][k] = m[k + nu, k] for nu = 0 .. top, sector 0 real, top the
+    highest sector with a nonzero entry (0 when m is diagonal).
+    """
+    m = np.asarray(m)
+    check_hermitian(m)
+    top = next((nu for nu in range(len(m) - 1, 0, -1) if np.any(np.diagonal(m, -nu))), 0)
+    return [np.diagonal(m).real.copy()] + [np.diagonal(m, -nu).copy() for nu in range(1, top + 1)]
+
+
+def dense(rows) -> np.ndarray:
+    """The Hermitian matrix whose sector rows 0 .. top are rows."""
+    n = len(rows[0])
+    out = np.zeros((n, n), dtype=complex)
+    k = np.arange(n)
+    for nu, row in enumerate(rows):
+        out[k[nu:], k[: n - nu]] = row
+        out[k[: n - nu], k[nu:]] = np.conj(row)
+    return out
 
 
 def radial_profiles(nmax: int, nu: int, x) -> np.ndarray:

@@ -27,7 +27,7 @@ from groenewold_lab import evolve as evolve_module
 from groenewold_lab.errors import ConfigError
 from groenewold_lab.evolve import BlockPropagator
 from groenewold_lab.model import ModelSpec
-from groenewold_lab.render import DEFAULT_GRID, whorl_phase_field, wigner_field
+from groenewold_lab.render import DEFAULT_GRID, BoundaryMassWarning, whorl_phase_field, wigner_field
 from groenewold_lab.states import GaussianState
 from oracles import coherent_density, stacked_trajectory
 
@@ -48,6 +48,8 @@ BASE = {
 
 
 K5_B = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+
+HUGE = 10**400  # 401 digits: math.isfinite raises OverflowError on it
 
 
 def write_config(tmp_path, mutate=None, name="cfg.json"):
@@ -218,6 +220,35 @@ class TestSchemaErrors:
         err = capsys.readouterr().err
         assert "cfg.json:3: model.b: K = 5 needs" in err
         assert dynamics in err and "tabulated through j = 3" in err
+
+    # a JSON integer past the float range, where a finite number is wanted:
+    # the path the error names and its message
+    @pytest.mark.parametrize(
+        "mutate, path, message",
+        [
+            pytest.param(lambda r: r["model"].update(mu=HUGE), "model.mu", "must be", id="mu"),
+            pytest.param(lambda r: r["model"].update(b=[0.0, HUGE]), "model.b", "entry 1 must be", id="b"),
+            pytest.param(lambda r: r["times"].update(t1=HUGE), "times.t1", "must be", id="t1"),
+            pytest.param(
+                lambda r: r["outputs"]["field"].update(time_list=[HUGE]),
+                "outputs.field.time_list", "entry 0 must be", id="time-list",
+            ),
+            pytest.param(
+                lambda r: r["outputs"]["field"].update(grid=[-3.0, HUGE, -3.0, 3.0, 32, 32]),
+                "outputs.field.grid", "entry 1 must be", id="grid-bound",
+            ),
+        ],
+    )
+    def test_integer_past_float_range_is_not_finite(self, tmp_path, capsys, mutate, path, message):
+        config = write_config(tmp_path, mutate)
+        key = '"%s"' % path.rsplit(".", 1)[-1]
+        line = next(i for i, text in enumerate(config.read_text().splitlines(), 1) if key in text)
+        want = f"error: {config}:{line}: {path}: {message} a finite number\n"
+        assert cli.main(["run", str(config), "--validate-only"]) == 1
+        assert capsys.readouterr().err == want
+        assert run_cli(config, tmp_path / "out") == 1
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "out").exists()
 
     def test_k5_without_full_ladder_is_valid(self, tmp_path, capsys):
         def k5(raw):
@@ -464,16 +495,21 @@ class TestLegacyGuard:
     def test_guard_is_accepted_and_inert(self, tmp_path):
         # truncation.guard no longer sets anything: with it at 0, at 16 or
         # left out, a sextic run (rungs C_1 and C_2) writes the same bytes
-        # apart from the '#' lines, which carry the config's sha256
-        outs = []
+        # apart from the '#' lines, which carry the config's sha256; the
+        # sextic flow spreads the state past BASE's 6 x 6 grid by t = 0.75,
+        # and each run warns of that alike
+        outs, clipped = [], []
         for guard in (0, 16, None):
             def sextic(raw):
                 raw["model"]["b"] = [0.0, 0.0, 0.0, 1.0]
                 if guard is not None:
                     raw["truncation"]["guard"] = guard
             out = tmp_path / f"guard-{guard}"
-            assert run_cli(write_config(tmp_path, sextic, name=f"{guard}.json"), out) == 0
+            with pytest.warns(BoundaryMassWarning) as caught:
+                assert run_cli(write_config(tmp_path, sextic, name=f"{guard}.json"), out) == 0
+            clipped.append([str(w.message) for w in caught])
             outs.append(out)
+        assert clipped[0] == clipped[1] == clipped[2]
         names = sorted(p.name for p in outs[0].iterdir())
         assert len(names) == 16
         for out in outs[1:]:

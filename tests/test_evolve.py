@@ -10,6 +10,7 @@ moments have a one-dimensional radial Bessel reduction, with
 <alpha>(t) = alpha0 e^{-i omega t} for the harmonic model at any width.
 """
 
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -24,7 +25,6 @@ from groenewold_lab.evolve import (
     BlockPropagator,
     classical_moment_quadrature,
     evolve,
-    top_filled_sector,
 )
 from groenewold_lab import generators
 from groenewold_lab.generators import DYNAMICS, all_generator_blocks
@@ -32,7 +32,7 @@ from groenewold_lab.model import ModelSpec
 from groenewold_lab.observables import mean_alpha_series
 from groenewold_lab.render import BoundaryMassWarning, whorl_phase_field
 from groenewold_lab.states import GaussianState, groenewold_from_gaussian
-from oracles import classical_block_analytic
+from oracles import classical_block_analytic, dense, sector_rows
 
 QUARTIC = ModelSpec.quartic(mu=0.5)
 SEXTIC = ModelSpec.sextic(mu=0.5)
@@ -47,10 +47,10 @@ def mean_alpha(traj, index):
 
 class TestBlockPropagator:
     def test_identity_route(self):
-        # the zero generator (the frozen nu = 0 sector) takes the diagonal
-        # route, and exp(0 t) g is g bit for bit for the real vectors that
-        # sector holds, signed zeros included
-        p = BlockPropagator(np.zeros((4, 4)))
+        # the zero generator (the frozen nu = 0 sector), given as its
+        # diagonal, takes the diagonal route, and exp(0 t) g is g bit for bit
+        # for the real vectors that sector holds, signed zeros included
+        p = BlockPropagator(np.zeros(4))
         assert p.route == "diagonal"
         g = np.array([1.0, -0.0, 2.5, 0.0]) + 0j
         out = p.trajectory(g, [0.0, 2.0])
@@ -62,10 +62,12 @@ class TestBlockPropagator:
     def test_empty_generator_rejected(self):
         with pytest.raises(ConfigError, match="non-empty"):
             BlockPropagator(np.zeros((0, 0)))
+        with pytest.raises(ConfigError, match="non-empty"):
+            BlockPropagator(np.zeros(0))
 
     def test_diagonal_route(self):
         d = np.array([-1j, -3j, -7j])
-        p = BlockPropagator(np.diag(d))
+        p = BlockPropagator(d)
         assert p.route == "diagonal"
         g = np.array([1.0, 2.0, 3.0], dtype=complex)
         out = p.trajectory(g, [0.4])[0]
@@ -145,8 +147,8 @@ class TestBlockPropagator:
     def test_time_zero_bit_exact_on_every_route(self):
         rng = np.random.default_rng(3)
         gens = [
-            np.zeros((5, 5), dtype=complex),
-            np.diag(-1j * np.arange(1.0, 6.0)),
+            np.zeros(5, dtype=complex),
+            -1j * np.arange(1.0, 6.0),
             -1j * np.eye(5) - np.diag(np.ones(4), 1) + np.diag(np.ones(4), -1),
         ]
         g = rng.normal(size=5) + 1j * rng.normal(size=5)
@@ -182,7 +184,7 @@ class TestBlockPropagator:
         upper, lower = np.diag(np.ones(4), 1), np.diag(np.ones(4), -1)
         routes = []
         for make in (
-            lambda: np.diag(-1j * np.arange(1.0, 6.0)),
+            lambda: -1j * np.arange(1.0, 6.0),
             lambda: -1j * (upper + lower),
             lambda: -1j * np.eye(5) - upper + 0.5 * lower,
         ):
@@ -203,10 +205,8 @@ class TestEvolve:
         freqs = SEXTIC.eigenvalues(n) / SEXTIC.hbar
         phase = freqs[:, None] - freqs[None, :]
         g0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        with pytest.raises(ConfigError, match="not hermitian"):
-            evolve(g0, "quantum", SEXTIC, [0.0, 0.7, 1.3])
         g0 = g0 + g0.conj().T
-        traj = evolve(g0, "quantum", SEXTIC, [0.0, 0.7, 1.3])
+        traj = evolve(sector_rows(g0), "quantum", SEXTIC, [0.0, 0.7, 1.3])
         for i, t in enumerate([0.0, 0.7, 1.3]):
             want = np.exp(-1j * phase * t) * g0
             assert np.abs(traj.matrix(i) - want).max() < 1e-12
@@ -214,25 +214,25 @@ class TestEvolve:
     def test_quartic_quantum_recurrence(self):
         g0 = groenewold_from_gaussian(FIG3_STATE, 96)
         T = 2.0 * np.pi / (QUARTIC.mu * QUARTIC.omega)
-        traj = evolve(np.asarray(g0), "quantum", QUARTIC, [0.0, T])
+        traj = evolve(g0, "quantum", QUARTIC, [0.0, T])
         assert np.abs(traj.matrix(1) - traj.matrix(0)).max() < 1e-9
 
     def test_sextic_quantum_recurrence(self):
         g0 = groenewold_from_gaussian(FIG3_STATE, 64)
         T = 4.0 * np.pi / (SEXTIC.mu**2 * SEXTIC.omega)
-        traj = evolve(np.asarray(g0), "quantum", SEXTIC, [0.0, T])
+        traj = evolve(g0, "quantum", SEXTIC, [0.0, T])
         assert np.abs(traj.matrix(1) - traj.matrix(0)).max() < 1e-9
 
     def test_quartic_classical_does_not_recur(self):
         g0 = groenewold_from_gaussian(FIG3_STATE, 64)
         T = 2.0 * np.pi / (QUARTIC.mu * QUARTIC.omega)
-        traj = evolve(np.asarray(g0), "classical", QUARTIC, [0.0, T])
+        traj = evolve(g0, "classical", QUARTIC, [0.0, T])
         g1 = traj.diagonal_history(1)
         rel = np.linalg.norm(g1[1] - g1[0]) / np.linalg.norm(g1[0])
         assert rel > 0.1
 
     def test_conservation_suite(self):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 48))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 48)
         times = np.linspace(0.0, np.pi, 5)
         for dynamics in ("quantum", "classical", "semiquantum1"):
             traj = evolve(g0, dynamics, SEXTIC, times)
@@ -251,7 +251,7 @@ class TestEvolve:
     def test_purity_matches_dense_trace(self):
         rng = np.random.default_rng(9)
         g0 = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
-        traj = evolve(g0 + g0.conj().T, "quantum", QUARTIC, [0.0, 0.9])
+        traj = evolve(sector_rows(g0 + g0.conj().T), "quantum", QUARTIC, [0.0, 0.9])
         for i in (0, 1):
             m = traj.matrix(i)
             assert abs(traj.purity_series()[i] - np.trace(m @ m)) < 1e-12
@@ -266,7 +266,7 @@ class TestEvolve:
             return original(self, g0, times)
 
         monkeypatch.setattr(BlockPropagator, "trajectory", counting)
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 32))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 32)
         evolve(g0, "semiquantum1", QUARTIC, [0.0, 0.8])
         assert seen == [32 - nu for nu in range(24)]
 
@@ -276,7 +276,7 @@ class TestEvolve:
         # and stores sectors 0-23, the ones FIG3_STATE fills, and must match
         # it bit for bit there, with exact zeros read above
         n = 48
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, n))
+        g0 = groenewold_from_gaussian(FIG3_STATE, n)
         times = np.linspace(0.0, np.pi, 5)
         asked = []
 
@@ -288,8 +288,9 @@ class TestEvolve:
         traj = evolve(g0, dynamics, SEXTIC, times)
         assert asked == [23]
         assert len(traj.history) == 24
+        full = dense(g0)
         for nu, block in enumerate(all_generator_blocks(dynamics, SEXTIC, n)):
-            g = np.diagonal(g0, offset=-nu)
+            g = np.diagonal(full, offset=-nu)
             want = BlockPropagator(block).trajectory(g if nu else g.real, times)
             if nu < 24:
                 assert np.array_equal(traj.history[nu], want)
@@ -308,11 +309,11 @@ class TestEvolve:
             generators, "hilbert_correction_pairs", lambda *a: built.append("C") or pairs(*a)
         )
         monkeypatch.setattr(generators, "_moyal_sector", lambda *a: built.append("D") or sector(*a))
-        g0 = np.asarray(groenewold_from_gaussian(GaussianState(kappa=2.0, alpha0=0.0), 32))
+        g0 = groenewold_from_gaussian(GaussianState(kappa=2.0, alpha0=0.0), 32)
         traj = evolve(g0, "semiclassical1", SEXTIC, [0.0, 0.8, 1.6])
         assert built == []
         assert len(traj.history) == 1
-        assert np.array_equal(traj.history[0], np.tile(g0.diagonal().real, (3, 1)))
+        assert np.array_equal(traj.history[0], np.tile(g0[0], (3, 1)))
         for nu in range(1, 32):
             for signed in (nu, -nu):
                 zeros = traj.diagonal_history(signed)
@@ -343,7 +344,7 @@ class TestEvolve:
         monkeypatch.setattr(generators, "nu_block_from_pairs", built_c)
         monkeypatch.setattr(generators, "_moyal_sector", built_d)
         monkeypatch.setattr(BlockPropagator, "__init__", factored)
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 32))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 32)
         evolve(g0, dynamics, SEXTIC, [0.0, 0.8])
         rungs = ["C", "C", "D"] if dynamics == "semiclassical1" else ["C", "C"]
         want = [("factor", 0)]
@@ -359,8 +360,8 @@ class TestEvolve:
         # whole-run lists of sector blocks took 80 and 119; a run at N = 16
         # first does the lazy imports, scipy's among them
         n, times = 128, np.linspace(0.0, np.pi, 5)
-        evolve(np.asarray(groenewold_from_gaussian(FIG3_STATE, 16)), dynamics, SEXTIC, times)
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, n))
+        evolve(groenewold_from_gaussian(FIG3_STATE, 16), dynamics, SEXTIC, times)
+        g0 = groenewold_from_gaussian(FIG3_STATE, n)
         tracemalloc.start()
         try:
             traj = evolve(g0, dynamics, SEXTIC, times)
@@ -370,10 +371,40 @@ class TestEvolve:
         history = sum(rows.nbytes for rows in traj.history.values())
         assert peak - history <= 16 * n * n * np.dtype(complex).itemsize
 
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_last_sector_of_one_entry_matches_its_exponential(self, dynamics):
+        # alpha0 = 1e-3 fills every sector at N = 6, so the 1 x 1 block of
+        # nu = 5 is factored; a corrected one is a square block with an
+        # exactly zero real part, takes the unitary route and still gives
+        # exp(t L) g bit for bit
+        g0 = groenewold_from_gaussian(GaussianState(kappa=2.0, alpha0=1e-3), 6, tail_tol=1e-6)
+        times = np.array([0.0, 0.3, 1.7, 5.0])
+        traj = evolve(g0, dynamics, SEXTIC, times)
+        (last,) = np.ravel(list(all_generator_blocks(dynamics, SEXTIC, 6))[5])
+        assert len(g0) == 6 and last.real == 0.0
+        assert np.array_equal(traj.history[5], np.exp(times[:, None] * last) * g0[5])
+
+    def test_quantum_flow_holds_no_square_block(self):
+        # the quantum flow is diagonal on every sector, so at N = 2048
+        # (sectors 0-23 filled) it holds a few N-length rows besides the
+        # history it returns: measured 12.6, where a dense initial matrix
+        # and N x N diagonal blocks took about 6,000 (3 N x N arrays)
+        n, times = 2048, np.linspace(0.0, np.pi, 5)
+        evolve(groenewold_from_gaussian(FIG3_STATE, 16), "quantum", SEXTIC, times)
+        g0 = groenewold_from_gaussian(FIG3_STATE, n)
+        tracemalloc.start()
+        try:
+            traj = evolve(g0, "quantum", SEXTIC, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        history = sum(rows.nbytes for rows in traj.history.values())
+        assert peak - history <= 32 * n * np.dtype(complex).itemsize
+
     @pytest.mark.parametrize("dynamics", ["quantum", "classical", "semiquantum1", "semiclassical1"])
     def test_upper_diagonals_are_conjugates(self, dynamics):
         # FIG3_STATE fills sectors 0-23 of 32, so 24-31 are read as zeros
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 32))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 32)
         times = [0.0, 0.4, 1.1]
         traj = evolve(g0, dynamics, QUARTIC, times)
         for nu in range(1, 32):
@@ -381,31 +412,35 @@ class TestEvolve:
         for i in range(len(times)):
             m = traj.matrix(i)
             assert np.array_equal(m, m.conj().T)
-        top = top_filled_sector(g0, 31)
+        top = len(g0) - 1
         assert top == 23
         assert len(traj.history) == top + 1 and sorted(traj.history) == list(range(top + 1))
         for nu in range(top + 1, 32):
             assert not np.any(traj.diagonal_history(nu)) and not np.any(traj.diagonal_history(-nu))
 
-    def test_non_hermitian_input_rejected(self):
-        g0 = np.eye(4, dtype=complex)
-        g0[2, 0] = 1e-3
-        with pytest.raises(ConfigError, match="initial matrix not hermitian"):
+    @pytest.mark.parametrize(
+        "g0, message",
+        [
+            pytest.param([], "no sector rows", id="no-rows"),
+            pytest.param([np.ones(4), np.ones(4)], "sector 1 has shape (4,)", id="wrong-length"),
+            pytest.param(np.eye(4), "sector 1 has shape (4,)", id="square-matrix"),
+            pytest.param([np.ones(4) + 1e-3j], "sector 0 (the diagonal) must be real", id="complex-0"),
+            pytest.param([np.ones(3), [0.1, np.nan]], "sector 1 has an entry that is not finite", id="nan"),
+        ],
+    )
+    def test_row_format_rejected(self, g0, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             evolve(g0, "classical", QUARTIC, [0.0, 1.0])
-        g0[0, 2] = 1e-3 + 1e-12j
-        assert evolve(g0, "classical", QUARTIC, [0.0]).matrix(0)[0, 2] == 1e-3
 
     def test_evolve_group_property(self):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 48))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 48)
         a = evolve(g0, "classical", QUARTIC, [0.6])
-        b = evolve(a.matrix(0), "classical", QUARTIC, [1.1])
+        b = evolve(sector_rows(a.matrix(0)), "classical", QUARTIC, [1.1])
         c = evolve(g0, "classical", QUARTIC, [1.7])
         assert np.abs(b.matrix(0) - c.matrix(0)).max() < 1e-10
 
     def test_input_validation(self):
-        g0 = np.eye(4)
-        with pytest.raises(ConfigError):
-            evolve(np.zeros((3, 4)), "quantum", QUARTIC, [0.0])
+        g0 = sector_rows(np.eye(4))
         with pytest.raises(ConfigError):
             evolve(g0, "quantum", QUARTIC, [1.0, 0.0])
         with pytest.raises(ConfigError):
@@ -422,7 +457,7 @@ class TestEvolve:
 
         def defective(*args, nu_top):
             asked.append(nu_top)
-            return [np.zeros((3, 3)), jordan, np.zeros((1, 1))]
+            return [np.zeros(3), jordan, np.zeros(1)]
 
         monkeypatch.setattr(evolve_module, "all_generator_blocks", defective)
         return asked
@@ -432,13 +467,13 @@ class TestEvolve:
         g0 = np.eye(3, dtype=complex)
         g0[1, 0] = g0[0, 1] = 0.25  # sector 1 filled, so its generator is factored
         with pytest.raises(ValidationFailed, match="classical sector nu=1: .*condition number"):
-            evolve(g0, "classical", QUARTIC, [0.0, 1.0])
+            evolve(sector_rows(g0), "classical", QUARTIC, [0.0, 1.0])
         assert asked == [1]
 
     def test_defective_block_in_empty_sector_is_not_factored(self, monkeypatch):
         # the exact answer in an empty sector is zero whatever its generator
         asked = self.jordan_in_sector_one(monkeypatch)
-        traj = evolve(np.eye(3), "classical", QUARTIC, [0.0, 1.0])
+        traj = evolve(sector_rows(np.eye(3)), "classical", QUARTIC, [0.0, 1.0])
         assert asked == [0]
         assert not np.any(traj.diagonal_history(1)) and not np.any(traj.diagonal_history(2))
 
@@ -459,8 +494,7 @@ class TestBasisSizeDependence:
         for dynamics in ("semiquantum1", "classical"):
             curves = []
             for n in (128, 256):
-                g0 = np.zeros((n, n), dtype=complex)
-                g0[:64, :64] = g64
+                g0 = [np.pad(row, (0, n - 64)) for row in g64]
                 traj = evolve(g0, dynamics, SEXTIC, times)
                 curves.append(mean_alpha_series(traj))
             gap = np.abs(curves[0] - curves[1])
@@ -509,7 +543,7 @@ class TestClassicalMomentQuadrature:
 
     def test_matrix_route_agrees_quartic(self):
         # two independent routes: Fock-basis propagation vs Bessel quadrature
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 96))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 96)
         times = [0.5, 1.0, 1.5]
         traj = evolve(g0, "classical", QUARTIC, times)
         for i, t in enumerate(times):
@@ -520,7 +554,7 @@ class TestClassicalMomentQuadrature:
         # the sextic whorl climbs the number ladder fast: a basis of 96
         # resolves the flow to t ~ 0.5 only, and the residual at later t
         # is truncation, not disagreement; it dies as the basis grows
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 96))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 96)
         traj = evolve(g0, "classical", SEXTIC, [0.5, 1.5])
         oracle_early = classical_moment_quadrature(1, FIG3_STATE, SEXTIC, 0.5)
         assert abs(mean_alpha(traj, 0) - oracle_early) < 1e-6
@@ -528,7 +562,7 @@ class TestClassicalMomentQuadrature:
         coarse = abs(mean_alpha(traj, 1) - oracle_late)
         assert coarse > 1e-5
         wide = 512
-        g1 = np.diagonal(np.asarray(groenewold_from_gaussian(FIG3_STATE, wide)), offset=-1)
+        g1 = groenewold_from_gaussian(FIG3_STATE, wide)[1]
         # crop a padded closed-form generator: matrix powers of the
         # truncated tridiagonal are edge-corrupted, interior-exact
         block = classical_block_analytic(1, SEXTIC, wide + 7)[: wide - 1, : wide - 1]

@@ -35,6 +35,7 @@ from oracles import (
     rel_interior,
     rung,
     sector,
+    square,
     x_blocks,
 )
 
@@ -108,7 +109,7 @@ class TestQuantumBlock:
         # all_generator_blocks slices one spectrum; the oracle asks
         # level_frequencies for each sector's own, the same operations
         for nu, block in enumerate(all_generator_blocks("quantum", model, NMAX)):
-            assert np.array_equal(block, quantum_block(nu, model, NMAX - nu))
+            assert np.array_equal(square(block), quantum_block(nu, model, NMAX - nu))
 
 
 class TestClassicalThreeRoutes:
@@ -433,8 +434,17 @@ class TestDispatch:
             top = list(all_generator_blocks(dynamics, SEXTIC, nmax, nu_top=nu_top))
             assert len(top) == nu_top + 1
             for nu, block in enumerate(top):
-                assert block.shape == (nmax - nu, nmax - nu)
+                assert square(block).shape == (nmax - nu, nmax - nu)
                 assert np.array_equal(block, blocks[nu])
+
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_uncorrected_sectors_arrive_as_diagonals(self, dynamics):
+        # nu = 0, every quantum sector and every sector of a K = 1 model
+        # carry no correction: 1-D, the rest square
+        sextic = [block.ndim for block in all_generator_blocks(dynamics, SEXTIC, 12)]
+        corrected = dynamics != "quantum"
+        assert sextic == [1] + [2 if corrected else 1] * 11
+        assert [block.ndim for block in all_generator_blocks(dynamics, HARMONIC, 12)] == [1] * 12
 
     def test_frozen_sector_for_every_dynamics(self):
         for dynamics in DYNAMICS:

@@ -25,7 +25,7 @@ from groenewold_lab.observables import (
     squared_negativity,
 )
 from groenewold_lab.states import GaussianState, groenewold_from_gaussian
-from oracles import break_time, coherent_density, stacked_trajectory
+from oracles import break_time, coherent_density, dense, stacked_trajectory
 
 QUARTIC = ModelSpec.quartic(mu=0.5)
 SEXTIC = ModelSpec.sextic(mu=0.5)
@@ -58,7 +58,7 @@ class TestMoments:
         # <|alpha|^2> = |alpha0|^2 + 1/kappa, exactly, for any width
         for state, want in ((FIG3_STATE, 0.75), (FIG4_STATE, 1.5)):
             g = groenewold_from_gaussian(state, 64)
-            rec = snapshot(np.asarray(g), QUARTIC)
+            rec = snapshot(dense(g), QUARTIC)
             assert abs(rec.abs2 - want) < 1e-12
             assert abs(rec.mean_alpha - state.alpha0) < 1e-12
 
@@ -121,7 +121,7 @@ class TestMoments:
     @settings(max_examples=20, deadline=None)
     def test_invariants_on_gaussian_family(self, kappa, re, im):
         state = GaussianState(kappa=kappa, alpha0=complex(re, im))
-        rec = snapshot(np.asarray(groenewold_from_gaussian(state, 72)), QUARTIC)
+        rec = snapshot(dense(groenewold_from_gaussian(state, 72)), QUARTIC)
         assert rec.dq >= 0.0 and rec.dp >= 0.0
         assert rec.abs2 >= abs(rec.mean_alpha) ** 2
 
@@ -154,7 +154,7 @@ class TestWidthVariant:
 
 class TestMomentTrack:
     def test_harmonic_rotation(self):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 32))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 32)
         times = np.linspace(0.0, 2.0, 9)
         for dynamics in ("quantum", "classical"):
             traj = evolve(g0, dynamics, HARMONIC, times)
@@ -164,7 +164,7 @@ class TestMomentTrack:
 
     def test_works_in_moments_mode(self):
         # the moment sectors nu <= 2 alone give every record, bit for bit
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 24))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 24)
         traj = evolve(g0, "classical", QUARTIC, [0.0, 0.5])
         low = Trajectory(
             traj.dynamics, traj.model, traj.times, traj.dim,
@@ -184,7 +184,7 @@ class TestSpectrumExtremes:
         assert np.allclose(bottom, [0.0, 0.0], atol=1e-15)
 
     def test_quantum_evolution_keeps_pure_spectrum(self):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 48))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 48)
         for t in (0.7, 2.4):
             traj = evolve(g0, "quantum", SEXTIC, [t])
             top, bottom = spectrum_extremes(traj.matrix(0), 2)
@@ -193,7 +193,7 @@ class TestSpectrumExtremes:
             assert abs(bottom[0]) < 1e-9 and abs(bottom[1]) < 1e-9
 
     def test_classical_evolution_turns_negative(self):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 128))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 128)
         traj = evolve(g0, "classical", SEXTIC, [1.0])
         _, bottom = spectrum_extremes(traj.matrix(0), 1)
         assert bottom[0] < 0.0
@@ -216,20 +216,20 @@ class TestSquaredNegativity:
         assert squared_negativity(coherent_density(0.5, 32)) < 1e-14
 
     def test_quantum_trajectory_stays_zero(self):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 64))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 64)
         traj = evolve(g0, "quantum", SEXTIC, [0.5, 1.0, 2.0])
         for i in range(3):
             assert squared_negativity(traj.matrix(i)) < 1e-12
 
     def test_classical_evolution_generates_negativity(self):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 128))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 128)
         traj = evolve(g0, "classical", SEXTIC, [1.0])
         assert squared_negativity(traj.matrix(0)) > 1e-4
 
     def test_semiclassical_tracks_classical_negativity(self):
         # at t = 2 the first-order ladder neighbors order as the flows do:
         # semiclassical-1 sits nearer classical than semiquantum-1 does
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 128))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 128)
         values = {}
         for dynamics in ("classical", "semiquantum1", "semiclassical1"):
             traj = evolve(g0, dynamics, SEXTIC, [2.0])
@@ -245,7 +245,7 @@ class TestSquaredNegativity:
 
 class TestBreakTime:
     def test_identical_trajectories_never_break(self):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 32))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 32)
         traj = evolve(g0, "quantum", QUARTIC, np.linspace(0.0, 1.0, 8))
         assert break_time(traj, traj, 0.1) == math.inf
 
@@ -253,7 +253,7 @@ class TestBreakTime:
         times = np.linspace(0.0, np.pi, 64)
         pairs = []
         for model, state in ((QUARTIC, FIG3_STATE), (QUARTIC_SMALL_HBAR, FIG4_STATE)):
-            g0 = np.asarray(groenewold_from_gaussian(state, 96))
+            g0 = groenewold_from_gaussian(state, 96)
             quantum = evolve(g0, "quantum", model, times)
             classical = evolve(g0, "classical", model, times)
             pairs.append(break_time(quantum, classical, 0.1))
@@ -266,7 +266,7 @@ class TestBreakTime:
         # semiclassical-1 follows quantum longer than semiquantum-1
         # follows classical at the small-hbar operating point
         times = np.linspace(0.0, np.pi, 64)
-        g0 = np.asarray(groenewold_from_gaussian(FIG4_STATE, 96))
+        g0 = groenewold_from_gaussian(FIG4_STATE, 96)
         runs = {
             d: evolve(g0, d, SEXTIC_SMALL_HBAR, times)
             for d in ("quantum", "classical", "semiquantum1", "semiclassical1")
@@ -276,7 +276,7 @@ class TestBreakTime:
         assert bt_sc > bt_sq
 
     def test_grid_mismatch_rejected(self):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 16))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 16)
         a = evolve(g0, "quantum", QUARTIC, [0.0, 1.0])
         b = evolve(g0, "quantum", QUARTIC, [0.0, 2.0])
         with pytest.raises(ConfigError):
@@ -286,7 +286,7 @@ class TestBreakTime:
             break_time(a, c, 0.1)
 
     def test_threshold_validation(self):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 16))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 16)
         traj = evolve(g0, "quantum", QUARTIC, [0.0, 1.0])
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ConfigError):

@@ -34,6 +34,7 @@ from groenewold_lab.states import GaussianState, groenewold_from_gaussian
 from oracles import (
     classical_block_analytic,
     coherent_density,
+    dense,
     field_csv_pointwise,
     stacked_trajectory,
     whorl_field_pointwise,
@@ -73,14 +74,14 @@ def field_of(g, model=QUARTIC, grid=DEFAULT_GRID) -> PhaseField:
 @pytest.fixture(scope="module")
 def fig2_trajectory():
     """fig2's quantum flow at t = pi/4 alone: quartic, mu = 1/2, N = 128."""
-    g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 128))
+    g0 = groenewold_from_gaussian(FIG3_STATE, 128)
     return evolve(g0, "quantum", QUARTIC, [math.pi / 4.0])
 
 
 @pytest.fixture(scope="module")
 def fig2_fields():
     """fig2's four quantum fields and their trajectory, as the preset renders them."""
-    g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 128))
+    g0 = groenewold_from_gaussian(FIG3_STATE, 128)
     traj = evolve(g0, "quantum", QUARTIC, [math.pi / 4.0 * i for i in range(1, 5)])
     return traj, wigner_field(traj, DEFAULT_GRID)
 
@@ -105,7 +106,7 @@ class TestDistinctRadii:
 
     def test_anisotropic_scale_bit_equal_to_pointwise(self):
         model = ModelSpec.quartic(mu=0.5, m=2.0, omega=0.7)
-        g0 = np.asarray(groenewold_from_gaussian(GaussianState(kappa=1.5, alpha0=0.4 + 0.3j), 64))
+        g0 = groenewold_from_gaussian(GaussianState(kappa=1.5, alpha0=0.4 + 0.3j), 64)
         traj = evolve(g0, "quantum", model, [0.9])
         grid = (-4.0, 4.0, -4.0, 4.0, 96, 80)
         (field,) = wigner_field(traj, grid)
@@ -145,7 +146,7 @@ class TestBatchedRender:
             assert np.array_equal(field.values, wigner_field_pointwise(g, model, self.GRID))
 
     def test_trajectory_times_bit_equal_to_one_at_a_time(self):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 64))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 64)
         times = [0.0, 0.4, 1.1, 2.5]
         traj = evolve(g0, "quantum", QUARTIC, times).take([3, 1, 2])
         assert np.array_equal(traj.times, [2.5, 0.4, 1.1])
@@ -294,7 +295,7 @@ class TestWignerField:
             (FIG3_STATE, DEFAULT_GRID),
             (GaussianState(kappa=1.0, alpha0=2.0**-0.5), wide),
         ):
-            g = np.asarray(groenewold_from_gaussian(state, 96))
+            g = dense(groenewold_from_gaussian(state, 96))
             field = field_of(g, QUARTIC, grid)
             whorl = whorl_phase_field(state, QUARTIC, 0.0, grid)
             assert np.abs(field.values - whorl.values).max() < 1e-10
@@ -311,7 +312,7 @@ class TestWignerField:
         assert np.abs(field.values - want).max() < 1e-12
 
     def test_quantum_negative_regions_appear(self):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 96))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 96)
         for model in (QUARTIC, SEXTIC):
             traj = evolve(g0, "quantum", model, [math.pi / 4.0])
             (field,) = wigner_field(traj, (-4.0, 4.0, -4.0, 4.0, 128, 128))
@@ -319,7 +320,7 @@ class TestWignerField:
             assert abs(field.total_mass - 1.0) < 1e-6
 
     def test_mass_conserved_across_dynamics(self):
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 96))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 96)
         small = (-4.0, 4.0, -4.0, 4.0, 128, 128)
         for dynamics in ("quantum", "classical", "semiquantum1", "semiclassical1"):
             traj = evolve(g0, dynamics, QUARTIC, [0.0, 1.2])
@@ -329,7 +330,7 @@ class TestWignerField:
 
     def test_classical_field_matches_whorl(self):
         # matrix synthesis vs continuum density, interior pointwise
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 128))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 128)
         for t, tol in ((math.pi / 4.0, 1e-5), (math.pi / 2.0, 2e-5)):
             traj = evolve(g0, "classical", QUARTIC, [t])
             (field,) = wigner_field(traj)
@@ -352,13 +353,13 @@ class TestWignerField:
         nq = grid[4]
         inner = slice(nq // 8, nq - nq // 8)
 
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 128))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 128)
         traj = evolve(g0, "classical", QUARTIC, [t])
         (coarse_field,) = wigner_field(traj, grid)
         coarse = np.abs(coarse_field.values[inner, inner] - whorl.values[inner, inner]).max()
 
         dim, nu_top = 768, 32
-        gw = np.asarray(groenewold_from_gaussian(FIG3_STATE, dim))
+        gw = dense(groenewold_from_gaussian(FIG3_STATE, dim))
         gt = np.zeros((dim, dim), dtype=complex)
         for nu in range(nu_top + 1):
             block = classical_block_analytic(nu, QUARTIC, dim - nu + 8)[: dim - nu, : dim - nu]
@@ -375,7 +376,7 @@ class TestWignerField:
     def test_three_way_moment_consistency(self):
         # matrix trace, grid quadrature of the field, Bessel quadrature
         t = 1.0
-        g0 = np.asarray(groenewold_from_gaussian(FIG3_STATE, 128))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 128)
         traj = evolve(g0, "classical", QUARTIC, [t])
         record = moment_track(traj)[0]
         (field,) = wigner_field(traj)

@@ -12,14 +12,13 @@ import pytest
 from scipy.linalg import expm
 
 from groenewold_lab.errors import ConfigError, QuadratureNotConverged, TailMassExceeded
-from groenewold_lab.evolve import top_filled_sector
 from groenewold_lab.model import ModelSpec
 from groenewold_lab.states import (
     GaussianState,
     groenewold_from_gaussian,
     tail_mass,
 )
-from oracles import coherent_density, groenewold_by_quadrature, wigner_dyad_symbol
+from oracles import coherent_density, dense, groenewold_by_quadrature, wigner_dyad_symbol
 
 
 def displaced_thermal_oracle(kappa: float, alpha0: complex, n_basis: int) -> np.ndarray:
@@ -42,13 +41,13 @@ class TestCoherentLimit:
     @pytest.mark.parametrize("alpha0", [0.5, 0.3 + 0.4j, -0.25 + 0.6j])
     def test_kappa_two_gives_coherent_projector(self, alpha0):
         state = GaussianState(kappa=2.0, alpha0=alpha0)
-        g = groenewold_from_gaussian(state, NBASIS)
+        g = dense(groenewold_from_gaussian(state, NBASIS))
         ref = coherent_density(alpha0, NBASIS)
         assert np.abs(g - ref).max() < 1e-12
 
     def test_vacuum(self):
         state = GaussianState(kappa=2.0, alpha0=0.0)
-        g = groenewold_from_gaussian(state, 12)
+        g = dense(groenewold_from_gaussian(state, 12))
         ref = np.zeros((12, 12), dtype=complex)
         ref[0, 0] = 1.0
         assert np.abs(g - ref).max() < 1e-13
@@ -66,7 +65,7 @@ class TestDisplacedThermalOracle:
     )
     def test_matches_closed_form(self, kappa, alpha0):
         state = GaussianState(kappa=kappa, alpha0=alpha0)
-        g = groenewold_from_gaussian(state, NBASIS)
+        g = dense(groenewold_from_gaussian(state, NBASIS))
         ref = displaced_thermal_oracle(kappa, alpha0, NBASIS)
         assert np.abs(g - ref).max() < 1e-13
 
@@ -74,16 +73,16 @@ class TestDisplacedThermalOracle:
         # Tr G^2 = kappa / 2 for every isotropic Gaussian
         for kappa in [1.0, 2.0, 3.0]:
             state = GaussianState(kappa=kappa, alpha0=0.45)
-            g = groenewold_from_gaussian(state, NBASIS)
+            g = dense(groenewold_from_gaussian(state, NBASIS))
             assert abs(np.trace(g @ g).real - kappa / 2.0) < 1e-11
 
     def test_positivity_threshold(self):
         # kappa < 2: positive spectrum; kappa > 2: negative eigenvalues at t=0
         below = np.linalg.eigvalsh(
-            groenewold_from_gaussian(GaussianState(1.5, 0.5), NBASIS)
+            dense(groenewold_from_gaussian(GaussianState(1.5, 0.5), NBASIS))
         )
         above = np.linalg.eigvalsh(
-            groenewold_from_gaussian(GaussianState(3.0, 0.5), NBASIS)
+            dense(groenewold_from_gaussian(GaussianState(3.0, 0.5), NBASIS))
         )
         assert below.min() > -1e-12
         assert above.min() < -1e-3
@@ -92,7 +91,7 @@ class TestDisplacedThermalOracle:
 class TestQuadratureOracle:
     @pytest.mark.parametrize("state", [FIG3_STATE, FIG4_STATE], ids=["fig3", "fig4"])
     def test_matches_radial_quadrature(self, state):
-        g = groenewold_from_gaussian(state, 128)
+        g = dense(groenewold_from_gaussian(state, 128))
         assert np.abs(g - groenewold_by_quadrature(state, 128)).max() < 1e-14
 
 
@@ -102,26 +101,31 @@ class TestStopRule:
     @pytest.mark.parametrize("state", [FIG3_STATE, FIG4_STATE], ids=["fig3", "fig4"])
     @pytest.mark.parametrize("n_basis", [128, 1024])
     def test_top_filled_sector(self, state, n_basis):
-        g = groenewold_from_gaussian(state, n_basis)
-        assert top_filled_sector(g, n_basis - 1) == 23
-        assert np.abs(np.diagonal(g, -22)).max() < 1e-17
-        assert np.abs(np.diagonal(g, -21)).max() >= 1e-17
+        rows = groenewold_from_gaussian(state, n_basis)
+        assert len(rows) - 1 == 23
+        assert np.abs(rows[22]).max() < 1e-17
+        assert np.abs(rows[21]).max() >= 1e-17
+
+    def test_centred_state_keeps_sector_zero_only(self):
+        # sectors 1 and 2 are exact zeros and stop the fill; both are dropped
+        rows = groenewold_from_gaussian(GaussianState(kappa=1.5, alpha0=0.0), NBASIS)
+        assert len(rows) == 1
 
 
 class TestInvariants:
     @pytest.mark.parametrize("kappa,alpha0", [(2.0, 0.5), (1.0, 0.7), (2.5, 0.2 + 0.5j)])
     def test_trace_one(self, kappa, alpha0):
-        g = groenewold_from_gaussian(GaussianState(kappa, alpha0), NBASIS)
+        g = dense(groenewold_from_gaussian(GaussianState(kappa, alpha0), NBASIS))
         assert abs(np.trace(g).real - 1.0) < 1e-12
         assert abs(np.trace(g).imag) < 1e-14
 
     def test_hermitian_exactly(self):
-        g = groenewold_from_gaussian(GaussianState(1.2, 0.3 + 0.6j), NBASIS)
+        g = dense(groenewold_from_gaussian(GaussianState(1.2, 0.3 + 0.6j), NBASIS))
         assert np.array_equal(g, g.conj().T)
 
     @pytest.mark.parametrize("kappa,alpha0", [(2.0, 0.5), (1.0, 1 / np.sqrt(2.0))])
     def test_first_and_second_moments(self, kappa, alpha0):
-        g = groenewold_from_gaussian(GaussianState(kappa, alpha0), NBASIS)
+        g = dense(groenewold_from_gaussian(GaussianState(kappa, alpha0), NBASIS))
         a = np.diag(np.sqrt(np.arange(1, NBASIS)), 1)
         mean_alpha = np.trace(g @ a)
         assert abs(mean_alpha - alpha0) < 1e-11
@@ -149,12 +153,12 @@ class TestGuards:
     def test_below_the_limit_runs(self):
         # (1 - z)|alpha0|^2 = 289, while the radial quadrature would need its
         # Bessel kernel at 2 kappa s |alpha0| = 1637, past its domain (1500)
-        g = groenewold_from_gaussian(GaussianState(2.0, 17.0), 512)
+        g = dense(groenewold_from_gaussian(GaussianState(2.0, 17.0), 512))
         assert abs(np.trace(g).real - 1.0) < 1e-14
         assert np.abs(g - coherent_density(17.0, 512)).max() < 1e-13
 
     def test_tail_mass_function(self):
-        g = np.diag(np.ones(10))
+        g = [np.ones(10)]
         assert tail_mass(g) == pytest.approx(4.0)
 
     def test_basis_too_small(self):
@@ -252,11 +256,12 @@ class TestDyadSymbol:
             wigner_dyad_symbol(-1, 0, 0.0, 0.0, model)
 
 
-class TestReturnedArray:
-    def test_plain_hermitian_array(self):
-        g = groenewold_from_gaussian(GaussianState(kappa=2.0, alpha0=0.5), NBASIS)
-        assert type(g) is np.ndarray
-        assert g.shape == (NBASIS, NBASIS)
-        assert np.trace(g) == pytest.approx(1.0, abs=1e-10)
-        assert np.array_equal(g, g.conj().T)
-        assert tail_mass(g) < 1e-10
+class TestReturnedRows:
+    def test_real_diagonal_and_lower_sectors(self):
+        rows = groenewold_from_gaussian(GaussianState(kappa=2.0, alpha0=0.5), NBASIS)
+        assert type(rows) is list
+        assert [row.shape for row in rows] == [(NBASIS - nu,) for nu in range(len(rows))]
+        assert rows[0].dtype == float
+        assert all(row.dtype == complex for row in rows[1:])
+        assert rows[0].sum() == pytest.approx(1.0, abs=1e-10)
+        assert tail_mass(rows) < 1e-10
