@@ -91,6 +91,10 @@ __all__ = [
 
 DEFAULT_GRID = (-4.0, 4.0, -4.0, 4.0, 256, 256)
 
+# points per grid axis at most: a 4096 x 4096 field holds 16.8 million
+# values, 134 MB per time as floats and about 400 MB as CSV text
+MAX_GRID_POINTS = 4096
+
 _BOUNDARY_MASS_LIMIT = 1e-4
 
 # a row's columns whose tail sum of |coefficients| is at most this times the
@@ -132,6 +136,8 @@ def _check_grid(grid) -> tuple[float, float, float, float, int, int]:
     for i in (4, 5):
         if not isinstance(grid[i], numbers.Integral) or grid[i] < 2:
             raise ConfigError(f"entry {i} must be an integer >= 2")
+        if grid[i] > MAX_GRID_POINTS:
+            raise ConfigError(f"entry {i} must be at most {MAX_GRID_POINTS}")
     return float(q_min), float(q_max), float(p_min), float(p_max), int(nq), int(npts)
 
 

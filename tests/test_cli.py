@@ -27,7 +27,13 @@ from groenewold_lab import evolve as evolve_module
 from groenewold_lab.errors import ConfigError
 from groenewold_lab.evolve import BlockPropagator
 from groenewold_lab.model import ModelSpec
-from groenewold_lab.render import DEFAULT_GRID, BoundaryMassWarning, whorl_phase_field, wigner_field
+from groenewold_lab.render import (
+    DEFAULT_GRID,
+    MAX_GRID_POINTS,
+    BoundaryMassWarning,
+    whorl_phase_field,
+    wigner_field,
+)
 from groenewold_lab.states import GaussianState
 from oracles import coherent_density, stacked_trajectory
 
@@ -74,6 +80,13 @@ def rows_of(path):
     header, *rest = data_lines(path)
     cols = header.split(",")
     return [dict(zip(cols, line.split(","))) for line in rest]
+
+
+def synthesized_trace_err(path):
+    """The trace error of the initial state, from its one '#' line in validate.csv."""
+    prefix = "# synthesized state trace_err: "
+    (value,) = [ln[len(prefix):] for ln in path.read_text().splitlines() if ln.startswith(prefix)]
+    return float(value)
 
 
 class TestSchemaErrors:
@@ -286,6 +299,80 @@ class TestSchemaErrors:
         assert "cannot read" in capsys.readouterr().err
 
 
+def set_grid_count(index, value):
+    def mutate(raw):
+        raw["outputs"]["field"]["grid"][index] = value
+    return mutate
+
+
+# each size a config may ask for: how to set it, the key the error names,
+# the largest value accepted and the messages for a value past it and for
+# a 401-digit value (a grid entry is first read as a finite number)
+SIZE_LIMITS = [
+    pytest.param(
+        lambda v: lambda r: r["truncation"].update(N=v), "truncation.N", cli.MAX_N,
+        f"must be at most {cli.MAX_N}", f"must be at most {cli.MAX_N}", id="N",
+    ),
+    pytest.param(
+        lambda v: lambda r: r["times"].update(steps=v), "times.steps", cli.MAX_STEPS,
+        f"must be at most {cli.MAX_STEPS}", f"must be at most {cli.MAX_STEPS}", id="steps",
+    ),
+    pytest.param(
+        lambda v: set_grid_count(4, v), "outputs.field.grid", MAX_GRID_POINTS,
+        f"entry 4 must be at most {MAX_GRID_POINTS}", "entry 4 must be a finite number", id="nq",
+    ),
+    pytest.param(
+        lambda v: set_grid_count(5, v), "outputs.field.grid", MAX_GRID_POINTS,
+        f"entry 5 must be at most {MAX_GRID_POINTS}", "entry 5 must be a finite number", id="np",
+    ),
+]
+
+
+class TestSizeLimits:
+    """Oversize N, steps and grid counts are schema errors, not numpy failures."""
+
+    @staticmethod
+    def config(tmp_path, setter, value):
+        # quantum only and a centred state, so a run at the limit builds
+        # nothing larger than its diagonal sector rows
+        def mutate(raw):
+            raw["state"]["alpha0_re"] = 0.0
+            raw["dynamics"] = ["quantum"]
+            setter(value)(raw)
+        return write_config(tmp_path, mutate)
+
+    @pytest.mark.parametrize("setter, path, limit, over, huge", SIZE_LIMITS)
+    @pytest.mark.parametrize("excess", ["huge", "limit+1"])
+    def test_oversize_exits_one(self, tmp_path, capsys, setter, path, limit, over, huge, excess):
+        value, message = (HUGE, huge) if excess == "huge" else (limit + 1, over)
+        config = self.config(tmp_path, setter, value)
+        key = '"%s"' % path.rsplit(".", 1)[-1]
+        line = next(i for i, text in enumerate(config.read_text().splitlines(), 1) if key in text)
+        want = f"error: {config}:{line}: {path}: {message}\n"
+        assert cli.main(["run", str(config), "--validate-only"]) == 1
+        assert capsys.readouterr().err == want
+        assert run_cli(config, tmp_path / "out") == 1
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("setter, path, limit, over, huge", SIZE_LIMITS)
+    def test_limit_validates(self, tmp_path, capsys, setter, path, limit, over, huge):
+        config = self.config(tmp_path, setter, limit)
+        assert cli.main(["run", str(config), "--validate-only"]) == 0
+        assert capsys.readouterr().out.startswith("config ok:")
+
+    def test_limits_lie_far_above_the_presets(self):
+        # N = 4096 is the largest basis the tests run
+        assert cli.MAX_N >= 4 * 4096
+        for n in range(1, 7):
+            preset = resources.files("groenewold_lab").joinpath("presets", f"fig{n}.json")
+            raw = json.loads(preset.read_text(encoding="ascii"))
+            assert 100 * raw["truncation"]["N"] <= cli.MAX_N
+            assert 1000 * raw["times"]["steps"] <= cli.MAX_STEPS
+            grid = raw["outputs"].get("field", {}).get("grid") or DEFAULT_GRID
+            assert 16 * max(grid[4:]) <= MAX_GRID_POINTS
+
+
 # each bad outputs.field.grid, and the message the CLI prints for it after
 # the config path and line
 BAD_GRIDS = [
@@ -405,9 +492,12 @@ class TestRunOutputs:
 
     def test_validation_residuals_small(self, happy_run):
         _, out = happy_run
-        for row in rows_of(out / "validate.csv"):
-            for col in ("trace_err", "herm_err", "purity_drift", "abs2_drift"):
-                assert float(row[col]) < 1e-10
+        assert data_lines(out / "validate.csv")[0] == "t,dynamics,purity_drift"
+        rows = rows_of(out / "validate.csv")
+        assert len(rows) == 16
+        for row in rows:
+            assert float(row["purity_drift"]) < 1e-10
+        assert synthesized_trace_err(out / "validate.csv") < 1e-10
 
     def test_field_pgm_layout(self, happy_run):
         _, out = happy_run
@@ -524,24 +614,59 @@ class TestLegacyGuard:
 
 class TestExitCodes:
     def test_validation_gate_exits_two(self, tmp_path, monkeypatch, capsys):
-        # force the gate with a tolerance no residual can meet, since residuals
-        # are >= 0 and may be exactly 0; only the residual table is written so
-        # the failure is inspectable but not mistakable for results
-        monkeypatch.setitem(cli.TOLERANCES, "trace_err", -1.0)
+        # force the purity gate with a tolerance no drift can meet, since
+        # drifts are >= 0 and may be exactly 0; only the drift table is
+        # written so the failure is inspectable but not mistakable for results
+        monkeypatch.setitem(cli.TOLERANCES, "purity_drift", -1.0)
         config = write_config(tmp_path)
         out = tmp_path / "out"
         assert run_cli(config, out) == 2
-        assert "validation failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.search(r"validation failed: \w+ purity_drift = \S+ at t = \S+ \(tolerance -1e\+00\)", err)
         assert sorted(p.name for p in out.iterdir()) == ["validate.csv"]
+        assert len(rows_of(out / "validate.csv")) == 16
 
-    def test_nan_history_exits_two(self, tmp_path, monkeypatch, capsys):
-        # a NaN residual fails the gate instead of comparing False against it;
+    @staticmethod
+    def loose_tail_config(tmp_path, validate):
+        # tail_tol = 1 lets a basis of 16 levels hold |alpha0|^2 = 9, which
+        # leaves about 2e-2 of the trace outside it
+        def loose(raw):
+            raw["state"]["alpha0_re"] = 3.0
+            raw["truncation"].update(N=16, tail_tol=1.0)
+            raw["outputs"] = {"moments": True, "validate": validate}
+        return write_config(tmp_path, loose)
+
+    def test_synthesized_trace_gate_exits_two_before_evolving(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a dynamics was evolved after the trace check failed")
+
+        monkeypatch.setattr(cli, "evolve", unreachable)
+        config = self.loose_tail_config(tmp_path, validate=True)
+        out = tmp_path / "out"
+        for argv in (["--out", str(out)], ["--validate-only"]):
+            assert cli.main(["run", str(config), *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("validation failed: synthesized state trace_err = 2.")
+            assert "(tolerance 1e-10)" in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_synthesized_trace_is_checked_only_with_validate(self, tmp_path):
+        # the trace error is a validation output; without it the run keeps
+        # its moments, whose trace_err column shows the same loss
+        out = tmp_path / "out"
+        assert run_cli(self.loose_tail_config(tmp_path, validate=False), out) == 0
+        for row in rows_of(out / "moments.csv"):
+            assert 1e-2 < float(row["trace_err"]) < 1e-1
+
+    @staticmethod
+    def nan_history_run(tmp_path, monkeypatch, capsys, sector):
+        # a NaN drift fails the gate instead of comparing False against it;
         # no spectrum or negativity, whose eigensolvers reject a NaN matrix
         evolve = cli.evolve
 
         def poisoned(g0, name, model, times, **kwargs):
             traj = evolve(g0, name, model, times, **kwargs)
-            traj.history[0][-1, 0] = np.nan
+            traj.history[sector][-1, 0] = np.nan
             return traj
 
         monkeypatch.setattr(cli, "evolve", poisoned)
@@ -549,8 +674,19 @@ class TestExitCodes:
         config = write_config(tmp_path, lambda r: r.update(outputs=outputs))
         out = tmp_path / "out"
         assert run_cli(config, out) == 2
-        assert "validation failed: quantum trace_err = nan" in capsys.readouterr().err
+        assert "validation failed: quantum purity_drift = nan at t = 1.5" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["validate.csv"]
+        drifts = [row["purity_drift"] for row in rows_of(out / "validate.csv")]
+        assert drifts[3::4] == ["nan"] * 4 and "nan" not in drifts[0:3]
+
+    def test_nan_history_exits_two(self, tmp_path, monkeypatch, capsys):
+        # the frozen sector 0
+        self.nan_history_run(tmp_path, monkeypatch, capsys, 0)
+
+    def test_nan_in_upper_sector_exits_two(self, tmp_path, monkeypatch, capsys):
+        # a propagated sector, which the retired trace and |alpha|^2 gates
+        # never read
+        self.nan_history_run(tmp_path, monkeypatch, capsys, 3)
 
     @staticmethod
     def poison_history(monkeypatch, rows):
@@ -622,14 +758,14 @@ class TestExitCodes:
             assert len(list(out.glob("field_quantum_*.csv"))) == 1
 
     def test_nan_field_with_validate_trips_the_gate_first(self, tmp_path, monkeypatch, capsys):
-        # the conservation gate still reports first and keeps its validate.csv
+        # the purity gate still reports first and keeps its validate.csv
         self.poison_history(monkeypatch, slice(None))
         outputs = {"field": BASE["outputs"]["field"], "validate": True}
         config = write_config(tmp_path, lambda r: r.update(outputs=outputs))
         out = tmp_path / "out"
         assert run_cli(config, out) == 2
         err = capsys.readouterr().err
-        assert "validation failed: quantum trace_err = nan" in err
+        assert "validation failed: quantum purity_drift = nan" in err
         assert "not finite" not in err
         assert sorted(p.name for p in out.iterdir()) == ["validate.csv"]
 
@@ -674,8 +810,9 @@ class TestExitCodes:
         config = self.coherent_config(tmp_path, 17, 512)
         assert cli.main(["run", str(config), "--validate-only"]) == 0
         assert run_cli(config, tmp_path / "out") == 0
+        assert synthesized_trace_err(tmp_path / "out" / "validate.csv") < 1e-14
         for row in rows_of(tmp_path / "out" / "validate.csv"):
-            assert float(row["trace_err"]) < 1e-14
+            assert float(row["purity_drift"]) < 1e-8
 
     def test_recurrence_overflow_exits_three(self, tmp_path, capsys):
         # (1 - z)|alpha0|^2 = 756 is past the closed form's float range (714)

@@ -9,8 +9,11 @@ identities are asserted on guarded interiors since truncated banded
 products are corrupted near the edge.
 """
 
+from math import lgamma
+
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 
 from oracles import (
     THETA,
@@ -138,6 +141,95 @@ class TestAlgebra:
 
     def test_theta_value(self):
         assert THETA == pytest.approx(np.log(7 / 3) / 4, abs=0)
+
+
+def laguerre_polynomial_parts(nu: int, count: int, x: np.ndarray) -> np.ndarray:
+    """p_k(x) for k = 0 .. count - 1, where the Laguerre function is
+    phi_k^nu(x) = (-1)^k sqrt(k!/(k+nu)!) x^(nu/2) e^(-x/2) L_k^nu(x)
+                = x^(nu/2) e^(-x/2) p_k(x).
+
+    The p_k are orthonormal for the weight x^nu e^(-x), by DLMF 18.9.13
+    scaled to them: sqrt((k+1)(k+1+nu)) p_(k+1)
+    = (x - 2k - 1 - nu) p_k - sqrt(k (k+nu)) p_(k-1).
+    """
+    p = np.empty((count, x.size))
+    p[0] = np.exp(-0.5 * lgamma(nu + 1.0))
+    prev = np.zeros(x.size)
+    for k in range(count - 1):
+        p[k + 1] = ((x - 2 * k - 1 - nu) * p[k] - np.sqrt(k * (k + nu)) * prev) / np.sqrt(
+            (k + 1) * (k + 1 + nu)
+        )
+        prev = p[k]
+    return p
+
+
+def laguerre_gauss_rule(nu: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss rule for the weight x^nu e^(-x): scipy's nodes after
+    two Newton steps on p_m, and the Christoffel weights 1 / sum_k p_k^2.
+    scipy's own nodes and weights carry errors of about 5e-13 into the
+    matrices below; these carry about 6e-14."""
+    x, _ = roots_genlaguerre(m, nu)
+    for _ in range(2):
+        p = laguerre_polynomial_parts(nu, m + 1, x)
+        # x p_m' = m p_m + sqrt(m (m+nu)) p_(m-1), from DLMF 18.9.14
+        x = x - x * p[m] / (m * p[m] + np.sqrt(m * (m + nu)) * p[m - 1])
+    p = laguerre_polynomial_parts(nu, m, x)
+    return x, 1.0 / (p * p).sum(axis=0)
+
+
+class TestLaguerreRealization:
+    """On the Laguerre functions phi_k^nu of x = 4|alpha|^2 the sector
+    operators act as differential operators: X1 + X2 is multiplication by
+    x/2, and X1^2 - X2^2 + (2 - nu^2)/4 is -d/dx x^2 d/dx. This is the
+    discrete-series realization of su(1,1) (Bargmann, Ann. Math. 48, 568
+    (1947)). Both Galerkin matrices are formed by Gauss quadrature that is
+    exact for their polynomial integrands."""
+
+    N_FUNCTIONS = 12
+
+    @staticmethod
+    def galerkin(nu, n):
+        # 2n - 1 >= the degree 2n of the largest integrand q_j q_k below
+        x, w = laguerre_gauss_rule(nu, n + 1)
+        p = laguerre_polynomial_parts(nu, n, x)
+        # x^(1 - nu/2) e^(x/2) phi_k' = (nu/2 - x/2) p_k + x p_k'
+        #                             = (nu/2 - x/2 + k) p_k + sqrt(k (k+nu)) p_(k-1)
+        k = np.arange(n)[:, None]
+        lower = np.vstack([np.zeros(x.size), p[:-1]])
+        q = ((nu - x) / 2 + k) * p + np.sqrt(k * (k + nu)) * lower
+        half_x = (p * (w * x / 2)) @ p.T
+        # integral of x^2 phi_j' phi_k' dx, which is <phi_j, -(x^2 phi_k')'>
+        stiffness = (q * w) @ q.T
+        return p, w, half_x, stiffness
+
+    @pytest.mark.parametrize("nu", [0, 1, 2, 5])
+    def test_polynomial_parts_follow_the_definition(self, nu):
+        n = self.N_FUNCTIONS
+        x = np.linspace(0.1, 30.0, 7)
+        k = np.arange(n)[:, None]
+        scale = (-1.0) ** k * np.exp(0.5 * (gammaln(k + 1.0) - gammaln(k + nu + 1.0)))
+        want = scale * eval_genlaguerre(k, nu, x)
+        got = laguerre_polynomial_parts(nu, n, x)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        p, w, _, _ = self.galerkin(nu, n)
+        assert np.abs((p * w) @ p.T - np.eye(n)).max() <= 1e-12
+
+    @pytest.mark.parametrize("nu", [0, 1, 2, 5])
+    def test_half_x_is_x1_plus_x2(self, nu):
+        n = self.N_FUNCTIONS
+        _, _, half_x, _ = self.galerkin(nu, n)
+        x1, x2, _ = x_blocks(nu, n)
+        assert np.abs(half_x - (x1 + x2)).max() <= 1e-12
+
+    @pytest.mark.parametrize("nu", [0, 1, 2, 5])
+    def test_minus_d_x2_d_is_x1_squared_minus_x2_squared(self, nu):
+        # the products are taken on a block padded by 2 rows, then cropped,
+        # so no entry misses a term of the tridiagonal products
+        n = self.N_FUNCTIONS
+        _, _, _, stiffness = self.galerkin(nu, n)
+        x1, x2, _ = x_blocks(nu, n + 2)
+        want = (x1 @ x1 - x2 @ x2)[:n, :n] + (2 - nu * nu) / 4 * np.eye(n)
+        assert np.abs(stiffness - want).max() <= 1e-12
 
 
 def grad_semiquantum1(j):
