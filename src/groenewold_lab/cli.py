@@ -8,14 +8,14 @@ byte-identical across runs once those lines are stripped.
 
 With outputs.validate on, the synthesized state's trace is checked once,
 before any dynamics is evolved: every flow keeps sector 0 fixed, so the
-trace cannot move after t = 0. The one gate per row is the purity drift,
-the only conserved quantity here that reads every stored sector.
+trace cannot move after t = 0. The one gate per row is the purity drift
+from t0, the only conserved quantity here that reads every stored sector.
+Spectra and negativity share one eigensolve per dynamics and row time.
 
 Exit codes: 0 success, 1 config schema error (line-precise), 2 validation
 failure (the synthesized trace or a purity drift over tolerance, a sector
-generator too ill-conditioned to factor, a non-Hermitian or non-finite
-snapshot for the eigensolvers, or a non-finite field), 3 quadrature or
-truncation failure (state does not fit the basis).
+generator too ill-conditioned to factor, or a non-finite snapshot or
+field), 3 quadrature or truncation failure (state does not fit the basis).
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from .evolve import evolve
 from .generators import DYNAMICS, all_generator_blocks, rung_count
 from .mathkit import is_finite_real
 from .model import ModelSpec
-from .observables import moment_track, moment_width_variant, spectrum_extremes, squared_negativity
+from .observables import moment_track, moment_width_variant, snapshot_spectrum
+from .observables import spectrum_extremes, squared_negativity
 from .render import (
     DEFAULT_GRID,
     _check_grid,
@@ -428,7 +429,7 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
             for t, i in zip(cfg.times, row_idx):
                 r = records[i]
                 if cfg.validate:
-                    validate_rows.append([t, name, abs(purity[i] - purity[0])])
+                    validate_rows.append([t, name, abs(purity[i] - purity[row_idx[0]])])
                 if cfg.moments:
                     dq_paper, dp_paper = moment_width_variant(r, cfg.model)
                     moment_rows.append([
@@ -440,12 +441,12 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
                         trace_err[i], purity[i],
                     ])
                 if cfg.spectrum_k or cfg.negativity:
-                    snapshot = traj.matrix(i)
+                    w = snapshot_spectrum(traj, i)
                     if cfg.spectrum_k:
-                        maxes, mins = spectrum_extremes(snapshot, cfg.spectrum_k)
+                        maxes, mins = spectrum_extremes(w, cfg.spectrum_k)
                         spectrum_rows.append([t, name, *maxes, *mins])
                     if cfg.negativity:
-                        negativity_rows.append([t, name, squared_negativity(snapshot)])
+                        negativity_rows.append([t, name, squared_negativity(w)])
         if cfg.field_times and not whorl:
             rendered = wigner_field(traj.take(field_idx), cfg.field_grid)
             fields += [(name, t, field) for t, field in zip(cfg.field_times, rendered)]

@@ -1,12 +1,11 @@
 """Numerical kernels shared across the package.
 
 Hand-authored special functions (scaled Bessel I and the orthonormal
-associated Laguerre family) plus a hermiticity check and Gaussian
-quadrature rules. The hand-authored kernels are the only
-special-function implementations used at runtime; numpy supplies
-eigendecompositions and Gauss-Legendre nodes, scipy the generalized
-Gauss-Laguerre nodes. scipy is imported inside gauss_genlaguerre_rule, so
-only a run that builds a Moyal rung (semiclassical1) loads it.
+associated Laguerre family), the only ones used at runtime, plus Gaussian
+quadrature rules: numpy supplies Gauss-Legendre nodes, scipy the
+generalized Gauss-Laguerre nodes. scipy is imported inside
+gauss_genlaguerre_rule, so only a run that builds a Moyal rung
+(semiclassical1) loads it.
 
 Scaling conventions, chosen so that every array touched at runtime stays
 inside float64 range even at basis size N = 128:
@@ -26,12 +25,11 @@ from math import lgamma
 
 import numpy as np
 
-from .errors import QuadratureNotConverged, ValidationFailed
+from .errors import QuadratureNotConverged
 
 __all__ = [
     "QuadratureRule",
     "bessel_i_scaled",
-    "check_hermitian",
     "composite_gauss_legendre_rule",
     "gauss_genlaguerre_rule",
     "is_finite_real",
@@ -121,20 +119,6 @@ def is_finite_real(v) -> bool:
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         return False
     return bool(abs(v) <= sys.float_info.max)
-
-
-def check_hermitian(a, tol: float = 1e-10) -> None:
-    """Raise ValidationFailed unless max|A - A^H| <= tol * max(1, max|A|).
-
-    A matrix with a NaN entry fails: its deviation compares False.
-    """
-    a = np.asarray(a)
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-    if not dev <= tol * scale:
-        raise ValidationFailed(
-            f"matrix not hermitian: deviation {dev:.3e} > {tol:.1e} * scale {scale:.3e}"
-        )
 
 
 @dataclass(frozen=True)

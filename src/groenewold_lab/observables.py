@@ -18,10 +18,10 @@ displaced states (the radicand can reach zero or go negative, reported as
 NaN), which is why the first-principles form is primary and both are
 emitted side by side in the CSV outputs.
 
-Spectral diagnostics (extreme eigenvalues, squared negativity) take one
-reassembled matrix and run a full Hermitian eigenvalue solve without
-eigenvectors; the negativity needs the whole negative spectrum anyway, so
-no extremal iteration is used.
+Spectral diagnostics (extreme eigenvalues, squared negativity) share the
+eigenvalues of snapshot_spectrum: one full Hermitian solve without
+eigenvectors of a reassembled snapshot. The negativity needs the whole
+negative spectrum anyway, so no extremal iteration is used.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationFailed
 from .evolve import Trajectory
-from .mathkit import check_hermitian
 from .model import ModelSpec
 
 __all__ = [
@@ -41,6 +40,7 @@ __all__ = [
     "mean_alpha_series",
     "moment_track",
     "moment_width_variant",
+    "snapshot_spectrum",
     "spectrum_extremes",
     "squared_negativity",
 ]
@@ -58,13 +58,6 @@ class MomentRecord:
     mean_p: float
     dq: float
     dp: float
-
-
-def _as_square(g) -> np.ndarray:
-    g = np.asarray(g, dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
-        raise ConfigError("expected a square matrix")
-    return g
 
 
 def _record(
@@ -133,30 +126,33 @@ def mean_alpha_series(traj: Trajectory) -> np.ndarray:
     return traj.diagonal_history(1) @ np.sqrt(k + 1.0)
 
 
-def spectrum_extremes(g, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k largest (descending) and k smallest (ascending) eigenvalues.
+def snapshot_spectrum(traj: Trajectory, index: int) -> np.ndarray:
+    """Ascending eigenvalues of traj.matrix(index), from one eigenvalue-only solve.
 
-    The input must be Hermitian, checked as for squared_negativity; the
-    full spectrum comes from one eigenvalue-only Hermitian solve.
+    The snapshot is Hermitian by construction (matrix() writes sector -nu
+    as the conjugate of sector nu); ValidationFailed names the dynamics,
+    the time and the first sector whose stored row there is not finite.
     """
-    g = _as_square(g)
+    for nu, rows in traj.history.items():
+        if not np.isfinite(rows[index]).all():
+            raise ValidationFailed(
+                f"{traj.dynamics} snapshot at t = {traj.times[index]:.17g} has an entry "
+                f"in sector {nu} that is not finite"
+            )
+    return np.linalg.eigvalsh(traj.matrix(index))
+
+
+def spectrum_extremes(w, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k largest (descending) and k smallest (ascending) of the ascending
+    eigenvalues w, as snapshot_spectrum returns them."""
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ConfigError("k must be an integer")
-    if not 1 <= k <= g.shape[0]:
-        raise ConfigError(f"k must lie in [1, {g.shape[0]}]")
-    check_hermitian(g)
-    w = np.linalg.eigvalsh(g)
+    if not 1 <= k <= len(w):
+        raise ConfigError(f"k must lie in [1, {len(w)}]")
     return w[::-1][:k].copy(), w[:k].copy()
 
 
-def squared_negativity(g) -> float:
-    """Sum of squared negative eigenvalues; 0 for positive semidefinite.
-
-    The input must be Hermitian, checked as for spectrum_extremes, since
-    eigvalsh reads only its lower triangle.
-    """
-    g = _as_square(g)
-    check_hermitian(g)
-    w = np.linalg.eigvalsh(g)
+def squared_negativity(w) -> float:
+    """Sum of the squared negative eigenvalues in w; 0 for positive semidefinite."""
     neg = w[w < 0.0]
     return float(neg @ neg)

@@ -13,7 +13,8 @@ stored sector rows: sector nu contributes a radial profile (a Laguerre
 series evaluated by the three-term recurrence in the degree) times the
 angular phasor e^(-i nu phi). The radial weight
 x^(nu/2) e^(-x/2) / sqrt(nu!) is fused into one exponential so high
-sectors neither overflow nor underflow on the way to an order-one value.
+sectors neither overflow nor underflow on the way to an order-one value,
+and Laguerre values past 2^600 are scaled down exactly (_sector_profile).
 Each profile is evaluated once per distinct x = 4|alpha|^2 and gathered
 back; being elementwise in x, it is bit-equal to a per-point evaluation.
 All times render together: each sector runs the recurrence once and
@@ -204,6 +205,12 @@ def _sector_profile(diags: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
     would put NaN where the Laguerre values overflow), which leaves the sum
     bit-equal to skipping it: a sum that starts at +0.0 is never -0.0.
 
+    Far out, L_k^(nu)(x) passes the float range while the weight
+    underflows, so where |L_k| > 2^600 both recurrence values and the
+    partial sums of rows with terms still to come are scaled by 2^-600
+    (exact). A row rescaled c times gets weight 2 exp(exponent + 600 c ln 2)
+    there, as if its time rendered alone; other points keep every bit.
+
     The recurrence runs to the last column of diags, which wigner_field
     cuts to the deepest column any row keeps (_series_cut). Every
     |rho_k^(nu)| <= 2, so the columns zeroed past a row's cut, whose
@@ -211,22 +218,30 @@ def _sector_profile(diags: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
     twice that floor.
     """
     if nu == 0:
-        weight = 2.0 * np.exp(-0.5 * x)
+        exponent = -0.5 * x
     else:
         exponent = np.full_like(x, -np.inf)
         pos = x > 0.0
         exponent[pos] = 0.5 * nu * np.log(x[pos]) - 0.5 * x[pos] - 0.5 * math.lgamma(nu + 1)
-        weight = 2.0 * np.exp(exponent)
+    weight = 2.0 * np.exp(exponent)
     rows, depth = diags.shape
     acc = np.zeros((2 * rows, x.size))  # real parts above imaginary parts
     term = np.empty_like(acc)
     l_prev = np.zeros_like(x)
     l_cur = np.ones_like(x)
+    rescaled = np.zeros((rows, x.size), dtype=int)
     coef = 1.0
     for k in range(depth):
         if k > 0:
             l_prev, l_cur = l_cur, ((2 * k - 1 + nu - x) * l_cur - (k - 1 + nu) * l_prev) / k
             coef *= -math.sqrt(k / (k + nu))
+            big = np.abs(l_cur) > 2.0**600
+            if big.any():
+                on = (diags[:, k:] != 0.0).any(axis=1)  # rows with terms to come
+                l_prev[big] *= 2.0**-600
+                l_cur[big] *= 2.0**-600
+                acc[np.ix_(np.concatenate((on, on)), big)] *= 2.0**-600
+                rescaled[np.ix_(on, big)] += 1
         live = diags[:, k] != 0.0
         if not live.any():
             continue
@@ -234,6 +249,8 @@ def _sector_profile(diags: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
         np.multiply(np.concatenate((c.real, c.imag))[:, None], l_cur, out=term)
         term[~np.concatenate((live, live))] = 0.0
         acc += term
+    if rescaled.any():  # exponent + 0.0 keeps the bits of an unscaled weight
+        weight = 2.0 * np.exp(exponent + rescaled * (600 * math.log(2.0)))
     profiles = np.empty((rows, x.size), dtype=complex)
     profiles.real = acc[:rows]
     profiles.imag = acc[rows:]

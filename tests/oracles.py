@@ -12,7 +12,8 @@ closed forms the tests pin it against, live here:
 - quantum_block, the quantum sector generator from
   ModelSpec.level_frequencies, one spectrum per sector;
 - the sl(2) sector blocks X1, X2, X3, P and the orthogonal U below, U from
-  hermitian_eig, a Hermitian eigendecomposition after check_hermitian;
+  hermitian_eig, a Hermitian eigendecomposition after check_hermitian, the
+  scan for max|A - A^H| that sector_rows runs too;
 - classical_block_analytic, the closed-form Liouville generator;
 - coherent_density and wigner_dyad_symbol, exact states and dyad symbols;
 - stacked_trajectory, a Trajectory holding given Hermitian matrices as its
@@ -32,6 +33,8 @@ closed forms the tests pin it against, live here:
   terms at each point, which bounds every partial sum of the field;
 - whorl_field_pointwise, the classical whorl density on meshgrid axes, the
   reference for render.whorl_phase_field's grid map;
+- thermal_field, the closed-form field of a geometric diagonal c z^n, and
+  the bound its truncation to n < N moves a field value by;
 - field_csv_pointwise, the field CSV written one '%.17g' call per value,
   the reference for render.write_field_csv's vectorized formatter;
 - break_time, the first split of two first-moment curves;
@@ -71,13 +74,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from groenewold_lab import generators
-from groenewold_lab.errors import ConfigError
+from groenewold_lab.errors import ConfigError, ValidationFailed
 from groenewold_lab.evolve import Trajectory
 from groenewold_lab.generators import all_generator_blocks
 from groenewold_lab.mathkit import (
     _orthonormal_recurrence,
     bessel_i_scaled,
-    check_hermitian,
     composite_gauss_legendre_rule,
 )
 from groenewold_lab.observables import mean_alpha_series
@@ -157,6 +159,20 @@ def p_block(nu: int, n: int) -> np.ndarray:
     """Tridiagonal P = X1 + X2 on the nu sector."""
     x1, x2, _ = x_blocks(nu, n)
     return x1 + x2
+
+
+def check_hermitian(a, tol: float = 1e-10) -> None:
+    """Raise ValidationFailed unless max|A - A^H| <= tol * max(1, max|A|).
+
+    A matrix with a NaN entry fails: its deviation compares False.
+    """
+    a = np.asarray(a)
+    scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
+    dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+    if not dev <= tol * scale:
+        raise ValidationFailed(
+            f"matrix not hermitian: deviation {dev:.3e} > {tol:.1e} * scale {scale:.3e}"
+        )
 
 
 def hermitian_eig(a, tol: float = 1e-10):
@@ -462,6 +478,24 @@ def whorl_field_pointwise(state, model, t, qs, ps) -> np.ndarray:
         / (2.0 * np.pi * model.hbar)
         * np.exp(-kappa * np.abs(rotated - complex(state.alpha0)) ** 2)
     )
+
+
+def thermal_field(c: float, z: float, n_basis: int, model, grid):
+    """Field of the diagonal matrix c z^n (n < n_basis, 0 < z < 1) on a grid,
+    in closed form, and the most the levels n >= n_basis move a value.
+
+    The symbol of |n><n| is 2 (-1)^n e^(-x/2) L_n(x), x = 4|alpha|^2, so the
+    Laguerre generating function sums the infinite diagonal to
+    2 c / (1 + z) exp(-x (1 - z) / (2 (1 + z))); each dropped level moves
+    the symbol by at most 2 c z^n. Both are over 2 pi hbar.
+    """
+    q_min, q_max, p_min, p_max, nq, npts = grid
+    s = np.sqrt(model.m * model.omega)
+    qgrid, pgrid = np.meshgrid(np.linspace(q_min, q_max, nq), np.linspace(p_min, p_max, npts))
+    x = 4.0 * np.abs((s * qgrid + 1j * pgrid / s) / np.sqrt(2.0 * model.hbar)) ** 2
+    scale = 2.0 * c / (2.0 * np.pi * model.hbar)
+    values = scale / (1.0 + z) * np.exp(-x * (1.0 - z) / (2.0 * (1.0 + z)))
+    return values, scale * z**n_basis / (1.0 - z)
 
 
 def field_csv_pointwise(field, path, provenance: str = "") -> None:

@@ -15,7 +15,7 @@ import pytest
 from groenewold_lab import cli
 from groenewold_lab.evolve import BlockPropagator, classical_moment_quadrature, evolve
 from groenewold_lab.model import ModelSpec, number_coefficients
-from groenewold_lab.observables import mean_alpha_series, squared_negativity
+from groenewold_lab.observables import mean_alpha_series, snapshot_spectrum, squared_negativity
 from groenewold_lab.states import GaussianState, groenewold_from_gaussian
 from oracles import (
     break_time,
@@ -237,9 +237,9 @@ def test_criterion_08_qualitative_orderings(g0_fig3, g0_fig4, sextic_trajs):
         for d in ("classical", "semiquantum1", "semiclassical1")
     }
     for i in range(len(probe_times)):
-        s_cl = squared_negativity(probe["classical"].matrix(i))
-        s_sq = squared_negativity(probe["semiquantum1"].matrix(i))
-        s_sc = squared_negativity(probe["semiclassical1"].matrix(i))
+        s_cl = squared_negativity(snapshot_spectrum(probe["classical"], i))
+        s_sq = squared_negativity(snapshot_spectrum(probe["semiquantum1"], i))
+        s_sc = squared_negativity(snapshot_spectrum(probe["semiclassical1"], i))
         assert abs(s_sc - s_cl) < abs(s_sq - s_cl)
     passed(
         8,
@@ -252,8 +252,8 @@ def test_criterion_08_qualitative_orderings(g0_fig3, g0_fig4, sextic_trajs):
 def test_criterion_09_negativity_emergence(g0_fig3):
     classical = evolve(g0_fig3, "classical", SEXTIC, [1.0])
     quantum = evolve(g0_fig3, "quantum", SEXTIC, [1.0])
-    neg_cl = squared_negativity(classical.matrix(0))
-    neg_q = squared_negativity(quantum.matrix(0))
+    neg_cl = squared_negativity(snapshot_spectrum(classical, 0))
+    neg_q = squared_negativity(snapshot_spectrum(quantum, 0))
     assert neg_cl > 0.0
     assert neg_q <= 1e-12
     passed(9, f"classical sqneg {neg_cl:.3e} > 0 by t = 1, quantum {neg_q:.1e}")

@@ -35,7 +35,7 @@ from groenewold_lab.render import (
     wigner_field,
 )
 from groenewold_lab.states import GaussianState
-from oracles import coherent_density, stacked_trajectory
+from oracles import coherent_density, stacked_trajectory, thermal_field
 
 BASE = {
     "model": {"b": [0.0, 1.0], "mu": 0.5},
@@ -580,6 +580,42 @@ class TestMergedLoop:
         assert run_cli(write_config(tmp_path), tmp_path / "out") == 0
         assert len(refs) == len(BASE["dynamics"])
 
+    def test_one_eigensolve_per_dynamics_and_row_time(self, tmp_path, monkeypatch):
+        # spectrum and negativity read the same eigenvalues
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert run_cli(write_config(tmp_path), tmp_path / "out") == 0
+        rows = len(BASE["dynamics"]) * BASE["times"]["steps"]
+        assert calls == [(32, 32)] * rows
+
+    def test_purity_drift_measured_from_t0(self, tmp_path):
+        # a field time before t0 is evolved first, yet the drift of each
+        # dynamics is taken against its purity at t0, so that row reads 0
+        def mutate(raw):
+            raw["model"]["b"] = [0.0, 0.0, 0.0, 1.0]
+            raw["truncation"]["N"] = 48
+            raw["dynamics"] = ["classical", "semiclassical1"]
+            raw["times"] = {"t0": 0.0, "t1": 1.0, "steps": 3}
+            raw["outputs"] = {
+                "validate": True,
+                "field": {"grid": [-3.0, 3.0, -3.0, 3.0, 8, 8], "time_list": [-0.5]},
+            }
+        out = tmp_path / "out"
+        with pytest.warns(BoundaryMassWarning):
+            assert run_cli(write_config(tmp_path, mutate), out) == 0
+        rows = rows_of(out / "validate.csv")
+        assert [(row["t"], row["dynamics"]) for row in rows[::3]] == [
+            ("0", "classical"), ("0", "semiclassical1"),
+        ]
+        for row in rows[::3]:
+            assert row["purity_drift"] == "0"
+
 
 class TestLegacyGuard:
     def test_guard_is_accepted_and_inert(self, tmp_path):
@@ -661,7 +697,7 @@ class TestExitCodes:
     @staticmethod
     def nan_history_run(tmp_path, monkeypatch, capsys, sector):
         # a NaN drift fails the gate instead of comparing False against it;
-        # no spectrum or negativity, whose eigensolvers reject a NaN matrix
+        # no spectrum or negativity, whose eigensolve rejects a NaN snapshot
         evolve = cli.evolve
 
         def poisoned(g0, name, model, times, **kwargs):
@@ -689,27 +725,37 @@ class TestExitCodes:
         self.nan_history_run(tmp_path, monkeypatch, capsys, 3)
 
     @staticmethod
-    def poison_history(monkeypatch, rows):
+    def poison_history(monkeypatch, rows, sector=0):
         evolve = cli.evolve
 
         def poisoned(g0, name, model, times, **kwargs):
             traj = evolve(g0, name, model, times, **kwargs)
-            traj.history[0][rows, 0] = np.nan
+            traj.history[sector][rows, 0] = np.nan
             return traj
 
         monkeypatch.setattr(cli, "evolve", poisoned)
 
-    @pytest.mark.parametrize("outputs", [{"spectrum": {"k": 2}}, {"negativity": True}])
-    def test_nan_snapshot_exits_two(self, tmp_path, monkeypatch, capsys, outputs):
-        # both eigensolver callers check the snapshot, which a NaN fails
-        self.poison_history(monkeypatch, -1)
+    def nan_snapshot_run(self, tmp_path, monkeypatch, capsys, outputs, sector):
+        # the one eigensolve behind both outputs checks the snapshot's rows
+        self.poison_history(monkeypatch, -1, sector)
         config = write_config(tmp_path, lambda r: r.update(outputs=outputs))
         out = tmp_path / "out"
         assert run_cli(config, out) == 2
         err = capsys.readouterr().err
-        assert "validation failed: matrix not hermitian: deviation nan" in err
+        assert (
+            f"validation failed: quantum snapshot at t = 1.5 has an entry in sector {sector} "
+            "that is not finite"
+        ) in err
         assert "Traceback" not in err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("outputs", [{"spectrum": {"k": 2}}, {"negativity": True}])
+    def test_nan_snapshot_exits_two(self, tmp_path, monkeypatch, capsys, outputs):
+        self.nan_snapshot_run(tmp_path, monkeypatch, capsys, outputs, 0)
+
+    @pytest.mark.parametrize("outputs", [{"spectrum": {"k": 2}}, {"negativity": True}])
+    def test_nan_snapshot_in_upper_sector_exits_two(self, tmp_path, monkeypatch, capsys, outputs):
+        self.nan_snapshot_run(tmp_path, monkeypatch, capsys, outputs, 3)
 
     def test_nan_field_exits_two(self, tmp_path, monkeypatch, capsys):
         self.poison_history(monkeypatch, slice(None))
@@ -721,19 +767,18 @@ class TestExitCodes:
         assert "validation failed: quantum field at t = 0.75 is not finite" in err
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("diag, code", [
-        (0.5 ** np.arange(1.0, 257.0), 0),
-        (0.9 ** np.arange(256.0), 2),
-    ], ids=["thermal", "slow"])
-    def test_wide_grid_field_finite_only_past_the_cut(self, tmp_path, monkeypatch, capsys, diag, code):
-        # on this grid the Laguerre values of a 256-level basis overflow; the
-        # thermal diagonal 0.5^(n+1) cuts its series at k = 100 first and
-        # renders, the 0.9^n diagonal keeps every column and is refused
+    @pytest.mark.parametrize("c, z", [(0.5, 0.5), (1.0, 0.9)], ids=["thermal", "slow"])
+    def test_wide_grid_field_matches_closed_form(self, tmp_path, monkeypatch, c, z):
+        # on this grid the unweighted Laguerre values of a 256-level basis
+        # pass the float range; the thermal diagonal 0.5^(n+1) cuts its
+        # series at k = 100, the 0.9^n diagonal keeps every column, and
+        # both render finite fields that match their closed forms
         evolve = cli.evolve
+        n, grid = 256, (-60.0, 60.0, -60.0, 60.0, 13, 13)
 
         def diagonal(g0, name, model, times, **kwargs):
             traj = evolve(g0, name, model, times, **kwargs)
-            rows = np.tile(diag.astype(complex), (len(times), 1))
+            rows = np.tile(c * z ** np.arange(n, dtype=complex), (len(times), 1))
             traj.history.clear()
             traj.history[0] = rows
             return traj
@@ -741,21 +786,18 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "evolve", diagonal)
 
         def mutate(raw):
-            raw["truncation"]["N"] = 256
+            raw["truncation"]["N"] = n
             raw["dynamics"] = ["quantum"]
-            raw["outputs"] = {
-                "field": {"grid": [-60.0, 60.0, -60.0, 60.0, 13, 13], "time_list": [0.75]}
-            }
+            raw["outputs"] = {"field": {"grid": list(grid), "time_list": [0.75]}}
 
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            assert run_cli(write_config(tmp_path, mutate), out) == code
-        err = capsys.readouterr().err
-        if code:
-            assert "validation failed: quantum field at t = 0.75 is not finite" in err
-            assert list(out.iterdir()) == []
-        else:
-            assert len(list(out.glob("field_quantum_*.csv"))) == 1
+        assert run_cli(write_config(tmp_path, mutate), out) == 0
+        values = np.array([
+            [float(v) for v in line.split(",")]
+            for line in data_lines(out / "field_quantum_0.75.csv")
+        ])
+        want, tail = thermal_field(c, z, n, ModelSpec.harmonic(mu=0.5), grid)
+        assert np.abs(values - want).max() <= tail + 1e-14
 
     def test_nan_field_with_validate_trips_the_gate_first(self, tmp_path, monkeypatch, capsys):
         # the purity gate still reports first and keeps its validate.csv

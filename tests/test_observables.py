@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 
 from groenewold_lab.errors import ConfigError, ValidationFailed
 from groenewold_lab.evolve import Trajectory, evolve
+from groenewold_lab.generators import DYNAMICS
 from groenewold_lab.model import ModelSpec
 from groenewold_lab.observables import (
     MomentRecord,
     mean_alpha_series,
     moment_track,
     moment_width_variant,
+    snapshot_spectrum,
     spectrum_extremes,
     squared_negativity,
 )
@@ -44,6 +46,11 @@ def ladder(dim: int) -> np.ndarray:
 def snapshot(g, model) -> MomentRecord:
     """Moments of one matrix, read as a one-time trajectory."""
     return moment_track(stacked_trajectory([g], model))[0]
+
+
+def spectrum_of(g) -> np.ndarray:
+    """Eigenvalues of one Hermitian matrix, read as a one-time trajectory."""
+    return snapshot_spectrum(stacked_trajectory([g], QUARTIC), 0)
 
 
 class TestMoments:
@@ -176,10 +183,46 @@ class TestMomentTrack:
         assert track == moment_track(traj)
 
 
+@pytest.fixture(scope="module")
+def fig3_flows():
+    """fig3's state at N = 48 under each of the four flows, at several times."""
+    g0 = groenewold_from_gaussian(FIG3_STATE, 48)
+    return {d: evolve(g0, d, SEXTIC, [0.0, 0.75, 1.5, 3.0]) for d in DYNAMICS}
+
+
+class TestSnapshotSpectrum:
+    def test_snapshots_are_hermitian_by_construction(self, fig3_flows):
+        # the property that lets snapshot_spectrum skip a hermiticity scan
+        for traj in fig3_flows.values():
+            for i in range(len(traj.times)):
+                g = traj.matrix(i)
+                assert np.array_equal(g, g.conj().T)
+
+    def test_bit_equal_to_dense_eigensolve(self, fig3_flows):
+        for traj in fig3_flows.values():
+            for i in range(len(traj.times)):
+                rows = [traj.history[nu][i] for nu in range(len(traj.history))]
+                want = np.linalg.eigvalsh(dense(rows))
+                assert np.array_equal(snapshot_spectrum(traj, i), want)
+
+    @pytest.mark.parametrize("sector", [0, 5])
+    def test_non_finite_row_raises(self, fig3_flows, sector):
+        traj = fig3_flows["semiquantum1"].take([0, 2])
+        traj.history[sector] = traj.history[sector].copy()
+        traj.history[sector][1, 3] = np.nan
+        assert np.isfinite(snapshot_spectrum(traj, 0)).all()
+        with pytest.raises(ValidationFailed) as exc:
+            snapshot_spectrum(traj, 1)
+        assert str(exc.value) == (
+            f"semiquantum1 snapshot at t = 1.5 has an entry in sector "
+            f"{sector} that is not finite"
+        )
+
+
 class TestSpectrumExtremes:
     def test_projector_pattern(self):
         g = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        top, bottom = spectrum_extremes(g, 2)
+        top, bottom = spectrum_extremes(spectrum_of(g), 2)
         assert np.allclose(top, [1.0, 0.0], atol=1e-15)
         assert np.allclose(bottom, [0.0, 0.0], atol=1e-15)
 
@@ -187,7 +230,7 @@ class TestSpectrumExtremes:
         g0 = groenewold_from_gaussian(FIG3_STATE, 48)
         for t in (0.7, 2.4):
             traj = evolve(g0, "quantum", SEXTIC, [t])
-            top, bottom = spectrum_extremes(traj.matrix(0), 2)
+            top, bottom = spectrum_extremes(snapshot_spectrum(traj, 0), 2)
             assert abs(top[0] - 1.0) < 1e-9
             assert abs(top[1]) < 1e-9
             assert abs(bottom[0]) < 1e-9 and abs(bottom[1]) < 1e-9
@@ -195,36 +238,33 @@ class TestSpectrumExtremes:
     def test_classical_evolution_turns_negative(self):
         g0 = groenewold_from_gaussian(FIG3_STATE, 128)
         traj = evolve(g0, "classical", SEXTIC, [1.0])
-        _, bottom = spectrum_extremes(traj.matrix(0), 1)
+        _, bottom = spectrum_extremes(snapshot_spectrum(traj, 0), 1)
         assert bottom[0] < 0.0
 
     def test_validation(self):
-        g = np.diag([1.0, 0.0]).astype(complex)
+        w = spectrum_of(np.diag([1.0, 0.0]))
         with pytest.raises(ConfigError):
-            spectrum_extremes(g, 0)
+            spectrum_extremes(w, 0)
         with pytest.raises(ConfigError):
-            spectrum_extremes(g, 3)
+            spectrum_extremes(w, 3)
         with pytest.raises(ConfigError):
-            spectrum_extremes(g, 1.5)
-        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        with pytest.raises(ValidationFailed):
-            spectrum_extremes(skew, 1)
+            spectrum_extremes(w, 1.5)
 
 
 class TestSquaredNegativity:
     def test_coherent_projector_zero(self):
-        assert squared_negativity(coherent_density(0.5, 32)) < 1e-14
+        assert squared_negativity(spectrum_of(coherent_density(0.5, 32))) < 1e-14
 
     def test_quantum_trajectory_stays_zero(self):
         g0 = groenewold_from_gaussian(FIG3_STATE, 64)
         traj = evolve(g0, "quantum", SEXTIC, [0.5, 1.0, 2.0])
         for i in range(3):
-            assert squared_negativity(traj.matrix(i)) < 1e-12
+            assert squared_negativity(snapshot_spectrum(traj, i)) < 1e-12
 
     def test_classical_evolution_generates_negativity(self):
         g0 = groenewold_from_gaussian(FIG3_STATE, 128)
         traj = evolve(g0, "classical", SEXTIC, [1.0])
-        assert squared_negativity(traj.matrix(0)) > 1e-4
+        assert squared_negativity(snapshot_spectrum(traj, 0)) > 1e-4
 
     def test_semiclassical_tracks_classical_negativity(self):
         # at t = 2 the first-order ladder neighbors order as the flows do:
@@ -233,14 +273,14 @@ class TestSquaredNegativity:
         values = {}
         for dynamics in ("classical", "semiquantum1", "semiclassical1"):
             traj = evolve(g0, dynamics, SEXTIC, [2.0])
-            values[dynamics] = squared_negativity(traj.matrix(0))
+            values[dynamics] = squared_negativity(snapshot_spectrum(traj, 0))
         gap_sc = abs(values["semiclassical1"] - values["classical"])
         gap_sq = abs(values["semiquantum1"] - values["classical"])
         assert gap_sc < gap_sq
 
     def test_explicit_spectrum(self):
         g = np.diag([0.9, 0.4, -0.2, -0.1])
-        assert abs(squared_negativity(g) - 0.05) < 1e-15
+        assert abs(squared_negativity(spectrum_of(g)) - 0.05) < 1e-15
 
 
 class TestBreakTime:

@@ -37,6 +37,7 @@ from oracles import (
     dense,
     field_csv_pointwise,
     stacked_trajectory,
+    thermal_field,
     whorl_field_pointwise,
     wigner_field_full_depth,
     wigner_field_pointwise,
@@ -46,7 +47,8 @@ QUARTIC = ModelSpec.quartic(mu=0.5)
 SEXTIC = ModelSpec.sextic(mu=0.5)
 FIG3_STATE = GaussianState(kappa=2.0, alpha0=0.5)
 HBAR = QUARTIC.hbar
-# far enough out that the Laguerre values of a 256-level basis overflow
+# far enough out that the unweighted Laguerre values of a 256-level basis
+# pass the float range
 WIDE_GRID = (-60.0, 60.0, -60.0, 60.0, 13, 13)
 
 
@@ -166,25 +168,25 @@ class TestBatchedRender:
         self.check_batch(fields, mats, QUARTIC)
 
     def test_zero_terms_skipped_per_time(self):
-        # far out on a wide grid the Laguerre values of a 256-level basis
-        # overflow; the vacuum's zero coefficients there are skipped, as
-        # they are when it renders alone, and so are the thermal state's
-        # columns past its cut (k > 100), so both fields stay finite; the
-        # 0.9^n diagonal keeps all its columns and overflows
+        # far out on a wide grid the unweighted Laguerre values of a
+        # 256-level basis pass the float range and are rescaled; the
+        # vacuum's zero coefficients there are skipped, as they are when it
+        # renders alone, the thermal state keeps 101 columns and the 0.9^n
+        # diagonal all 256, and every field is finite and matches its
+        # closed form within the truncation bound and rounding
         n = 256
         vacuum = np.zeros((n, n), dtype=complex)
         vacuum[0, 0] = 1.0
-        thermal = np.diag(0.5 ** np.arange(1.0, n + 1.0)).astype(complex)
-        slow = np.diag(0.9 ** np.arange(n)).astype(complex)
-        mats = [vacuum, thermal, slow]
-        with np.errstate(all="ignore"):
-            fields = wigner_field(stacked_trajectory(mats, QUARTIC), WIDE_GRID)
-            alone = [field_of(g, QUARTIC, WIDE_GRID) for g in mats]
-        assert np.isfinite(fields[0].values).all()
-        assert np.isfinite(fields[1].values).all()
-        assert not np.isfinite(fields[2].values).all()
+        diagonals = [(0.5, 0.5), (1.0, 0.9)]  # c z^n
+        mats = [vacuum] + [np.diag(c * z ** np.arange(n)).astype(complex) for c, z in diagonals]
+        fields = wigner_field(stacked_trajectory(mats, QUARTIC), WIDE_GRID)
+        alone = [field_of(g, QUARTIC, WIDE_GRID) for g in mats]
         for field, one in zip(fields, alone):
-            assert np.array_equal(field.values, one.values, equal_nan=True)
+            assert np.isfinite(field.values).all()
+            assert np.array_equal(field.values, one.values)
+        for field, (c, z) in zip(fields[1:], diagonals):
+            want, tail = thermal_field(c, z, n, QUARTIC, WIDE_GRID)
+            assert np.abs(field.values - want).max() <= tail + 1e-14
 
 
 class TestSeriesCut:
@@ -266,6 +268,31 @@ class TestSeriesCut:
 
 
 class TestWignerField:
+    @pytest.mark.parametrize("nu", [0, 3])
+    def test_far_profile_matches_high_precision_sum(self, nu):
+        # a 256-term 0.9^k series far out, where the unweighted Laguerre
+        # values pass the float range and are rescaled, against the same
+        # recurrence carried with its weight at 60 digits
+        import mpmath
+
+        coeffs = 0.9 ** np.arange(256.0)
+        x = np.array([888.9, 1111.1, 1600.0, 3000.0])
+        got = render._sector_profile(coeffs[None, :].astype(complex), nu, x)[0]
+        want = []
+        with mpmath.workdps(60):
+            for xv in map(mpmath.mpf, x):
+                w = 2 * xv ** (mpmath.mpf(nu) / 2) * mpmath.exp(-xv / 2) / mpmath.sqrt(mpmath.factorial(nu))
+                l_prev, l_cur, total = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0)
+                for k, c in enumerate(coeffs):
+                    if k > 0:
+                        l_prev, l_cur = l_cur, ((2 * k - 1 + nu - xv) * l_cur - (k - 1 + nu) * l_prev) / k
+                        w *= -mpmath.sqrt(mpmath.mpf(k) / (k + nu))
+                    total += mpmath.mpf(float(c)) * w * l_cur
+                want.append(float(total))
+        assert np.all(got.imag == 0.0)
+        # the values run down to about 1e-291 at x = 3000
+        assert np.abs(got.real / np.array(want) - 1.0).max() < 1e-12
+
     def test_vacuum_closed_form(self):
         field = field_of(coherent_density(0.0, 24))
         alpha = alpha_grid(field, QUARTIC)
