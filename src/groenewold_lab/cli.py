@@ -42,13 +42,13 @@ from .errors import (
 )
 from .evolve import evolve
 from .generators import DYNAMICS, all_generator_blocks, rung_count
-from .mathkit import is_finite_real
 from .model import ModelSpec
 from .observables import moment_track, moment_width_variant, snapshot_spectrum
 from .observables import spectrum_extremes, squared_negativity
 from .render import (
     DEFAULT_GRID,
     _check_grid,
+    is_finite_real,
     whorl_phase_field,
     wigner_field,
     write_field_csv,
@@ -403,8 +403,9 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
     g0, trace_err0 = _synthesize(cfg)
 
     union = sorted(set(cfg.times) | set(cfg.field_times))
-    row_idx = [union.index(t) for t in cfg.times]
-    field_idx = [union.index(t) for t in cfg.field_times]
+    index = {t: i for i, t in enumerate(union)}
+    row_idx = [index[t] for t in cfg.times]
+    field_idx = [index[t] for t in cfg.field_times]
     need_rows = _needs_rows(cfg)
 
     validate_rows: list = []

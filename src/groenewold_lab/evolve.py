@@ -35,18 +35,22 @@ vector bit-exactly on every route.
 The module also carries a continuum reference that never touches the
 number basis: classical_moment_quadrature integrates <alpha^m> under the
 Liouville flow of the Gaussian density by a radial Bessel quadrature, an
-independent oracle for the matrix route.
+independent oracle for the matrix route. Its kernels live beside it: a
+composite Gauss-Legendre rule and the scaled Bessel function
+bessel_i_scaled, summed as a power series whose domain stops at
+x = _SERIES_MAX_X; check_bessel_domain turns an argument past it into
+QuadratureNotConverged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lgamma
 
 import numpy as np
 
 from .errors import ConfigError, QuadratureNotConverged, ValidationFailed
 from .generators import all_generator_blocks
-from .mathkit import _SERIES_MAX_X, bessel_i_scaled, composite_gauss_legendre_rule
 from .model import ModelSpec
 from .states import GaussianState
 
@@ -233,6 +237,64 @@ def evolve(g0, dynamics: str, model: ModelSpec, times) -> Trajectory:
 # ---------------------------------------------------------------------------
 # Continuum references (no number basis)
 
+_SERIES_MAX_X = 1500.0
+
+
+def bessel_i_scaled(m: int, x) -> np.ndarray:
+    """Exponentially scaled modified Bessel function e^-x I_m(x).
+
+    Parameters
+    ----------
+    m : int
+        Order, m >= 0.
+    x : array_like
+        Argument(s), real and >= 0. The all-positive power series is summed
+        in scaled form, so there is no cancellation and the relative error
+        stays near machine precision for x up to ~1500.
+    """
+    if m < 0:
+        raise ValueError("order m must be >= 0")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(x < 0):
+        raise ValueError("argument x must be >= 0")
+    if np.any(x > _SERIES_MAX_X):
+        raise ValueError(f"argument x above series domain {_SERIES_MAX_X}")
+
+    out = np.zeros(x.shape)
+    zero = x == 0.0
+    if m == 0:
+        out[zero] = 1.0
+    xp = x[~zero]
+    if xp.size:
+        half = 0.5 * xp
+        # first term e^-x (x/2)^m / m!, assembled in log space
+        term = np.exp(m * np.log(half) - lgamma(m + 1) - xp)
+        total = term.copy()
+        ratio = half * half
+        kmax = int(np.max(half)) + 1
+        k = 0
+        while True:
+            k += 1
+            term *= ratio / (k * (k + m))
+            total += term
+            if k >= kmax and np.all(term <= 1e-18 * total):
+                break
+        out[~zero] = total
+    return out
+
+
+def composite_gauss_legendre_rule(
+    a: float, b: float, panels: int, order: int = 10
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights: `panels` equal panels, `order` each."""
+    base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * base_nodes[None, :]).ravel()
+    weights = (half[:, None] * base_weights[None, :]).ravel()
+    return nodes, weights
+
 def _rate_prime_coeffs(model: ModelSpec) -> np.ndarray:
     hpp = model.classical_symbol().derivative().derivative()
     return (model.omega / model.mu) * np.array([float(c) for c in hpp.coeffs])
@@ -290,8 +352,7 @@ def classical_moment_quadrature(
     panels = min(panels, 4096)
 
     def integrate(n_panels: int) -> complex:
-        rule = composite_gauss_legendre_rule(lo, hi, n_panels, order=12)
-        r = rule.nodes
+        r, weights = composite_gauss_legendre_rule(lo, hi, n_panels, order=12)
         check_bessel_domain(f"moment m={m} quadrature", state, float(r.max()))
         u = r * r
         phase = np.exp(-1j * m * t * model.classical_rate(u))
@@ -303,7 +364,7 @@ def classical_moment_quadrature(
             * bessel_i_scaled(m, 2.0 * kappa * r * a0)
             * phase
         )
-        return complex(np.sum(rule.weights * f))
+        return complex(np.sum(weights * f))
 
     first = integrate(panels)
     second = integrate(2 * panels)

@@ -37,11 +37,12 @@ analytic tridiagonal Liouville generator.
 all_generator_blocks, the one builder of sector generators, builds one
 sector at a time: each C_j pair list once per call, on a basis padded by
 exactly the 2j levels a sector entry reads, and each D_j sector on a
-generalized Gauss-Laguerre rule that checks itself in
-gauss_genlaguerre_rule; the builder's comments give both sizes. The
-module keeps nothing between calls: the dynamics that share the C_1 and
-C_2 rungs each rebuild them. rung_count says which rungs each dynamics
-needs.
+generalized Gauss-Laguerre rule that checks itself: gauss_genlaguerre_rule
+raises QuadratureNotConverged when scipy's nodes or weights are not
+finite or the weights miss their exact sum Gamma(nu + 1). The builder's
+comments give both sizes. The module keeps nothing between calls: the
+dynamics that share the C_1 and C_2 rungs each rebuild them. rung_count
+says which rungs each dynamics needs.
 
 The nu = 0 sector is frozen under all four dynamics (every generator is a
 multiple of nu), so its generator is the quantum one, an exact zero, and
@@ -56,12 +57,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lgamma
 
 import numpy as np
 
-from .errors import ConfigError, ValidationFailed
-from .mathkit import gauss_genlaguerre_rule, laguerre_orthonormal_bare
+from .errors import ConfigError, QuadratureNotConverged, ValidationFailed
 from .model import ModelSpec
 
 __all__ = [
@@ -237,16 +237,73 @@ def _polyval(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.polynomial.polynomial.polyval(x, c)
 
 
+def gauss_genlaguerre_rule(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the generalized Gauss-Laguerre rule for weight x^alpha e^-x.
+
+    Nodes whose weight underflows to zero are dropped; the corresponding
+    integrand tail is below float64 resolution for every integrand used
+    here (all decay at least as fast as the weight). The rule checks
+    itself: QuadratureNotConverged is raised when a node or weight is not
+    finite (scipy's first broken rule of 344 nodes is alpha = 148, of 362
+    nodes alpha = 13, which fig3's semiclassical1 meets at N = 173), or
+    when the kept weights miss their exact sum Gamma(alpha + 1) by more
+    than 1e-10 relative (usable rules: 1.3e-13).
+    """
+    from scipy.special import roots_genlaguerre  # only semiclassical1 runs pay its import
+
+    with np.errstate(all="ignore"):
+        nodes, weights = roots_genlaguerre(order, alpha)
+        bad = np.count_nonzero(~np.isfinite([nodes, weights]))
+        keep = weights > 0.0
+        miss = abs(np.expm1(np.log(weights[keep].sum()) - lgamma(alpha + 1.0)))
+    if bad or not miss <= 1e-10:
+        raise QuadratureNotConverged(
+            f"generalized Gauss-Laguerre rule with {order} nodes for alpha = {alpha:g}: "
+            f"{bad} non-finite nodes or weights, weight sum off Gamma(alpha + 1) by {miss:.3e}"
+        )
+    return nodes[keep], weights[keep]
+
+
+def _orthonormal_recurrence(rows: np.ndarray, nu: int, x: np.ndarray) -> None:
+    """Fill rows 1.. of the orthonormal Laguerre family given row 0.
+
+    Jacobi-matrix form: p_{n+1} = ((x - a_n) p_n - b_n p_{n-1}) / b_{n+1}
+    with a_n = 2n + nu + 1 and b_n = sqrt(n (n + nu)).
+    """
+    nmax = rows.shape[0] - 1
+    if nmax >= 1:
+        rows[1] = (x - (nu + 1.0)) * rows[0] / np.sqrt(nu + 1.0)
+    for n in range(1, nmax):
+        bn = np.sqrt(n * (n + nu))
+        bn1 = np.sqrt((n + 1.0) * (n + 1 + nu))
+        rows[n + 1] = ((x - (2 * n + nu + 1.0)) * rows[n] - bn * rows[n - 1]) / bn1
+
+
+def laguerre_orthonormal_bare(nmax: int, nu: int, x) -> np.ndarray:
+    """Rows (-1)^n sqrt(n!/(n+nu)!) L_n^(nu)(x), without the weight factor.
+
+    Combined with a Gauss quadrature rule for the weight x^nu e^-x these
+    rows are discretely orthonormal; use them when the weight lives in the
+    quadrature rule instead of in the integrand.
+    """
+    if nu < 0:
+        raise ValueError("nu must be >= 0")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    rows = np.empty((nmax + 1, x.size))
+    rows[0] = np.exp(-0.5 * lgamma(nu + 1))
+    _orthonormal_recurrence(rows, nu, x)
+    return rows
+
+
 def _moyal_sector(model: ModelSpec, j: int, nu: int, n: int, q_nodes: int) -> np.ndarray:
     """Galerkin matrix of the j-th odd Moyal term on sector nu (nu > 0)."""
     from scipy.special import gammaln  # only semiclassical1 runs pay its import
 
     s = 2 * j + 1
     h_coeffs = np.array([float(c) for c in model.classical_symbol().coeffs])
-    rule = gauss_genlaguerre_rule(q_nodes, alpha=float(nu))
-    x = rule.nodes
+    x, weights = gauss_genlaguerre_rule(q_nodes, alpha=float(nu))
     u = x / 4.0
-    sqw = np.sqrt(rule.weights)
+    sqw = np.sqrt(weights)
     lag = laguerre_orthonormal_bare(n - 1, nu, x)
     vm = lag * sqw
     prof: dict = {}

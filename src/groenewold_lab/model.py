@@ -20,9 +20,7 @@ with rational arithmetic. For K = 1 (harmonic oscillator) c == b.
 
 Every symbol here is radial, and for radial symbols the Moyal star product
 with u is the exact recurrence u * g = u g - (g' + u g'') / 4. The star
-powers u^{*k}, the symbols of (n + 1/2)^k, follow by iterating it; the
-star product of two radial polynomials writes the left factor in the
-star-power basis and applies the recurrence to the right factor.
+powers u^{*k}, the symbols of (n + 1/2)^k, follow by iterating it.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ __all__ = [
     "ModelSpec",
     "SymbolPolynomial",
     "number_coefficients",
-    "u_star_power",
     "weyl_expansion_matrix",
 ]
 
@@ -53,8 +50,7 @@ def _u_star(g: list) -> list:
 class SymbolPolynomial:
     """Polynomial in the radial phase-space variable u = |alpha|^2.
 
-    Coefficients are exact Fractions; coeffs[k] multiplies u^k. Supports
-    the Moyal star product of radial symbols, which is again radial.
+    Coefficients are exact Fractions; coeffs[k] multiplies u^k.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -65,10 +61,6 @@ class SymbolPolynomial:
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         return cls(coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -84,35 +76,6 @@ class SymbolPolynomial:
             tuple(k * c for k, c in enumerate(self.coeffs) if k > 0)
         )
 
-    def __add__(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return SymbolPolynomial.from_coeffs([x + y for x, y in zip(a, b)])
-
-    def scaled(self, factor) -> "SymbolPolynomial":
-        return SymbolPolynomial.from_coeffs([Fraction(factor) * c for c in self.coeffs])
-
-    def star(self, other: "SymbolPolynomial") -> "SymbolPolynomial":
-        """Moyal star product: with self = sum_k s_k u^{*k}, apply u* k times to other."""
-        deg = self.degree
-        s = _invert_unit_triangular(weyl_expansion_matrix(deg))
-        out = [Fraction(0)] * (deg + other.degree + 1)
-        g = list(other.coeffs)
-        for k in range(deg + 1):
-            sk = sum(self.coeffs[j] * s[j][k] for j in range(k, deg + 1))
-            for m, c in enumerate(g):
-                out[m] += sk * c
-            g = _u_star(g)
-        return SymbolPolynomial.from_coeffs(out)
-
-
-def u_star_power(k: int) -> SymbolPolynomial:
-    """k-th star power of u: the Weyl symbol of (n + 1/2)^k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return SymbolPolynomial.from_coeffs(weyl_expansion_matrix(k)[k])
-
 
 def weyl_expansion_matrix(kmax: int) -> list[list[Fraction]]:
     """Triangular matrix A with u^{*k} = sum_j A[k][j] u^j, exact."""
@@ -124,34 +87,22 @@ def weyl_expansion_matrix(kmax: int) -> list[list[Fraction]]:
     return rows
 
 
-def _invert_unit_triangular(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    # forward substitution; a is lower triangular with unit diagonal
-    for i in range(n):
-        for j in range(i):
-            s = sum(a[i][k] * inv[k][j] for k in range(j, i))
-            inv[i][j] = -s
-    return inv
-
-
 def number_coefficients(b, mu) -> tuple[Fraction, ...]:
     """Exact coefficients c of the number-operator expansion of H.
 
     With H = E sum_k b[k] mu^k u^k as a Weyl symbol, the operator is
-    H_op = E sum_k c[k] mu^k (n + 1/2)^k where
-    c[k] = sum_{j >= k} b[j] mu^(j-k) S[j][k] and S inverts the star-power
-    expansion matrix. Floats are converted exactly to Fractions.
+    H_op = E sum_k c[k] mu^k (n + 1/2)^k, so
+    b[j] mu^j = sum_{k >= j} c[k] mu^k A[k][j] with A the unit lower
+    triangular weyl_expansion_matrix. Back-substitution solves it from the
+    top power down. Floats are converted exactly to Fractions.
     """
     b = [Fraction(x) for x in b]
     mu = Fraction(mu)
-    kmax = len(b) - 1
-    a = weyl_expansion_matrix(kmax)
-    s = _invert_unit_triangular(a)
-    return tuple(
-        sum((b[j] * mu ** (j - k) * s[j][k] for j in range(k, kmax + 1)), Fraction(0))
-        for k in range(kmax + 1)
-    )
+    a = weyl_expansion_matrix(len(b) - 1)
+    c = [Fraction(0)] * len(b)
+    for j in reversed(range(len(b))):
+        c[j] = b[j] - sum(c[k] * mu ** (k - j) * a[k][j] for k in range(j + 1, len(b)))
+    return tuple(c)
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -75,7 +76,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .evolve import Trajectory
-from .mathkit import is_finite_real
 from .model import ModelSpec
 from .states import GaussianState
 
@@ -121,6 +121,14 @@ class PhaseField:
     values: np.ndarray
     negative_mask: np.ndarray
     total_mass: float
+
+
+def is_finite_real(v) -> bool:
+    """Whether v is a real number, not a bool, in the float range (so not NaN,
+    not +-inf and not an int too large for a float)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    return bool(abs(v) <= sys.float_info.max)
 
 
 def _check_grid(grid) -> tuple[float, float, float, float, int, int]:

@@ -77,10 +77,6 @@ class GaussianState:
         ) / sqrt(2 * model.hbar)
         return cls(kappa=kappa, alpha0=alpha0)
 
-    def mean_occupation(self) -> float:
-        """<|alpha|^2> = |alpha0|^2 + 1/kappa, a constant of all the motions."""
-        return abs(self.alpha0) ** 2 + 1.0 / self.kappa
-
 
 def tail_mass(g: list, levels: int = TAIL_ROWS) -> float:
     """Occupation of the last `levels` number states, from sector 0 of the rows g."""

@@ -75,13 +75,8 @@ from scipy.integrate import solve_ivp
 
 from groenewold_lab import generators
 from groenewold_lab.errors import ConfigError, ValidationFailed
-from groenewold_lab.evolve import Trajectory
-from groenewold_lab.generators import all_generator_blocks
-from groenewold_lab.mathkit import (
-    _orthonormal_recurrence,
-    bessel_i_scaled,
-    composite_gauss_legendre_rule,
-)
+from groenewold_lab.evolve import Trajectory, bessel_i_scaled, composite_gauss_legendre_rule
+from groenewold_lab.generators import _orthonormal_recurrence, all_generator_blocks
 from groenewold_lab.observables import mean_alpha_series
 
 THETA = math.log(7.0 / 3.0) / 4.0
@@ -299,10 +294,9 @@ def groenewold_by_quadrature(state, n_basis: int) -> np.ndarray:
     smax = a0 + 10.0 / math.sqrt(kappa)
     # radial oscillation wavenumber of the highest profile, uniform in s
     h = min(0.2, math.pi / (4.0 * math.sqrt(1.5 * n_basis + 1.0)))
-    rule = composite_gauss_legendre_rule(0.0, smax, 2 * max(8, math.ceil(smax / h)), 10)
-    s = rule.nodes
+    s, weights = composite_gauss_legendre_rule(0.0, smax, 2 * max(8, math.ceil(smax / h)), 10)
     x = 4.0 * s * s
-    base = rule.weights * s * np.exp(-kappa * (s - a0) ** 2)
+    base = weights * s * np.exp(-kappa * (s - a0) ** 2)
     g = np.zeros((n_basis, n_basis), dtype=complex)
     quiet = 0
     for nu in range(n_basis):

@@ -34,7 +34,7 @@ from groenewold_lab.render import (
     whorl_phase_field,
     wigner_field,
 )
-from groenewold_lab.states import GaussianState
+from groenewold_lab.states import GaussianState, groenewold_from_gaussian
 from oracles import coherent_density, stacked_trajectory, thermal_field
 
 BASE = {
@@ -565,6 +565,21 @@ class TestMergedLoop:
                     assert data_lines(path) == data_lines(merged / path.name)
         assert sorted(seen) == names
 
+    def test_each_field_time_renders_its_own_time(self, tmp_path):
+        # field times on the row grid, between row times and before t0 are
+        # each looked up in the union of times; no row moves
+        field = {"grid": [-3.0, 3.0, -3.0, 3.0, 24, 24], "time_list": [1.0, 0.75, -0.5]}
+        merged = self.quartic_run(tmp_path, "merged", {"moments": True, "field": field})
+        alone = self.quartic_run(tmp_path, "rows", {"moments": True})
+        assert data_lines(merged / "moments.csv") == data_lines(alone / "moments.csv")
+        cfg = cli.validate_config(cli._Doc((tmp_path / "merged.json").read_text(), "merged.json"))
+        g0 = groenewold_from_gaussian(cfg.state, cfg.n_basis, tail_tol=cfg.tail_tol)
+        for t in field["time_list"]:
+            traj = evolve_module.evolve(g0, "quantum", cfg.model, [t])
+            want = wigner_field(traj, cfg.field_grid)[0].values
+            got = np.loadtxt(merged / f"field_quantum_{t:.12g}.csv", delimiter=",")
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-15), t
+
     def test_previous_trajectory_released_before_next_evolve(self, tmp_path, monkeypatch):
         # one trajectory in memory at a time bounds the run's peak memory
         evolve = cli.evolve
@@ -979,6 +994,15 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     found = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
     assert found and groenewold_lab.__version__ == found.group(1)
+
+
+def test_readme_layout_names_every_module():
+    # README's "Library layout" table has one row per module of the package
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("## Library layout", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` +\|", section.split("\n## ", 1)[0], re.MULTILINE)
+    modules = [p.stem for p in Path(groenewold_lab.__file__).parent.glob("*.py")]
+    assert sorted(rows) == sorted(m for m in modules if m != "__init__")
 
 
 class TestPresets:

@@ -1,4 +1,7 @@
-"""Tests for the shared numerical kernels.
+"""Tests for the numerical kernels, each of which lives beside its one caller:
+the scaled Bessel function and the composite Gauss-Legendre rule in evolve
+(the continuum moment oracle), the orthonormal Laguerre family and the
+generalized Gauss-Laguerre rule in generators (the Moyal rungs).
 
 Oracles: frozen 18-digit mpmath values for the hand-authored special
 functions, scipy.special as an independent second route, and exactness /
@@ -14,12 +17,8 @@ from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, ive
 
 from groenewold_lab.errors import QuadratureNotConverged
-from groenewold_lab.mathkit import (
-    bessel_i_scaled,
-    composite_gauss_legendre_rule,
-    gauss_genlaguerre_rule,
-    laguerre_orthonormal_bare,
-)
+from groenewold_lab.evolve import bessel_i_scaled, composite_gauss_legendre_rule
+from groenewold_lab.generators import gauss_genlaguerre_rule, laguerre_orthonormal_bare
 from oracles import radial_profiles
 
 # mpmath (dps=40) values of e^-x I_m(x)
@@ -110,9 +109,9 @@ class TestRadialProfiles:
     def test_orthonormality(self, nu):
         # small nmax so a uniform composite rule resolves the zero clustering
         nmax = 12
-        rule = composite_gauss_legendre_rule(0.0, 4 * nmax + 2 * nu + 90.0, 300, 12)
-        rows = radial_profiles(nmax, nu, rule.nodes)
-        gram = (rows * rule.weights) @ rows.T
+        nodes, weights = composite_gauss_legendre_rule(0.0, 4 * nmax + 2 * nu + 90.0, 300, 12)
+        rows = radial_profiles(nmax, nu, nodes)
+        gram = (rows * weights) @ rows.T
         assert np.allclose(gram, np.eye(nmax + 1), atol=1e-10)
 
     @pytest.mark.parametrize("nu", [0, 3, 60, 127])
@@ -128,38 +127,38 @@ class TestRadialProfiles:
     def test_bare_discrete_orthonormality(self):
         # bare rows + genLaguerre weights: V V^T = I up to machine precision
         nmax, nu = 64, 9
-        rule = gauss_genlaguerre_rule(nmax + 12, float(nu))
-        rows = laguerre_orthonormal_bare(nmax, nu, rule.nodes)
-        v = rows * np.sqrt(rule.weights)
+        nodes, weights = gauss_genlaguerre_rule(nmax + 12, float(nu))
+        rows = laguerre_orthonormal_bare(nmax, nu, nodes)
+        v = rows * np.sqrt(weights)
         assert np.allclose(v @ v.T, np.eye(nmax + 1), atol=1e-12)
 
     def test_bare_large_nu_stable(self):
         nmax, nu = 128, 127
-        rule = gauss_genlaguerre_rule(nmax + 16, float(nu))
-        rows = laguerre_orthonormal_bare(nmax, nu, rule.nodes)
+        nodes, weights = gauss_genlaguerre_rule(nmax + 16, float(nu))
+        rows = laguerre_orthonormal_bare(nmax, nu, nodes)
         assert np.all(np.isfinite(rows))
-        v = rows * np.sqrt(rule.weights)
+        v = rows * np.sqrt(weights)
         assert np.allclose(v @ v.T, np.eye(nmax + 1), atol=1e-10)
 
 
 class TestQuadrature:
     def test_legendre_polynomial_exactness(self):
-        rule = composite_gauss_legendre_rule(-1.0, 2.0, 1, 6)
+        nodes, weights = composite_gauss_legendre_rule(-1.0, 2.0, 1, 6)
         # one panel of 6 nodes is exact for degree <= 11
         for p in range(12):
             exact = (2.0 ** (p + 1) - (-1.0) ** (p + 1)) / (p + 1)
-            assert np.allclose(rule.weights @ rule.nodes**p, exact, rtol=1e-13)
+            assert np.allclose(weights @ nodes**p, exact, rtol=1e-13)
 
     def test_composite_smooth_integral(self):
-        rule = composite_gauss_legendre_rule(0.0, np.pi, 16, 10)
-        assert np.allclose(rule.weights @ np.sin(rule.nodes), 2.0, rtol=1e-13)
+        nodes, weights = composite_gauss_legendre_rule(0.0, np.pi, 16, 10)
+        assert np.allclose(weights @ np.sin(nodes), 2.0, rtol=1e-13)
 
     def test_genlaguerre_moments(self):
         alpha = 3.5
-        rule = gauss_genlaguerre_rule(12, alpha)
+        nodes, weights = gauss_genlaguerre_rule(12, alpha)
         for k in range(10):
             exact = math.exp(math.lgamma(alpha + k + 1))
-            assert np.allclose(rule.weights @ rule.nodes**k, exact, rtol=1e-12)
+            assert np.allclose(weights @ nodes**k, exact, rtol=1e-12)
 
     def test_genlaguerre_rule_rejects_broken_scipy_rule(self):
         # scipy returns non-finite nodes or weights at 344 nodes for
@@ -172,5 +171,5 @@ class TestQuadrature:
         # every sector rule of N = 163 passes the check, so semiclassical1
         # runs at N = 163 whichever sectors the state fills
         for nu in range(163):
-            rule = gauss_genlaguerre_rule(2 * 163 + 16, float(nu))
-            assert np.all(np.isfinite(rule.nodes)) and np.all(rule.weights > 0.0)
+            nodes, weights = gauss_genlaguerre_rule(2 * 163 + 16, float(nu))
+            assert np.all(np.isfinite(nodes)) and np.all(weights > 0.0)

@@ -1,8 +1,8 @@
-"""Tests for the model layer: star products, number expansion, spectra.
+"""Tests for the model layer: star powers, number expansion, spectra.
 
-Oracles: hand-derived exact star products of low radial powers (checked
-with rational arithmetic, so equality is exact), and closed-form spectra
-for the quartic and sextic models.
+Oracles: hand-derived exact star powers of u (checked with rational
+arithmetic, so equality is exact), and closed-form spectra for the
+quartic and sextic models.
 """
 
 from fractions import Fraction
@@ -18,59 +18,22 @@ from groenewold_lab.model import (
     ModelSpec,
     SymbolPolynomial,
     number_coefficients,
-    u_star_power,
     weyl_expansion_matrix,
 )
 
 F = Fraction
 
 
-def poly(*coeffs):
-    return SymbolPolynomial.from_coeffs(coeffs)
-
-
 class TestStarProduct:
-    def test_u_star_u(self):
-        # u * u = u^2 - 1/4
-        u = poly(0, 1)
-        assert u.star(u).coeffs == (F(-1, 4), F(0), F(1))
-
-    def test_u2_star_u(self):
-        # (u*u comes out as u^2 - 1/4); plain u^2 star u = u^3 - u
-        u2 = poly(0, 0, 1)
-        u = poly(0, 1)
-        assert u2.star(u).coeffs == (F(0), F(-1), F(0), F(1))
-
     def test_u_star_powers(self):
-        assert u_star_power(0).coeffs == (F(1),)
-        assert u_star_power(1).coeffs == (F(0), F(1))
-        assert u_star_power(2).coeffs == (F(-1, 4), F(0), F(1))
-        assert u_star_power(3).coeffs == (F(0), F(-5, 4), F(0), F(1))
+        # row k of the expansion matrix is u^{*k}, the symbol of (n + 1/2)^k
+        a = weyl_expansion_matrix(4)
+        assert a[0] == [F(1), 0, 0, 0, 0]
+        assert a[1] == [0, F(1), 0, 0, 0]
+        assert a[2] == [F(-1, 4), 0, F(1), 0, 0]  # u * u = u^2 - 1/4
+        assert a[3] == [0, F(-5, 4), 0, F(1), 0]
         # hand-derived: u^{*4} = u^4 - (7/2) u^2 + 5/16
-        assert u_star_power(4).coeffs == (F(5, 16), F(0), F(-7, 2), F(0), F(1))
-
-    def test_shifted_square(self):
-        # (u - 1/2) * (u - 1/2) = u^2 - u, the symbol of n-hat squared
-        f = poly(F(-1, 2), 1)
-        assert f.star(f).coeffs == (F(0), F(-1), F(1))
-
-    @given(
-        ka=st.integers(min_value=0, max_value=3),
-        kb=st.integers(min_value=0, max_value=3),
-    )
-    @settings(max_examples=16, deadline=None)
-    def test_radial_star_commutes(self, ka, kb):
-        # functions of the number operator commute, so radial star products do
-        a, b = u_star_power(ka), u_star_power(kb)
-        assert a.star(b).coeffs == b.star(a).coeffs
-
-    @given(k=st.integers(min_value=0, max_value=4))
-    @settings(max_examples=10, deadline=None)
-    def test_star_associativity_on_chain(self, k):
-        u = poly(0, 1)
-        left = u_star_power(k).star(u)
-        right = u.star(u_star_power(k))
-        assert left.coeffs == right.coeffs
+        assert a[4] == [F(5, 16), 0, F(-7, 2), 0, F(1)]
 
 
 class TestWeylExpansion:
@@ -118,17 +81,22 @@ class TestWeylExpansion:
         assert number_coefficients((0, 1), F(1, 3)) == (F(0), F(1))
         assert number_coefficients((2, 5), F(1, 7)) == (F(2), F(5))
 
-    def test_roundtrip_through_symbols(self):
-        # re-expanding c over star powers must reproduce b exactly
-        b = (F(1, 3), F(0), F(2), F(-1, 2), F(1))
-        mu = F(2, 5)
+    @given(
+        b=st.lists(
+            st.fractions(min_value=-10, max_value=10, max_denominator=100),
+            min_size=2,
+            max_size=9,
+        ),
+        mu=st.fractions(min_value=F(1, 1000), max_value=4, max_denominator=1000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_roundtrip_through_symbols(self, b, mu):
+        # re-expanding c over the star powers, the rows of the expansion
+        # matrix, must reproduce b[j] mu^j exactly, for every K <= 8
         c = number_coefficients(b, mu)
-        total = SymbolPolynomial.from_coeffs([0])
-        for k, ck in enumerate(c):
-            total = total + u_star_power(k).scaled(ck * mu**k)
-        expected = tuple(bk * mu**k for k, bk in enumerate(b))
-        got = total.coeffs + (F(0),) * (len(expected) - len(total.coeffs))
-        assert got == expected
+        a = weyl_expansion_matrix(len(b) - 1)
+        for j, bj in enumerate(b):
+            assert sum(c[k] * mu**k * a[k][j] for k in range(len(b))) == bj * mu**j
 
 
 class TestModelSpec:

@@ -135,10 +135,6 @@ class TestInvariants:
         occ = np.trace(g @ nhalf).real
         assert abs(occ - (abs(alpha0) ** 2 + 1.0 / kappa)) < 1e-11
 
-    def test_mean_occupation_helper(self):
-        state = GaussianState(2.0, 0.5)
-        assert state.mean_occupation() == pytest.approx(0.75, rel=1e-15)
-
 
 class TestGuards:
     def test_tail_mass_exceeded(self):
@@ -222,11 +218,11 @@ class TestDyadSymbol:
         assert b == pytest.approx(np.conj(a), abs=1e-14)
 
     def test_trace_orthogonality_by_quadrature(self):
-        from groenewold_lab.mathkit import composite_gauss_legendre_rule
+        from groenewold_lab.evolve import composite_gauss_legendre_rule
         model = ModelSpec.quartic(mu=0.5)
-        rule = composite_gauss_legendre_rule(-5.0, 5.0, 24, 10)
-        qq, pp = np.meshgrid(rule.nodes, rule.nodes)
-        ww = np.outer(rule.weights, rule.weights)
+        nodes, weights = composite_gauss_legendre_rule(-5.0, 5.0, 24, 10)
+        qq, pp = np.meshgrid(nodes, nodes)
+        ww = np.outer(weights, weights)
         pairs = [(0, 0), (1, 1), (1, 0), (2, 0), (2, 1), (3, 3), (6, 4)]
         symbols = {
             nm: wigner_dyad_symbol(nm[0], nm[1], qq, pp, model) for nm in pairs
@@ -240,11 +236,11 @@ class TestDyadSymbol:
                 assert got == pytest.approx(want, abs=1e-9)
 
     def test_unit_mass_of_diagonal_dyads(self):
-        from groenewold_lab.mathkit import composite_gauss_legendre_rule
+        from groenewold_lab.evolve import composite_gauss_legendre_rule
         model = ModelSpec.quartic(mu=0.5)
-        rule = composite_gauss_legendre_rule(-5.0, 5.0, 24, 10)
-        qq, pp = np.meshgrid(rule.nodes, rule.nodes)
-        ww = np.outer(rule.weights, rule.weights)
+        nodes, weights = composite_gauss_legendre_rule(-5.0, 5.0, 24, 10)
+        qq, pp = np.meshgrid(nodes, nodes)
+        ww = np.outer(weights, weights)
         for n in (0, 1, 3):
             w = wigner_dyad_symbol(n, n, qq, pp, model)
             mass = np.sum(w.real * ww) / (2 * np.pi * model.hbar)
