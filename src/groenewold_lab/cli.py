@@ -67,6 +67,9 @@ TOLERANCES = {
 # machine can hold, so a mistyped size ends in a schema error
 MAX_N = 16384
 MAX_STEPS = 100_000
+# field values a run holds before it writes them: dynamics x field times x
+# nq x np, 1 GiB as floats
+MAX_FIELD_VALUES = 2**27
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +223,7 @@ def _time_stem(t: float) -> str:
     return f"{t:.12g}"
 
 
-def _build_outputs(doc: _Doc, raw: dict, n_basis: int):
+def _build_outputs(doc: _Doc, raw: dict, n_basis: int, dynamics: int):
     obj = raw["outputs"]
     _check_keys(
         doc, obj, "outputs", ("moments", "spectrum", "negativity", "field", "validate")
@@ -268,6 +271,15 @@ def _build_outputs(doc: _Doc, raw: dict, n_basis: int):
                     f"t = {tag} (times are named to 12 significant digits)",
                 )
             first[tag] = i
+        values = dynamics * len(field_times) * field_grid[4] * field_grid[5]
+        if values > MAX_FIELD_VALUES:
+            doc.fail(
+                "outputs.field.time_list",
+                f"{dynamics} dynamics x {len(field_times)} times x {field_grid[4]} x "
+                f"{field_grid[5]} grid points is {values} field values, above the "
+                f"limit of {MAX_FIELD_VALUES} (1 GiB as floats); ask for fewer times "
+                f"or a coarser grid",
+            )
 
     return moments, spectrum_k, negativity, field_grid, field_times, validate
 
@@ -315,7 +327,7 @@ def validate_config(doc: _Doc) -> ExperimentConfig:
     times = tuple(float(v) for v in np.linspace(t0, t1, steps))
 
     moments, spectrum_k, negativity, field_grid, field_times, validate = _build_outputs(
-        doc, raw, n_basis
+        doc, raw, n_basis, len(dyn)
     )
 
     sha = hashlib.sha256(

@@ -24,10 +24,11 @@ a recurrence with no division by z, so it holds at kappa = 2 (z = 0, the
 coherent projector, eigenvalues {1, 0, ...}) and for kappa > 2 (z < 0,
 negative eigenvalues already at t = 0: kappa = 2 is the exact positivity
 threshold). For kappa < 2 the operator is positive and thermal-like. The
-sector scale is carried in log space, but r_n itself peaks near
-e^w / sqrt(2 pi w), so the synthesis holds for w below about 714: the log
-of the largest float (709.8) plus the log of that width. Past it an entry
-is not finite and the synthesis raises.
+sector scale is carried in log space, and r_n itself, which peaks near
+e^w / sqrt(2 pi w), is scaled by 2^-600 (exact) together with r_(n-1)
+whenever it passes 2^600; an entry scaled c times takes the factor
+exp(log scale + 600 c ln 2), so w has no limit below the float range of
+its inputs, and an entry that is never scaled keeps every bit.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ def groenewold_from_gaussian(
     highest sector with a nonzero entry (0 for a centred state). Raises
     TailMassExceeded when the occupation of the last few basis states is
     not within tail_tol, and QuadratureNotConverged when an entry is not
-    finite: the recurrence overflows once (1 - z)|alpha0|^2 passes about
-    714 (measured for kappa from 0.3 to 5).
+    finite, which the rescaled recurrence leaves only to inputs that are
+    themselves near the float range.
     """
     if n_basis < TAIL_ROWS + 2:
         raise ConfigError(f"n_basis must be at least {TAIL_ROWS + 2}")
@@ -111,28 +112,35 @@ def groenewold_from_gaussian(
     quiet = 0
     for nu in range(n_basis):
         # r_n = sqrt(n! nu! / (n+nu)!) z^n L_n^(nu)(-c/z), with r_-1 = 0;
-        # each coefficient is divided before it multiplies, so r_n only
-        # overflows when it is itself above the float range
+        # each coefficient is divided before it multiplies, and r[n] holds
+        # r_n 2^(-600 k), k being the number of rescales at or before n
         r = np.empty(n_basis - nu)
         prev, cur = 0.0, 1.0
         r[0] = cur
+        rescales = []
         for n in range(n_basis - nu - 1):
             d = sqrt((n + 1) * (n + 1 + nu))
             prev, cur = cur, (
                 (z * (2 * n + 1 + nu) + c) / d * cur - z * z * sqrt(n * (n + nu)) / d * prev
             )
+            if abs(cur) > 2.0**600:
+                prev *= 2.0**-600
+                cur *= 2.0**-600
+                rescales.append(n + 1)
             r[n + 1] = cur
         if not np.isfinite(r).all():
             raise QuadratureNotConverged(
-                f"state synthesis overflows in sector nu = {nu}: (1 - z)|alpha0|^2 = "
-                f"{w:.4g} (kappa = {state.kappa:.6g}, |alpha0| = {a0:.6g}) is at or "
-                f"above its limit of about 714; lower kappa or |alpha0|"
+                f"state synthesis is not finite in sector nu = {nu}: (1 - z)|alpha0|^2 = "
+                f"{w:.4g} (kappa = {state.kappa:.6g}, |alpha0| = {a0:.6g}); lower kappa "
+                f"or |alpha0|"
             )
         # (1 - z) e^(-w) |alpha0 (1 - z)|^nu / sqrt(nu!)
         log_scale = log(1.0 - z) - w - 0.5 * lgamma(nu + 1.0)
         if nu:
             log_scale += nu * log(a0 * (1.0 - z)) if a0 > 0 else -inf
-        col = exp(log_scale) * r
+        # log_scale + 0.0 keeps the bits of an unscaled entry's factor
+        factors = np.array([exp(log_scale + k * 600 * log(2.0)) for k in range(len(rescales) + 1)])
+        col = factors[np.searchsorted(rescales, np.arange(r.size), "right")] * r
         peak = float(np.abs(col).max())
         rows.append(np.exp(1j * nu * phi0) * col if nu else col)
         quiet = quiet + 1 if peak < 1e-17 else 0

@@ -361,6 +361,45 @@ class TestSizeLimits:
         assert cli.main(["run", str(config), "--validate-only"]) == 0
         assert capsys.readouterr().out.startswith("config ok:")
 
+    # one dynamics' eight 4096 x 4096 fields hold exactly MAX_FIELD_VALUES
+    # values (1 GiB as floats), as do two dynamics' four; validated only,
+    # never run
+    @pytest.mark.parametrize(
+        "dynamics, times, code",
+        [(["quantum"], 8, 0), (["quantum"], 9, 1), (["quantum", "classical"], 4, 0),
+         (["quantum", "classical"], 5, 1)],
+        ids=["1x8", "1x9", "2x4", "2x5"],
+    )
+    def test_field_values_cap(self, tmp_path, capsys, dynamics, times, code):
+        assert 8 * MAX_GRID_POINTS**2 == cli.MAX_FIELD_VALUES
+
+        def mutate(raw):
+            raw["state"]["alpha0_re"] = 0.0
+            raw["dynamics"] = dynamics
+            raw["outputs"]["field"] = {
+                "grid": [-3.0, 3.0, -3.0, 3.0, MAX_GRID_POINTS, MAX_GRID_POINTS],
+                "time_list": [0.25 * (i + 1) for i in range(times)],
+            }
+
+        config = write_config(tmp_path, mutate)
+        assert cli.main(["run", str(config), "--validate-only"]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+            return
+        line = next(
+            i for i, text in enumerate(config.read_text().splitlines(), 1) if '"time_list"' in text
+        )
+        values = len(dynamics) * times * MAX_GRID_POINTS**2
+        assert err == (
+            f"error: {config}:{line}: outputs.field.time_list: {len(dynamics)} dynamics x "
+            f"{times} times x {MAX_GRID_POINTS} x {MAX_GRID_POINTS} grid points is {values} "
+            f"field values, above the limit of {cli.MAX_FIELD_VALUES} (1 GiB as floats); "
+            f"ask for fewer times or a coarser grid\n"
+        )
+        with pytest.raises(ConfigError):
+            cli.validate_config(cli._Doc(config.read_text(), str(config)))
+
     def test_limits_lie_far_above_the_presets(self):
         # N = 4096 is the largest basis the tests run
         assert cli.MAX_N >= 4 * 4096
@@ -871,13 +910,13 @@ class TestExitCodes:
         for row in rows_of(tmp_path / "out" / "validate.csv"):
             assert float(row["purity_drift"]) < 1e-8
 
-    def test_recurrence_overflow_exits_three(self, tmp_path, capsys):
-        # (1 - z)|alpha0|^2 = 756 is past the closed form's float range (714)
+    def test_state_past_the_float_range_validates(self, tmp_path, capsys):
+        # (1 - z)|alpha0|^2 = 756: the synthesis recurrence passes the float
+        # range there and is rescaled, so the state fits and validates
         config = self.coherent_config(tmp_path, 27.5, 1400)
-        assert cli.main(["run", str(config), "--validate-only"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("truncation failure: state synthesis overflows")
-        assert "kappa = 2" in err and "|alpha0| = 27.5" in err and "limit of about 714" in err
+        assert cli.main(["run", str(config), "--validate-only"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("config ok:")
 
     def test_unwritable_output_exits_one(self, tmp_path, capsys):
         # --out names an existing regular file, so the directory cannot be made

@@ -96,13 +96,20 @@ class TestDistinctRadii:
         want = wigner_field_pointwise(fig2_trajectory.matrix(0), QUARTIC, DEFAULT_GRID)
         assert np.array_equal(field.values, want)
 
-    def test_asymmetric_grid_bit_equal_to_pointwise(self, fig2_trajectory):
-        # few radii repeat here, so nearly every point is its own profile entry
-        grid = (-3.1, 4.7, -2.3, 5.9, 97, 131)
+    # few radii repeat here, so nearly every point is its own profile entry;
+    # 13 x 7 is smaller than one block, and 257 x 131 is covered by two
+    # blocks of points and of radii, neither a power of two long
+    @pytest.mark.parametrize(
+        "nq, npts",
+        [pytest.param(97, 131, id="97x131"), pytest.param(13, 7, id="13x7"),
+         pytest.param(257, 131, id="257x131")],
+    )
+    def test_asymmetric_grid_bit_equal_to_pointwise(self, fig2_trajectory, nq, npts):
+        grid = (-3.1, 4.7, -2.3, 5.9, nq, npts)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryMassWarning)
             (field,) = wigner_field(fig2_trajectory, grid)
-        assert field.values.shape == (131, 97)
+        assert field.values.shape == (npts, nq)
         want = wigner_field_pointwise(fig2_trajectory.matrix(0), QUARTIC, grid)
         assert np.array_equal(field.values, want)
 
@@ -187,6 +194,23 @@ class TestBatchedRender:
         for field, (c, z) in zip(fields[1:], diagonals):
             want, tail = thermal_field(c, z, n, QUARTIC, WIDE_GRID)
             assert np.abs(field.values - want).max() <= tail + 1e-14
+
+    def test_working_set_stays_bounded(self, fig2_fields):
+        # fig2's four fields on a 512 x 512 grid: 8 MiB of returned values,
+        # a traced peak of 23.4 MiB (numpy 2.4), where rendering each sector
+        # on the whole grid at once peaked at 45.8 MiB
+        import tracemalloc
+
+        traj, _ = fig2_fields
+        grid = (-4.0, 4.0, -4.0, 4.0, 512, 512)
+        tracemalloc.start()
+        try:
+            fields = wigner_field(traj, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fields) == 4
+        assert peak < 30 * 2**20
 
 
 class TestSeriesCut:

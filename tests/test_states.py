@@ -141,10 +141,19 @@ class TestGuards:
         with pytest.raises(TailMassExceeded):
             groenewold_from_gaussian(GaussianState(1.0, 2.0), 8)
 
-    def test_overflow_raises_and_names_the_limit(self):
-        # z = 0 at kappa = 2, so (1 - z)|alpha0|^2 = 27.5^2 = 756: the recurrence overflows
-        with pytest.raises(QuadratureNotConverged, match="limit of about 714"):
-            groenewold_from_gaussian(GaussianState(2.0, 27.5), 1400)
+    def test_recurrence_rescales_past_the_float_range(self):
+        # z = 0 at kappa = 2, so (1 - z)|alpha0|^2 = 27.5^2 = 756: r_n peaks
+        # near e^756 / sqrt(2 pi 756), past the largest float, and is rescaled
+        rows = groenewold_from_gaussian(GaussianState(2.0, 27.5), 1400)
+        assert len(rows) - 1 == 463
+        g = dense(rows)
+        assert abs(np.trace(g).real - 1.0) < 1e-13
+        assert np.abs(g - coherent_density(27.5, 1400)).max() < 1e-14
+
+    def test_non_finite_recurrence_raises(self):
+        # (1 - z)|alpha0|^2 is not a float here, so no rescaling can help
+        with pytest.raises(QuadratureNotConverged, match="not finite in sector nu = 0"):
+            groenewold_from_gaussian(GaussianState(2.0, 1e200), 8)
 
     def test_below_the_limit_runs(self):
         # (1 - z)|alpha0|^2 = 289, while the radial quadrature would need its
