@@ -213,8 +213,12 @@ def _series_cut(rows: np.ndarray, floor: np.ndarray) -> np.ndarray:
     return np.where(kept, rows, 0.0)[:, : kept.sum(axis=1).max(initial=0)]
 
 
-def _sector_profile(diags: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
+def _sector_profile(diags: np.ndarray, nu: int, x: np.ndarray, out=None) -> np.ndarray:
     """Radial sum_k diags[f, k] rho_k^(nu)(x) on flat x >= 0, one row per f.
+
+    The profiles are written to out, a complex array of shape
+    (len(diags), x.size), when one is given; wigner_field passes the same
+    array for every sector, so no sector allocates its profiles anew.
 
     rho_k^(nu)(x) = 2 (-1)^k sqrt(k!/(k+nu)!) x^(nu/2) e^(-x/2) L_k^(nu)(x),
     evaluated as weight(x) * sum_k diags[f, k] (-1)^k binom(k+nu, k)^(-1/2)
@@ -261,7 +265,7 @@ def _sector_profile(diags: np.ndarray, nu: int, x: np.ndarray) -> np.ndarray:
     size = _step(x.size, rows)
     acc = np.empty((2 * rows, size))
     term = np.empty_like(acc)
-    profiles = np.empty((rows, x.size), dtype=complex)
+    profiles = np.empty((rows, x.size), dtype=complex) if out is None else out
     for start in range(0, x.size, size):
         xs = x[start : start + size]
         n = xs.size
@@ -361,8 +365,9 @@ def wigner_field(traj: Trajectory, grid=DEFAULT_GRID) -> list[PhaseField]:
     floor = np.where(np.isfinite(peak), _TAIL_FLOOR * peak, 0.0)
     times = peak.size
     values = np.empty((times, phasor.size))
+    store = np.empty((times, xu.size), dtype=complex)  # one sector's profiles
     diag = _series_cut(np.real(traj.history[0]).astype(complex), floor)
-    np.take(_sector_profile(diag, 0, xu).real, inv, axis=1, out=values, mode="clip")
+    np.take(_sector_profile(diag, 0, xu, store).real, inv, axis=1, out=values, mode="clip")
     power = np.ones_like(phasor)
     size = _step(phasor.size, times)
     gathered = np.empty(times * size, dtype=complex)
@@ -372,7 +377,7 @@ def wigner_field(traj: Trajectory, grid=DEFAULT_GRID) -> list[PhaseField]:
         if filled.size == 0:
             power *= phasor
             continue
-        profiles = _sector_profile(rows[filled], nu, xu)
+        profiles = _sector_profile(rows[filled], nu, xu, store[: filled.size])
         for start in range(0, phasor.size, size):
             block = slice(start, start + size)
             pw = power[block]
@@ -386,8 +391,7 @@ def wigner_field(traj: Trajectory, grid=DEFAULT_GRID) -> list[PhaseField]:
             np.multiply(s, 2.0, out=s)
             for f, term in zip(filled, s):
                 values[f, block] += term
-        del profiles
-    del phasor, power, inv, gathered
+    del phasor, power, inv, store, gathered
     values /= 2.0 * math.pi * traj.model.hbar
     fields = []
     for total in values:  # a loop, not a comprehension, keeps _package's stacklevel

@@ -125,9 +125,9 @@ class TestDistinctRadii:
         sizes = []
         profile = render._sector_profile
 
-        def counting(diag, nu, x):
+        def counting(diag, nu, x, out=None):
             sizes.append(x.size)
-            return profile(diag, nu, x)
+            return profile(diag, nu, x, out)
 
         monkeypatch.setattr(render, "_sector_profile", counting)
         (field,) = wigner_field(fig2_trajectory, DEFAULT_GRID)
@@ -242,9 +242,9 @@ class TestSeriesCut:
         depths = []
         profile = render._sector_profile
 
-        def recording(diags, nu, x):
+        def recording(diags, nu, x, out=None):
             depths.append(diags.shape[1])
-            return profile(diags, nu, x)
+            return profile(diags, nu, x, out)
 
         monkeypatch.setattr(render, "_sector_profile", recording)
         traj, _ = fig2_fields
