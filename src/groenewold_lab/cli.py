@@ -4,13 +4,17 @@ A run parses one config (file or bundled preset), evolves the requested
 dynamics over a shared time grid, and writes row-oriented CSVs plus
 phase-space field files. All floats print with 17 significant digits and
 every run-varying datum lives in '#' header comments, so outputs are
-byte-identical across runs once those lines are stripped.
+byte-identical across reruns once those lines are stripped. That holds per
+host, OpenBLAS kernel and BLAS thread count; across them the non-quantum
+rows move by up to about 5e-12 (README, Output files).
 
-With outputs.validate on, the synthesized state's trace is checked once,
-before any dynamics is evolved: every flow keeps sector 0 fixed, so the
-trace cannot move after t = 0. The one gate per row is the purity drift
-from t0, the only conserved quantity here that reads every stored sector.
-Spectra and negativity share one eigensolve per dynamics and row time.
+The synthesized state's trace error |Tr G - 1| is computed once, before any
+dynamics is evolved, and every row CSV reports it in one '#' line: every
+flow keeps sector 0 fixed, so the trace cannot move after t = 0. With
+outputs.validate on it is also checked against its tolerance. The one gate
+per row is the purity drift from t0, the only conserved quantity here that
+reads every stored sector. Spectra and negativity share one eigensolve per
+dynamics and row time.
 
 Exit codes: 0 success, 1 config schema error (line-precise), 2 validation
 failure (the synthesized trace or a purity drift over tolerance, a sector
@@ -358,19 +362,21 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def _header_lines(cfg: ExperimentConfig) -> list[str]:
+def _header_lines(cfg: ExperimentConfig, trace_err: float) -> list[str]:
+    """The '#' block every row CSV of one run starts with."""
     tol = " ".join(f"{k}={v:.0e}" for k, v in TOLERANCES.items())
     return [
         f"# groenewold-lab {__version__}",
         f"# config sha256: {cfg.sha256}",
         f"# generated: {datetime.now(timezone.utc).isoformat(timespec='seconds')}",
         f"# tolerances: {tol}",
+        f"# synthesized state trace_err: {_fmt(trace_err)}",
     ]
 
 
-def _write_csv(path: Path, cfg: ExperimentConfig, columns: list[str], rows, notes=()) -> None:
+def _write_csv(path: Path, header: list[str], columns: list[str], rows) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for line in [*_header_lines(cfg), *notes]:
+        for line in header:
             fh.write(line + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -389,15 +395,13 @@ def _evolved(cfg: ExperimentConfig, name: str) -> bool:
 
 
 def _synthesize(cfg: ExperimentConfig):
-    """The initial sector rows and, with outputs.validate on, their trace
-    error |Tr G - 1|, else None. ValidationFailed when that error is over
-    its tolerance: the basis holds too little of the state."""
+    """The initial sector rows and their trace error |Tr G - 1|. With
+    outputs.validate on, ValidationFailed when that error is over its
+    tolerance: the basis holds too little of the state."""
     g0 = groenewold_from_gaussian(cfg.state, cfg.n_basis, tail_tol=cfg.tail_tol)
-    if not cfg.validate:
-        return g0, None
     trace_err = abs(float(g0[0].sum()) - 1.0)
     tol = TOLERANCES["trace_err"]
-    if not trace_err <= tol:
+    if cfg.validate and not trace_err <= tol:
         raise ValidationFailed(
             f"synthesized state trace_err = {trace_err:.3e} (tolerance {tol:.0e}); "
             f"increase truncation.N or lower truncation.tail_tol"
@@ -412,7 +416,7 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
     times, and its trajectory is released before the next one is evolved.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    g0, trace_err0 = _synthesize(cfg)
+    g0, trace_err = _synthesize(cfg)
 
     union = sorted(set(cfg.times) | set(cfg.field_times))
     index = {t: i for i, t in enumerate(union)}
@@ -437,7 +441,6 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
         traj = evolve(g0, name, cfg.model, union)
         if need_rows:
             records = moment_track(traj)
-            trace_err = np.abs(traj.trace_series() - 1.0)
             purity = traj.purity_series().real
             for t, i in zip(cfg.times, row_idx):
                 r = records[i]
@@ -450,8 +453,7 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
                         r.mean_alpha.real, r.mean_alpha.imag,
                         r.alpha2.real, r.alpha2.imag,
                         r.abs2, r.mean_q, r.mean_p, r.dq, r.dp,
-                        dq_paper, dp_paper,
-                        trace_err[i], purity[i],
+                        dq_paper, dp_paper, purity[i],
                     ])
                 if cfg.spectrum_k or cfg.negativity:
                     w = snapshot_spectrum(traj, i)
@@ -466,13 +468,11 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
         del traj  # released before the next dynamics is evolved
 
     written: list[Path] = []
+    header = _header_lines(cfg, trace_err)
 
     if cfg.validate:
         path = out_dir / "validate.csv"
-        _write_csv(
-            path, cfg, ["t", "dynamics", "purity_drift"], validate_rows,
-            notes=[f"# synthesized state trace_err: {_fmt(trace_err0)}"],
-        )
+        _write_csv(path, header, ["t", "dynamics", "purity_drift"], validate_rows)
         written.append(path)
         tol = TOLERANCES["purity_drift"]
         failed = [row for row in validate_rows if not row[2] <= tol]  # NaN fails too
@@ -495,10 +495,9 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.moments:
         path = out_dir / "moments.csv"
         _write_csv(
-            path, cfg,
+            path, header,
             ["t", "dynamics", "re_alpha", "im_alpha", "re_alpha2", "im_alpha2",
-             "abs2", "q", "p", "dq", "dp", "dq_paper", "dp_paper",
-             "trace_err", "purity"],
+             "abs2", "q", "p", "dq", "dp", "dq_paper", "dp_paper", "purity"],
             moment_rows,
         )
         written.append(path)
@@ -509,12 +508,12 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
         columns += [f"lambda_max{j}" for j in range(1, k + 1)]
         columns += [f"lambda_min{j}" for j in range(1, k + 1)]
         path = out_dir / "spectrum.csv"
-        _write_csv(path, cfg, columns, spectrum_rows)
+        _write_csv(path, header, columns, spectrum_rows)
         written.append(path)
 
     if cfg.negativity:
         path = out_dir / "negativity.csv"
-        _write_csv(path, cfg, ["t", "dynamics", "sqneg"], negativity_rows)
+        _write_csv(path, header, ["t", "dynamics", "sqneg"], negativity_rows)
         written.append(path)
 
     for name, t, field in fields:

@@ -146,7 +146,8 @@ class Trajectory:
     returns it and matrix() writes it, and every reassembled matrix is
     exactly Hermitian. Only the sectors 0 .. top of the initial rows are
     stored; diagonal_history returns exact zeros for the sectors of the
-    matrix above them.
+    matrix above them. Every flow's sector-0 generator is an exact zero, so
+    history[0], and with it the trace, is the initial diagonal at every time.
     """
 
     dynamics: str
@@ -184,9 +185,6 @@ class Trajectory:
             dim=self.dim,
             history={nu: rows[indices] for nu, rows in self.history.items()},
         )
-
-    def trace_series(self) -> np.ndarray:
-        return self.history[0].sum(axis=1)
 
     def purity_series(self) -> np.ndarray:
         """Tr G(t)^2 = sum_nu sum_k g_nu g_-nu over the stored nu = -top .. top."""

@@ -178,7 +178,7 @@ def test_criterion_07_conservation_suite(sextic_trajs):
     occ = np.arange(N) + 0.5
     worst = {"trace": 0.0, "purity": 0.0, "herm": 0.0, "abs2": 0.0}
     for name, traj in sextic_trajs.items():
-        trace_err = float(np.abs(traj.trace_series() - 1.0).max())
+        trace_err = float(np.abs(traj.history[0].sum(axis=1) - 1.0).max())
         assert trace_err <= 1e-10, name
         worst["trace"] = max(worst["trace"], trace_err)
 

@@ -83,7 +83,7 @@ def rows_of(path):
 
 
 def synthesized_trace_err(path):
-    """The trace error of the initial state, from its one '#' line in validate.csv."""
+    """The trace error of the initial state, from the one '#' line every row CSV carries."""
     prefix = "# synthesized state trace_err: "
     (value,) = [ln[len(prefix):] for ln in path.read_text().splitlines() if ln.startswith(prefix)]
     return float(value)
@@ -491,11 +491,15 @@ class TestRunOutputs:
 
     def test_header_and_provenance(self, happy_run):
         _, out = happy_run
-        head = (out / "moments.csv").read_text().splitlines()[:4]
-        assert head[0].startswith("# groenewold-lab")
-        assert head[1].startswith("# config sha256: ")
-        assert head[2].startswith("# generated: ")
-        assert head[3].startswith("# tolerances: ")
+        for name in ("moments.csv", "validate.csv", "spectrum.csv", "negativity.csv"):
+            head = (out / name).read_text().splitlines()[:6]
+            assert head[0].startswith("# groenewold-lab")
+            assert head[1].startswith("# config sha256: ")
+            assert head[2].startswith("# generated: ")
+            assert head[3].startswith("# tolerances: ")
+            assert head[4].startswith("# synthesized state trace_err: ")
+            assert not head[5].startswith("#")
+            assert synthesized_trace_err(out / name) == synthesized_trace_err(out / "moments.csv")
 
     def test_moments_match_rotation(self, happy_run):
         # linear model: every dynamics is alpha0 e^{-i t}
@@ -505,15 +509,15 @@ class TestRunOutputs:
         header = data_lines(out / "moments.csv")[0]
         assert header == (
             "t,dynamics,re_alpha,im_alpha,re_alpha2,im_alpha2,abs2,q,p,"
-            "dq,dp,dq_paper,dp_paper,trace_err,purity"
+            "dq,dp,dq_paper,dp_paper,purity"
         )
+        assert synthesized_trace_err(out / "moments.csv") < 1e-10
         for row in rows:
             t = float(row["t"])
             assert abs(float(row["re_alpha"]) - 0.5 * math.cos(t)) < 1e-10
             assert abs(float(row["im_alpha"]) + 0.5 * math.sin(t)) < 1e-10
             assert abs(float(row["abs2"]) - 0.75) < 1e-10
             assert abs(float(row["purity"]) - 1.0) < 1e-8
-            assert float(row["trace_err"]) < 1e-10
 
     def test_spectrum_of_pure_state(self, happy_run):
         _, out = happy_run
@@ -741,12 +745,11 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
 
     def test_synthesized_trace_is_checked_only_with_validate(self, tmp_path):
-        # the trace error is a validation output; without it the run keeps
-        # its moments, whose trace_err column shows the same loss
+        # the trace gate is a validation output; without it the run keeps
+        # its moments, whose '#' line reports the same loss
         out = tmp_path / "out"
         assert run_cli(self.loose_tail_config(tmp_path, validate=False), out) == 0
-        for row in rows_of(out / "moments.csv"):
-            assert 1e-2 < float(row["trace_err"]) < 1e-1
+        assert 1e-2 < synthesized_trace_err(out / "moments.csv") < 1e-1
 
     @staticmethod
     def nan_history_run(tmp_path, monkeypatch, capsys, sector):
@@ -1042,6 +1045,19 @@ def test_readme_layout_names_every_module():
     rows = re.findall(r"^\| `(\w+)` +\|", section.split("\n## ", 1)[0], re.MULTILINE)
     modules = [p.stem for p in Path(groenewold_lab.__file__).parent.glob("*.py")]
     assert sorted(rows) == sorted(m for m in modules if m != "__init__")
+
+
+def test_readme_output_columns_match_the_written_headers(happy_run):
+    # README's "Output files" bullets list each row CSV's columns, wrapped
+    # over lines; a format change has to change them too
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("### Output files", 1)[1]
+    section = section.split("\n### ", 1)[0]
+    _, out = happy_run
+    for name in ("moments.csv", "validate.csv", "negativity.csv"):
+        (listed,) = re.findall(r"^- `%s`: `([^`]*)`" % re.escape(name), section, re.MULTILINE)
+        columns = [c.strip() for c in listed.split(",")]
+        assert columns == data_lines(out / name)[0].split(","), name
 
 
 class TestPresets:

@@ -236,7 +236,7 @@ class TestEvolve:
         times = np.linspace(0.0, np.pi, 5)
         for dynamics in ("quantum", "classical", "semiquantum1"):
             traj = evolve(g0, dynamics, SEXTIC, times)
-            tr = traj.trace_series()
+            tr = traj.history[0].sum(axis=1)
             assert np.abs(tr - tr[0]).max() == 0.0
             assert np.abs(tr[0] - 1.0) < 1e-10
             pur = traj.purity_series()

@@ -180,23 +180,29 @@ def laguerre_gauss_rule(nu: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 class TestLaguerreRealization:
     """On the Laguerre functions phi_k^nu of x = 4|alpha|^2 the sector
     operators act as differential operators: X1 + X2 is multiplication by
-    x/2, and X1^2 - X2^2 + (2 - nu^2)/4 is -d/dx x^2 d/dx. This is the
-    discrete-series realization of su(1,1) (Bargmann, Ann. Math. 48, 568
-    (1947)). Both Galerkin matrices are formed by Gauss quadrature that is
-    exact for their polynomial integrands."""
+    x/2, X1^2 - X2^2 + (2 - nu^2)/4 is -d/dx x^2 d/dx, D = X1 - X2 is
+    -2 d/dx x d/dx + nu^2/(2x), and so X1 = -d/dx x d/dx + x/4 + nu^2/(4x),
+    the Laguerre operator. This is the discrete-series realization of
+    su(1,1) (Bargmann, Ann. Math. 48, 568 (1947)). Every Galerkin matrix is
+    formed by Gauss quadrature that is exact for its polynomial integrands."""
 
     N_FUNCTIONS = 12
 
     @staticmethod
-    def galerkin(nu, n):
-        # 2n - 1 >= the degree 2n of the largest integrand q_j q_k below
-        x, w = laguerre_gauss_rule(nu, n + 1)
+    def parts(nu, n, x):
+        """p_k and q_k = x^(1 - nu/2) e^(x/2) phi_k' at x, for k < n."""
         p = laguerre_polynomial_parts(nu, n, x)
         # x^(1 - nu/2) e^(x/2) phi_k' = (nu/2 - x/2) p_k + x p_k'
         #                             = (nu/2 - x/2 + k) p_k + sqrt(k (k+nu)) p_(k-1)
         k = np.arange(n)[:, None]
         lower = np.vstack([np.zeros(x.size), p[:-1]])
-        q = ((nu - x) / 2 + k) * p + np.sqrt(k * (k + nu)) * lower
+        return p, ((nu - x) / 2 + k) * p + np.sqrt(k * (k + nu)) * lower
+
+    @classmethod
+    def galerkin(cls, nu, n):
+        # 2n - 1 >= the degree 2n of the largest integrand q_j q_k below
+        x, w = laguerre_gauss_rule(nu, n + 1)
+        p, q = cls.parts(nu, n, x)
         half_x = (p * (w * x / 2)) @ p.T
         # integral of x^2 phi_j' phi_k' dx, which is <phi_j, -(x^2 phi_k')'>
         stiffness = (q * w) @ q.T
@@ -230,6 +236,38 @@ class TestLaguerreRealization:
         x1, x2, _ = x_blocks(nu, n + 2)
         want = (x1 @ x1 - x2 @ x2)[:n, :n] + (2 - nu * nu) / 4 * np.eye(n)
         assert np.abs(stiffness - want).max() <= 1e-12
+
+    @classmethod
+    def inverse_x_forms(cls, nu, n):
+        """The integrals of x phi_j' phi_k' and of phi_j phi_k / x. For the
+        weight x^(nu - 1) e^(-x) their integrands are q_j q_k and p_j p_k, of
+        degree at most 2n, so n + 2 Gauss nodes are exact. For nu = 0,
+        q_k(0) = 0 makes q_j q_k / x a polynomial for the weight e^(-x), and
+        the second integral, which diverges, is returned as zeros: it enters
+        D and X1 times nu^2."""
+        x, w = laguerre_gauss_rule(max(nu - 1, 0), n + 2)
+        p, q = cls.parts(nu, n, x)
+        if nu == 0:
+            return (q * (w / x)) @ q.T, np.zeros((n, n))
+        return (q * w) @ q.T, (p * w) @ p.T
+
+    @pytest.mark.parametrize("nu", [0, 1, 2, 5])
+    def test_x1_minus_x2_is_minus_2_d_x_d_plus_nu_squared_over_2x(self, nu):
+        n = self.N_FUNCTIONS
+        gradient, inverse_x = self.inverse_x_forms(nu, n)
+        x1, x2, _ = x_blocks(nu, n)
+        d = 2 * gradient + nu * nu / 2 * inverse_x
+        assert np.abs(d - (x1 - x2)).max() <= 1e-12
+
+    @pytest.mark.parametrize("nu", [0, 1, 2, 5])
+    def test_x1_is_the_laguerre_operator(self, nu):
+        n = self.N_FUNCTIONS
+        _, _, half_x, _ = self.galerkin(nu, n)
+        gradient, inverse_x = self.inverse_x_forms(nu, n)
+        x1, _, _ = x_blocks(nu, n)
+        laguerre = gradient + half_x / 2 + nu * nu / 4 * inverse_x
+        assert np.abs(laguerre - x1).max() <= 1e-12
+        assert np.array_equal(x1, np.diag(np.arange(n) + (nu + 1) / 2))
 
 
 def grad_semiquantum1(j):
