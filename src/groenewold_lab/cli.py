@@ -363,8 +363,10 @@ def _fmt(value) -> str:
 
 
 def _header_lines(cfg: ExperimentConfig, trace_err: float) -> list[str]:
-    """The '#' block every row CSV of one run starts with."""
-    tol = " ".join(f"{k}={v:.0e}" for k, v in TOLERANCES.items())
+    """The '#' block every row CSV of one run starts with. Its tolerances
+    line says whether outputs.validate ran the gates they belong to."""
+    gates = "checked, outputs.validate on" if cfg.validate else "not checked, outputs.validate off"
+    tol = " ".join(f"{k}={v:.0e}" for k, v in TOLERANCES.items()) + f" ({gates})"
     return [
         f"# groenewold-lab {__version__}",
         f"# config sha256: {cfg.sha256}",

@@ -38,9 +38,11 @@ all_generator_blocks, the one builder of sector generators, builds one
 sector at a time: each C_j pair list once per call, on a basis padded by
 exactly the 2j levels a sector entry reads, and each D_j sector on a
 generalized Gauss-Laguerre rule that checks itself: gauss_genlaguerre_rule
-raises QuadratureNotConverged when scipy's nodes or weights are not
-finite or the weights miss their exact sum Gamma(nu + 1). The builder's
-comments give both sizes. The module keeps nothing between calls: the
+raises QuadratureNotConverged when its nodes or weights are not finite
+or the weights miss their exact sum Gamma(nu + 1). The rule is a numpy
+port of scipy.special.roots_genlaguerre that gives scipy's nodes and
+weights bit for bit, so no run imports scipy. The builder's comments
+give both sizes. The module keeps nothing between calls: the
 dynamics that share the C_1 and C_2 rungs each rebuild them. rung_count
 says which rungs each dynamics needs.
 
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from math import comb, factorial, lgamma
+from math import comb, exp, factorial, floor, inf, lgamma, log
 
 import numpy as np
 
@@ -237,22 +239,182 @@ def _polyval(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.polynomial.polynomial.polyval(x, c)
 
 
+# The rule is scipy.special.roots_genlaguerre's algorithm, operation by
+# operation, so its nodes and weights are scipy's to the bit (the tests
+# compare every rule the Moyal sectors of N = 48, 128 and 163 use). Its
+# special functions are ports of the cephes routines scipy evaluates: each
+# rounds as they do, where math.lgamma and a plain factorial do not. They
+# run on Python floats, whose exp, log and pow are the C library's, as in
+# the compiled routines, and cover the arguments the rule and _moyal_sector
+# pass, from 1 up to a few thousand.
+
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
+            4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
+            9.99999999999999996796e-1)
+_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
+            1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
+            7.14304917030273074085e-2, 1.0)
+_GAMMA_STIR = (7.87311395793093628397e-4, -2.29549961613378126380e-4, -2.68132617805781232825e-3,
+               3.47222221605458667310e-3, 8.33333333333482257126e-2)
+_MAXGAM = 171.624376956302725
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    out = coef[0]
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def _lgam(x: float) -> float:
+    """log Gamma(x) for 0 < x < 1e8 as cephes lgam: the log of a product
+    below 13, a Stirling series from there."""
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return log(z)
+        x += p - 2.0
+        return log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+    q = (x - 0.5) * log(x) - x + 0.91893853320467274178  # log sqrt(2 pi)
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) for x >= 1 as cephes Gamma: a product and a rational
+    approximation up to 33, Stirling's formula above, inf from _MAXGAM."""
+    if x > 33.0:
+        if x >= _MAXGAM:
+            return inf
+        w = 1.0 / x
+        w = 1.0 + w * _polevl(w, _GAMMA_STIR)
+        y = exp(x)
+        if x > 143.01608:  # split the power so it cannot overflow
+            v = pow(x, 0.5 * x - 0.25)
+            y = v * (v / y)
+        else:
+            y = pow(x, x - 0.5) / y
+        return 2.50662827463100050242 * y * w  # sqrt(2 pi)
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 2.0:
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
+
+
+def _binom(n: float, k: int) -> float:
+    """(n choose k) for an integer 0 <= k <= n, as scipy's binom forms it: a
+    product of fewer than 20 factors, else 1/(n + 1)/B(n - k + 1, k + 1)."""
+    kx = k
+    if n == floor(n) and k > n / 2:
+        kx = n - k  # the shorter product of the symmetric pair
+    if kx < 20:
+        num = den = 1.0
+        for i in range(1, 1 + int(kx)):
+            num *= i + n - kx
+            den *= i
+            if abs(num) > 1e50:
+                num /= den
+                den = 1.0
+        return num / den
+    a, b = max(1 + n - k, 1.0 + k), min(1 + n - k, 1.0 + k)
+    if a + b > _MAXGAM:
+        beta = exp(_lgam(a) + (_lgam(b) - _lgam(a + b)))
+    else:  # scipy multiplies by 1/Gamma(a + b); a quotient rounds otherwise
+        beta = _gamma(a) * (1.0 / _gamma(a + b)) * _gamma(b)
+    return 1 / (n + 1) / beta if beta else inf
+
+
+def _genlaguerre_pair(n: int, alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L_{n-1}^(alpha)(x) and L_n^(alpha)(x), n >= 3, as scipy's eval_genlaguerre forms each.
+
+    Its recurrence for L_n runs through the one for L_{n-1}, so one pass
+    gives both: d = -x/(k + alpha + 1) p + k/(k + alpha + 1) d, p += d,
+    scaled by (n + alpha choose n) at the end.
+    """
+    negx = -x
+    d = negx / (alpha + 1.0)
+    p = d + 1.0
+    t = np.empty_like(x)
+    for k in range(1, n):
+        if k == n - 1:
+            prev = p.copy()
+        c = k + alpha + 1.0
+        np.divide(negx, c, out=t)
+        t *= p
+        d *= k / c
+        d += t
+        p += d
+    return _binom(n - 1 + alpha, n - 1) * prev, _binom(n + alpha, n) * p
+
+
+def _roots_genlaguerre(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.special.roots_genlaguerre(order, alpha), bit for bit, for order >= 3
+    and alpha >= 0, unchecked: a broken rule comes back with its non-finite entries.
+
+    Golub-Welsch nodes, the eigenvalues of the Jacobi matrix (eigvalsh of
+    the dense matrix and scipy's banded solver both end in LAPACK dsterf),
+    each refined by one Newton step; weights 1/(L_{n-1}(x) L_n'(x)),
+    log-normalized and scaled to sum to Gamma(alpha + 1).
+    """
+    if order < 3 or not alpha >= 0.0:
+        raise ValueError("the rule needs order >= 3 and alpha >= 0")
+    k = np.arange(order, dtype=float)
+    jacobi = np.diag(2 * k + alpha + 1)
+    jacobi[range(1, order), range(order - 1)] = -np.sqrt(k[1:] * (k[1:] + alpha))
+    with np.errstate(all="ignore"):
+        nodes = np.linalg.eigvalsh(jacobi)
+        fm, f = _genlaguerre_pair(order, alpha, nodes)
+        df = (order * f - (order + alpha) * fm) / nodes
+        nodes -= f / df
+        fm = _genlaguerre_pair(order, alpha, nodes)[0]
+        # fm and df span many decades: scale each to mid-range before the product
+        log_fm, log_df = np.log(np.abs(fm)), np.log(np.abs(df))
+        fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+        df /= np.exp((log_df.max() + log_df.min()) / 2.0)
+        weights = 1.0 / (fm * df)
+        weights *= _gamma(alpha + 1.0) / weights.sum()
+    return nodes, weights
+
+
 def gauss_genlaguerre_rule(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the generalized Gauss-Laguerre rule for weight x^alpha e^-x.
 
-    Nodes whose weight underflows to zero are dropped; the corresponding
-    integrand tail is below float64 resolution for every integrand used
-    here (all decay at least as fast as the weight). The rule checks
-    itself: QuadratureNotConverged is raised when a node or weight is not
-    finite (scipy's first broken rule of 344 nodes is alpha = 148, of 362
-    nodes alpha = 13, which fig3's semiclassical1 meets at N = 173), or
-    when the kept weights miss their exact sum Gamma(alpha + 1) by more
-    than 1e-10 relative (usable rules: 1.3e-13).
+    The rule is _roots_genlaguerre's, which is scipy's. Nodes whose weight
+    underflows to zero are dropped; the corresponding integrand tail is
+    below float64 resolution for every integrand used here (all decay at
+    least as fast as the weight). The rule checks itself:
+    QuadratureNotConverged is raised when a node or weight is not finite
+    (the first broken rule of 344 nodes is alpha = 148, of 362 nodes
+    alpha = 13, which fig3's semiclassical1 meets at N = 173), or when the
+    kept weights miss their exact sum Gamma(alpha + 1) by more than 1e-10
+    relative (usable rules: 1.3e-13).
     """
-    from scipy.special import roots_genlaguerre  # only semiclassical1 runs pay its import
-
+    nodes, weights = _roots_genlaguerre(order, alpha)
     with np.errstate(all="ignore"):
-        nodes, weights = roots_genlaguerre(order, alpha)
         bad = np.count_nonzero(~np.isfinite([nodes, weights]))
         keep = weights > 0.0
         miss = abs(np.expm1(np.log(weights[keep].sum()) - lgamma(alpha + 1.0)))
@@ -297,8 +459,6 @@ def laguerre_orthonormal_bare(nmax: int, nu: int, x) -> np.ndarray:
 
 def _moyal_sector(model: ModelSpec, j: int, nu: int, n: int, q_nodes: int) -> np.ndarray:
     """Galerkin matrix of the j-th odd Moyal term on sector nu (nu > 0)."""
-    from scipy.special import gammaln  # only semiclassical1 runs pay its import
-
     s = 2 * j + 1
     h_coeffs = np.array([float(c) for c in model.classical_symbol().coeffs])
     x, weights = gauss_genlaguerre_rule(q_nodes, alpha=float(nu))
@@ -331,14 +491,12 @@ def _moyal_sector(model: ModelSpec, j: int, nu: int, n: int, q_nodes: int) -> np
                 prev = prof.get(sh)
                 prof[sh] = coef * vals if prev is None else prev + coef * vals
     r = np.zeros((n, len(x)))
-    idx = np.arange(n, dtype=float)
+    log_fact = np.array([_lgam(k + 1.0) for k in range(n)])  # log k!, as scipy's gammaln
     for sh, vals in prof.items():
         if sh >= n:
             continue
         rows = lag if sh == 0 else laguerre_orthonormal_bare(n - 1 - sh, nu + sh, x)
-        rowcoef = (-1.0) ** sh * np.exp(
-            0.5 * (gammaln(idx[sh:] + 1.0) - gammaln(idx[sh:] - sh + 1.0))
-        )
+        rowcoef = (-1.0) ** sh * np.exp(0.5 * (log_fact[sh:] - log_fact[: n - sh]))
         r[sh:, :] += rowcoef[:, None] * (rows * (vals * sqw)[None, :])
     pref = 1j * model.omega / model.mu / (4**j * factorial(s))
     return pref * (vm @ r.T)

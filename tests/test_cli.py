@@ -496,7 +496,9 @@ class TestRunOutputs:
             assert head[0].startswith("# groenewold-lab")
             assert head[1].startswith("# config sha256: ")
             assert head[2].startswith("# generated: ")
-            assert head[3].startswith("# tolerances: ")
+            assert head[3] == (
+                "# tolerances: trace_err=1e-10 purity_drift=1e-08 (checked, outputs.validate on)"
+            )
             assert head[4].startswith("# synthesized state trace_err: ")
             assert not head[5].startswith("#")
             assert synthesized_trace_err(out / name) == synthesized_trace_err(out / "moments.csv")
@@ -746,10 +748,18 @@ class TestExitCodes:
 
     def test_synthesized_trace_is_checked_only_with_validate(self, tmp_path):
         # the trace gate is a validation output; without it the run keeps
-        # its moments, whose '#' line reports the same loss
+        # its moments, whose '#' line reports the same loss, and whose
+        # tolerances line says that no gate checked it
         out = tmp_path / "out"
         assert run_cli(self.loose_tail_config(tmp_path, validate=False), out) == 0
         assert 1e-2 < synthesized_trace_err(out / "moments.csv") < 1e-1
+        (tolerances,) = [
+            ln for ln in (out / "moments.csv").read_text().splitlines()
+            if ln.startswith("# tolerances: ")
+        ]
+        assert tolerances == (
+            "# tolerances: trace_err=1e-10 purity_drift=1e-08 (not checked, outputs.validate off)"
+        )
 
     @staticmethod
     def nan_history_run(tmp_path, monkeypatch, capsys, sector):
@@ -941,7 +951,7 @@ class TestExitCodes:
         return config
 
     # fig3's state fills sectors 0-23, so semiclassical1 needs the Moyal rules
-    # of 2N + 16 nodes for alpha = 1 .. 23 only; scipy's rule of 362 nodes
+    # of 2N + 16 nodes for alpha = 1 .. 23 only; the rule of 362 nodes
     # (N = 173) is broken at alpha = 13
     @pytest.mark.parametrize("n_basis, code", [(172, 0), (173, 3)])
     def test_semiclassical1_ceiling_set_by_filled_sectors(self, tmp_path, capsys, n_basis, code):
@@ -975,40 +985,39 @@ class TestExitCodes:
 
 
 class TestStartup:
-    # scipy is imported only where a Moyal rung is built, so the CLI and every
-    # run without semiclassical1 start without it; the version string comes
-    # from the package itself, so importlib.metadata is never loaded; the
-    # CSV formatter's tables are built on the first field written, not at import
+    # no run imports scipy: the Moyal rungs' Gauss-Laguerre rule is built in
+    # numpy; the version string comes from the package itself, so
+    # importlib.metadata is never loaded; the CSV formatter's tables are
+    # built on the first field written, not at import
     PROBE = (
         "import sys\n"
         "from groenewold_lab import cli, render\n"
         "assert 'scipy' not in sys.modules, 'import groenewold_lab.cli loaded scipy'\n"
         "assert 'importlib.metadata' not in sys.modules, 'the CLI loaded importlib.metadata'\n"
         "assert render._csv_tables.cache_info().currsize == 0, 'the CLI import built CSV tables'\n"
-        "code = cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print(code, 'scipy' in sys.modules)\n"
+        "code = cli.main(['run', '--preset', 'fig3', '--out', sys.argv[1]])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
 
-    @pytest.mark.parametrize(
-        "dynamics, loads_scipy",
-        [(["quantum"], False), (["quantum", "semiquantum1", "classical"], False),
-         (["semiclassical1"], True)],
-    )
-    def test_scipy_loaded_only_for_moyal_rungs(self, tmp_path, dynamics, loads_scipy):
-        def quartic(raw):
-            raw["model"]["b"] = [0.0, 0.0, 1.0]
-            raw["dynamics"] = dynamics
-        config = write_config(tmp_path, quartic)
+    def test_fig3_run_loads_no_scipy(self, tmp_path):
+        # fig3 runs all four dynamics, semiclassical1's Moyal rungs among them
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])
         ))
         done = subprocess.run(
-            [sys.executable, "-c", self.PROBE, str(config), str(tmp_path / "out")],
+            [sys.executable, "-c", self.PROBE, str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == f"0 {loads_scipy}"
+        assert done.stdout.splitlines()[-1] == "0 []"
+
+    def test_no_source_file_imports_scipy(self):
+        package = Path(cli.__file__).resolve().parent
+        importing = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+        sources = sorted(package.rglob("*.py"))
+        assert sources
+        assert [p.name for p in sources if importing.search(p.read_text(encoding="utf-8"))] == []
 
 
 def test_benchmark_span_targets_resolve():

@@ -358,7 +358,7 @@ class TestEvolve:
         # handful of N x N complex blocks besides the history it returns:
         # measured 7.8 (classical) and 11.1 (semiclassical1) blocks, where
         # whole-run lists of sector blocks took 80 and 119; a run at N = 16
-        # first does the lazy imports, scipy's among them
+        # first warms up what a first run sets up once
         n, times = 128, np.linspace(0.0, np.pi, 5)
         evolve(groenewold_from_gaussian(FIG3_STATE, 16), dynamics, SEXTIC, times)
         g0 = groenewold_from_gaussian(FIG3_STATE, n)

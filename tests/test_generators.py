@@ -389,8 +389,8 @@ class TestExactRule:
 
 class TestGuards:
     def test_semiclassical1_basis_ceiling(self):
-        # even the sector-1 rule of N = 174 (364 nodes) is beyond scipy's
-        # roots_genlaguerre; below that, the ceiling depends on the sectors
+        # even the sector-1 rule of N = 174 (364 nodes) is broken, in the
+        # port as in scipy's roots_genlaguerre; below that, the ceiling depends on the sectors
         # the state fills (fig3's state, sectors 0-23: N = 172)
         with pytest.raises(QuadratureNotConverged, match="364 nodes for alpha = 1:"):
             list(all_generator_blocks("semiclassical1", SEXTIC, 174, nu_top=1))

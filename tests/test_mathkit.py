@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_genlaguerre, ive
+from scipy.special import binom, eval_genlaguerre, gamma, gammaln, ive, roots_genlaguerre
 
 from groenewold_lab.errors import QuadratureNotConverged
 from groenewold_lab.evolve import bessel_i_scaled, composite_gauss_legendre_rule
+from groenewold_lab import generators
 from groenewold_lab.generators import gauss_genlaguerre_rule, laguerre_orthonormal_bare
 from oracles import radial_profiles
 
@@ -161,11 +162,49 @@ class TestQuadrature:
             assert np.allclose(weights @ nodes**k, exact, rtol=1e-12)
 
     def test_genlaguerre_rule_rejects_broken_scipy_rule(self):
-        # scipy returns non-finite nodes or weights at 344 nodes for
-        # alpha = 148, the first rule of N = 164 that fails; semiclassical1
-        # meets it only when the state fills sector 148
+        # the rule, scipy's, has non-finite nodes or weights at 344 nodes
+        # for alpha = 148, the first rule of N = 164 that fails;
+        # semiclassical1 meets it only when the state fills sector 148
         with pytest.raises(QuadratureNotConverged, match="344 nodes for alpha = 148"):
             gauss_genlaguerre_rule(344, 148.0)
+
+    # the semiclassical1 rules of N = 48, 128 and 163 (2N + 16 nodes, alpha =
+    # nu for every sector), plus the rules that break: 344 nodes at alpha =
+    # 148 (N = 164) and 364 nodes at alpha = 1 (N = 174, every state); N = 48
+    # reaches B(a, b) through Gamma, the others through log-gamma, and
+    # alpha >= 33 takes Gamma(alpha + 1) through Stirling's formula
+    @pytest.mark.parametrize(
+        "cases",
+        [[(2 * n + 16, nu) for nu in range(n)] for n in (48, 128, 163)]
+        + [[(344, 148), (364, 1), (12, 3.5)]],
+        ids=["N48", "N128", "N163", "broken"],
+    )
+    def test_genlaguerre_rule_is_scipys_bit_for_bit(self, cases):
+        for order, alpha in cases:
+            nodes, weights = generators._roots_genlaguerre(order, float(alpha))
+            with np.errstate(all="ignore"):
+                want_nodes, want_weights = roots_genlaguerre(order, float(alpha))
+            assert np.array_equal(nodes, want_nodes, equal_nan=True), (order, alpha)
+            assert np.array_equal(weights, want_weights, equal_nan=True), (order, alpha)
+
+    def test_cephes_ports_match_scipy_bit_for_bit(self):
+        # the log-factorials of the Moyal rows (math.lgamma differs from
+        # gammaln at most integers here), Gamma(alpha + 1), which weights
+        # every rule (a plain factorial misses from alpha = 33 on), and the
+        # Laguerre scale (n + alpha choose n)
+        xs = [float(x) for x in range(1, 2000)] + [x / 8.0 for x in range(1, 200)]
+        assert [generators._lgam(x) for x in xs] == list(gammaln(xs))
+        xs = [float(x) for x in range(1, 180)] + [x / 8.0 for x in range(8, 1400)]
+        assert [generators._gamma(x) for x in xs] == list(gamma(xs))
+        pairs = [(n + alpha, n) for n in range(3, 400, 3) for alpha in [*range(200), 0.5, 3.5]]
+        assert [generators._binom(n, k) for n, k in pairs] == [binom(n, k) for n, k in pairs]
+
+    def test_genlaguerre_pair_is_scipys_eval_genlaguerre(self):
+        x = np.linspace(0.0, 900.0, 301)
+        for n, alpha in [(3, 0.0), (20, 2.0), (272, 23.0), (342, 3.5)]:
+            fm, f = generators._genlaguerre_pair(n, alpha, x)
+            assert np.array_equal(fm, eval_genlaguerre(n - 1, alpha, x))
+            assert np.array_equal(f, eval_genlaguerre(n, alpha, x))
 
     def test_genlaguerre_rule_usable_through_n_163(self):
         # every sector rule of N = 163 passes the check, so semiclassical1
