@@ -985,32 +985,50 @@ class TestExitCodes:
 
 
 class TestStartup:
-    # no run imports scipy: the Moyal rungs' Gauss-Laguerre rule is built in
-    # numpy; the version string comes from the package itself, so
-    # importlib.metadata is never loaded; the CSV formatter's tables are
-    # built on the first field written, not at import
+    # no run imports scipy, semiclassical1's Moyal rungs included: their
+    # Gauss-Laguerre rule is built in numpy; the version string comes from the
+    # package itself, so importlib.metadata is never loaded; the CSV
+    # formatter's tables are built on the first field written, not at import.
+    # The probe counts the Gauss-Laguerre rules the run builds, so the
+    # semiclassical1 case is known to have built its Moyal rungs.
     PROBE = (
         "import sys\n"
-        "from groenewold_lab import cli, render\n"
+        "from groenewold_lab import cli, generators, render\n"
         "assert 'scipy' not in sys.modules, 'import groenewold_lab.cli loaded scipy'\n"
         "assert 'importlib.metadata' not in sys.modules, 'the CLI loaded importlib.metadata'\n"
         "assert render._csv_tables.cache_info().currsize == 0, 'the CLI import built CSV tables'\n"
-        "code = cli.main(['run', '--preset', 'fig3', '--out', sys.argv[1]])\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "rules = []\n"
+        "build = generators.gauss_genlaguerre_rule\n"
+        "def counted(order, alpha):\n"
+        "    rules.append((order, alpha))\n"
+        "    return build(order, alpha)\n"
+        "generators.gauss_genlaguerre_rule = counted\n"
+        "code = cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules), bool(rules))\n"
     )
 
-    def test_fig3_run_loads_no_scipy(self, tmp_path):
-        # fig3 runs all four dynamics, semiclassical1's Moyal rungs among them
+    @pytest.mark.parametrize(
+        "dynamics, moyal",
+        [(["quantum"], False), (["quantum", "semiquantum1", "classical"], False),
+         (["semiclassical1"], True)],
+    )
+    def test_scipy_loaded_only_for_moyal_rungs(self, tmp_path, dynamics, moyal):
+        # the name predates the numpy rule: scipy is now loaded for no run,
+        # whether or not it builds Moyal rungs (moyal)
+        def quartic(raw):
+            raw["model"]["b"] = [0.0, 0.0, 1.0]
+            raw["dynamics"] = dynamics
+        config = write_config(tmp_path, quartic)
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])
         ))
         done = subprocess.run(
-            [sys.executable, "-c", self.PROBE, str(tmp_path / "out")],
+            [sys.executable, "-c", self.PROBE, str(config), str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "0 []"
+        assert done.stdout.splitlines()[-1] == f"0 False {moyal}"
 
     def test_no_source_file_imports_scipy(self):
         package = Path(cli.__file__).resolve().parent
