@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -223,8 +224,8 @@ def _build_state(doc: _Doc, raw: dict, model: ModelSpec) -> GaussianState:
 
 
 def _time_stem(t: float) -> str:
-    """The part of a field file name that names its time."""
-    return f"{t:.12g}"
+    """The part of a field file name that names its time; -0.0 names 0's files."""
+    return f"{t + 0.0:.12g}"
 
 
 def _build_outputs(doc: _Doc, raw: dict, n_basis: int, dynamics: int):
@@ -328,6 +329,8 @@ def validate_config(doc: _Doc) -> ExperimentConfig:
     steps = _integer(doc, times_obj, "times", "steps", minimum=1, maximum=MAX_STEPS)
     if t1 < t0:
         doc.fail("times.t1", "must be >= t0")
+    if not math.isfinite(t1 - t0):
+        doc.fail("times.t1", "t1 - t0 must be a finite number")
     times = tuple(float(v) for v in np.linspace(t0, t1, steps))
 
     moments, spectrum_k, negativity, field_grid, field_times, validate = _build_outputs(
@@ -386,14 +389,11 @@ def _write_csv(path: Path, header: list[str], columns: list[str], rows) -> None:
             fh.write("\n")
 
 
-def _needs_rows(cfg: ExperimentConfig) -> bool:
-    return bool(cfg.moments or cfg.spectrum_k or cfg.negativity or cfg.validate)
-
-
 def _evolved(cfg: ExperimentConfig, name: str) -> bool:
     """Whether run evolves a dynamics: for rows, or for fields drawn from its
     matrices. Classical fields are the continuum whorl density instead."""
-    return _needs_rows(cfg) or (bool(cfg.field_times) and name != "classical")
+    rows = cfg.moments or cfg.spectrum_k or cfg.negativity or cfg.validate
+    return bool(rows) or (bool(cfg.field_times) and name != "classical")
 
 
 def _synthesize(cfg: ExperimentConfig):
@@ -424,7 +424,6 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
     index = {t: i for i, t in enumerate(union)}
     row_idx = [index[t] for t in cfg.times]
     field_idx = [index[t] for t in cfg.field_times]
-    need_rows = _needs_rows(cfg)
 
     validate_rows: list = []
     moment_rows: list = []
@@ -441,29 +440,27 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
         if not _evolved(cfg, name):
             continue
         traj = evolve(g0, name, cfg.model, union)
-        if need_rows:
-            records = moment_track(traj)
+        if cfg.validate or cfg.moments:
             purity = traj.purity_series().real
+        if cfg.validate:
+            drift = np.abs(purity[row_idx] - purity[row_idx[0]])
+            validate_rows += ([t, name, d] for t, d in zip(cfg.times, drift))
+        if cfg.moments:
+            m = moment_track(traj)
+            dq_paper, dp_paper = moment_width_variant(m, cfg.model)
+            columns = (
+                m.t, m.mean_alpha.real, m.mean_alpha.imag, m.alpha2.real, m.alpha2.imag,
+                m.abs2, m.mean_q, m.mean_p, m.dq, m.dp, dq_paper, dp_paper, purity,
+            )
+            moment_rows += ([t, name, *rest] for t, *rest in zip(*(c[row_idx] for c in columns)))
+        if cfg.spectrum_k or cfg.negativity:
             for t, i in zip(cfg.times, row_idx):
-                r = records[i]
-                if cfg.validate:
-                    validate_rows.append([t, name, abs(purity[i] - purity[row_idx[0]])])
-                if cfg.moments:
-                    dq_paper, dp_paper = moment_width_variant(r, cfg.model)
-                    moment_rows.append([
-                        r.t, name,
-                        r.mean_alpha.real, r.mean_alpha.imag,
-                        r.alpha2.real, r.alpha2.imag,
-                        r.abs2, r.mean_q, r.mean_p, r.dq, r.dp,
-                        dq_paper, dp_paper, purity[i],
-                    ])
-                if cfg.spectrum_k or cfg.negativity:
-                    w = snapshot_spectrum(traj, i)
-                    if cfg.spectrum_k:
-                        maxes, mins = spectrum_extremes(w, cfg.spectrum_k)
-                        spectrum_rows.append([t, name, *maxes, *mins])
-                    if cfg.negativity:
-                        negativity_rows.append([t, name, squared_negativity(w)])
+                w = snapshot_spectrum(traj, i)
+                if cfg.spectrum_k:
+                    maxes, mins = spectrum_extremes(w, cfg.spectrum_k)
+                    spectrum_rows.append([t, name, *maxes, *mins])
+                if cfg.negativity:
+                    negativity_rows.append([t, name, squared_negativity(w)])
         if cfg.field_times and not whorl:
             rendered = wigner_field(traj.take(field_idx), cfg.field_grid)
             fields += [(name, t, field) for t, field in zip(cfg.field_times, rendered)]

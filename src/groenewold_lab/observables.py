@@ -1,7 +1,8 @@
 """Comparison diagnostics for trajectories and their snapshots.
 
-Moments and position-momentum statistics come straight from a
-trajectory's sector histories, with no matrix reassembled:
+moment_track returns the moments and position-momentum statistics of every
+stored time as Moments, one array per quantity, read straight from a
+trajectory's sector histories with no matrix reassembled:
 
     <alpha>     = Tr(G a)   = sum_k sqrt(k+1) G[k+1, k],
     <alpha^2>   = Tr(G a^2) = sum_k sqrt((k+1)(k+2)) G[k+2, k],
@@ -17,6 +18,12 @@ Re<alpha^2> with Re{<alpha>^2} in both widths; it degenerates for
 displaced states (the radicand can reach zero or go negative, reported as
 NaN), which is why the first-principles form is primary and both are
 emitted side by side in the CSV outputs.
+
+Every array entry rounds as the same formula evaluated on Python floats at
+that time alone: squares of reals go through C pow (np.float_power), as a
+float's x**2 does, not x * x, which rounds apart for about 1 in 1,000
+doubles; Re{<alpha>^2} is re*re - im*im, as a complex's z**2 computes it,
+not numpy's complex square, which rounds apart for about 1 in 6.
 
 Spectral diagnostics (extreme eigenvalues, squared negativity) share the
 eigenvalues of snapshot_spectrum: one full Hermitian solve without
@@ -36,7 +43,7 @@ from .evolve import Trajectory
 from .model import ModelSpec
 
 __all__ = [
-    "MomentRecord",
+    "Moments",
     "mean_alpha_series",
     "moment_track",
     "moment_width_variant",
@@ -46,46 +53,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MomentRecord:
-    """Moment snapshot: complex moments plus q/p statistics."""
+@dataclass(frozen=True, eq=False)
+class Moments:
+    """Complex moments plus q/p statistics, one array entry per stored time."""
 
-    t: float
-    mean_alpha: complex
-    alpha2: complex
-    abs2: float
-    mean_q: float
-    mean_p: float
-    dq: float
-    dp: float
-
-
-def _record(
-    t: float,
-    mean_alpha: complex,
-    alpha2: complex,
-    abs2: float,
-    model: ModelSpec,
-) -> MomentRecord:
-    hbar = model.hbar
-    m_omega = model.m * model.omega
-    mean_q = math.sqrt(2.0 * hbar / m_omega) * mean_alpha.real
-    mean_p = math.sqrt(2.0 * hbar * m_omega) * mean_alpha.imag
-    var_q = (hbar / m_omega) * (abs2 + alpha2.real) - mean_q**2
-    var_p = (hbar * m_omega) * (abs2 - alpha2.real) - mean_p**2
-    return MomentRecord(
-        t=float(t),
-        mean_alpha=complex(mean_alpha),
-        alpha2=complex(alpha2),
-        abs2=float(abs2),
-        mean_q=mean_q,
-        mean_p=mean_p,
-        dq=math.sqrt(max(var_q, 0.0)),
-        dp=math.sqrt(max(var_p, 0.0)),
-    )
+    t: np.ndarray
+    mean_alpha: np.ndarray
+    alpha2: np.ndarray
+    abs2: np.ndarray
+    mean_q: np.ndarray
+    mean_p: np.ndarray
+    dq: np.ndarray
+    dp: np.ndarray
 
 
-def moment_width_variant(record: MomentRecord, model: ModelSpec) -> tuple[float, float]:
+def moment_width_variant(moments: Moments, model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Widths from the variant formula using Re{<alpha>^2}.
 
     Returns (dq, dp) with NaN where the radicand is negative; for
@@ -94,16 +76,17 @@ def moment_width_variant(record: MomentRecord, model: ModelSpec) -> tuple[float,
     """
     hbar = model.hbar
     m_omega = model.m * model.omega
-    bracket = record.abs2 - (record.mean_alpha**2).real
-    var_q = (hbar / m_omega) * bracket - record.mean_q**2
-    var_p = (hbar * m_omega) * bracket - record.mean_p**2
-    dq = math.sqrt(var_q) if var_q >= 0.0 else float("nan")
-    dp = math.sqrt(var_p) if var_p >= 0.0 else float("nan")
+    re, im = moments.mean_alpha.real, moments.mean_alpha.imag
+    bracket = moments.abs2 - (re * re - im * im)
+    var_q = (hbar / m_omega) * bracket - np.float_power(moments.mean_q, 2.0)
+    var_p = (hbar * m_omega) * bracket - np.float_power(moments.mean_p, 2.0)
+    dq = np.sqrt(np.where(var_q >= 0.0, var_q, np.nan))
+    dp = np.sqrt(np.where(var_p >= 0.0, var_p, np.nan))
     return dq, dp
 
 
-def moment_track(traj: Trajectory) -> list[MomentRecord]:
-    """MomentRecord at every stored time of a trajectory, read from sectors 0-2."""
+def moment_track(traj: Trajectory) -> Moments:
+    """Moments at every stored time of a trajectory, read from sectors 0-2."""
     dim = traj.dim
     mean = mean_alpha_series(traj)
     if dim > 2:
@@ -112,10 +95,23 @@ def moment_track(traj: Trajectory) -> list[MomentRecord]:
     else:
         alpha2 = np.zeros(len(traj.times), dtype=complex)
     abs2 = np.real(traj.diagonal_history(0) @ (np.arange(dim) + 0.5))
-    return [
-        _record(t, mean[i], alpha2[i], abs2[i], traj.model)
-        for i, t in enumerate(traj.times)
-    ]
+    hbar = traj.model.hbar
+    m_omega = traj.model.m * traj.model.omega
+    mean_q = math.sqrt(2.0 * hbar / m_omega) * mean.real
+    mean_p = math.sqrt(2.0 * hbar * m_omega) * mean.imag
+    var_q = (hbar / m_omega) * (abs2 + alpha2.real) - np.float_power(mean_q, 2.0)
+    var_p = (hbar * m_omega) * (abs2 - alpha2.real) - np.float_power(mean_p, 2.0)
+    # a negative variance reads 0; -0.0 and NaN pass, as through max(v, 0.0)
+    return Moments(
+        t=traj.times,
+        mean_alpha=mean,
+        alpha2=alpha2,
+        abs2=abs2,
+        mean_q=mean_q,
+        mean_p=mean_p,
+        dq=np.sqrt(np.where(var_q < 0.0, 0.0, var_q)),
+        dp=np.sqrt(np.where(var_p < 0.0, 0.0, var_p)),
+    )
 
 
 def mean_alpha_series(traj: Trajectory) -> np.ndarray:

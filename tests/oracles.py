@@ -38,6 +38,9 @@ closed forms the tests pin it against, live here:
 - field_csv_pointwise, the field CSV written one '%.17g' call per value,
   the reference for render.write_field_csv's vectorized formatter;
 - break_time, the first split of two first-moment curves;
+- moments_by_time, the q/p statistics and both width forms recomputed
+  one time at a time on Python floats, the reference for the columns of
+  observables.moment_track and moment_width_variant;
 - lie_poisson_flow, the classical limit of the sector algebra: the
   su(1,1) Lie-Poisson flow of a function Q of J = (J1, J2, J3);
 - interior and rel_interior, a block without its edge rows and the
@@ -522,6 +525,38 @@ def break_time(traj_a, traj_b, threshold: float) -> float:
     if over.size == 0:
         return math.inf
     return float(ta[over[0]])
+
+
+def moments_by_time(moments, model) -> dict:
+    """mean_q, mean_p, dq, dp, dq_paper and dp_paper of a Moments, each
+    recomputed one time at a time on Python floats from its mean_alpha,
+    alpha2 and abs2 columns.
+
+    The primary widths clip a negative variance to 0 with max(v, 0.0),
+    which passes -0.0 and NaN unchanged; the variant widths, from
+    Re{<alpha>^2} by Python's complex z**2, are NaN where the radicand is
+    negative.
+    """
+    hbar = model.hbar
+    m_omega = model.m * model.omega
+    cols: dict = {name: [] for name in ("mean_q", "mean_p", "dq", "dp", "dq_paper", "dp_paper")}
+    for a, a2, abs2 in zip(
+        moments.mean_alpha.tolist(), moments.alpha2.tolist(), moments.abs2.tolist()
+    ):
+        mean_q = math.sqrt(2.0 * hbar / m_omega) * a.real
+        mean_p = math.sqrt(2.0 * hbar * m_omega) * a.imag
+        var_q = (hbar / m_omega) * (abs2 + a2.real) - mean_q**2
+        var_p = (hbar * m_omega) * (abs2 - a2.real) - mean_p**2
+        bracket = abs2 - (a**2).real
+        paper_q = (hbar / m_omega) * bracket - mean_q**2
+        paper_p = (hbar * m_omega) * bracket - mean_p**2
+        cols["mean_q"].append(mean_q)
+        cols["mean_p"].append(mean_p)
+        cols["dq"].append(math.sqrt(max(var_q, 0.0)))
+        cols["dp"].append(math.sqrt(max(var_p, 0.0)))
+        cols["dq_paper"].append(math.sqrt(paper_q) if paper_q >= 0.0 else math.nan)
+        cols["dp_paper"].append(math.sqrt(paper_p) if paper_p >= 0.0 else math.nan)
+    return {name: np.array(values) for name, values in cols.items()}
 
 
 def lie_poisson_flow(grad_q, k: float, t_end: float, escape: float = 1e8):

@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from importlib import resources
 from pathlib import Path
@@ -175,7 +176,9 @@ class TestSchemaErrors:
         )
 
     @pytest.mark.parametrize(
-        "times", ([0.75, 0.75], [1.0, 1.0000000000001, 1.0]), ids=("exact", "12g")
+        "times",
+        ([0.75, 0.75], [1.0, 1.0000000000001, 1.0], [0.0, -0.0]),
+        ids=("exact", "12g", "signed-zero"),
     )
     def test_field_times_naming_one_file_rejected(self, tmp_path, capsys, times):
         # the files of a field are named by t to 12 significant digits,
@@ -196,6 +199,22 @@ class TestSchemaErrors:
         self.check_fails(
             tmp_path, capsys, lambda r: r["times"].update(t1=-1.0), "must be >= t0"
         )
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_time_span_past_float_range_exits_one(self, tmp_path, capsys, steps):
+        # t1 - t0 overflows to inf, so the grid would hold non-finite times
+        config = write_config(
+            tmp_path, lambda r: r["times"].update(t0=-1e308, t1=1e308, steps=steps)
+        )
+        line = next(i for i, text in enumerate(config.read_text().splitlines(), 1) if '"t1"' in text)
+        want = f"error: {config}:{line}: times.t1: t1 - t0 must be a finite number\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(config), "--validate-only"]) == 1
+            assert capsys.readouterr().err == want
+            assert run_cli(config, tmp_path / "out") == 1
+            assert capsys.readouterr().err == want
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -6,7 +6,9 @@ states. Qualitative orderings (break times, negativity gaps) assert the
 signs and inequalities the physics fixes, not tabulated values.
 """
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from groenewold_lab.evolve import Trajectory, evolve
 from groenewold_lab.generators import DYNAMICS
 from groenewold_lab.model import ModelSpec
 from groenewold_lab.observables import (
-    MomentRecord,
+    Moments,
     mean_alpha_series,
     moment_track,
     moment_width_variant,
@@ -27,7 +29,7 @@ from groenewold_lab.observables import (
     squared_negativity,
 )
 from groenewold_lab.states import GaussianState, groenewold_from_gaussian
-from oracles import break_time, coherent_density, dense, stacked_trajectory
+from oracles import break_time, coherent_density, dense, moments_by_time, stacked_trajectory
 
 QUARTIC = ModelSpec.quartic(mu=0.5)
 SEXTIC = ModelSpec.sextic(mu=0.5)
@@ -43,9 +45,10 @@ def ladder(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
 
 
-def snapshot(g, model) -> MomentRecord:
-    """Moments of one matrix, read as a one-time trajectory."""
-    return moment_track(stacked_trajectory([g], model))[0]
+def snapshot(g, model) -> Moments:
+    """Moments of one matrix, read as a one-time trajectory: each column's one entry."""
+    track = moment_track(stacked_trajectory([g], model))
+    return Moments(**{c.name: getattr(track, c.name)[0] for c in dataclasses.fields(Moments)})
 
 
 def spectrum_of(g) -> np.ndarray:
@@ -178,9 +181,85 @@ class TestMomentTrack:
             {nu: traj.history[nu] for nu in range(3)},
         )
         track = moment_track(low)
-        assert len(track) == 2
-        assert isinstance(track[0], MomentRecord)
-        assert track == moment_track(traj)
+        full = moment_track(traj)
+        assert isinstance(track, Moments) and len(track.t) == 2
+        for column in dataclasses.fields(Moments):
+            assert np.array_equal(getattr(track, column.name), getattr(full, column.name))
+
+
+def assert_same_floats(got, want):
+    """Equal entry by entry, NaN matching NaN and each zero its sign."""
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# fig3's and fig4's models and states, and a state displaced off the real axis
+COLUMN_CASES = [
+    pytest.param(SEXTIC, FIG3_STATE, id="fig3"),
+    pytest.param(SEXTIC_SMALL_HBAR, FIG4_STATE, id="fig4"),
+    pytest.param(SEXTIC, GaussianState(kappa=1.5, alpha0=0.4 + 0.3j), id="fig3-complex"),
+    pytest.param(SEXTIC_SMALL_HBAR, GaussianState(kappa=1.5, alpha0=-0.5 + 0.6j), id="fig4-complex"),
+]
+
+
+class TestMomentColumns:
+    """Every column repeats, bit for bit, the per-time float formulas."""
+
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    @pytest.mark.parametrize("model, state", COLUMN_CASES)
+    def test_columns_match_the_scalar_formulas(self, model, state, dynamics):
+        g0 = groenewold_from_gaussian(state, 48)
+        traj = evolve(g0, dynamics, model, np.linspace(0.0, math.pi, 64))
+        track = moment_track(traj)
+        want = moments_by_time(track, model)
+        assert np.array_equal(track.t, traj.times)
+        assert np.array_equal(track.mean_alpha, mean_alpha_series(traj))
+        for name in ("mean_q", "mean_p", "dq", "dp"):
+            assert_same_floats(getattr(track, name), want[name])
+        dq_paper, dp_paper = moment_width_variant(track, model)
+        assert_same_floats(dq_paper, want["dq_paper"])
+        assert_same_floats(dp_paper, want["dp_paper"])
+
+    def test_clipping_keeps_signed_zeros_and_nan(self):
+        # hand-made rows whose variances are positive, negative and NaN: a
+        # negative primary variance reads 0, a negative variant radicand NaN
+        rows = {
+            0: np.array([[0.25, 0.75], [0.5, 0.5], [np.nan, 0.5]], dtype=complex),
+            1: np.array([[0.0], [1.0], [0.0]], dtype=complex),
+        }
+        traj = Trajectory("quantum", HARMONIC, np.arange(3.0), 2, rows)
+        # zero moments with abs2 = -0.0 make every variant radicand -0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            track = moment_track(traj)
+            signed = dataclasses.replace(
+                track, mean_alpha=np.zeros(3, dtype=complex), abs2=np.full(3, -0.0),
+                mean_q=np.zeros(3), mean_p=np.zeros(3),
+            )
+            variants = [moment_width_variant(m, HARMONIC) for m in (track, signed)]
+        assert track.dq[1] == 0.0 and np.isnan(track.dq[2])
+        assert np.isnan(variants[0][0][1]) and variants[0][1][1] == 0.0
+        assert np.signbit(variants[1][0]).all() and not np.isnan(variants[1][0]).any()
+        want = moments_by_time(track, HARMONIC)
+        for name in ("dq", "dp"):
+            assert_same_floats(getattr(track, name), want[name])
+        for m, (dq_paper, dp_paper) in zip((track, signed), variants):
+            want = moments_by_time(m, HARMONIC)
+            assert_same_floats(dq_paper, want["dq_paper"])
+            assert_same_floats(dp_paper, want["dp_paper"])
+
+    def test_squares_round_as_python_floats(self):
+        # a Python float's x**2 is C pow, which rounds apart from x * x for
+        # about 1 in 1,000 doubles with glibc; at this x both widths show it
+        x = 0.5509191621786698
+        rows = {0: np.array([[8.0 * x * x, 0.0]], dtype=complex), 1: np.array([[x]], dtype=complex)}
+        track = moment_track(Trajectory("quantum", HARMONIC, np.zeros(1), 2, rows))
+        dq_paper, _ = moment_width_variant(track, HARMONIC)
+        want = moments_by_time(track, HARMONIC)
+        assert track.mean_q[0] == x
+        assert_same_floats(track.dq, want["dq"])
+        assert_same_floats(dq_paper, want["dq_paper"])
 
 
 @pytest.fixture(scope="module")
