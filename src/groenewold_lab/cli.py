@@ -16,10 +16,11 @@ per row is the purity drift from t0, the only conserved quantity here that
 reads every stored sector. Spectra and negativity share one eigensolve per
 dynamics and row time.
 
-Exit codes: 0 success, 1 config schema error (line-precise), 2 validation
-failure (the synthesized trace or a purity drift over tolerance, a sector
-generator too ill-conditioned to factor, or a non-finite snapshot or
-field), 3 quadrature or truncation failure (state does not fit the basis).
+Exit codes: 0 success, else the exit_code of the error class raised: 1 config
+schema error (line-precise) or an unwritable output, 2 validation failure
+(the synthesized trace or a purity drift over tolerance, a sector generator
+too ill-conditioned to factor, or a non-finite snapshot or field), 3
+quadrature or truncation failure (state does not fit the basis).
 """
 
 from __future__ import annotations
@@ -38,13 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    GroenewoldLabError,
-    QuadratureNotConverged,
-    TailMassExceeded,
-    ValidationFailed,
-)
+from .errors import ConfigError, GroenewoldLabError, ValidationFailed
 from .evolve import evolve
 from .generators import DYNAMICS, all_generator_blocks, rung_count
 from .model import ModelSpec
@@ -206,19 +201,20 @@ def _build_state(doc: _Doc, raw: dict, model: ModelSpec) -> GaussianState:
     obj = raw["state"]
     if not isinstance(obj, dict):
         doc.fail("state", "must be a JSON object")
-    physical = "gamma" in obj or "q0" in obj or "p0" in obj
-    try:
-        if physical:
-            _check_keys(doc, obj, "state", ("gamma", "q0", "p0"), ("gamma", "q0", "p0"))
-            gamma = _real(doc, obj, "state", "gamma", positive=True)
-            q0 = _real(doc, obj, "state", "q0")
-            p0 = _real(doc, obj, "state", "p0")
-            return GaussianState.from_gamma(gamma, q0, p0, model)
+    if "gamma" in obj or "q0" in obj or "p0" in obj:
+        _check_keys(doc, obj, "state", ("gamma", "q0", "p0"), ("gamma", "q0", "p0"))
+        gamma = _real(doc, obj, "state", "gamma", positive=True)
+        q0 = _real(doc, obj, "state", "q0")
+        p0 = _real(doc, obj, "state", "p0")
+        make, args = GaussianState.from_gamma, (gamma, q0, p0, model)
+    else:
         _check_keys(doc, obj, "state", ("kappa", "alpha0_re", "alpha0_im"), ("kappa", "alpha0_re"))
         kappa = _real(doc, obj, "state", "kappa", positive=True)
         re_part = _real(doc, obj, "state", "alpha0_re")
         im_part = _real(doc, obj, "state", "alpha0_im", default=0.0)
-        return GaussianState(kappa, complex(re_part, im_part))
+        make, args = GaussianState, (kappa, complex(re_part, im_part))
+    try:  # only the state's own checks: a schema error above is already located
+        return make(*args)
     except ConfigError as exc:
         doc.fail("state", str(exc))
 
@@ -411,11 +407,12 @@ def _synthesize(cfg: ExperimentConfig):
     return g0, trace_err
 
 
-def run(cfg: ExperimentConfig, out_dir: Path) -> int:
+def run(cfg: ExperimentConfig, out_dir: Path) -> None:
     """Execute one validated config, writing artifacts into out_dir.
 
     Each dynamics is evolved once over the union of the row and field
     times, and its trajectory is released before the next one is evolved.
+    A purity drift over tolerance raises ValidationFailed after validate.csv.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     g0, trace_err = _synthesize(cfg)
@@ -477,13 +474,10 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
         failed = [row for row in validate_rows if not row[2] <= tol]  # NaN fails too
         if failed:
             t, name, drift = max(failed, key=lambda row: np.nan_to_num(row[2], nan=np.inf))
-            print(
-                f"validation failed: {name} purity_drift = {drift:.3e} at t = {t:.6g} "
-                f"(tolerance {tol:.0e})",
-                file=sys.stderr,
-            )
             print(f"wrote {path}")
-            return 2
+            raise ValidationFailed(
+                f"{name} purity_drift = {drift:.3e} at t = {t:.6g} (tolerance {tol:.0e})"
+            )
 
     # after the purity gate, which then keeps its validate.csv, and
     # before any output below is written
@@ -531,7 +525,6 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     for path in written:
         print(f"wrote {path}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +573,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        doc = _load_source(args)
-        cfg = validate_config(doc)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
+        cfg = validate_config(_load_source(args))
         if args.validate_only:
             g0, _ = _synthesize(cfg)
             top = len(g0) - 1
@@ -598,20 +585,12 @@ def main(argv=None) -> int:
                 f"config ok: K={cfg.model.K} N={cfg.n_basis} "
                 f"dynamics={','.join(cfg.dynamics)} steps={len(cfg.times)}"
             )
-            return 0
-        return run(cfg, Path(args.out))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationFailed as exc:
-        print(f"validation failed: {exc}", file=sys.stderr)
-        return 2
-    except (TailMassExceeded, QuadratureNotConverged) as exc:
-        print(f"truncation failure: {exc}", file=sys.stderr)
-        return 3
+        else:
+            run(cfg, Path(args.out))
+        return 0
     except GroenewoldLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1

@@ -1,12 +1,15 @@
 """Exception types for groenewold_lab.
 
-Every failure mode that callers are expected to handle has its own class so
-the CLI can map them onto distinct exit codes.
+Every failure mode that callers are expected to handle has its own class,
+whose `exit_code` and `label` the CLI reports it by: `<label>: <message>`.
 """
 
 
 class GroenewoldLabError(Exception):
     """Base class for all groenewold_lab errors."""
+
+    exit_code = 1
+    label = "error"
 
 
 class ConfigError(GroenewoldLabError):
@@ -21,6 +24,9 @@ class ConfigError(GroenewoldLabError):
 class ValidationFailed(GroenewoldLabError):
     """A structural self-check (residual) exceeded its tolerance."""
 
+    exit_code = 2
+    label = "validation failed"
+
 
 class TailMassExceeded(GroenewoldLabError):
     """Truncated state carries too much weight near the basis edge.
@@ -29,6 +35,12 @@ class TailMassExceeded(GroenewoldLabError):
     tail tolerance, so results at this truncation are untrustworthy.
     """
 
+    exit_code = 3
+    label = "truncation failure"
+
 
 class QuadratureNotConverged(GroenewoldLabError):
     """A numerical integral failed its refinement check, or a quadrature rule its self-check."""
+
+    exit_code = 3
+    label = "truncation failure"

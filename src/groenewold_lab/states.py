@@ -97,14 +97,22 @@ def groenewold_from_gaussian(
     1e-17, and trailing exact-zero sectors are dropped, so top is the
     highest sector with a nonzero entry (0 for a centred state). Raises
     TailMassExceeded when the occupation of the last few basis states is
-    not within tail_tol, and QuadratureNotConverged when an entry is not
-    finite, which the rescaled recurrence leaves only to inputs that are
-    themselves near the float range.
+    not within tail_tol or when kappa is so small that z rounds to 1, and
+    QuadratureNotConverged when an entry is not finite, which the rescaled
+    recurrence leaves only to inputs that are themselves near the float
+    range (|alpha0| past it included).
     """
     if n_basis < TAIL_ROWS + 2:
         raise ConfigError(f"n_basis must be at least {TAIL_ROWS + 2}")
     z = (2.0 - state.kappa) / (2.0 + state.kappa)
-    a0 = abs(state.alpha0)
+    if z == 1.0:
+        raise TailMassExceeded(
+            f"kappa = {state.kappa:.6g} rounds z = (2 - kappa)/(2 + kappa) to 1; raise kappa"
+        )
+    try:
+        a0 = abs(state.alpha0)
+    except OverflowError:  # finite parts whose modulus is not: the check below reports it
+        a0 = inf
     phi0 = atan2(state.alpha0.imag, state.alpha0.real) if a0 > 0 else 0.0
     w = (1.0 - z) * a0 * a0
     c = (1.0 - z) * w

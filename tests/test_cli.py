@@ -225,20 +225,27 @@ class TestSchemaErrors:
         assert "cfg.json:2" in err and "invalid JSON" in err
 
     def test_schema_error_cites_the_line(self, tmp_path, capsys):
+        # the whole stderr line: a schema error inside "state" names its
+        # location once, in either form of the state
+        cases = [
+            ('{"kappa": -2.0, "alpha0_re": 0.5}', "state.kappa: must be positive"),
+            ('{"gamma": 0.5, "q0": 0.5}', "state: missing required key 'p0'"),
+        ]
         path = tmp_path / "cfg.json"
-        path.write_text(
-            "{\n"
-            '  "model": {"b": [0.0, 1.0], "mu": 0.5},\n'
-            '  "state": {"kappa": -2.0, "alpha0_re": 0.5},\n'
-            '  "dynamics": ["quantum"],\n'
-            '  "times": {"t0": 0.0, "t1": 1.0, "steps": 2},\n'
-            '  "outputs": {"moments": true}\n'
-            "}\n"
-        )
-        code = run_cli(path, tmp_path / "out")
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "cfg.json:3: state.kappa: must be positive" in err
+        for state, message in cases:
+            path.write_text(
+                "{\n"
+                '  "model": {"b": [0.0, 1.0], "mu": 0.5},\n'
+                f'  "state": {state},\n'
+                '  "dynamics": ["quantum"],\n'
+                '  "times": {"t0": 0.0, "t1": 1.0, "steps": 2},\n'
+                '  "outputs": {"moments": true}\n'
+                "}\n"
+            )
+            code = run_cli(path, tmp_path / "out")
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err == f"error: {path}:3: {message}\n"
 
     @pytest.mark.parametrize("dynamics", ["classical", "semiclassical1"])
     def test_k5_full_ladder_rejected_at_model_b(self, tmp_path, capsys, dynamics):
@@ -917,6 +924,27 @@ class TestExitCodes:
         assert run_cli(config, tmp_path / "out") == 3
         assert "truncation failure" in capsys.readouterr().err
 
+    # schema-valid states that no basis holds: a kappa so small that
+    # z = (2 - kappa)/(2 + kappa) rounds to 1, in either form of the state,
+    # and an alpha0 whose modulus is past the float range
+    @pytest.mark.parametrize("state, message", [
+        ({"kappa": 1e-17, "alpha0_re": 0.5}, "kappa = 1e-17 rounds z"),
+        ({"gamma": 1e9, "q0": 0.0, "p0": 0.0}, "kappa = 5e-19 rounds z"),
+        (
+            {"kappa": 2.0, "alpha0_re": 1.5e308, "alpha0_im": 1.5e308},
+            "state synthesis is not finite",
+        ),
+    ], ids=["kappa", "gamma", "alpha0"])
+    def test_unsynthesizable_state_exits_three(self, tmp_path, capsys, state, message):
+        config = write_config(tmp_path, lambda raw: raw.update(state=state))
+        out = tmp_path / "out"
+        for argv in (["--out", str(out)], ["--validate-only"]):
+            assert cli.main(["run", str(config), *argv]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"truncation failure: {message}")
+            assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     @staticmethod
     def coherent_config(tmp_path, alpha0, n_basis):
         raw = {
@@ -1142,6 +1170,22 @@ class TestPresets:
         built = self.spy_builds(monkeypatch, evolve_module)
         assert cli.main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
         assert built == dynamics
+
+    def test_physical_state_form_matches_fig3(self, tmp_path, capsys):
+        # gamma = 0.5, q0 = 0.5, p0 = 0 is kappa = 2, alpha0 = 0.5 exactly
+        # in fig3's model (hbar = 0.5), so the rows keep every byte
+        preset = resources.files("groenewold_lab").joinpath("presets", "fig3.json")
+        raw = json.loads(preset.read_text(encoding="ascii"))
+        assert raw["state"] == {"kappa": 2.0, "alpha0_re": 0.5, "alpha0_im": 0.0}
+        raw["times"]["steps"] = 8
+        outs = []
+        for name, state in [("kappa", raw["state"]), ("gamma", {"gamma": 0.5, "q0": 0.5, "p0": 0.0})]:
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({**raw, "state": state}))
+            outs.append(tmp_path / name)
+            assert cli.main(["run", str(config), "--out", str(outs[-1])]) == 0
+        for f in ("moments.csv", "validate.csv"):
+            assert data_lines(outs[0] / f) == data_lines(outs[1] / f)
 
     def test_fig1_writes_whorl_fields(self, tmp_path):
         out = tmp_path / "fig1"

@@ -140,6 +140,9 @@ class TestGuards:
     def test_tail_mass_exceeded(self):
         with pytest.raises(TailMassExceeded):
             groenewold_from_gaussian(GaussianState(1.0, 2.0), 8)
+        # z = (2 - kappa)/(2 + kappa) rounds to 1, where log(1 - z) is undefined
+        with pytest.raises(TailMassExceeded, match="kappa = 1e-17 rounds z"):
+            groenewold_from_gaussian(GaussianState(1e-17, 0.5), 8)
 
     def test_recurrence_rescales_past_the_float_range(self):
         # z = 0 at kappa = 2, so (1 - z)|alpha0|^2 = 27.5^2 = 756: r_n peaks
@@ -151,9 +154,11 @@ class TestGuards:
         assert np.abs(g - coherent_density(27.5, 1400)).max() < 1e-14
 
     def test_non_finite_recurrence_raises(self):
-        # (1 - z)|alpha0|^2 is not a float here, so no rescaling can help
-        with pytest.raises(QuadratureNotConverged, match="not finite in sector nu = 0"):
-            groenewold_from_gaussian(GaussianState(2.0, 1e200), 8)
+        # (1 - z)|alpha0|^2 is not a float here, so no rescaling can help;
+        # in the second state neither is |alpha0|, though both its parts are
+        for alpha0 in (1e200, complex(1.5e308, 1.5e308)):
+            with pytest.raises(QuadratureNotConverged, match="not finite in sector nu = 0"):
+                groenewold_from_gaussian(GaussianState(2.0, alpha0), 8)
 
     def test_below_the_limit_runs(self):
         # (1 - z)|alpha0|^2 = 289, while the radial quadrature would need its
