@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import ConfigError, QuadratureNotConverged, ValidationFailed
 from .generators import all_generator_blocks
-from .model import ModelSpec
+from .model import ModelSpec, derivative
 from .states import GaussianState
 
 __all__ = [
@@ -293,10 +293,6 @@ def composite_gauss_legendre_rule(
     weights = (half[:, None] * base_weights[None, :]).ravel()
     return nodes, weights
 
-def _rate_prime_coeffs(model: ModelSpec) -> np.ndarray:
-    hpp = model.classical_symbol().derivative().derivative()
-    return (model.omega / model.mu) * np.array([float(c) for c in hpp.coeffs])
-
 
 def check_bessel_domain(what: str, state: GaussianState, r_max: float) -> None:
     """Raise QuadratureNotConverged if ive(nu, 2 kappa r |alpha0|) on [0, r_max]
@@ -340,8 +336,9 @@ def classical_moment_quadrature(
     phi0 = np.angle(complex(state.alpha0)) if a0 else 0.0
     width = 8.0 / np.sqrt(kappa)
     lo, hi = max(0.0, a0 - width), a0 + width
-    # phase derivative d/dr [m t Omega(r^2)] = 2 m t r Omega'(r^2)
-    rp = _rate_prime_coeffs(model)
+    # phase derivative d/dr [m t Omega(r^2)] = 2 m t r Omega'(r^2), Omega' = (omega/mu) h''
+    hpp = derivative(derivative(model.classical_symbol()))
+    rp = (model.omega / model.mu) * np.array([float(c) for c in hpp])
     probe = np.linspace(lo, hi, 257)
     theta_prime = 2.0 * m * abs(t) * probe * np.abs(
         np.polynomial.polynomial.polyval(probe**2, rp)

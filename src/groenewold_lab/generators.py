@@ -174,27 +174,11 @@ def nu_block_from_pairs(pairs: list, nu: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Moyal-Galerkin correction engine
 
-def _pder(c: np.ndarray) -> np.ndarray:
-    return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(0)
-
-
-def _pmulx(c: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0.0], c))
-
-
-def _padd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # aligned coefficient sum; naive a + b would broadcast, not pad
-    out = np.zeros(max(len(a), len(b)))
-    out[: len(a)] += a
-    out[: len(b)] += b
-    return out
-
-
 def _acc(d: dict, key, c: np.ndarray):
-    if len(c) == 0 or not np.any(c):
+    if not np.any(c):
         return
     prev = d.get(key)
-    d[key] = c.copy() if prev is None else _padd(prev, c)
+    d[key] = c.copy() if prev is None else np.polynomial.polynomial.polyadd(prev, c)
 
 
 def _gder(sh, c, family: bool):
@@ -205,18 +189,17 @@ def _gder(sh, c, family: bool):
     derivative is B_sh' = -2 B_sh - 4 B_{sh+1}; the family index stays
     symbolic in n, which is what makes one jet serve every basis dyad.
     """
+    poly = np.polynomial.polynomial
     if not family:
-        return [(sh, _pder(c))]
-    out = [(sh, _padd(_pder(c), -2.0 * c))]
-    out.append((sh + 1, -4.0 * c))
-    return out
+        return [(sh, poly.polyder(c))]
+    return [(sh, poly.polyadd(poly.polyder(c), -2.0 * c)), (sh + 1, -4.0 * c)]
 
 
 def _jet_dalpha(terms: dict, family: bool) -> dict:
     out: dict = {}
     for (k, sh), c in terms.items():
         for sh2, c2 in _gder(sh, c, family):
-            _acc(out, (k + 1, sh2), c2 if k >= 0 else _pmulx(c2))
+            _acc(out, (k + 1, sh2), c2 if k >= 0 else np.polynomial.polynomial.polymulx(c2))
         if k < 0:
             _acc(out, (k + 1, sh), (-k) * c)
     return out
@@ -227,16 +210,12 @@ def _jet_dalphabar(terms: dict, family: bool) -> dict:
     for (k, sh), c in terms.items():
         if k > 0:
             for sh2, c2 in _gder(sh, c, family):
-                _acc(out, (k - 1, sh2), _pmulx(c2))
+                _acc(out, (k - 1, sh2), np.polynomial.polynomial.polymulx(c2))
             _acc(out, (k - 1, sh), k * c)
         else:
             for sh2, c2 in _gder(sh, c, family):
                 _acc(out, (k - 1, sh2), c2)
     return out
-
-
-def _polyval(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.polynomial.polynomial.polyval(x, c)
 
 
 # The rule is scipy.special.roots_genlaguerre's algorithm, operation by
@@ -460,7 +439,8 @@ def laguerre_orthonormal_bare(nmax: int, nu: int, x) -> np.ndarray:
 def _moyal_sector(model: ModelSpec, j: int, nu: int, n: int, q_nodes: int) -> np.ndarray:
     """Galerkin matrix of the j-th odd Moyal term on sector nu (nu > 0)."""
     s = 2 * j + 1
-    h_coeffs = np.array([float(c) for c in model.classical_symbol().coeffs])
+    h_coeffs = np.array([float(c) for c in model.classical_symbol()])
+    polyval = np.polynomial.polynomial.polyval
     x, weights = gauss_genlaguerre_rule(q_nodes, alpha=float(nu))
     u = x / 4.0
     sqw = np.sqrt(weights)
@@ -485,7 +465,7 @@ def _moyal_sector(model: ModelSpec, j: int, nu: int, n: int, q_nodes: int) -> np
                     raise ValidationFailed(
                         f"jet bookkeeping lost the sector index: {kh} + {kw} != {nu}"
                     )
-                vals = _polyval(ch, u) * _polyval(cw, u)
+                vals = polyval(u, ch) * polyval(u, cw)
                 if kh * kw < 0:
                     vals = vals * u ** min(abs(kh), abs(kw))
                 prev = prof.get(sh)

@@ -34,7 +34,7 @@ from .errors import ConfigError
 
 __all__ = [
     "ModelSpec",
-    "SymbolPolynomial",
+    "derivative",
     "number_coefficients",
     "weyl_expansion_matrix",
 ]
@@ -46,35 +46,9 @@ def _u_star(g: list) -> list:
     return [g[m] - Fraction((m + 1) ** 2, 4) * g[m + 2] for m in range(len(g) - 2)]
 
 
-@dataclass(frozen=True)
-class SymbolPolynomial:
-    """Polynomial in the radial phase-space variable u = |alpha|^2.
-
-    Coefficients are exact Fractions; coeffs[k] multiplies u^k.
-    """
-
-    coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def from_coeffs(cls, values) -> "SymbolPolynomial":
-        coeffs = tuple(Fraction(v) for v in values)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        return cls(coeffs)
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        for c in reversed(self.coeffs):
-            out = out * u + float(c)
-        return out
-
-    def derivative(self) -> "SymbolPolynomial":
-        if len(self.coeffs) == 1:
-            return SymbolPolynomial((Fraction(0),))
-        return SymbolPolynomial(
-            tuple(k * c for k, c in enumerate(self.coeffs) if k > 0)
-        )
+def derivative(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Exact coefficients of the derivative of sum_k coeffs[k] u^k; (0,) for a constant."""
+    return tuple(k * c for k, c in enumerate(coeffs) if k) or (Fraction(0),)
 
 
 def weyl_expansion_matrix(kmax: int) -> list[list[Fraction]]:
@@ -110,7 +84,7 @@ class ModelSpec:
     """A concrete model: coefficients b, nonlinearity scale mu, units.
 
     mu = hbar omega / E fixes hbar = mu E / omega. Every derived quantity
-    (spectrum, classical rate, symbol polynomials) hangs off this object.
+    (spectrum, classical rate, symbol coefficients) hangs off this object.
     """
 
     b: tuple[float, ...]
@@ -170,11 +144,12 @@ class ModelSpec:
     def hbar(self) -> float:
         return self.mu * self.E / self.omega
 
-    def classical_symbol(self) -> SymbolPolynomial:
-        """h(u) = H(u)/E = sum_k b[k] mu^k u^k, exact coefficients."""
-        return SymbolPolynomial.from_coeffs(
-            [Fraction(bk) * Fraction(self.mu) ** k for k, bk in enumerate(self.b)]
-        )
+    def classical_symbol(self) -> tuple[Fraction, ...]:
+        """h(u) = H(u)/E = sum_k b[k] mu^k u^k as its exact coefficients b[k] mu^k.
+
+        Its top coefficient is nonzero, because b[K] != 0 and mu > 0.
+        """
+        return tuple(Fraction(bk) * Fraction(self.mu) ** k for k, bk in enumerate(self.b))
 
     def number_coefficients(self) -> tuple[float, ...]:
         """c[k] with H_op = E sum_k c[k] mu^k (n + 1/2)^k, as floats."""
@@ -195,7 +170,8 @@ class ModelSpec:
         d alpha / dt = -i * classical_rate(u) * alpha, so
         classical_rate(u) = (omega / mu) * h'(u).
         """
-        return (self.omega / self.mu) * self.classical_symbol().derivative()(u)
+        h1 = [float(c) for c in derivative(self.classical_symbol())]
+        return (self.omega / self.mu) * np.polynomial.polynomial.polyval(u, h1)
 
     def level_frequencies(self, nu: int, n_levels: int) -> np.ndarray:
         """(E_{n+nu} - E_n)/hbar for n = 0..n_levels-1, quantum sector rates."""

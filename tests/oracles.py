@@ -80,6 +80,7 @@ from groenewold_lab import generators
 from groenewold_lab.errors import ConfigError, ValidationFailed
 from groenewold_lab.evolve import Trajectory, bessel_i_scaled, composite_gauss_legendre_rule
 from groenewold_lab.generators import _orthonormal_recurrence, all_generator_blocks
+from groenewold_lab.model import derivative
 from groenewold_lab.observables import mean_alpha_series
 
 THETA = math.log(7.0 / 3.0) / 4.0
@@ -205,7 +206,7 @@ def classical_block_analytic(nu: int, model, n: int) -> np.ndarray:
     """
     half_p = p_block(nu, n) / 2.0
     acc = np.zeros((n, n))
-    coeffs = model.classical_symbol().derivative().coeffs
+    coeffs = derivative(model.classical_symbol())
     for k, c in enumerate(coeffs):
         if c:
             acc = acc + float(c) * np.linalg.matrix_power(half_p, k)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from groenewold_lab.errors import ConfigError
 from groenewold_lab.model import (
     ModelSpec,
-    SymbolPolynomial,
+    derivative,
     number_coefficients,
     weyl_expansion_matrix,
 )
@@ -171,6 +171,28 @@ class TestModelSpec:
         assert number_coefficients([0, 0, 1], 0.5) == number_coefficients((0, 0, 1), 0.5)
 
     def test_symbol_polynomial_eval(self):
-        p = SymbolPolynomial.from_coeffs([1, 0, 2])
-        assert np.allclose(p(np.array([0.0, 1.0, 2.0])), [1.0, 3.0, 9.0])
-        assert p.derivative().coeffs == (F(0), F(4))
+        # h's exact coefficients b[k] mu^k and their exact derivatives
+        assert ModelSpec(b=(1.0, 0.0, 2.0), mu=0.5).classical_symbol() == (F(1), F(0), F(1, 2))
+        assert derivative((F(1), F(0), F(2))) == (F(0), F(4))
+        assert derivative((F(3),)) == (F(0),)
+        # K = 1: h' is the constant b[1] mu and h'' the constant 0
+        h = ModelSpec.harmonic(mu=0.3).classical_symbol()
+        assert h == (F(0), F(0.3))
+        assert derivative(h) == (F(0.3),)
+        assert derivative(derivative(h)) == (F(0),)
+        # classical_rate bit for bit against a Horner loop over h's exact
+        # coefficients, signed zeros included, at u = 0 and below
+        u = np.concatenate(([0.0, -0.0, 1e-300, -1e-300, 1e10], np.linspace(-5.0, 45.0, 301)))
+        models = [
+            ModelSpec.harmonic(mu=0.3, omega=1.7),
+            ModelSpec.quartic(mu=0.5),
+            ModelSpec.sextic(mu=0.25),
+            ModelSpec(b=(0.3, -0.2, 0.5, -0.1), mu=0.37, m=2.0, omega=0.7, E=3.0),
+            ModelSpec(b=(0.0, 0.1, 0.0, -0.4, 0.0, 1.0), mu=0.2),
+        ]
+        for model in models:
+            horner = np.zeros_like(u)
+            for c in reversed(derivative(model.classical_symbol())):
+                horner = horner * u + float(c)
+            want = (model.omega / model.mu) * horner
+            assert model.classical_rate(u).tobytes() == want.tobytes()
