@@ -19,8 +19,8 @@ dynamics and row time.
 Exit codes: 0 success, else the exit_code of the error class raised: 1 config
 schema error (line-precise) or an unwritable output, 2 validation failure
 (the synthesized trace or a purity drift over tolerance, a sector generator
-too ill-conditioned to factor, or a non-finite snapshot or field), 3
-quadrature or truncation failure (state does not fit the basis).
+that is not finite or too ill-conditioned to factor, or a non-finite snapshot
+or field), 3 quadrature or truncation failure (state does not fit the basis).
 """
 
 from __future__ import annotations

@@ -30,7 +30,11 @@ other terms are exact zeros), so the result is bit-exact against dense
 matrices. The Moyal-Galerkin route applies the odd derivative terms of
 the Moyal bracket to the dyad symbols in closed form (a symbolic radial
 jet per sector) and projects back with a generalized Gauss-Laguerre rule
-that integrates the resulting polynomial integrands exactly. The tests
+that integrates the resulting polynomial integrands exactly. A jet starts
+from the float coefficients of the model's exact h(u) and is carried as
+coefficient arrays, which numpy.polynomial.polynomial differentiates
+(polyder), adds (polyadd), multiplies by u (polymulx) and evaluates
+(polyval) at the nodes. The tests
 compare both engines, rung by rung, with each other and with the
 analytic tridiagonal Liouville generator.
 
@@ -523,7 +527,10 @@ def all_generator_blocks(
     sector with no correction (nu = 0, every quantum sector, every sector
     of a K = 1 model) is yielded as that 1-D diagonal. evolve passes the
     top sector of its rows (23 for fig3's state at N = 128) and factors
-    each generator as it arrives, so no whole-run list is held.
+    each generator as it arrives, so no whole-run list is held. A sector
+    generator with an entry that is not finite (a spectrum past the float
+    range, say) raises ValidationFailed naming the dynamics and the sector
+    instead of being yielded.
     """
     j_top = rung_count(dynamics, model.K)
     if nmax < 1:
@@ -565,6 +572,10 @@ def all_generator_blocks(
                 block = np.diag(block) + sum(nu_block_from_pairs(p, nu, n) for p in pairs)
                 if moyal:
                     block = block + _moyal_sector(model, 1, nu, n, q_nodes)
+            if not np.isfinite(block).all():
+                raise ValidationFailed(
+                    f"{dynamics} sector nu={nu}: generator has an entry that is not finite"
+                )
             yield block
 
     return sectors()

@@ -21,10 +21,19 @@ with rational arithmetic. For K = 1 (harmonic oscillator) c == b.
 Every symbol here is radial, and for radial symbols the Moyal star product
 with u is the exact recurrence u * g = u g - (g' + u g'') / 4. The star
 powers u^{*k}, the symbols of (n + 1/2)^k, follow by iterating it.
+
+The symbol h(u) = H(u)/E is a tuple of exact Fractions, coeffs[k]
+multiplying u^k, and derivative() differentiates such a tuple exactly.
+Float polynomials are evaluated by numpy.polynomial.polynomial, in this
+module and in its callers; only eigenvalues() keeps its power sum, whose
+rounding the quantum rows carry. A model whose hbar, or one of whose
+floats b[k] mu^k, c[k] and mu^k (k <= K), leaves the float range is
+rejected at construction.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,6 +113,20 @@ class ModelSpec:
             val = getattr(self, name)
             if not (np.isfinite(val) and val > 0):
                 raise ConfigError(f"model.{name} must be positive and finite")
+        if not (np.isfinite(self.hbar) and self.hbar > 0):
+            raise ConfigError(
+                f"hbar = mu E / omega = {self.hbar:.3g} is not a positive finite number"
+            )
+        exact = (
+            *self.classical_symbol(),
+            *number_coefficients(self.b, self.mu),
+            *(Fraction(self.mu) ** k for k in range(len(self.b))),
+        )
+        if max(map(abs, exact)) > sys.float_info.max:  # an exact comparison
+            raise ConfigError(
+                "b and mu give a symbol coefficient b[k] mu^k, a number-operator "
+                "coefficient c[k] or a power mu^k (k <= K) past the float range"
+            )
 
     @classmethod
     def create(

@@ -68,11 +68,19 @@ class GaussianState:
 
         gamma is the energy width of the Gaussian in the oscillator energy
         shell; kappa = hbar omega / gamma^2 and alpha0 is the phase-space
-        image of (q0, p0).
+        image of (q0, p0). ConfigError when gamma^2 leaves the float range.
         """
         if not (np.isfinite(gamma) and gamma > 0):
             raise ConfigError("state.gamma must be positive and finite")
-        kappa = model.hbar * model.omega / gamma**2
+        try:  # ** raises OverflowError past the float range
+            square = gamma**2
+        except OverflowError:
+            square = inf
+        if not 0.0 < square < inf:
+            raise ConfigError(
+                f"state.gamma = {gamma:.3g} squares to {square:g}, outside the float range"
+            )
+        kappa = model.hbar * model.omega / square
         alpha0 = (
             sqrt(model.m * model.omega) * q0 + 1j * p0 / sqrt(model.m * model.omega)
         ) / sqrt(2 * model.hbar)

@@ -68,6 +68,16 @@ def write_config(tmp_path, mutate=None, name="cfg.json"):
     return path
 
 
+def write_fig3(tmp_path, mutate):
+    """fig3's preset, changed in place by mutate, written as tmp_path/cfg.json."""
+    preset = resources.files("groenewold_lab").joinpath("presets", "fig3.json")
+    raw = json.loads(preset.read_text(encoding="ascii"))
+    mutate(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw, indent=2))
+    return path
+
+
 def run_cli(config_path, out_dir):
     return cli.main(["run", str(config_path), "--out", str(out_dir)])
 
@@ -288,6 +298,43 @@ class TestSchemaErrors:
         assert run_cli(config, tmp_path / "out") == 1
         assert capsys.readouterr().err == want
         assert not (tmp_path / "out").exists()
+
+    # fig3 made schema-valid but past the float range: b[3] mu^3 (mu), and
+    # hbar = mu E / omega (E, omega), which ModelSpec rejects at construction;
+    # a gamma whose square is 0 or past the range, which from_gamma rejects
+    @pytest.mark.parametrize("mutate, key, message", [
+        pytest.param(
+            lambda r: r["model"].update(mu=1e200), "model",
+            "model: b and mu give a symbol coefficient", id="mu",
+        ),
+        pytest.param(
+            lambda r: r["model"].update(E=1e300, mu=1e10), "model",
+            "model: hbar = mu E / omega = inf is not", id="E",
+        ),
+        pytest.param(
+            lambda r: r["model"].update(omega=1e-300, mu=1e10), "model",
+            "model: hbar = mu E / omega = inf is not", id="omega",
+        ),
+        pytest.param(
+            lambda r: r.update(state={"gamma": 1e-200, "q0": 0.0, "p0": 0.0}), "state",
+            "state: state.gamma = 1e-200 squares to 0,", id="gamma-small",
+        ),
+        pytest.param(
+            lambda r: r.update(state={"gamma": 1e200, "q0": 0.0, "p0": 0.0}), "state",
+            "state: state.gamma = 1e+200 squares to inf,", id="gamma-large",
+        ),
+    ])
+    def test_derived_float_past_the_range_exits_one(self, tmp_path, capsys, mutate, key, message):
+        config = write_fig3(tmp_path, mutate)
+        lines = config.read_text().splitlines()
+        line = next(i for i, text in enumerate(lines, 1) if f'"{key}"' in text)
+        out = tmp_path / "out"
+        for argv in (["--out", str(out)], ["--validate-only"]):
+            assert cli.main(["run", str(config), *argv]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {config}:{line}: {message}")
+            assert "Traceback" not in err
+        assert not out.exists()
 
     def test_k5_without_full_ladder_is_valid(self, tmp_path, capsys):
         def k5(raw):
@@ -945,6 +992,25 @@ class TestExitCodes:
             assert "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    # fig3 with b[3] = 1e308: every coefficient is finite, but E_n overflows
+    # from n = 2, so sector 0's generator already is not finite
+    @pytest.mark.parametrize("dynamics", ["quantum", "classical"])
+    def test_non_finite_generator_exits_two(self, tmp_path, capsys, dynamics):
+        def overflow(raw):
+            raw["model"]["b"] = [0.0, 0.0, 0.0, 1e308]
+            raw["dynamics"] = [dynamics]
+            raw["outputs"] = {"moments": True}
+        config = write_fig3(tmp_path, overflow)
+        out = tmp_path / "out"
+        for argv in (["--out", str(out)], ["--validate-only"]):
+            assert cli.main(["run", str(config), *argv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"validation failed: {dynamics} sector nu=0: generator has an entry that is not finite"
+            )
+            assert "Traceback" not in err
+        assert not (out / "moments.csv").exists()
+
     @staticmethod
     def coherent_config(tmp_path, alpha0, n_basis):
         raw = {
@@ -988,14 +1054,11 @@ class TestExitCodes:
 
     @staticmethod
     def fig3_semiclassical1(tmp_path, n_basis):
-        preset = resources.files("groenewold_lab").joinpath("presets", "fig3.json")
-        raw = json.loads(preset.read_text(encoding="ascii"))
-        raw["truncation"]["N"] = n_basis
-        raw["dynamics"] = ["semiclassical1"]
-        raw["times"]["steps"] = 8
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(raw))
-        return config
+        def mutate(raw):
+            raw["truncation"]["N"] = n_basis
+            raw["dynamics"] = ["semiclassical1"]
+            raw["times"]["steps"] = 8
+        return write_fig3(tmp_path, mutate)
 
     # fig3's state fills sectors 0-23, so semiclassical1 needs the Moyal rules
     # of 2N + 16 nodes for alpha = 1 .. 23 only; the rule of 362 nodes
