@@ -24,10 +24,10 @@ powers u^{*k}, the symbols of (n + 1/2)^k, follow by iterating it.
 
 The symbol h(u) = H(u)/E is a tuple of exact Fractions, coeffs[k]
 multiplying u^k, and derivative() differentiates such a tuple exactly.
-Float polynomials are evaluated by numpy.polynomial.polynomial, in this
-module and in its callers; only eigenvalues() keeps its power sum, whose
-rounding the quantum rows carry. A model whose hbar, or one of whose
-floats b[k] mu^k, c[k] and mu^k (k <= K), leaves the float range is
+Here and in generators and evolve, the float polynomials made from it are
+handled by numpy.polynomial.polynomial; only eigenvalues() keeps its power
+sum, whose rounding the quantum rows carry. A model whose hbar, or one of
+whose floats b[k] mu^k, c[k] and mu^k (k <= K), leaves the float range is
 rejected at construction.
 """
 

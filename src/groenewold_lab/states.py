@@ -34,7 +34,7 @@ its inputs, and an entry that is never scaled keeps every bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, exp, inf, lgamma, log, sqrt
+from math import atan2, exp, inf, lgamma, log, nan, sqrt
 
 import numpy as np
 
@@ -68,19 +68,20 @@ class GaussianState:
 
         gamma is the energy width of the Gaussian in the oscillator energy
         shell; kappa = hbar omega / gamma^2 and alpha0 is the phase-space
-        image of (q0, p0). ConfigError when gamma^2 leaves the float range.
+        image of (q0, p0). ConfigError when gamma^2 or kappa leaves the
+        float range.
         """
         if not (np.isfinite(gamma) and gamma > 0):
             raise ConfigError("state.gamma must be positive and finite")
-        try:  # ** raises OverflowError past the float range
-            square = gamma**2
-        except OverflowError:
-            square = inf
-        if not 0.0 < square < inf:
+        try:  # gamma**2 overflows or underflows to 0
+            kappa = model.hbar * model.omega / gamma**2
+        except (OverflowError, ZeroDivisionError):
+            kappa = nan
+        if not 0.0 < kappa < inf:
             raise ConfigError(
-                f"state.gamma = {gamma:.3g} squares to {square:g}, outside the float range"
+                f"state.gamma = {gamma:.3g} puts kappa = hbar omega / gamma^2 "
+                f"outside the float range"
             )
-        kappa = model.hbar * model.omega / square
         alpha0 = (
             sqrt(model.m * model.omega) * q0 + 1j * p0 / sqrt(model.m * model.omega)
         ) / sqrt(2 * model.hbar)

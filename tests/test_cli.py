@@ -301,7 +301,8 @@ class TestSchemaErrors:
 
     # fig3 made schema-valid but past the float range: b[3] mu^3 (mu), and
     # hbar = mu E / omega (E, omega), which ModelSpec rejects at construction;
-    # a gamma whose square is 0 or past the range, which from_gamma rejects
+    # a gamma whose square is 0, subnormal (kappa = inf) or past the range,
+    # which from_gamma rejects
     @pytest.mark.parametrize("mutate, key, message", [
         pytest.param(
             lambda r: r["model"].update(mu=1e200), "model",
@@ -317,11 +318,15 @@ class TestSchemaErrors:
         ),
         pytest.param(
             lambda r: r.update(state={"gamma": 1e-200, "q0": 0.0, "p0": 0.0}), "state",
-            "state: state.gamma = 1e-200 squares to 0,", id="gamma-small",
+            "state: state.gamma = 1e-200 puts kappa", id="gamma-zero",
+        ),
+        pytest.param(
+            lambda r: r.update(state={"gamma": 1e-160, "q0": 0.0, "p0": 0.0}), "state",
+            "state: state.gamma = 1e-160 puts kappa", id="gamma-subnormal",
         ),
         pytest.param(
             lambda r: r.update(state={"gamma": 1e200, "q0": 0.0, "p0": 0.0}), "state",
-            "state: state.gamma = 1e+200 squares to inf,", id="gamma-large",
+            "state: state.gamma = 1e+200 puts kappa", id="gamma-large",
         ),
     ])
     def test_derived_float_past_the_range_exits_one(self, tmp_path, capsys, mutate, key, message):
