@@ -39,16 +39,17 @@ compare both engines, rung by rung, with each other and with the
 analytic tridiagonal Liouville generator.
 
 all_generator_blocks, the one builder of sector generators, builds one
-sector at a time: each C_j pair list once per call, on a basis padded by
-exactly the 2j levels a sector entry reads, and each D_j sector on a
-generalized Gauss-Laguerre rule that checks itself: gauss_genlaguerre_rule
-raises QuadratureNotConverged when its nodes or weights are not finite
-or the weights miss their exact sum Gamma(nu + 1). The rule is a numpy
-port of scipy.special.roots_genlaguerre that gives scipy's nodes and
-weights bit for bit, so no run imports scipy. The builder's comments
-give both sizes. The module keeps nothing between calls: the
-dynamics that share the C_1 and C_2 rungs each rebuild them. rung_count
-says which rungs each dynamics needs.
+sector at a time: each C_j pair list (on a basis padded by exactly the 2j
+levels a sector entry reads) and D_1's h-jets once per call, and each D_1
+sector from one stacked Laguerre recurrence on a generalized Gauss-Laguerre
+rule that checks itself: gauss_genlaguerre_rule raises
+QuadratureNotConverged when its nodes or weights are not finite or the
+weights miss their exact sum Gamma(nu + 1). The rule is a numpy port of
+scipy.special.roots_genlaguerre that gives scipy's nodes and weights bit
+for bit, so no run imports scipy. The builder's comments give both sizes.
+The module keeps nothing between calls: the dynamics that share the C_1
+and C_2 rungs each rebuild them. rung_count says which rungs each
+dynamics needs.
 
 The nu = 0 sector is frozen under all four dynamics (every generator is a
 multiple of nu), so its generator is the quantum one, an exact zero, and
@@ -228,7 +229,7 @@ def _jet_dalphabar(terms: dict, family: bool) -> dict:
 # special functions are ports of the cephes routines scipy evaluates: each
 # rounds as they do, where math.lgamma and a plain factorial do not. They
 # run on Python floats, whose exp, log and pow are the C library's, as in
-# the compiled routines, and cover the arguments the rule and _moyal_sector
+# the compiled routines, and cover the arguments the rule and _moyal_sectors
 # pass, from 1 up to a few thousand.
 
 _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
@@ -409,81 +410,73 @@ def gauss_genlaguerre_rule(order: int, alpha: float) -> tuple[np.ndarray, np.nda
     return nodes[keep], weights[keep]
 
 
-def _orthonormal_recurrence(rows: np.ndarray, nu: int, x: np.ndarray) -> None:
-    """Fill rows 1.. of the orthonormal Laguerre family given row 0.
+def _laguerre_families(nu: int, count: int, rows: int, x: np.ndarray) -> np.ndarray:
+    """Rows out[n, f] = (-1)^n sqrt(n!/(n+a)!) L_n^(a)(x), a = nu + f, n < rows.
 
-    Jacobi-matrix form: p_{n+1} = ((x - a_n) p_n - b_n p_{n-1}) / b_{n+1}
-    with a_n = 2n + nu + 1 and b_n = sqrt(n (n + nu)).
+    Without the weight factor, they are orthonormal on a Gauss rule for x^a e^-x.
+    One run of p_{n+1} = ((x - a_n) p_n - b_n p_{n-1}) / b_{n+1}, a_n = 2n + a + 1,
+    b_n = sqrt(n (n + a)), fills every family, each as its own run would.
     """
-    nmax = rows.shape[0] - 1
-    if nmax >= 1:
-        rows[1] = (x - (nu + 1.0)) * rows[0] / np.sqrt(nu + 1.0)
-    for n in range(1, nmax):
-        bn = np.sqrt(n * (n + nu))
-        bn1 = np.sqrt((n + 1.0) * (n + 1 + nu))
-        rows[n + 1] = ((x - (2 * n + nu + 1.0)) * rows[n] - bn * rows[n - 1]) / bn1
+    a = np.arange(nu, nu + count, dtype=float)[:, None]
+    out = np.empty((rows, count, x.size))
+    out[0] = np.array([np.exp(-0.5 * lgamma(k + 1)) for k in range(nu, nu + count)])[:, None]
+    if rows >= 2:
+        out[1] = (x - (a + 1.0)) * out[0] / np.sqrt(a + 1.0)
+    for n in range(1, rows - 1):
+        bn = np.sqrt(n * (n + a))
+        bn1 = np.sqrt((n + 1.0) * (n + 1 + a))
+        out[n + 1] = ((x - (2 * n + a + 1.0)) * out[n] - bn * out[n - 1]) / bn1
+    return out
 
 
-def laguerre_orthonormal_bare(nmax: int, nu: int, x) -> np.ndarray:
-    """Rows (-1)^n sqrt(n!/(n+nu)!) L_n^(nu)(x), without the weight factor.
+def _moyal_sectors(model: ModelSpec, j: int, nmax: int, q_nodes: int):
+    """Galerkin matrix of the j-th odd Moyal term on sector nu, as a function of nu > 0.
 
-    Combined with a Gauss quadrature rule for the weight x^nu e^-x these
-    rows are discretely orthonormal; use them when the weight lives in the
-    quadrature rule instead of in the integrand.
+    The h-jets and log k! table, which no sector changes, are built once;
+    each sector has its own rule, w-jets and Laguerre families nu .. nu + s.
     """
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    rows = np.empty((nmax + 1, x.size))
-    rows[0] = np.exp(-0.5 * lgamma(nu + 1))
-    _orthonormal_recurrence(rows, nu, x)
-    return rows
-
-
-def _moyal_sector(model: ModelSpec, j: int, nu: int, n: int, q_nodes: int) -> np.ndarray:
-    """Galerkin matrix of the j-th odd Moyal term on sector nu (nu > 0)."""
     s = 2 * j + 1
     h_coeffs = np.array([float(c) for c in model.classical_symbol()])
-    polyval = np.polynomial.polynomial.polyval
-    x, weights = gauss_genlaguerre_rule(q_nodes, alpha=float(nu))
-    u = x / 4.0
-    sqw = np.sqrt(weights)
-    lag = laguerre_orthonormal_bare(n - 1, nu, x)
-    vm = lag * sqw
-    prof: dict = {}
+    hjets = []
     for i in range(s + 1):
-        coef = comb(s, i) * (-1.0) ** i
         hjet = {(0, 0): h_coeffs}
-        for _ in range(s - i):
-            hjet = _jet_dalphabar(hjet, family=False)
-        for _ in range(i):
-            hjet = _jet_dalpha(hjet, family=False)
-        wjet = {(nu, 0): np.array([1.0])}
-        for _ in range(s - i):
-            wjet = _jet_dalpha(wjet, family=True)
-        for _ in range(i):
-            wjet = _jet_dalphabar(wjet, family=True)
-        for (kh, _), ch in hjet.items():
-            for (kw, sh), cw in wjet.items():
-                if kh + kw != nu:
-                    raise ValidationFailed(
-                        f"jet bookkeeping lost the sector index: {kh} + {kw} != {nu}"
-                    )
-                vals = polyval(u, ch) * polyval(u, cw)
-                if kh * kw < 0:
-                    vals = vals * u ** min(abs(kh), abs(kw))
-                prev = prof.get(sh)
-                prof[sh] = coef * vals if prev is None else prev + coef * vals
-    r = np.zeros((n, len(x)))
-    log_fact = np.array([_lgam(k + 1.0) for k in range(n)])  # log k!, as scipy's gammaln
-    for sh, vals in prof.items():
-        if sh >= n:
-            continue
-        rows = lag if sh == 0 else laguerre_orthonormal_bare(n - 1 - sh, nu + sh, x)
-        rowcoef = (-1.0) ** sh * np.exp(0.5 * (log_fact[sh:] - log_fact[: n - sh]))
-        r[sh:, :] += rowcoef[:, None] * (rows * (vals * sqw)[None, :])
+        for step in [_jet_dalphabar] * (s - i) + [_jet_dalpha] * i:
+            hjet = step(hjet, family=False)
+        hjets.append(hjet)
+    log_fact = np.array([_lgam(k + 1.0) for k in range(nmax)])  # log k!, as scipy's gammaln
     pref = 1j * model.omega / model.mu / (4**j * factorial(s))
-    return pref * (vm @ r.T)
+    polyval = np.polynomial.polynomial.polyval
+
+    def sector(nu: int) -> np.ndarray:
+        n = nmax - nu
+        x, weights = gauss_genlaguerre_rule(q_nodes, alpha=float(nu))
+        u = x / 4.0
+        sqw = np.sqrt(weights)
+        lag = _laguerre_families(nu, s + 1, n, x)
+        prof: dict = {}
+        for i, hjet in enumerate(hjets):
+            coef = comb(s, i) * (-1.0) ** i
+            wjet = {(nu, 0): np.array([1.0])}
+            for step in [_jet_dalpha] * (s - i) + [_jet_dalphabar] * i:
+                wjet = step(wjet, family=True)
+            for (kh, _), ch in hjet.items():
+                for (kw, sh), cw in wjet.items():
+                    if kh + kw != nu:
+                        raise ValidationFailed(
+                            f"jet bookkeeping lost the sector index: {kh} + {kw} != {nu}"
+                        )
+                    vals = polyval(u, ch) * polyval(u, cw)
+                    if kh * kw < 0:
+                        vals = vals * u ** min(abs(kh), abs(kw))
+                    prof[sh] = prof[sh] + coef * vals if sh in prof else coef * vals
+        r = np.zeros((n, len(x)))
+        for sh, vals in prof.items():
+            if sh < n:
+                rowcoef = (-1.0) ** sh * np.exp(0.5 * (log_fact[sh:n] - log_fact[: n - sh]))
+                r[sh:, :] += rowcoef[:, None] * (lag[: n - sh, sh] * (vals * sqw)[None, :])
+        return pref * ((lag[:, 0] * sqw) @ r.T)
+
+    return sector
 
 
 # ---------------------------------------------------------------------------
@@ -519,18 +512,17 @@ def all_generator_blocks(
 ) -> Iterator[np.ndarray]:
     """Sector generators for nu = 0 .. nu_top (default nmax-1), sizes nmax - nu.
 
-    The arguments are checked, and the spectrum and the C_j pair lists
-    built, at the call. The returned iterator then builds each sector's
-    generator when it is asked for it: the quantum diagonal
+    The arguments and the spectrum are checked, and the C_j pair lists and
+    the D_1 jets built, at the call. The returned iterator then builds each
+    sector's generator when it is asked for it: the quantum diagonal
     -i (E_{k+nu} - E_k) / hbar from one spectrum E_0 .. E_{nmax-1}, plus
     the C_j sector blocks in order of j, plus D_1 for semiclassical1. A
     sector with no correction (nu = 0, every quantum sector, every sector
     of a K = 1 model) is yielded as that 1-D diagonal. evolve passes the
     top sector of its rows (23 for fig3's state at N = 128) and factors
-    each generator as it arrives, so no whole-run list is held. A sector
-    generator with an entry that is not finite (a spectrum past the float
-    range, say) raises ValidationFailed naming the dynamics and the sector
-    instead of being yielded.
+    each generator as it arrives, so no whole-run list is held. A generator
+    with an entry that is not finite raises ValidationFailed naming the
+    dynamics and the sector (sector 0, at the call, for a bad spectrum).
     """
     j_top = rung_count(dynamics, model.K)
     if nmax < 1:
@@ -539,7 +531,13 @@ def all_generator_blocks(
         nu_top = nmax - 1
     if not 0 <= nu_top <= nmax - 1:
         raise ConfigError("nu_top must lie in [0, nmax - 1]")
-    e = model.eigenvalues(nmax)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked before any route uses it
+        e = model.eigenvalues(nmax)
+    if not np.isfinite(e).all():
+        raise ValidationFailed(
+            f"{dynamics} sector nu=0: generator has an entry that is not finite "
+            f"(E_n is past the float range from n = {np.flatnonzero(~np.isfinite(e))[0]})"
+        )
     # Each C_j pair list is built on nmax + 2j levels. A product of
     # one-offset matrices reads each factor one index above or below the
     # last, and a pair member carries at most 2j lowering factors: those of
@@ -561,8 +559,9 @@ def all_generator_blocks(
     # nodes, rounded up, are exact. The 2 nmax + 16 nodes used here keep the
     # blocks bit-identical to the node-doubled build they replaced until the
     # benchmark references are re-recorded (ROADMAP item 1).
-    q_nodes = 2 * nmax + 16
-    moyal = dynamics == "semiclassical1" and model.K > 1
+    moyal = None
+    if dynamics == "semiclassical1" and j_top:
+        moyal = _moyal_sectors(model, 1, nmax, 2 * nmax + 16)
 
     def sectors():
         for nu in range(nu_top + 1):
@@ -571,7 +570,7 @@ def all_generator_blocks(
             if nu and (pairs or moyal):  # every correction is zero on nu = 0
                 block = np.diag(block) + sum(nu_block_from_pairs(p, nu, n) for p in pairs)
                 if moyal:
-                    block = block + _moyal_sector(model, 1, nu, n, q_nodes)
+                    block = block + moyal(nu)
             if not np.isfinite(block).all():
                 raise ValidationFailed(
                     f"{dynamics} sector nu={nu}: generator has an entry that is not finite"

@@ -8,7 +8,8 @@ closed forms the tests pin it against, live here:
   square block (square turns a 1-D uncorrected sector into one), and
   rung builds one correction rung C_j (commutator route) or D_j
   (Moyal-Galerkin route, D_0 being the Galerkin Poisson generator) on one
-  sector with the production engines, pad and node count;
+  sector with the production engines, pad and node count, D_j from a
+  per-run D_j builder made for that one sector;
 - quantum_block, the quantum sector generator from
   ModelSpec.level_frequencies, one spectrum per sector;
 - the sl(2) sector blocks X1, X2, X3, P and the orthogonal U below, U from
@@ -21,9 +22,12 @@ closed forms the tests pin it against, live here:
   moment_track;
 - sector_rows, the sector rows 0 .. top that evolve takes, read from a
   Hermitian test matrix, and dense, the matrix reassembled from them;
-- radial_profiles, the weighted orthonormal Laguerre functions, and
-  groenewold_by_quadrature, the initial state by Bessel-weighted radial
-  quadrature, a route independent of the closed form in states;
+- laguerre_orthonormal_bare, one orthonormal Laguerre family at a time,
+  the reference for the stacked families of generators._laguerre_families
+  that the Moyal sectors read; radial_profiles, the weighted orthonormal
+  Laguerre functions on the same recurrence; and groenewold_by_quadrature,
+  the initial state by Bessel-weighted radial quadrature, a route
+  independent of the closed form in states;
 - wigner_field_pointwise, the field synthesis that runs every sector's
   radial recurrence on every grid point rather than once per distinct x,
   one matrix at a time (sector_profile_rowwise), each sector row cut where
@@ -79,7 +83,7 @@ from scipy.integrate import solve_ivp
 from groenewold_lab import generators
 from groenewold_lab.errors import ConfigError, ValidationFailed
 from groenewold_lab.evolve import Trajectory, bessel_i_scaled, composite_gauss_legendre_rule
-from groenewold_lab.generators import _orthonormal_recurrence, all_generator_blocks
+from groenewold_lab.generators import all_generator_blocks
 from groenewold_lab.model import derivative
 from groenewold_lab.observables import mean_alpha_series
 
@@ -117,7 +121,7 @@ def rung(engine, model, j, nu, n):
         pairs = generators.hilbert_correction_pairs(model, j, n + nu + 2 * j)
         return generators.nu_block_from_pairs(pairs, nu, n)
     if engine == "moyal":
-        return generators._moyal_sector(model, j, nu, n, 2 * (n + nu) + 16)
+        return generators._moyal_sectors(model, j, n + nu, 2 * (n + nu) + 16)(nu)
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -253,6 +257,37 @@ def dense(rows) -> np.ndarray:
         out[k[nu:], k[: n - nu]] = row
         out[k[: n - nu], k[nu:]] = np.conj(row)
     return out
+
+
+def _orthonormal_recurrence(rows: np.ndarray, nu: int, x: np.ndarray) -> None:
+    """Fill rows 1.. of the orthonormal Laguerre family given row 0.
+
+    Jacobi-matrix form: p_{n+1} = ((x - a_n) p_n - b_n p_{n-1}) / b_{n+1}
+    with a_n = 2n + nu + 1 and b_n = sqrt(n (n + nu)).
+    """
+    nmax = rows.shape[0] - 1
+    if nmax >= 1:
+        rows[1] = (x - (nu + 1.0)) * rows[0] / np.sqrt(nu + 1.0)
+    for n in range(1, nmax):
+        bn = np.sqrt(n * (n + nu))
+        bn1 = np.sqrt((n + 1.0) * (n + 1 + nu))
+        rows[n + 1] = ((x - (2 * n + nu + 1.0)) * rows[n] - bn * rows[n - 1]) / bn1
+
+
+def laguerre_orthonormal_bare(nmax: int, nu: int, x) -> np.ndarray:
+    """Rows (-1)^n sqrt(n!/(n+nu)!) L_n^(nu)(x), without the weight factor.
+
+    Combined with a Gauss quadrature rule for the weight x^nu e^-x these
+    rows are discretely orthonormal; use them when the weight lives in the
+    quadrature rule instead of in the integrand.
+    """
+    if nu < 0:
+        raise ValueError("nu must be >= 0")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    rows = np.empty((nmax + 1, x.size))
+    rows[0] = np.exp(-0.5 * math.lgamma(nu + 1))
+    _orthonormal_recurrence(rows, nu, x)
+    return rows
 
 
 def radial_profiles(nmax: int, nu: int, x) -> np.ndarray:

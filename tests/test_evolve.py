@@ -304,11 +304,11 @@ class TestEvolve:
         # a Gaussian centred at the origin fills sector 0 only, which every
         # flow freezes, so semiclassical1 needs neither C_j nor D_j
         built = []
-        pairs, sector = generators.hilbert_correction_pairs, generators._moyal_sector
+        pairs, moyal = generators.hilbert_correction_pairs, generators._moyal_sectors
         monkeypatch.setattr(
             generators, "hilbert_correction_pairs", lambda *a: built.append("C") or pairs(*a)
         )
-        monkeypatch.setattr(generators, "_moyal_sector", lambda *a: built.append("D") or sector(*a))
+        monkeypatch.setattr(generators, "_moyal_sectors", lambda *a: built.append("D") or moyal(*a))
         g0 = groenewold_from_gaussian(GaussianState(kappa=2.0, alpha0=0.0), 32)
         traj = evolve(g0, "semiclassical1", SEXTIC, [0.0, 0.8, 1.6])
         assert built == []
@@ -321,33 +321,36 @@ class TestEvolve:
 
     @pytest.mark.parametrize("dynamics", ["classical", "semiclassical1"])
     def test_each_sector_is_factored_before_the_next_is_built(self, monkeypatch, dynamics):
-        # FIG3_STATE fills sectors 0-23 at N = 32: sector 0 is factored with
+        # FIG3_STATE fills sectors 0-23 at N = 32: semiclassical1's D_1
+        # setup is made once, at the call, then sector 0 is factored with
         # no rung built, then each sector's C_1 and C_2 (and D_1) blocks are
         # built and factored before the next sector's are
         events = []
         block_of, moyal_of, factor = (
-            generators.nu_block_from_pairs, generators._moyal_sector, BlockPropagator.__init__
+            generators.nu_block_from_pairs, generators._moyal_sectors, BlockPropagator.__init__
         )
 
         def built_c(pairs, nu, n):
             events.append(("C", nu))
             return block_of(pairs, nu, n)
 
-        def built_d(model, j, nu, n, q_nodes):
-            events.append(("D", nu))
-            return moyal_of(model, j, nu, n, q_nodes)
+        def built_d(model, j, nmax, q_nodes):
+            events.append(("D setup", nmax))
+            moyal = moyal_of(model, j, nmax, q_nodes)
+            return lambda nu: events.append(("D", nu)) or moyal(nu)
 
         def factored(self, L):
             events.append(("factor", 32 - len(L)))
             factor(self, L)
 
         monkeypatch.setattr(generators, "nu_block_from_pairs", built_c)
-        monkeypatch.setattr(generators, "_moyal_sector", built_d)
+        monkeypatch.setattr(generators, "_moyal_sectors", built_d)
         monkeypatch.setattr(BlockPropagator, "__init__", factored)
         g0 = groenewold_from_gaussian(FIG3_STATE, 32)
         evolve(g0, dynamics, SEXTIC, [0.0, 0.8])
         rungs = ["C", "C", "D"] if dynamics == "semiclassical1" else ["C", "C"]
-        want = [("factor", 0)]
+        want = [("D setup", 32)] if dynamics == "semiclassical1" else []
+        want += [("factor", 0)]
         for nu in range(1, 24):
             want += [(r, nu) for r in rungs] + [("factor", nu)]
         assert events == want

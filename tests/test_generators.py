@@ -355,11 +355,12 @@ class TestExactPad:
 
 
 def moyal_gap(got, model, j, nodes_over_nmax):
-    """Largest relative gap of the rungs from _moyal_sector on nmax + nodes_over_nmax nodes."""
+    """Largest relative gap of the rungs from _moyal_sectors on nmax + nodes_over_nmax nodes."""
     nmax = len(got) + 1
+    moyal = generators._moyal_sectors(model, j, nmax, nmax + nodes_over_nmax)
     gaps = []
     for nu, block in enumerate(got, start=1):
-        want = generators._moyal_sector(model, j, nu, nmax - nu, nmax + nodes_over_nmax)
+        want = moyal(nu)
         gaps.append(np.abs(block - want).max() / max(1.0, np.abs(want).max()))
     return max(gaps)
 
@@ -374,17 +375,53 @@ class TestExactRule:
         # misses by order one (measured 1.02 at least)
         nmax = 48
         calls = []
-        build = generators._moyal_sector
+        build = generators._moyal_sectors
 
-        def counted(model, j, nu, n, q_nodes):
-            calls.append(nu)
-            return build(model, j, nu, n, q_nodes)
+        def counted(model, j, nmax, q_nodes):
+            moyal = build(model, j, nmax, q_nodes)
+            return lambda nu: calls.append(nu) or moyal(nu)
 
-        monkeypatch.setattr(generators, "_moyal_sector", counted)
+        monkeypatch.setattr(generators, "_moyal_sectors", counted)
         got = [rung("moyal", model, j, nu, nmax - nu) for nu in range(1, nmax)]
         assert calls == list(range(1, nmax))
         assert moyal_gap(got, model, j, 16) < 1e-11
         assert moyal_gap(got, model, j, -4) > 0.5
+
+    def test_d1_setup_is_built_once_per_call(self, monkeypatch):
+        # fig3's semiclassical1 build (N = 128, sectors 0-23) makes the
+        # float symbol and its 4 h-jets (3 derivative steps each) once, not
+        # once per sector (23 symbols, 92 h-jets), and one stacked run of
+        # the four Laguerre families, orders nu .. nu + 3, per sector
+        symbols, h_steps, families = [], [], []
+        symbol, dalpha, dalphabar, stacked = (
+            ModelSpec.classical_symbol,
+            generators._jet_dalpha,
+            generators._jet_dalphabar,
+            generators._laguerre_families,
+        )
+
+        def h_counted(step):
+            def counted(terms, family):
+                if not family:  # a step of an h-jet; w-jets carry the family
+                    h_steps.append(1)
+                return step(terms, family)
+
+            return counted
+
+        def families_counted(nu, count, rows, x):
+            families.append((nu, count, rows))
+            return stacked(nu, count, rows, x)
+
+        monkeypatch.setattr(ModelSpec, "classical_symbol", lambda m: symbols.append(1) or symbol(m))
+        monkeypatch.setattr(generators, "_jet_dalpha", h_counted(dalpha))
+        monkeypatch.setattr(generators, "_jet_dalphabar", h_counted(dalphabar))
+        monkeypatch.setattr(generators, "_laguerre_families", families_counted)
+        blocks = all_generator_blocks("semiclassical1", SEXTIC, 128, nu_top=23)
+        assert (len(symbols), len(h_steps), families) == (1, 4 * 3, [])
+        for _ in blocks:
+            pass
+        assert (len(symbols), len(h_steps)) == (1, 4 * 3)
+        assert families == [(nu, 4, 128 - nu) for nu in range(1, 24)]
 
 
 class TestGuards:

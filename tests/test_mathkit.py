@@ -19,8 +19,8 @@ from scipy.special import binom, eval_genlaguerre, gamma, gammaln, ive, roots_ge
 from groenewold_lab.errors import QuadratureNotConverged
 from groenewold_lab.evolve import bessel_i_scaled, composite_gauss_legendre_rule
 from groenewold_lab import generators
-from groenewold_lab.generators import gauss_genlaguerre_rule, laguerre_orthonormal_bare
-from oracles import radial_profiles
+from groenewold_lab.generators import _laguerre_families, gauss_genlaguerre_rule
+from oracles import laguerre_orthonormal_bare, radial_profiles
 
 # mpmath (dps=40) values of e^-x I_m(x)
 BESSEL_SCALED_ORACLE = [
@@ -122,24 +122,40 @@ class TestRadialProfiles:
         x = np.linspace(0.5, 700.0, 173)
         weighted = radial_profiles(nmax, nu, x)
         factor = np.exp(0.5 * nu * np.log(x) - 0.5 * x)
-        bare = laguerre_orthonormal_bare(nmax, nu, x) * factor
+        bare = _laguerre_families(nu, 1, nmax + 1, x)[:, 0] * factor
         assert np.allclose(weighted, bare, rtol=0.0, atol=1e-12)
 
     def test_bare_discrete_orthonormality(self):
         # bare rows + genLaguerre weights: V V^T = I up to machine precision
         nmax, nu = 64, 9
         nodes, weights = gauss_genlaguerre_rule(nmax + 12, float(nu))
-        rows = laguerre_orthonormal_bare(nmax, nu, nodes)
+        rows = _laguerre_families(nu, 1, nmax + 1, nodes)[:, 0]
         v = rows * np.sqrt(weights)
         assert np.allclose(v @ v.T, np.eye(nmax + 1), atol=1e-12)
 
     def test_bare_large_nu_stable(self):
         nmax, nu = 128, 127
         nodes, weights = gauss_genlaguerre_rule(nmax + 16, float(nu))
-        rows = laguerre_orthonormal_bare(nmax, nu, nodes)
+        rows = _laguerre_families(nu, 1, nmax + 1, nodes)[:, 0]
         assert np.all(np.isfinite(rows))
         v = rows * np.sqrt(weights)
         assert np.allclose(v @ v.T, np.eye(nmax + 1), atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "nmax, nu, q_nodes",
+        [pytest.param(128, nu, 272, id=f"fig3-nu{nu}") for nu in range(1, 24)]
+        + [pytest.param(129, 127, 144, id="nu127")],
+    )
+    def test_stacked_families_are_the_single_runs(self, nmax, nu, q_nodes):
+        # the four families of a D_1 sector (orders nu .. nu + 3) from one
+        # stacked run equal four runs of the one-family recurrence, bit for
+        # bit, on the sector's rule nodes: fig3's sectors at N = 128 on
+        # their 2 N + 16 nodes, and the large-nu case above
+        nodes, _ = gauss_genlaguerre_rule(q_nodes, float(nu))
+        n = nmax - nu
+        stacked = _laguerre_families(nu, 4, n, nodes)
+        for f in range(4):
+            assert np.array_equal(stacked[:, f], laguerre_orthonormal_bare(n - 1, nu + f, nodes))
 
 
 class TestQuadrature:
