@@ -6,7 +6,11 @@ phase-space field files. All floats print with 17 significant digits and
 every run-varying datum lives in '#' header comments, so outputs are
 byte-identical across reruns once those lines are stripped. That holds per
 host, OpenBLAS kernel and BLAS thread count; across them the non-quantum
-rows move by up to about 5e-12 (README, Output files).
+rows move by up to about 5e-12 (README, Output files). The module sets
+OPENBLAS_THREAD_TIMEOUT before it imports numpy, so OpenBLAS's idle
+workers sleep soon after each call; that moves no output. The thread count
+is left alone, a value the user set wins, and a caller that imported numpy
+first sees no change.
 
 The synthesized state's trace error |Tr G - 1| is computed once, before any
 dynamics is evolved, and every row CSV reports it in one '#' line: every
@@ -29,12 +33,24 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
+
+# After each BLAS call OpenBLAS's idle workers busy-wait for 2^28 cycles
+# (about 0.1 s) before they sleep, which nearly doubles the CPU time of a
+# fig3 run. 2^18 cycles (about 0.1 ms) lets them sleep between calls; a
+# shorter wait saves little more CPU and has more calls wake them. The
+# wait does not change how work is split across threads, so no output
+# moves. OpenBLAS reads the variable when numpy first loads it, so it is
+# set here, before the package's first numpy import; a value already set
+# wins, and the thread count is left alone.
+OPENBLAS_THREAD_TIMEOUT = "18"
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", OPENBLAS_THREAD_TIMEOUT)
 
 import numpy as np
 

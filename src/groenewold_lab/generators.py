@@ -550,7 +550,12 @@ def all_generator_blocks(
     # truncated edge. The frozen nu = 0 sector needs no rung.
     if nu_top == 0:
         j_top = 0
-    pairs = [hilbert_correction_pairs(model, j, nmax + 2 * j) for j in range(1, j_top + 1)]
+    # A finite spectrum can still overflow in the ladder products (fig3 with
+    # b[3] = 1e302); the pairs and each sector are built with numpy's
+    # warnings off, and a sector that reads such an entry is not finite and
+    # is rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = [hilbert_correction_pairs(model, j, nmax + 2 * j) for j in range(1, j_top + 1)]
     # On sector nu, n = nmax - nu, the D_j integrands for the weight
     # x^nu e^-x are polynomials of degree at most 2n + K - 3: 2(n - 1) from
     # the two Laguerre rows, K - 1 from the jets, because the 2j + 2 Moyal
@@ -568,9 +573,10 @@ def all_generator_blocks(
             n = nmax - nu
             block = -1j * ((e[nu:] - e[:n]) / model.hbar)  # the quantum diagonal
             if nu and (pairs or moyal):  # every correction is zero on nu = 0
-                block = np.diag(block) + sum(nu_block_from_pairs(p, nu, n) for p in pairs)
-                if moyal:
-                    block = block + moyal(nu)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    block = np.diag(block) + sum(nu_block_from_pairs(p, nu, n) for p in pairs)
+                    if moyal:
+                        block = block + moyal(nu)
             if not np.isfinite(block).all():
                 raise ValidationFailed(
                     f"{dynamics} sector nu={nu}: generator has an entry that is not finite"
