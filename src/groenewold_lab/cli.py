@@ -17,8 +17,8 @@ dynamics is evolved, and every row CSV reports it in one '#' line: every
 flow keeps sector 0 fixed, so the trace cannot move after t = 0. With
 outputs.validate on it is also checked against its tolerance. The one gate
 per row is the purity drift from t0, the only conserved quantity here that
-reads every stored sector. Spectra and negativity share one eigensolve per
-dynamics and row time.
+reads every propagated sector (through its norm). Spectra and negativity
+share one eigensolve per dynamics and row time.
 
 Exit codes: 0 success, else the exit_code of the error class raised: 1 config
 schema error (line-precise) or an unwritable output, 2 validation failure
@@ -408,6 +408,15 @@ def _evolved(cfg: ExperimentConfig, name: str) -> bool:
     return bool(rows) or (bool(cfg.field_times) and name != "classical")
 
 
+def _store_top(cfg: ExperimentConfig, name: str) -> int | None:
+    """The highest sector whose rows run stores for a dynamics, None for
+    every sector. Moments read the sectors 0-2 and the purity each
+    sector's norm, which evolve keeps for every sector; a spectrum, the
+    negativity and a Wigner field read every sector's rows."""
+    wigner = bool(cfg.field_times) and name != "classical"
+    return None if cfg.spectrum_k or cfg.negativity or wigner else 2
+
+
 def _synthesize(cfg: ExperimentConfig):
     """The initial sector rows and their trace error |Tr G - 1|. With
     outputs.validate on, ValidationFailed when that error is over its
@@ -428,7 +437,11 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> None:
 
     Each dynamics is evolved once over the union of the row and field
     times, and its trajectory is released before the next one is evolved.
-    A purity drift over tolerance raises ValidationFailed after validate.csv.
+    It stores the rows of the sectors its outputs read (_store_top): the
+    sectors 0-2 when only moments and validate are on, every sector for a
+    spectrum, the negativity or a Wigner field; the purity comes from the
+    norms evolve keeps for every sector. A purity drift over tolerance
+    raises ValidationFailed after validate.csv.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     g0, trace_err = _synthesize(cfg)
@@ -452,9 +465,9 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> None:
                 fields.append((name, t, field))
         if not _evolved(cfg, name):
             continue
-        traj = evolve(g0, name, cfg.model, union)
+        traj = evolve(g0, name, cfg.model, union, store_top=_store_top(cfg, name))
         if cfg.validate or cfg.moments:
-            purity = traj.purity_series().real
+            purity = traj.purity_series()
         if cfg.validate:
             drift = np.abs(purity[row_idx] - purity[row_idx[0]])
             validate_rows += ([t, name, d] for t, d in zip(cfg.times, drift))

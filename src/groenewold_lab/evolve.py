@@ -7,9 +7,12 @@ Hermitian and L_{-nu} = conj(L_nu), so only the sectors nu >= 0 are
 propagated and sector -nu is read as their conjugate. A BlockPropagator
 factors L once and reuses the factorization for every requested time.
 Every flow is linear and acts on one sector at a time, so a sector that
-starts empty stays an exact zero: evolve builds, factors, propagates and
-stores only the sectors 0 .. top, one at a time, each factored before
-the next is built. Nothing on this path is kept between calls: evolve
+starts empty stays an exact zero: evolve builds, factors and propagates
+only the sectors 0 .. top, one at a time, each factored before the next
+is built. It keeps every propagated sector's norm series and the rows of
+the sectors 0 .. store_top alone (every sector by default), so a caller
+that reads only the low sectors and the purity holds three sectors'
+rows, not top + 1. Nothing on this path is kept between calls: evolve
 looks up all_generator_blocks afresh, and the generators are rebuilt and
 factored again on every call. The routes are:
 
@@ -140,14 +143,22 @@ def _check_times(times) -> np.ndarray:
 class Trajectory:
     """Sector histories of one Hermitian flow over a common time grid.
 
-    history[nu] for nu = 0 .. top has shape (len(times), N - nu) and holds
-    the sub-diagonal G[k + nu, k]. Every flow keeps G Hermitian, so the
-    super-diagonal -nu is the conjugate of sector nu: diagonal_history(-nu)
+    history[nu] has shape (len(times), N - nu) and holds the sub-diagonal
+    G[k + nu, k] of a stored sector nu. Every flow keeps G Hermitian, so
+    the super-diagonal -nu is the conjugate of sector nu: diagonal_history(-nu)
     returns it and matrix() writes it, and every reassembled matrix is
-    exactly Hermitian. Only the sectors 0 .. top of the initial rows are
-    stored; diagonal_history returns exact zeros for the sectors of the
-    matrix above them. Every flow's sector-0 generator is an exact zero, so
-    history[0], and with it the trace, is the initial diagonal at every time.
+    exactly Hermitian. The sectors 0 .. top of the initial rows were
+    propagated, and norms[nu] holds the norm series
+    S_nu(t) = sum_k |G[k + nu, k]|^2 of each; purity_series reads only
+    these. The sectors above top are exact zeros, which diagonal_history
+    returns. A propagated sector whose rows were not stored is not zero:
+    diagonal_history, matrix() and sectors() raise ConfigError for it.
+    Every flow's sector-0 generator is an exact zero, so history[0], and
+    with it the trace, is the initial diagonal at every time.
+
+    Built by hand from a history alone, the trajectory stores every sector
+    it propagated: top is the highest key, and the norms are formed from
+    the rows as evolve forms them.
     """
 
     dynamics: str
@@ -155,20 +166,45 @@ class Trajectory:
     times: np.ndarray
     dim: int
     history: dict = field(repr=False)
+    norms: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.norms is None:
+            norms = [_sector_norm(nu, self.history[nu]) for nu in range(len(self.history))]
+            object.__setattr__(self, "norms", np.array(norms, dtype=float))
+
+    @property
+    def top(self) -> int:
+        """The highest propagated sector."""
+        return len(self.norms) - 1
+
+    def _unstored(self, nu: int) -> ConfigError:
+        return ConfigError(
+            f"{self.dynamics} sector {nu} was propagated but its rows were not stored"
+        )
 
     def diagonal_history(self, nu: int) -> np.ndarray:
         if abs(nu) >= self.dim:
             raise ConfigError(f"sector {nu} lies outside a {self.dim}x{self.dim} matrix")
         rows = self.history.get(abs(nu))
         if rows is None:
+            if abs(nu) <= self.top:
+                raise self._unstored(nu)
             return np.zeros((len(self.times), self.dim - abs(nu)), dtype=complex)
         return np.conj(rows) if nu < 0 else rows
+
+    def sectors(self) -> list:
+        """The rows of the sectors 0 .. top, in order; ConfigError unless all are stored."""
+        for nu in range(self.top + 1):
+            if nu not in self.history:
+                raise self._unstored(nu)
+        return [self.history[nu] for nu in range(self.top + 1)]
 
     def matrix(self, index: int) -> np.ndarray:
         """Reassembled full matrix at times[index]."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
         k = np.arange(self.dim)
-        for nu, history in self.history.items():
+        for nu, history in enumerate(self.sectors()):
             rows = history[index]
             out[k[: self.dim - nu] + nu, k[: self.dim - nu]] = rows
             if nu:
@@ -184,15 +220,25 @@ class Trajectory:
             times=self.times[indices],
             dim=self.dim,
             history={nu: rows[indices] for nu, rows in self.history.items()},
+            norms=self.norms[:, indices],
         )
 
     def purity_series(self) -> np.ndarray:
-        """Tr G(t)^2 = sum_nu sum_k g_nu g_-nu over the stored nu = -top .. top."""
-        top = max(self.history)
-        total = np.zeros(len(self.times), dtype=complex)
-        for nu in range(-top, top + 1):
-            total += (self.diagonal_history(nu) * self.diagonal_history(-nu)).sum(axis=1)
+        """Tr G(t)^2, the real sum of S_|nu| over nu = -top .. top in that order."""
+        total = np.zeros(len(self.times))
+        for nu in range(-self.top, self.top + 1):
+            total += self.norms[abs(nu)]
         return total
+
+
+def _sector_norm(nu: int, rows: np.ndarray) -> np.ndarray:
+    """S_nu(t) = sum_k g g-bar of one sector's rows: the real part of the
+    complex sum of g g on the (real) diagonal and of conj(g) g above it,
+    the products sector nu forms with sector -nu in Tr G^2. A complex sum
+    adds real parts apart from imaginary ones, so summing these norms
+    gives the real part of Tr G^2 summed from those products, bit for
+    bit; the imaginary parts are rounding residue."""
+    return (rows * rows if nu == 0 else np.conj(rows) * rows).sum(axis=1).real
 
 
 def _check_rows(g0) -> list:
@@ -211,25 +257,34 @@ def _check_rows(g0) -> list:
     return [rows[0].real, *rows[1:]]
 
 
-def evolve(g0, dynamics: str, model: ModelSpec, times) -> Trajectory:
+def evolve(
+    g0, dynamics: str, model: ModelSpec, times, store_top: int | None = None
+) -> Trajectory:
     """Propagate a Hermitian matrix, given as its sector rows, under one of the four flows.
 
     ConfigError unless g0 has at least one row, row nu has length N - nu,
     every entry is finite and sector 0 is real. Each row is propagated by
     one BlockPropagator, factored as its generator arrives; sector -nu
-    follows by conjugation.
+    follows by conjugation. Every propagated sector's norm series is kept,
+    so the purity is exact whatever is stored; the rows are stored for the
+    sectors 0 .. store_top alone, or for all of them when store_top is None.
     """
     rows = _check_rows(g0)
     times = _check_times(times)
     blocks = all_generator_blocks(dynamics, model, len(rows[0]), nu_top=len(rows) - 1)
     history: dict[int, np.ndarray] = {}
+    norms = np.empty((len(rows), len(times)))
     for nu, (row, block) in enumerate(zip(rows, blocks)):
         try:
             p = BlockPropagator(block)
         except ValidationFailed as exc:
             raise ValidationFailed(f"{dynamics} sector nu={nu}: {exc}") from None
-        history[nu] = p.trajectory(row, times)
-    return Trajectory(dynamics, model, times, len(rows[0]), history)
+        out = p.trajectory(row, times)
+        norms[nu] = _sector_norm(nu, out)
+        if store_top is None or nu <= store_top:
+            history[nu] = out
+        del out
+    return Trajectory(dynamics, model, times, len(rows[0]), history, norms)
 
 
 # ---------------------------------------------------------------------------

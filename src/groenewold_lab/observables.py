@@ -129,7 +129,7 @@ def snapshot_spectrum(traj: Trajectory, index: int) -> np.ndarray:
     as the conjugate of sector nu); ValidationFailed names the dynamics,
     the time and the first sector whose stored row there is not finite.
     """
-    for nu, rows in traj.history.items():
+    for nu, rows in enumerate(traj.sectors()):
         if not np.isfinite(rows[index]).all():
             raise ValidationFailed(
                 f"{traj.dynamics} snapshot at t = {traj.times[index]:.17g} has an entry "

@@ -320,7 +320,8 @@ def wigner_field(traj: Trajectory, grid=DEFAULT_GRID) -> list[PhaseField]:
     """Phase-space symbols over 2 pi hbar of a trajectory's matrices, on a grid.
 
     Returns one PhaseField per stored time, in the trajectory's order,
-    under its model's units. The sector rows are read as they are stored,
+    under its model's units. The sector rows are read as they are stored
+    (traj.sectors(), so every propagated sector must be stored),
     with no matrix reassembled: only the real part of the diagonal and
     the lower diagonals, so each field is the real symbol of the Hermitian
     matrix the rows stand for. Mass approximates the trace.
@@ -359,20 +360,21 @@ def wigner_field(traj: Trajectory, grid=DEFAULT_GRID) -> list[PhaseField]:
     del radius, nonzero
     xu, inv = np.unique(x, return_inverse=True)
     del x
-    peak = np.max([np.abs(rows).max(axis=1) for rows in traj.history.values()], axis=0)
+    sectors = traj.sectors()
+    peak = np.max([np.abs(rows).max(axis=1) for rows in sectors], axis=0)
     # a time with a non-finite entry keeps every nonzero column, so a
     # non-finite coefficient reaches its field
     floor = np.where(np.isfinite(peak), _TAIL_FLOOR * peak, 0.0)
     times = peak.size
     values = np.empty((times, phasor.size))
     store = np.empty((times, xu.size), dtype=complex)  # one sector's profiles
-    diag = _series_cut(np.real(traj.history[0]).astype(complex), floor)
+    diag = _series_cut(np.real(sectors[0]).astype(complex), floor)
     np.take(_sector_profile(diag, 0, xu, store).real, inv, axis=1, out=values, mode="clip")
     power = np.ones_like(phasor)
     size = _step(phasor.size, times)
     gathered = np.empty(times * size, dtype=complex)
-    for nu in range(1, len(traj.history)):
-        rows = _series_cut(traj.history[nu], floor)
+    for nu in range(1, len(sectors)):
+        rows = _series_cut(sectors[nu], floor)
         filled = np.flatnonzero(rows.any(axis=1))
         if filled.size == 0:
             power *= phasor

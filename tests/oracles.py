@@ -20,6 +20,9 @@ closed forms the tests pin it against, live here:
 - stacked_trajectory, a Trajectory holding given Hermitian matrices as its
   times, which is how the tests hand a matrix to wigner_field or
   moment_track;
+- purity_by_sector_products, Tr G(t)^2 summed from the products of each
+  sector's rows with those of its conjugate sector, the reference for
+  Trajectory.purity_series, which reads only the per-sector norms;
 - sector_rows, the sector rows 0 .. top that evolve takes, read from a
   Hermitian test matrix, and dense, the matrix reassembled from them;
 - laguerre_orthonormal_bare, one orthonormal Laguerre family at a time,
@@ -234,6 +237,16 @@ def stacked_trajectory(mats, model):
     history = {nu: np.stack([np.diagonal(g, -nu) for g in mats]) for nu in range(dim)}
     times = np.arange(len(mats), dtype=float)
     return Trajectory("quantum", model, times, dim, history)
+
+
+def purity_by_sector_products(traj) -> np.ndarray:
+    """Tr G(t)^2 = sum_nu sum_k g_nu g_-nu over nu = -top .. top, read from
+    the rows of a trajectory that stores every sector it propagated."""
+    top = max(traj.history)
+    total = np.zeros(len(traj.times), dtype=complex)
+    for nu in range(-top, top + 1):
+        total += (traj.diagonal_history(nu) * traj.diagonal_history(-nu)).sum(axis=1)
+    return total
 
 
 def sector_rows(m) -> list:

@@ -26,7 +26,7 @@ import groenewold_lab
 from groenewold_lab import cli
 from groenewold_lab import evolve as evolve_module
 from groenewold_lab.errors import ConfigError
-from groenewold_lab.evolve import BlockPropagator
+from groenewold_lab.evolve import BlockPropagator, Trajectory
 from groenewold_lab.model import ModelSpec
 from groenewold_lab.render import (
     DEFAULT_GRID,
@@ -720,9 +720,9 @@ class TestMergedLoop:
         evolve = cli.evolve
         refs = []
 
-        def tracked(g0, name, model, times):
+        def tracked(g0, name, model, times, **kwargs):
             assert all(ref() is None for ref in refs), f"a trajectory outlives {name}'s start"
-            traj = evolve(g0, name, model, times)
+            traj = evolve(g0, name, model, times, **kwargs)
             refs.append(weakref.ref(traj))
             return traj
 
@@ -765,6 +765,45 @@ class TestMergedLoop:
         ]
         for row in rows[::3]:
             assert row["purity_drift"] == "0"
+
+
+class TestStoredSectors:
+    """A run stores the rows of the sectors its outputs read, from one rule."""
+
+    FIELD = {"grid": [-3.0, 3.0, -3.0, 3.0, 8, 8], "time_list": [0.75]}
+
+    @pytest.mark.parametrize("outputs, every", [
+        ({"moments": True}, ()),
+        ({"validate": True}, ()),
+        ({"moments": True, "validate": True}, ()),
+        ({"spectrum": {"k": 2}}, tuple(BASE["dynamics"])),
+        ({"negativity": True, "moments": True}, tuple(BASE["dynamics"])),
+        ({"field": FIELD}, ("quantum", "semiquantum1", "semiclassical1")),
+        # classical fields are the whorl density, which reads no sector
+        ({"field": FIELD, "moments": True}, ("quantum", "semiquantum1", "semiclassical1")),
+    ])
+    @pytest.mark.parametrize("alpha0", [0.5, 0.0], ids=["displaced", "centred"])
+    def test_outputs_choose_the_stored_sectors(self, tmp_path, monkeypatch, outputs, every, alpha0):
+        # BASE's state fills sectors 0-23 of 32, a centred one sector 0 alone
+        evolve = cli.evolve
+        stored = {}
+
+        def recording(g0, name, model, times, **kwargs):
+            traj = evolve(g0, name, model, times, **kwargs)
+            stored[name] = (sorted(traj.history), traj.top)
+            return traj
+
+        def mutate(raw):
+            raw["state"]["alpha0_re"] = alpha0
+            raw["outputs"] = outputs
+
+        monkeypatch.setattr(cli, "evolve", recording)
+        assert run_cli(write_config(tmp_path, mutate), tmp_path / "out") == 0
+        assert stored
+        for name, (sectors, top) in stored.items():
+            assert top == (23 if alpha0 else 0)
+            last = top if name in every else min(2, top)
+            assert sectors == list(range(last + 1)), name
 
 
 class TestLegacyGuard:
@@ -852,17 +891,23 @@ class TestExitCodes:
         )
 
     @staticmethod
-    def nan_history_run(tmp_path, monkeypatch, capsys, sector):
+    def poison_propagation(monkeypatch, rows, sector):
+        # a NaN in one sector's propagated rows of BASE's basis, before evolve
+        # forms that sector's norm, so it reaches the purity as a real one would
+        trajectory = BlockPropagator.trajectory
+
+        def poisoned(self, g0, times):
+            out = trajectory(self, g0, times)
+            if self.size == BASE["truncation"]["N"] - sector:
+                out[rows, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(BlockPropagator, "trajectory", poisoned)
+
+    def nan_history_run(self, tmp_path, monkeypatch, capsys, sector):
         # a NaN drift fails the gate instead of comparing False against it;
         # no spectrum or negativity, whose eigensolve rejects a NaN snapshot
-        evolve = cli.evolve
-
-        def poisoned(g0, name, model, times, **kwargs):
-            traj = evolve(g0, name, model, times, **kwargs)
-            traj.history[sector][-1, 0] = np.nan
-            return traj
-
-        monkeypatch.setattr(cli, "evolve", poisoned)
+        self.poison_propagation(monkeypatch, -1, sector)
         outputs = {"moments": True, "validate": True}
         config = write_config(tmp_path, lambda r: r.update(outputs=outputs))
         out = tmp_path / "out"
@@ -878,7 +923,7 @@ class TestExitCodes:
 
     def test_nan_in_upper_sector_exits_two(self, tmp_path, monkeypatch, capsys):
         # a propagated sector, which the retired trace and |alpha|^2 gates
-        # never read
+        # never read, and whose rows a moments run does not store
         self.nan_history_run(tmp_path, monkeypatch, capsys, 3)
 
     @staticmethod
@@ -936,9 +981,7 @@ class TestExitCodes:
         def diagonal(g0, name, model, times, **kwargs):
             traj = evolve(g0, name, model, times, **kwargs)
             rows = np.tile(c * z ** np.arange(n, dtype=complex), (len(times), 1))
-            traj.history.clear()
-            traj.history[0] = rows
-            return traj
+            return Trajectory(traj.dynamics, traj.model, traj.times, traj.dim, {0: rows})
 
         monkeypatch.setattr(cli, "evolve", diagonal)
 
@@ -958,7 +1001,7 @@ class TestExitCodes:
 
     def test_nan_field_with_validate_trips_the_gate_first(self, tmp_path, monkeypatch, capsys):
         # the purity gate still reports first and keeps its validate.csv
-        self.poison_history(monkeypatch, slice(None))
+        self.poison_propagation(monkeypatch, slice(None), 0)
         outputs = {"field": BASE["outputs"]["field"], "validate": True}
         config = write_config(tmp_path, lambda r: r.update(outputs=outputs))
         out = tmp_path / "out"

@@ -29,15 +29,18 @@ from groenewold_lab.evolve import (
 from groenewold_lab import generators
 from groenewold_lab.generators import DYNAMICS, all_generator_blocks
 from groenewold_lab.model import ModelSpec
-from groenewold_lab.observables import mean_alpha_series
-from groenewold_lab.render import BoundaryMassWarning, whorl_phase_field
+from groenewold_lab.observables import mean_alpha_series, snapshot_spectrum
+from groenewold_lab.render import BoundaryMassWarning, whorl_phase_field, wigner_field
 from groenewold_lab.states import GaussianState, groenewold_from_gaussian
-from oracles import classical_block_analytic, dense, sector_rows
+from oracles import classical_block_analytic, dense, purity_by_sector_products, sector_rows
 
 QUARTIC = ModelSpec.quartic(mu=0.5)
 SEXTIC = ModelSpec.sextic(mu=0.5)
+SEXTIC_SMALL_HBAR = ModelSpec.sextic(mu=0.25)
 HARMONIC = ModelSpec.harmonic(mu=0.5)
 FIG3_STATE = GaussianState(kappa=2.0, alpha0=0.5)
+FIG4_STATE = GaussianState(kappa=1.0, alpha0=2.0**-0.5)
+CENTRED_STATE = GaussianState(kappa=2.0, alpha0=0.0)
 
 
 def mean_alpha(traj, index):
@@ -479,6 +482,112 @@ class TestEvolve:
         traj = evolve(sector_rows(np.eye(3)), "classical", QUARTIC, [0.0, 1.0])
         assert asked == [0]
         assert not np.any(traj.diagonal_history(1)) and not np.any(traj.diagonal_history(2))
+
+
+class TestStoredSectors:
+    """evolve stores the rows of the sectors 0 .. store_top and every
+    propagated sector's norm, from which the purity is summed."""
+
+    # fig3's and fig4's models and states at the presets' N, a K = 2 model,
+    # and a centred state, which fills sector 0 alone (top = 0)
+    @pytest.mark.parametrize("model, state, n", [
+        pytest.param(SEXTIC, FIG3_STATE, 128, id="fig3"),
+        pytest.param(SEXTIC_SMALL_HBAR, FIG4_STATE, 128, id="fig4"),
+        pytest.param(QUARTIC, FIG3_STATE, 48, id="quartic"),
+        pytest.param(SEXTIC, CENTRED_STATE, 32, id="centred"),
+    ])
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_purity_is_bit_identical_to_the_sector_products(self, dynamics, model, state, n):
+        g0 = groenewold_from_gaussian(state, n)
+        times = np.linspace(0.0, np.pi, 9)
+        full = evolve(g0, dynamics, model, times)
+        low = evolve(g0, dynamics, model, times, store_top=2)
+        # the products' imaginary parts, rounding residue, are not summed
+        want = purity_by_sector_products(full).real
+        assert np.array_equal(full.purity_series(), want)
+        assert np.array_equal(low.purity_series(), want)
+        assert np.array_equal(low.take([6, 0]).purity_series(), want[[6, 0]])
+        assert low.top == full.top == len(g0) - 1
+
+    def test_nan_in_an_upper_sector_reaches_the_purity(self, monkeypatch):
+        # a NaN propagated into sector 5, whose rows a store_top = 2 run drops
+        original = BlockPropagator.trajectory
+
+        def poisoned(self, g0, times):
+            out = original(self, g0, times)
+            if self.size == 48 - 5:
+                out[1, 3] = np.nan
+            return out
+
+        monkeypatch.setattr(BlockPropagator, "trajectory", poisoned)
+        g0 = groenewold_from_gaussian(FIG3_STATE, 48)
+        times = [0.0, 0.5, 1.0]
+        low = evolve(g0, "classical", SEXTIC, times, store_top=2)
+        purity = low.purity_series()
+        assert sorted(low.history) == [0, 1, 2]
+        assert np.isnan(purity[1]) and np.isfinite(purity[[0, 2]]).all()
+        want = purity_by_sector_products(evolve(g0, "classical", SEXTIC, times)).real
+        assert np.array_equal(purity, want, equal_nan=True)
+
+    def test_store_top_keeps_the_low_rows_and_every_norm(self):
+        # FIG3_STATE fills sectors 0-23 of 32: 3-23 are propagated but not
+        # stored and raise, 24-31 are exact zeros
+        g0 = groenewold_from_gaussian(FIG3_STATE, 32)
+        times = [0.0, 0.4, 1.1]
+        full = evolve(g0, "semiquantum1", QUARTIC, times)
+        low = evolve(g0, "semiquantum1", QUARTIC, times, store_top=2)
+        assert sorted(low.history) == [0, 1, 2] and low.top == 23
+        for nu in range(3):
+            assert np.array_equal(low.history[nu], full.history[nu])
+        assert np.array_equal(low.norms, full.norms)
+        for trajectory in (low, low.take([2, 0])):
+            for nu in range(3, 24):
+                for signed in (nu, -nu):
+                    with pytest.raises(ConfigError, match=(
+                        f"semiquantum1 sector {signed} was propagated but its rows were not stored"
+                    )):
+                        trajectory.diagonal_history(signed)
+            for nu in range(24, 32):
+                for signed in (nu, -nu):
+                    zeros = trajectory.diagonal_history(signed)
+                    assert zeros.shape == (len(trajectory.times), 32 - nu) and not np.any(zeros)
+            for read in (
+                lambda: trajectory.matrix(0),
+                trajectory.sectors,
+                lambda: snapshot_spectrum(trajectory, 0),
+                lambda: wigner_field(trajectory),
+            ):
+                with pytest.raises(ConfigError, match="sector 3 was propagated"):
+                    read()
+
+    def test_store_top_caps_at_the_filled_sectors(self):
+        g0 = groenewold_from_gaussian(CENTRED_STATE, 32)
+        traj = evolve(g0, "classical", SEXTIC, [0.0, 0.8], store_top=2)
+        assert sorted(traj.history) == [0] and traj.top == 0
+        assert not np.any(traj.diagonal_history(1)) and not np.any(traj.diagonal_history(-2))
+        g0 = groenewold_from_gaussian(FIG3_STATE, 32)
+        traj = evolve(g0, "classical", SEXTIC, [0.0, 0.8], store_top=23)
+        assert sorted(traj.history) == list(range(24))
+        assert np.array_equal(traj.matrix(1), evolve(g0, "classical", SEXTIC, [0.0, 0.8]).matrix(1))
+
+    def test_moments_store_peaks_under_half_the_full_store(self):
+        # fig3 at 512 times: every sector's rows take 23 MB, the sectors
+        # 0-2 take 3 MB; measured peaks of 6.9 MB and 25.2 MB under the flow
+        # whose generator build takes the most memory; a run at N = 16 first
+        # warms up what a first run sets up once
+        n, times = 128, np.linspace(0.0, np.pi, 512)
+        evolve(groenewold_from_gaussian(FIG3_STATE, 16), "semiclassical1", SEXTIC, times)
+        g0 = groenewold_from_gaussian(FIG3_STATE, n)
+        peaks = []
+        for store_top in (2, None):
+            tracemalloc.start()
+            try:
+                traj = evolve(g0, "semiclassical1", SEXTIC, times, store_top=store_top)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del traj
+        assert peaks[0] < 0.5 * peaks[1]
 
 
 class TestBasisSizeDependence:
