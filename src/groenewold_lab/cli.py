@@ -17,14 +17,19 @@ dynamics is evolved, and every row CSV reports it in one '#' line: every
 flow keeps sector 0 fixed, so the trace cannot move after t = 0. With
 outputs.validate on it is also checked against its tolerance. The one gate
 per row is the purity drift from t0, the only conserved quantity here that
-reads every propagated sector (through its norm). Spectra and negativity
-share one eigensolve per dynamics and row time.
+reads every sector (through its norm). A moments/validate run stores the
+sectors 0-2 and lets evolve hold the top sectors whose whole contribution
+moves the purity by at most 2^-56 of itself: built, so their generators
+are still checked for finiteness, but not factored, so the
+condition-number gate reads only the factored sectors. Spectra and
+negativity share one eigensolve per dynamics and row time.
 
 Exit codes: 0 success, else the exit_code of the error class raised: 1 config
 schema error (line-precise) or an unwritable output, 2 validation failure
 (the synthesized trace or a purity drift over tolerance, a sector generator
-that is not finite or too ill-conditioned to factor, or a non-finite snapshot
-or field), 3 quadrature or truncation failure (state does not fit the basis).
+that is not finite or too ill-conditioned to factor, or a non-finite snapshot,
+moments row or field), 3 quadrature or truncation failure (state does not fit
+the basis).
 """
 
 from __future__ import annotations
@@ -411,8 +416,10 @@ def _evolved(cfg: ExperimentConfig, name: str) -> bool:
 def _store_top(cfg: ExperimentConfig, name: str) -> int | None:
     """The highest sector whose rows run stores for a dynamics, None for
     every sector. Moments read the sectors 0-2 and the purity each
-    sector's norm, which evolve keeps for every sector; a spectrum, the
-    negativity and a Wigner field read every sector's rows."""
+    sector's norm, which evolve keeps for every sector, holding the top
+    ones at their t = 0 norms within its bound (2^-56 of the purity); a
+    spectrum, the negativity and a Wigner field read every sector's rows,
+    so with None nothing is held and every sector is factored."""
     wigner = bool(cfg.field_times) and name != "classical"
     return None if cfg.spectrum_k or cfg.negativity or wigner else 2
 
@@ -440,8 +447,13 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> None:
     It stores the rows of the sectors its outputs read (_store_top): the
     sectors 0-2 when only moments and validate are on, every sector for a
     spectrum, the negativity or a Wigner field; the purity comes from the
-    norms evolve keeps for every sector. A purity drift over tolerance
-    raises ValidationFailed after validate.csv.
+    norms evolve keeps for every sector. With the sectors 0-2 stored,
+    evolve holds the top sectors whose bound keeps their whole effect on
+    the purity within 2^-56 of it, unfactored, at their t = 0 norms; so
+    the condition-number gate reads only the factored sectors. A purity
+    drift over tolerance raises ValidationFailed after validate.csv; a
+    non-finite moments row or field raises it after that gate and before
+    moments.csv or any later file is written.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     g0, trace_err = _synthesize(cfg)
@@ -466,19 +478,24 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> None:
         if not _evolved(cfg, name):
             continue
         traj = evolve(g0, name, cfg.model, union, store_top=_store_top(cfg, name))
-        if cfg.validate or cfg.moments:
-            purity = traj.purity_series()
-        if cfg.validate:
-            drift = np.abs(purity[row_idx] - purity[row_idx[0]])
-            validate_rows += ([t, name, d] for t, d in zip(cfg.times, drift))
-        if cfg.moments:
-            m = moment_track(traj)
-            dq_paper, dp_paper = moment_width_variant(m, cfg.model)
-            columns = (
-                m.t, m.mean_alpha.real, m.mean_alpha.imag, m.alpha2.real, m.alpha2.imag,
-                m.abs2, m.mean_q, m.mean_p, m.dq, m.dp, dq_paper, dp_paper, purity,
-            )
-            moment_rows += ([t, name, *rest] for t, *rest in zip(*(c[row_idx] for c in columns)))
+        # a trajectory that left the float range gives non-finite purities
+        # and moments, which the gates below reject; finite ones warn nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.validate or cfg.moments:
+                purity = traj.purity_series()
+            if cfg.validate:
+                drift = np.abs(purity[row_idx] - purity[row_idx[0]])
+                validate_rows += ([t, name, d] for t, d in zip(cfg.times, drift))
+            if cfg.moments:
+                m = moment_track(traj)
+                dq_paper, dp_paper = moment_width_variant(m, cfg.model)
+                columns = (
+                    m.t, m.mean_alpha.real, m.mean_alpha.imag, m.alpha2.real, m.alpha2.imag,
+                    m.abs2, m.mean_q, m.mean_p, m.dq, m.dp, dq_paper, dp_paper, purity,
+                )
+                moment_rows += (
+                    [t, name, *rest] for t, *rest in zip(*(c[row_idx] for c in columns))
+                )
         if cfg.spectrum_k or cfg.negativity:
             for t, i in zip(cfg.times, row_idx):
                 w = snapshot_spectrum(traj, i)
@@ -510,6 +527,10 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> None:
 
     # after the purity gate, which then keeps its validate.csv, and
     # before any output below is written
+    for t, name, *values in moment_rows:
+        # dq_paper and dp_paper, values[9:11], are NaN where their radicand is negative
+        if not np.all(np.isfinite(values[:9] + values[11:])):
+            raise ValidationFailed(f"{name} moments at t = {_fmt(t)} are not finite")
     for name, t, field in fields:
         if not np.all(np.isfinite(field.values)):
             raise ValidationFailed(f"{name} field at t = {_fmt(t)} is not finite")

@@ -7,14 +7,37 @@ Hermitian and L_{-nu} = conj(L_nu), so only the sectors nu >= 0 are
 propagated and sector -nu is read as their conjugate. A BlockPropagator
 factors L once and reuses the factorization for every requested time.
 Every flow is linear and acts on one sector at a time, so a sector that
-starts empty stays an exact zero: evolve builds, factors and propagates
-only the sectors 0 .. top, one at a time, each factored before the next
-is built. It keeps every propagated sector's norm series and the rows of
-the sectors 0 .. store_top alone (every sector by default), so a caller
-that reads only the low sectors and the purity holds three sectors'
-rows, not top + 1. Nothing on this path is kept between calls: evolve
-looks up all_generator_blocks afresh, and the generators are rebuilt and
-factored again on every call. The routes are:
+starts empty stays an exact zero: evolve builds and propagates only the
+sectors 0 .. top, one at a time. It keeps every sector's norm series and
+the rows of the sectors 0 .. store_top alone (every sector by default),
+so a caller that reads only the low sectors and the purity holds three
+sectors' rows, not top + 1. Nothing on this path is kept between calls:
+evolve looks up all_generator_blocks afresh, and the generators are
+rebuilt and factored again on every call.
+
+Above store_top only the purity reads a sector, through its norm, so
+evolve holds the sectors whose whole contribution provably moves it by
+at most 2^-56 of itself, a sixteenth of the float epsilon and so at most
+an eighth of its ulp: the longest suffix of the sectors above store_top
+whose bound
+
+    sum 2 S_nu(0) exp(2 mu_nu max|t|)  <=  2^-56 Tr G(0)^2,
+
+where S_nu(0) is the sector's initial norm and mu_nu the Gershgorin bound
+on the eigenvalues of (L + L^H)/2 in absolute value, so that
+||exp(t L) g||^2 <= exp(2 mu_nu |t|) ||g||^2 for t of either sign. A held
+sector's block is built, so the generators' finiteness check still runs
+on it, but it is neither factored nor propagated, and its norm series is
+S_nu(0) at every time. Blocks arrive in sector order and none is kept
+past its own step: a sector above store_top that may still be held (its
+term plus the least the sectors above it can add is within the budget)
+drops its block and keeps its term; the rest are factored as they
+arrive. A sector that may have been held but lies below the held suffix,
+which takes a higher sector whose growth breaks the bound, is built once
+more and factored at the end. fig3's sectors 13-23 are held, so a
+moments run factors 52 of its 96 sectors. A run that stores every sector
+(store_top None) holds none, nor does a time span whose bound overflows.
+The routes are:
 
 - "diagonal"        a 1-D generator (a sector with no correction: every
                     quantum sector and the frozen nu = 0 sector); the
@@ -31,9 +54,10 @@ as one on it and needs no SVD. A basis that fails it, or that inv finds
 singular (condition number inf), raises ValidationFailed naming the
 sector and the number (the CLI exits 2); none of the four flows comes
 near the limit. Only factored sectors are checked: an empty sector's
-answer is zero whatever its generator. Each route forms all requested
-times in one array product, and requests at t = 0 return the initial
-vector bit-exactly on every route.
+answer is zero whatever its generator, and a held sector's norm is
+bounded without a factorization. Each route forms all requested times in
+one array product, and requests at t = 0 return the initial vector
+bit-exactly on every route.
 
 The module also carries a continuum reference that never touches the
 number basis: classical_moment_quadrature integrates <alpha^m> under the
@@ -67,6 +91,9 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-12
 _CONDITION_LIMIT = 1e8
+# the share of the initial purity that the held sectors may move, at most:
+# a sixteenth of the float epsilon, so at most an eighth of the purity's ulp
+_HELD_SHARE = 2.0**-56
 
 
 class BlockPropagator:
@@ -147,18 +174,21 @@ class Trajectory:
     G[k + nu, k] of a stored sector nu. Every flow keeps G Hermitian, so
     the super-diagonal -nu is the conjugate of sector nu: diagonal_history(-nu)
     returns it and matrix() writes it, and every reassembled matrix is
-    exactly Hermitian. The sectors 0 .. top of the initial rows were
-    propagated, and norms[nu] holds the norm series
-    S_nu(t) = sum_k |G[k + nu, k]|^2 of each; purity_series reads only
-    these. The sectors above top are exact zeros, which diagonal_history
-    returns. A propagated sector whose rows were not stored is not zero:
+    exactly Hermitian. norms[nu] holds the norm series
+    S_nu(t) = sum_k |G[k + nu, k]|^2 of each sector 0 .. top of the
+    initial rows; purity_series reads only these. The sectors below held
+    were propagated. The sectors held .. top were held (evolve): not
+    propagated, their norms are their t = 0 norms at every time, within
+    the bound evolve states of the propagated series.
+    The sectors above top are exact zeros, which diagonal_history returns.
+    A propagated or held sector whose rows were not stored is not zero:
     diagonal_history, matrix() and sectors() raise ConfigError for it.
     Every flow's sector-0 generator is an exact zero, so history[0], and
     with it the trace, is the initial diagonal at every time.
 
     Built by hand from a history alone, the trajectory stores every sector
-    it propagated: top is the highest key, and the norms are formed from
-    the rows as evolve forms them.
+    it propagated and holds none: top is the highest key, and the norms
+    are formed from the rows as evolve forms them.
     """
 
     dynamics: str
@@ -167,11 +197,14 @@ class Trajectory:
     dim: int
     history: dict = field(repr=False)
     norms: np.ndarray = field(default=None, repr=False)
+    held: int | None = None
 
     def __post_init__(self):
         if self.norms is None:
             norms = [_sector_norm(nu, self.history[nu]) for nu in range(len(self.history))]
             object.__setattr__(self, "norms", np.array(norms, dtype=float))
+        if self.held is None:
+            object.__setattr__(self, "held", len(self.norms))
 
     @property
     def top(self) -> int:
@@ -179,6 +212,11 @@ class Trajectory:
         return len(self.norms) - 1
 
     def _unstored(self, nu: int) -> ConfigError:
+        if abs(nu) >= self.held:
+            return ConfigError(
+                f"{self.dynamics} sector {nu} was held at its t = 0 norm, "
+                f"not propagated, and has no rows"
+            )
         return ConfigError(
             f"{self.dynamics} sector {nu} was propagated but its rows were not stored"
         )
@@ -221,6 +259,7 @@ class Trajectory:
             dim=self.dim,
             history={nu: rows[indices] for nu, rows in self.history.items()},
             norms=self.norms[:, indices],
+            held=self.held,
         )
 
     def purity_series(self) -> np.ndarray:
@@ -257,34 +296,91 @@ def _check_rows(g0) -> list:
     return [rows[0].real, *rows[1:]]
 
 
+def _growth_rate(L: np.ndarray) -> float:
+    """mu with ||exp(t L) g||^2 <= exp(2 mu |t|) ||g||^2 for t of either sign.
+
+    d||g||^2/dt = 2 g^H H g with H = (L + L^H)/2, so mu may be any bound on
+    the eigenvalues of H in absolute value. This is Gershgorin's, the largest
+    absolute row sum of H, an O(n^2) read of the built block.
+    """
+    if L.ndim == 1:
+        return float(np.abs(L.real).max())
+    return 0.5 * float(np.abs(L + L.conj().T).sum(axis=1).max())
+
+
 def evolve(
     g0, dynamics: str, model: ModelSpec, times, store_top: int | None = None
 ) -> Trajectory:
     """Propagate a Hermitian matrix, given as its sector rows, under one of the four flows.
 
     ConfigError unless g0 has at least one row, row nu has length N - nu,
-    every entry is finite and sector 0 is real. Each row is propagated by
-    one BlockPropagator, factored as its generator arrives; sector -nu
-    follows by conjugation. Every propagated sector's norm series is kept,
-    so the purity is exact whatever is stored; the rows are stored for the
-    sectors 0 .. store_top alone, or for all of them when store_top is None.
+    every entry is finite and sector 0 is real. Each row but the held ones
+    is propagated by one BlockPropagator; sector -nu follows by
+    conjugation. The rows are stored for the sectors 0 .. store_top alone,
+    or for all of them when store_top is None, and every sector's norm
+    series is kept for the purity.
+
+    A sector above store_top is held rather than propagated when it is
+    part of the longest suffix of the sectors whose bound
+    sum 2 S_nu(0) exp(2 mu_nu max|t|) is at most 2^-56 of the initial
+    purity (mu_nu from _growth_rate): its block is still built, and so
+    checked for finiteness, but not factored, and its norm series is
+    S_nu(0) at every time. The bound caps how far every held sector
+    together moves the purity, by at most an eighth of its ulp. With
+    store_top None nothing is held, nor when the exponent overflows. The
+    condition-number gate applies to the factored sectors alone.
     """
     rows = _check_rows(g0)
     times = _check_times(times)
-    blocks = all_generator_blocks(dynamics, model, len(rows[0]), nu_top=len(rows) - 1)
+    top = len(rows) - 1
+    # complex, as BlockPropagator.trajectory reads them, so that a held
+    # sector's S_nu(0) has the bits a propagated one has at t = 0
+    rows = [rows[0], *(np.asarray(row, dtype=complex) for row in rows[1:])]
+    initial = [float(_sector_norm(nu, row[None])[0]) for nu, row in enumerate(rows)]
+    budget = _HELD_SHARE * (initial[0] + 2.0 * sum(initial[1:]))
+    span = max(abs(times[0]), abs(times[-1]))
     history: dict[int, np.ndarray] = {}
     norms = np.empty((len(rows), len(times)))
-    for nu, (row, block) in enumerate(zip(rows, blocks)):
+
+    def propagate(nu, block):
         try:
             p = BlockPropagator(block)
         except ValidationFailed as exc:
             raise ValidationFailed(f"{dynamics} sector nu={nu}: {exc}") from None
-        out = p.trajectory(row, times)
-        norms[nu] = _sector_norm(nu, out)
+        # a span whose exponentials leave the float range gives inf or NaN
+        # rows, which the callers reject; finite rows keep every bit
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = p.trajectory(rows[nu], times)
+            norms[nu] = _sector_norm(nu, out)
         if store_top is None or nu <= store_top:
             history[nu] = out
-        del out
-    return Trajectory(dynamics, model, times, len(rows[0]), history, norms)
+
+    # above[nu]: the least the sectors above nu add to the bound (exp >= 1)
+    above = np.append(np.cumsum(2.0 * np.array(initial[:0:-1]))[::-1], 0.0)
+    terms: dict[int, float] = {}  # the sectors that may be held; their blocks are dropped
+    blocks = all_generator_blocks(dynamics, model, len(rows[0]), nu_top=top)
+    for nu, block in zip(range(top + 1), blocks):
+        if store_top is not None and nu > store_top:
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN holds nothing
+                term = 2.0 * initial[nu] * np.exp(2.0 * _growth_rate(block) * span)
+            if term + above[nu] <= budget:
+                terms[nu] = term
+                continue
+        propagate(nu, block)
+    held, bound = top + 1, 0.0
+    while held - 1 in terms and bound + terms[held - 1] <= budget:
+        held -= 1
+        bound += terms[held]
+    norms[held:] = np.array(initial[held:])[:, None]
+    # a sector that may have been held but lies below a higher one whose
+    # growth broke the bound: built once more and propagated after all
+    rebuild = [nu for nu in terms if nu < held]
+    if rebuild:
+        blocks = all_generator_blocks(dynamics, model, len(rows[0]), nu_top=max(rebuild))
+        for nu, block in enumerate(blocks):
+            if nu in rebuild:
+                propagate(nu, block)
+    return Trajectory(dynamics, model, times, len(rows[0]), history, norms, held)
 
 
 # ---------------------------------------------------------------------------

@@ -1080,6 +1080,22 @@ class TestExitCodes:
             assert err.count("\n") == 1
         assert not (out / "moments.csv").exists()
 
+    # fig3's classical flow out to t = 1e13 or 1e15: exp(t w) of a generator
+    # eigenvalue with a positive real part leaves the float range, so the
+    # moment rows are not finite, and nothing is held. A numpy
+    # RuntimeWarning fails these tests.
+    @pytest.mark.parametrize("t1", [1e13, 1e15])
+    def test_non_finite_moments_exit_two(self, tmp_path, capsys, t1):
+        def far(raw):
+            raw["dynamics"] = ["classical"]
+            raw["times"]["t1"] = t1
+            raw["outputs"] = {"moments": True}
+        out = tmp_path / "out"
+        assert run_cli(write_fig3(tmp_path, far), out) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"validation failed: classical moments at t = \S+ are not finite\n", err)
+        assert list(out.iterdir()) == []
+
     @staticmethod
     def coherent_config(tmp_path, alpha0, n_basis):
         raw = {

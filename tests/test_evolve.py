@@ -530,23 +530,38 @@ class TestStoredSectors:
         assert np.array_equal(purity, want, equal_nan=True)
 
     def test_store_top_keeps_the_low_rows_and_every_norm(self):
-        # FIG3_STATE fills sectors 0-23 of 32: 3-23 are propagated but not
-        # stored and raise, 24-31 are exact zeros
+        # FIG3_STATE fills sectors 0-23 of 32: 3-12 are propagated but not
+        # stored, 13-23 are held, and all of them raise; 24-31 are exact zeros
         g0 = groenewold_from_gaussian(FIG3_STATE, 32)
         times = [0.0, 0.4, 1.1]
         full = evolve(g0, "semiquantum1", QUARTIC, times)
         low = evolve(g0, "semiquantum1", QUARTIC, times, store_top=2)
         assert sorted(low.history) == [0, 1, 2] and low.top == 23
+        assert low.held == 13 and full.held == 24
         for nu in range(3):
             assert np.array_equal(low.history[nu], full.history[nu])
-        assert np.array_equal(low.norms, full.norms)
+        # the factored sectors' norms are the full run's bit for bit; a held
+        # sector's is its t = 0 norm, within its bound of the full run's
+        assert np.array_equal(low.norms[:13], full.norms[:13])
+        assert np.array_equal(low.norms[13:], np.repeat(full.norms[13:, :1], 3, axis=1))
+        bounds = held_bounds(g0, "semiquantum1", QUARTIC, 1.1)
+        assert np.all(np.abs(low.norms[13:] - full.norms[13:]) <= bounds[13:, None])
+        assert 2.0 * bounds[13:].sum() <= 2.0**-56 * full.purity_series()[0]
         for trajectory in (low, low.take([2, 0])):
+            assert trajectory.held == 13
             for nu in range(3, 24):
                 for signed in (nu, -nu):
-                    with pytest.raises(ConfigError, match=(
-                        f"semiquantum1 sector {signed} was propagated but its rows were not stored"
-                    )):
+                    with pytest.raises(ConfigError) as exc:
                         trajectory.diagonal_history(signed)
+                    if nu < 13:
+                        assert str(exc.value) == (
+                            f"semiquantum1 sector {signed} was propagated but its rows were not stored"
+                        )
+                    else:
+                        assert str(exc.value) == (
+                            f"semiquantum1 sector {signed} was held at its t = 0 norm, "
+                            "not propagated, and has no rows"
+                        )
             for nu in range(24, 32):
                 for signed in (nu, -nu):
                     zeros = trajectory.diagonal_history(signed)
@@ -588,6 +603,127 @@ class TestStoredSectors:
                 tracemalloc.stop()
             del traj
         assert peaks[0] < 0.5 * peaks[1]
+
+
+def held_bounds(g0, dynamics, model, span) -> np.ndarray:
+    """S_nu(0) exp(2 mu_nu span) per sector, mu_nu the largest absolute row
+    sum of (L + L^H)/2: the most the exact flow moves each sector's norm
+    over times of modulus up to span."""
+    out = []
+    for nu, block in enumerate(all_generator_blocks(dynamics, model, len(g0[0]), nu_top=len(g0) - 1)):
+        block = np.diag(block) if block.ndim == 1 else block
+        h = 0.5 * (block + block.conj().T)
+        mu = max(np.abs(h[i]).sum() for i in range(len(h)))
+        out.append(np.sum(np.abs(g0[nu]) ** 2) * np.exp(2.0 * mu * span))
+    return np.array(out)
+
+
+def factored_sectors(monkeypatch, n) -> list:
+    """The sectors, in factorization order, of the BlockPropagators built
+    on an n-level basis from here on."""
+    factored = []
+    original = BlockPropagator.__init__
+
+    def record(self, L):
+        original(self, L)
+        factored.append(n - self.size)
+
+    monkeypatch.setattr(BlockPropagator, "__init__", record)
+    return factored
+
+
+class TestHeldSectors:
+    """Above store_top, evolve holds the longest suffix of the sectors
+    whose bound sum 2 S_nu(0) exp(2 mu_nu max|t|) is at most 2^-56 of the
+    initial purity: built, not factored, norm S_nu(0) at every time."""
+
+    @pytest.mark.parametrize("model, state, n, held", [
+        pytest.param(SEXTIC, FIG3_STATE, 128, 13, id="fig3"),
+        pytest.param(SEXTIC_SMALL_HBAR, FIG4_STATE, 128, 13, id="fig4"),
+        pytest.param(QUARTIC, FIG3_STATE, 48, 13, id="quartic"),
+    ])
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_the_held_set_is_the_longest_suffix_within_the_bound(
+        self, monkeypatch, dynamics, model, state, n, held
+    ):
+        g0 = groenewold_from_gaussian(state, n)
+        times = np.linspace(0.0, np.pi, 5)
+        factored = factored_sectors(monkeypatch, n)
+        traj = evolve(g0, dynamics, model, times, store_top=2)
+        assert traj.held == held and traj.top == len(g0) - 1 == 23
+        assert sorted(factored) == list(range(held))
+        initial = [np.sum(np.abs(row) ** 2) for row in g0]
+        assert np.array_equal(traj.norms[held:], np.repeat(traj.norms[held:, :1], 5, axis=1))
+        assert np.allclose(traj.norms[held:, 0], initial[held:], rtol=1e-14, atol=0.0)
+        # within the budget, and the next sector down would break it
+        terms = 2.0 * held_bounds(g0, dynamics, model, np.pi)
+        budget = 2.0**-56 * (initial[0] + 2.0 * sum(initial[1:]))
+        assert terms[held:].sum() <= budget < terms[held - 1:].sum()
+
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_a_run_that_stores_every_sector_factors_every_sector(self, monkeypatch, dynamics):
+        g0 = groenewold_from_gaussian(FIG3_STATE, 48)
+        factored = factored_sectors(monkeypatch, 48)
+        for store_top in (None, 23, 30):
+            del factored[:]
+            traj = evolve(g0, dynamics, QUARTIC, [0.0, 1.0], store_top=store_top)
+            assert factored == list(range(24)) and traj.held == 24
+            assert sorted(traj.history) == list(range(24))
+
+    def test_a_long_span_or_a_wide_state_holds_fewer_sectors(self):
+        g0 = groenewold_from_gaussian(FIG3_STATE, 64)
+        short = evolve(g0, "classical", SEXTIC, [0.0, np.pi], store_top=2)
+        long = evolve(g0, "classical", SEXTIC, [0.0, 1e6], store_top=2)
+        assert short.held == 13 and short.top + 1 - long.held < short.top + 1 - short.held
+        wide = groenewold_from_gaussian(GaussianState(kappa=0.5, alpha0=0.5), 64)
+        traj = evolve(wide, "classical", SEXTIC, [0.0, np.pi], store_top=2)
+        assert traj.top + 1 - traj.held < short.top + 1 - short.held
+
+    # sector 1, 2 and 3 entries and sector 3's generator. Growing: sectors
+    # 1 and 2 are phases whose terms leave room in the budget, so their
+    # blocks are dropped; sector 3's real diagonal grows its term to
+    # 2e-24 e^20, over the budget, so it is factored and 1 and 2 are built
+    # again. Boundary: every sector is a phase; sector 2's term fits the
+    # budget alone but not with sector 3's initial norm, so it is factored
+    # as it arrives and nothing is built twice.
+    @pytest.mark.parametrize("entries, top_block, asked_want, factored_want, held", [
+        pytest.param((1e-10, 1e-11, 1e-12), np.array([10.0]), [3, 2], [0, 3, 1, 2], 4, id="growing"),
+        pytest.param((1e-3, 1e-9, 2.0**0.5 * 1e-9), np.array([-1j]), [3], [0, 1, 2], 3, id="boundary"),
+    ])
+    def test_the_dropped_blocks_are_rebuilt_only_below_a_growing_sector(
+        self, monkeypatch, entries, top_block, asked_want, factored_want, held
+    ):
+        g0 = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
+        for nu, value in enumerate(entries, start=1):
+            g0[nu, 0] = g0[0, nu] = value
+        rows = sector_rows(g0)
+        phases = [np.zeros(4), -1j * np.arange(1.0, 4.0), -2j * np.arange(1.0, 3.0), top_block]
+        asked = []
+
+        def blocks(*args, nu_top):
+            asked.append(nu_top)
+            return phases[: nu_top + 1]
+
+        monkeypatch.setattr(evolve_module, "all_generator_blocks", blocks)
+        factored = factored_sectors(monkeypatch, 4)
+        low = evolve(rows, "classical", QUARTIC, [0.0, 0.5, 1.0], store_top=0)
+        assert asked == asked_want and factored == factored_want and low.held == held
+        full = evolve(rows, "classical", QUARTIC, [0.0, 0.5, 1.0])
+        assert np.array_equal(low.norms[:held], full.norms[:held])
+        assert np.array_equal(low.norms[held:], np.repeat(full.norms[held:, :1], 3, axis=1))
+        assert sorted(low.history) == [0]
+
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    def test_an_overflowing_span_holds_nothing_and_warns_nothing(self, monkeypatch, dynamics):
+        # the quantum generator is a pure phase, mu = 0 on every sector, so
+        # its bound does not grow with the span and it holds as at t = pi
+        g0 = groenewold_from_gaussian(FIG3_STATE, 32)
+        factored = factored_sectors(monkeypatch, 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = evolve(g0, dynamics, QUARTIC, [0.0, 1e300], store_top=2)
+        held = 13 if dynamics == "quantum" else 24
+        assert traj.held == held and sorted(factored) == list(range(held))
 
 
 class TestBasisSizeDependence:
