@@ -24,18 +24,25 @@ are still checked for finiteness, but not factored, so the
 condition-number gate reads only the factored sectors. Spectra and
 negativity share one eigensolve per dynamics and row time.
 
+The '# config sha256:' line, and the provenance line of every field CSV,
+hold the SHA-256 of the config's canonical JSON (sorted keys, no
+whitespace). It is computed with CPython's built-in SHA-256 module
+(_sha2, or _sha256 before Python 3.12), not hashlib, whose sha256 loads
+OpenSSL, which no other part of a run needs: 3.6 MB of a fig3 run's
+42 MB peak RSS (README, Memory). The digest is the same either way, and
+a build without the built-in module falls back to hashlib.
+
 Exit codes: 0 success, else the exit_code of the error class raised: 1 config
 schema error (line-precise) or an unwritable output, 2 validation failure
 (the synthesized trace or a purity drift over tolerance, a sector generator
 that is not finite or too ill-conditioned to factor, or a non-finite snapshot,
-moments row or field), 3 quadrature or truncation failure (state does not fit
-the basis).
+moments row, squared negativity or field), 3 quadrature or truncation failure
+(state does not fit the basis).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -45,6 +52,16 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
+
+# hashlib's sha256 loads OpenSSL, 3.6 MB of a run's peak RSS; CPython's
+# built-in module gives the same digest without it
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # a build without the built-in hashes
+        from hashlib import sha256
 
 # After each BLAS call OpenBLAS's idle workers busy-wait for 2^28 cycles
 # (about 0.1 s) before they sleep, which nearly doubles the CPU time of a
@@ -354,7 +371,7 @@ def validate_config(doc: _Doc) -> ExperimentConfig:
         doc, raw, n_basis, len(dyn)
     )
 
-    sha = hashlib.sha256(
+    sha = sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode("ascii")
     ).hexdigest()
 
@@ -452,8 +469,8 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> None:
     the purity within 2^-56 of it, unfactored, at their t = 0 norms; so
     the condition-number gate reads only the factored sectors. A purity
     drift over tolerance raises ValidationFailed after validate.csv; a
-    non-finite moments row or field raises it after that gate and before
-    moments.csv or any later file is written.
+    non-finite moments row, squared negativity or field raises it after
+    that gate and before moments.csv or any later file is written.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     g0, trace_err = _synthesize(cfg)
@@ -531,6 +548,9 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> None:
         # dq_paper and dp_paper, values[9:11], are NaN where their radicand is negative
         if not np.all(np.isfinite(values[:9] + values[11:])):
             raise ValidationFailed(f"{name} moments at t = {_fmt(t)} are not finite")
+    for t, name, sqneg in negativity_rows:
+        if not math.isfinite(sqneg):
+            raise ValidationFailed(f"{name} negativity at t = {_fmt(t)} is not finite")
     for name, t, field in fields:
         if not np.all(np.isfinite(field.values)):
             raise ValidationFailed(f"{name} field at t = {_fmt(t)} is not finite")

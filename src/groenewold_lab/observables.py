@@ -149,6 +149,11 @@ def spectrum_extremes(w, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def squared_negativity(w) -> float:
-    """Sum of the squared negative eigenvalues in w; 0 for positive semidefinite."""
+    """Sum of the squared negative eigenvalues in w; 0 for positive semidefinite.
+
+    inf, without a numpy warning, where the sum passes the float range (a
+    negative eigenvalue past about 1e154); cli.run rejects it.
+    """
     neg = w[w < 0.0]
-    return float(neg @ neg)
+    with np.errstate(over="ignore"):
+        return float(neg @ neg)

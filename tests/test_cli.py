@@ -5,6 +5,7 @@ rotation, making moment columns checkable against a closed form.
 """
 
 import copy
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -1096,6 +1097,37 @@ class TestExitCodes:
         assert re.fullmatch(r"validation failed: classical moments at t = \S+ are not finite\n", err)
         assert list(out.iterdir()) == []
 
+    # fig3 out to t1 = 1e15 with the negativity on: the negative eigenvalues
+    # of a semiquantum1 snapshot pass 1e154, so their squares overflow, and
+    # a later snapshot leaves the float range. A numpy RuntimeWarning fails
+    # this test.
+    def test_far_negativity_exits_two_without_warning(self, tmp_path, capsys):
+        def far(raw):
+            raw["times"]["t1"] = 1e15
+            raw["outputs"] = {"negativity": True}
+        out = tmp_path / "out"
+        assert run_cli(write_fig3(tmp_path, far), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation failed: ") and err.count("\n") == 1
+        assert not (out / "negativity.csv").exists()
+
+    def test_overflowing_negativity_exits_two(self, tmp_path, monkeypatch, capsys):
+        # a finite spectrum whose squared negative eigenvalue passes the float range
+        real = cli.snapshot_spectrum
+
+        def far_negative(traj, index):
+            w = real(traj, index)
+            w[0] = -1e200
+            return w
+
+        monkeypatch.setattr(cli, "snapshot_spectrum", far_negative)
+        config = write_config(tmp_path, lambda raw: raw.update(outputs={"negativity": True}))
+        out = tmp_path / "out"
+        assert run_cli(config, out) == 2
+        err = capsys.readouterr().err
+        assert err == "validation failed: quantum negativity at t = 0 is not finite\n"
+        assert list(out.iterdir()) == []
+
     @staticmethod
     def coherent_config(tmp_path, alpha0, n_basis):
         raw = {
@@ -1185,11 +1217,14 @@ class TestStartup:
     # package itself, so importlib.metadata is never loaded; the CSV
     # formatter's tables are built on the first field written, not at import.
     # The probe counts the Gauss-Laguerre rules the run builds, so the
-    # semiclassical1 case is known to have built its Moyal rungs.
+    # semiclassical1 case is known to have built its Moyal rungs. The config
+    # digest comes from CPython's built-in SHA-256, so OpenSSL (_hashlib) is
+    # loaded neither by the import nor by the run.
     PROBE = (
         "import sys\n"
         "from groenewold_lab import cli, generators, render\n"
         "assert 'scipy' not in sys.modules, 'import groenewold_lab.cli loaded scipy'\n"
+        "assert '_hashlib' not in sys.modules, 'import groenewold_lab.cli loaded OpenSSL'\n"
         "assert 'importlib.metadata' not in sys.modules, 'the CLI loaded importlib.metadata'\n"
         "assert render._csv_tables.cache_info().currsize == 0, 'the CLI import built CSV tables'\n"
         "rules = []\n"
@@ -1199,6 +1234,7 @@ class TestStartup:
         "    return build(order, alpha)\n"
         "generators.gauss_genlaguerre_rule = counted\n"
         "code = cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+        "assert '_hashlib' not in sys.modules, 'the run loaded OpenSSL'\n"
         "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules), bool(rules))\n"
     )
 
@@ -1227,6 +1263,50 @@ class TestStartup:
         sources = sorted(package.rglob("*.py"))
         assert sources
         assert [p.name for p in sources if importing.search(p.read_text(encoding="utf-8"))] == []
+
+
+class TestConfigDigest:
+    # the '# config sha256:' line is SHA-256 of the config's canonical JSON,
+    # whichever module computes it
+    @staticmethod
+    def canonical_sha256(raw):
+        text = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+    @staticmethod
+    def preset_text(name):
+        preset = resources.files("groenewold_lab").joinpath("presets", f"{name}.json")
+        return preset.read_text(encoding="ascii")
+
+    def test_fig3_header_digest(self, tmp_path, capsys):
+        out = tmp_path / "fig3"
+        assert cli.main(["run", "--preset", "fig3", "--out", str(out)]) == 0
+        expected = self.canonical_sha256(json.loads(self.preset_text("fig3")))
+        # the value every earlier version printed for fig3
+        assert expected == "feda4dbfd3f0c20f891c4541c9a899751fc27893910ffb4dab0f08f773718978"
+        for name in ("moments.csv", "validate.csv"):
+            lines = (out / name).read_text().splitlines()
+            assert lines.count(f"# config sha256: {expected}") == 1, name
+
+    # a build without CPython's built-in SHA-256 module falls back to
+    # hashlib, which loads OpenSSL, and prints the same digest
+    FALLBACK = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from groenewold_lab import cli\n"
+        "cfg = cli.validate_config(cli._Doc(sys.stdin.read(), 'fig3'))\n"
+        "print(cfg.sha256, '_hashlib' in sys.modules)\n"
+    )
+
+    def test_fallback_to_hashlib(self):
+        text = self.preset_text("fig3")
+        done = subprocess.run(
+            [sys.executable, "-c", self.FALLBACK], input=text,
+            env=src_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        digest = self.canonical_sha256(json.loads(text))
+        assert done.stdout.splitlines()[-1] == f"{digest} True"
 
 
 class TestBlasThreadTimeout:

@@ -361,6 +361,10 @@ class TestSquaredNegativity:
         g = np.diag([0.9, 0.4, -0.2, -0.1])
         assert abs(squared_negativity(spectrum_of(g)) - 0.05) < 1e-15
 
+    def test_overflow_reads_inf_without_warning(self):
+        # a numpy RuntimeWarning fails this test
+        assert squared_negativity(np.array([-1e200, -1.0, 0.5])) == math.inf
+
 
 class TestBreakTime:
     def test_identical_trajectories_never_break(self):
