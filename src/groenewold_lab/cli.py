@@ -32,8 +32,9 @@ OpenSSL, which no other part of a run needs: 3.6 MB of a fig3 run's
 42 MB peak RSS (README, Memory). The digest is the same either way, and
 a build without the built-in module falls back to hashlib.
 
-Exit codes: 0 success, else the exit_code of the error class raised: 1 config
-schema error (line-precise) or an unwritable output, 2 validation failure
+Exit codes: 0 success, else the exit_code of the error class raised: 1 usage
+error, config schema error (line-precise), a config the JSON parser cannot
+read, or an unwritable output, 2 validation failure
 (the synthesized trace or a purity drift over tolerance, a sector generator
 that is not finite or too ill-conditioned to factor, or a non-finite snapshot,
 moments row, squared negativity or field), 3 quadrature or truncation failure
@@ -143,6 +144,10 @@ def _parse_json(doc: _Doc) -> dict:
         raw = json.loads(doc.text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{doc.name}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ConfigError(f"{doc.name}: invalid JSON: nested too deeply") from None
+    except ValueError:  # the only other: past Python's limit on integer digits
+        raise ConfigError(f"{doc.name}: invalid JSON: an integer literal has too many digits") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{doc.name}:1: top level must be a JSON object")
     return raw
@@ -604,7 +609,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; 2 is reserved for validation failures
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _load_source(args) -> _Doc:
@@ -626,6 +631,9 @@ def _load_source(args) -> _Doc:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text: {exc.reason}") from None
     return _Doc(text, str(path))
 
 

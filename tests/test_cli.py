@@ -79,10 +79,11 @@ def write_fig3(tmp_path, mutate):
     return path
 
 
-def src_env(**values):
-    """This environment with the checkout's src/ on PYTHONPATH; a None value unsets its variable."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+def package_env(**values):
+    """This environment with the directory the package was imported from, src/ or
+    site-packages, first on PYTHONPATH; a None value unsets its variable."""
+    root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
     for key, value in values.items():
         if value is None:
             env.pop(key, None)
@@ -388,6 +389,35 @@ class TestSchemaErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    # a file the JSON parser cannot read: not UTF-8, nested past the
+    # recursion limit, or an integer past Python's 4300-digit limit
+    @pytest.mark.parametrize("data, message", [
+        (b'{\n  "model": "\xff"\n}', ":2: not UTF-8 text: invalid start byte"),
+        (b"[" * 100_000 + b"]" * 100_000, ": invalid JSON: nested too deeply"),
+        (b'{"model": %s}' % (b"9" * 5000), ": invalid JSON: an integer literal has too many digits"),
+    ], ids=["not-utf8", "deep", "long-integer"])
+    def test_unparsable_config_exits_one(self, tmp_path, capsys, data, message):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(data)
+        assert cli.main(["run", str(path), "--validate-only"]) == 1
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+
+# argparse's reason follows the usage line, and the exit code is 1: 2 is
+# reserved for validation failures
+@pytest.mark.parametrize("argv, reason", [
+    (["frob"], "invalid choice: 'frob'"),
+    ([], "the following arguments are required: command"),
+    (["run", "--preset", "fig1", "--bogus"], "unrecognized arguments: --bogus"),
+], ids=["unknown-command", "no-arguments", "unknown-option"])
+def test_usage_error_exits_one_with_its_reason(capsys, argv, reason):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == 1
+    usage, message = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: groenewold-lab ")
+    assert message.startswith("groenewold-lab: error: ") and reason in message
 
 
 def set_grid_count(index, value):
@@ -1216,10 +1246,11 @@ class TestStartup:
     # Gauss-Laguerre rule is built in numpy; the version string comes from the
     # package itself, so importlib.metadata is never loaded; the CSV
     # formatter's tables are built on the first field written, not at import.
-    # The probe counts the Gauss-Laguerre rules the run builds, so the
-    # semiclassical1 case is known to have built its Moyal rungs. The config
-    # digest comes from CPython's built-in SHA-256, so OpenSSL (_hashlib) is
-    # loaded neither by the import nor by the run.
+    # The probe runs the imported copy, src/ or the installed one, in a
+    # fresh interpreter, and counts the Gauss-Laguerre rules the run builds,
+    # so the semiclassical1 case is known to have built its Moyal rungs. The
+    # config digest comes from CPython's built-in SHA-256, so OpenSSL
+    # (_hashlib) is loaded neither by the import nor by the run.
     PROBE = (
         "import sys\n"
         "from groenewold_lab import cli, generators, render\n"
@@ -1252,7 +1283,7 @@ class TestStartup:
         config = write_config(tmp_path, quartic)
         done = subprocess.run(
             [sys.executable, "-c", self.PROBE, str(config), str(tmp_path / "out")],
-            env=src_env(), capture_output=True, text=True, timeout=300,
+            env=package_env(), capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == f"0 False {moyal}"
@@ -1302,7 +1333,7 @@ class TestConfigDigest:
         text = self.preset_text("fig3")
         done = subprocess.run(
             [sys.executable, "-c", self.FALLBACK], input=text,
-            env=src_env(), capture_output=True, text=True, timeout=300,
+            env=package_env(), capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
         digest = self.canonical_sha256(json.loads(text))
@@ -1313,7 +1344,8 @@ class TestBlasThreadTimeout:
     # cli sets OPENBLAS_THREAD_TIMEOUT before the package's first numpy
     # import, since OpenBLAS reads it only when numpy loads it. The probe
     # prints the variables named on its command line as they were when
-    # numpy was first imported, in a fresh interpreter that imports cli.
+    # numpy was first imported, in a fresh interpreter that imports the
+    # copy of cli these tests import, src/ or the installed one.
     PROBE = (
         "import json, os, sys\n"
         "seen = {}\n"
@@ -1332,7 +1364,7 @@ class TestBlasThreadTimeout:
     VARIABLES = ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
     def env_at_numpy_import(self, timeout):
-        env = src_env(OPENBLAS_THREAD_TIMEOUT=timeout, OPENBLAS_NUM_THREADS=None, OMP_NUM_THREADS=None)
+        env = package_env(OPENBLAS_THREAD_TIMEOUT=timeout, OPENBLAS_NUM_THREADS=None, OMP_NUM_THREADS=None)
         done = subprocess.run(
             [sys.executable, "-c", self.PROBE, *self.VARIABLES],
             env=env, capture_output=True, text=True, timeout=300,
@@ -1353,7 +1385,7 @@ class TestBlasThreadTimeout:
             done = subprocess.run(
                 [sys.executable, "-m", "groenewold_lab.cli", "run", "--preset", "fig3",
                  "--out", str(tmp_path / name)],
-                env=src_env(OPENBLAS_THREAD_TIMEOUT=timeout), capture_output=True, text=True,
+                env=package_env(OPENBLAS_THREAD_TIMEOUT=timeout), capture_output=True, text=True,
                 timeout=300,
             )
             assert done.returncode == 0, done.stderr
@@ -1462,16 +1494,3 @@ class TestPresets:
             assert cli.main(["run", str(config), "--out", str(outs[-1])]) == 0
         for f in ("moments.csv", "validate.csv"):
             assert data_lines(outs[0] / f) == data_lines(outs[1] / f)
-
-    def test_fig1_writes_whorl_fields(self, tmp_path):
-        out = tmp_path / "fig1"
-        assert cli.main(["run", "--preset", "fig1", "--out", str(out)]) == 0
-        files = sorted(p.name for p in out.iterdir())
-        assert len(files) == 12
-        pgms = [f for f in files if f.endswith(".pgm") and not f.endswith("_mask.pgm")]
-        assert len(pgms) == 4
-        # classical density never goes negative: masks are all black
-        for name in files:
-            if name.endswith("_mask.pgm"):
-                payload = (out / name).read_bytes().split(b"255\n", 1)[1]
-                assert set(payload) == {0}
