@@ -18,11 +18,9 @@ flow keeps sector 0 fixed, so the trace cannot move after t = 0. With
 outputs.validate on it is also checked against its tolerance. The one gate
 per row is the purity drift from t0, the only conserved quantity here that
 reads every sector (through its norm). A moments/validate run stores the
-sectors 0-2 and lets evolve hold the top sectors whose whole contribution
-moves the purity by at most 2^-56 of itself: built, so their generators
-are still checked for finiteness, but not factored, so the
-condition-number gate reads only the factored sectors. Spectra and
-negativity share one eigensolve per dynamics and row time.
+sectors 0-2 and lets evolve hold the top sectors by its rule (evolve's
+module docstring). Spectra and negativity share one eigensolve per
+dynamics and row time.
 
 The '# config sha256:' line, and the provenance line of every field CSV,
 hold the SHA-256 of the config's canonical JSON (sorted keys, no
@@ -36,7 +34,8 @@ Exit codes: 0 success, else the exit_code of the error class raised: 1 usage
 error, config schema error (line-precise), a config the JSON parser cannot
 read, or an unwritable output, 2 validation failure
 (the synthesized trace or a purity drift over tolerance, a sector generator
-that is not finite or too ill-conditioned to factor, or a non-finite snapshot,
+that is not finite or too ill-conditioned to factor, named for the first
+failing sector built, which is the highest, or a non-finite snapshot,
 moments row, squared negativity or field), 3 quadrature or truncation failure
 (state does not fit the basis).
 """
@@ -438,10 +437,9 @@ def _evolved(cfg: ExperimentConfig, name: str) -> bool:
 def _store_top(cfg: ExperimentConfig, name: str) -> int | None:
     """The highest sector whose rows run stores for a dynamics, None for
     every sector. Moments read the sectors 0-2 and the purity each
-    sector's norm, which evolve keeps for every sector, holding the top
-    ones at their t = 0 norms within its bound (2^-56 of the purity); a
-    spectrum, the negativity and a Wigner field read every sector's rows,
-    so with None nothing is held and every sector is factored."""
+    sector's norm, which evolve keeps for every sector (it may hold the
+    sectors above store_top, by its rule); a spectrum, the negativity and
+    a Wigner field read every sector's rows, so nothing is held."""
     wigner = bool(cfg.field_times) and name != "classical"
     return None if cfg.spectrum_k or cfg.negativity or wigner else 2
 
@@ -469,13 +467,11 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> None:
     It stores the rows of the sectors its outputs read (_store_top): the
     sectors 0-2 when only moments and validate are on, every sector for a
     spectrum, the negativity or a Wigner field; the purity comes from the
-    norms evolve keeps for every sector. With the sectors 0-2 stored,
-    evolve holds the top sectors whose bound keeps their whole effect on
-    the purity within 2^-56 of it, unfactored, at their t = 0 norms; so
-    the condition-number gate reads only the factored sectors. A purity
-    drift over tolerance raises ValidationFailed after validate.csv; a
-    non-finite moments row, squared negativity or field raises it after
-    that gate and before moments.csv or any later file is written.
+    norms evolve keeps for every sector; with the sectors 0-2 stored,
+    evolve may hold the top ones (its rule). A purity drift over
+    tolerance raises ValidationFailed after validate.csv; a non-finite
+    moments row, squared negativity or field raises it after that gate
+    and before moments.csv or any later file is written.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     g0, trace_err = _synthesize(cfg)
@@ -616,15 +612,12 @@ def _load_source(args) -> _Doc:
     if (args.config is None) == (args.preset is None):
         raise ConfigError("provide exactly one of <config.json> or --preset NAME")
     if args.preset is not None:
+        # only a bundled name: a path or '..' must not reach outside the listing
         base = resources.files("groenewold_lab").joinpath("presets")
-        ref = base.joinpath(f"{args.preset}.json")
-        try:
-            text = ref.read_text(encoding="ascii")
-        except FileNotFoundError:
-            names = sorted(p.name[:-5] for p in base.iterdir() if p.name.endswith(".json"))
-            raise ConfigError(
-                f"unknown preset {args.preset!r} (available: {', '.join(names)})"
-            ) from None
+        names = sorted(p.name[:-5] for p in base.iterdir() if p.name.endswith(".json"))
+        if args.preset not in names:
+            raise ConfigError(f"unknown preset {args.preset!r} (available: {', '.join(names)})")
+        text = base.joinpath(f"{args.preset}.json").read_text(encoding="ascii")
         return _Doc(text, f"preset:{args.preset}")
     path = Path(args.config)
     try:
@@ -656,9 +649,10 @@ def main(argv=None) -> int:
             g0, _ = _synthesize(cfg)
             top = len(g0) - 1
             for name in cfg.dynamics:
-                if _evolved(cfg, name):  # what run builds, Moyal rules included
-                    for _ in all_generator_blocks(name, cfg.model, cfg.n_basis, nu_top=top):
-                        pass
+                if _evolved(cfg, name):  # what run builds, in its order, Moyal rules included
+                    block = all_generator_blocks(name, cfg.model, cfg.n_basis, nu_top=top)
+                    for nu in range(top, -1, -1):
+                        block(nu)
             print(
                 f"config ok: K={cfg.model.K} N={cfg.n_basis} "
                 f"dynamics={','.join(cfg.dynamics)} steps={len(cfg.times)}"

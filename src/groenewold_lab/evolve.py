@@ -28,15 +28,13 @@ on the eigenvalues of (L + L^H)/2 in absolute value, so that
 ||exp(t L) g||^2 <= exp(2 mu_nu |t|) ||g||^2 for t of either sign. A held
 sector's block is built, so the generators' finiteness check still runs
 on it, but it is neither factored nor propagated, and its norm series is
-S_nu(0) at every time. Blocks arrive in sector order and none is kept
-past its own step: a sector above store_top that may still be held (its
-term plus the least the sectors above it can add is within the budget)
-drops its block and keeps its term; the rest are factored as they
-arrive. A sector that may have been held but lies below the held suffix,
-which takes a higher sector whose growth breaks the bound, is built once
-more and factored at the end. fig3's sectors 13-23 are held, so a
-moments run factors 52 of its 96 sectors. A run that stores every sector
-(store_top None) holds none, nor does a time span whose bound overflows.
+S_nu(0) at every time. evolve builds the sectors from top down, each
+once, and keeps no block past its own step: a sector is held while the
+bound summed down to it stays within the budget, and the first that
+breaks it and every sector below are factored as they are built. fig3's
+sectors 13-23 are held, so a moments run factors 52 of its 96 sectors.
+A run that stores every sector (store_top None) holds none, nor does a
+time span whose bound overflows.
 The routes are:
 
 - "diagonal"        a 1-D generator (a sector with no correction: every
@@ -320,15 +318,12 @@ def evolve(
     or for all of them when store_top is None, and every sector's norm
     series is kept for the purity.
 
-    A sector above store_top is held rather than propagated when it is
-    part of the longest suffix of the sectors whose bound
-    sum 2 S_nu(0) exp(2 mu_nu max|t|) is at most 2^-56 of the initial
-    purity (mu_nu from _growth_rate): its block is still built, and so
-    checked for finiteness, but not factored, and its norm series is
-    S_nu(0) at every time. The bound caps how far every held sector
-    together moves the purity, by at most an eighth of its ulp. With
-    store_top None nothing is held, nor when the exponent overflows. The
-    condition-number gate applies to the factored sectors alone.
+    A sector above store_top is held rather than propagated by the rule
+    the module docstring states, which caps how far every held sector
+    together moves the purity at an eighth of its ulp: its block is still
+    built, and so checked for finiteness, but not factored, and its norm
+    series is S_nu(0) at every time. The condition-number gate applies to
+    the factored sectors alone.
     """
     rows = _check_rows(g0)
     times = _check_times(times)
@@ -355,31 +350,22 @@ def evolve(
         if store_top is None or nu <= store_top:
             history[nu] = out
 
-    # above[nu]: the least the sectors above nu add to the bound (exp >= 1)
-    above = np.append(np.cumsum(2.0 * np.array(initial[:0:-1]))[::-1], 0.0)
-    terms: dict[int, float] = {}  # the sectors that may be held; their blocks are dropped
-    blocks = all_generator_blocks(dynamics, model, len(rows[0]), nu_top=top)
-    for nu, block in zip(range(top + 1), blocks):
-        if store_top is not None and nu > store_top:
-            with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN holds nothing
-                term = 2.0 * initial[nu] * np.exp(2.0 * _growth_rate(block) * span)
-            if term + above[nu] <= budget:
-                terms[nu] = term
-                continue
-        propagate(nu, block)
+    # from the top down: a sector above store_top is held while the bound
+    # summed over it and the held sectors above it stays within the budget
+    # (an inf or NaN term holds nothing); the first that breaks it, and
+    # every sector below, is factored as it is built
+    block = all_generator_blocks(dynamics, model, len(rows[0]), nu_top=top)
     held, bound = top + 1, 0.0
-    while held - 1 in terms and bound + terms[held - 1] <= budget:
-        held -= 1
-        bound += terms[held]
+    for nu in range(top, -1, -1):
+        L = block(nu)
+        if held == nu + 1 and store_top is not None and nu > store_top:
+            with np.errstate(over="ignore", invalid="ignore"):
+                term = 2.0 * initial[nu] * np.exp(2.0 * _growth_rate(L) * span)
+            if bound + term <= budget:
+                held, bound = nu, bound + term
+                continue
+        propagate(nu, L)
     norms[held:] = np.array(initial[held:])[:, None]
-    # a sector that may have been held but lies below a higher one whose
-    # growth broke the bound: built once more and propagated after all
-    rebuild = [nu for nu in terms if nu < held]
-    if rebuild:
-        blocks = all_generator_blocks(dynamics, model, len(rows[0]), nu_top=max(rebuild))
-        for nu, block in enumerate(blocks):
-            if nu in rebuild:
-                propagate(nu, block)
     return Trajectory(dynamics, model, times, len(rows[0]), history, norms, held)
 
 

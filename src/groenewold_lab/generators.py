@@ -38,11 +38,12 @@ coefficient arrays, which numpy.polynomial.polynomial differentiates
 compare both engines, rung by rung, with each other and with the
 analytic tridiagonal Liouville generator.
 
-all_generator_blocks, the one builder of sector generators, builds one
-sector at a time: each C_j pair list (on a basis padded by exactly the 2j
-levels a sector entry reads) and D_1's h-jets once per call, and each D_1
-sector from one stacked Laguerre recurrence on a generalized Gauss-Laguerre
-rule that checks itself: gauss_genlaguerre_rule raises
+all_generator_blocks, the one builder of sector generators, builds each
+C_j pair list (on a basis padded by exactly the 2j levels a sector entry
+reads) and D_1's h-jets once per call, and returns a function that builds
+any one sector on demand, in any order: each D_1 sector from one stacked
+Laguerre recurrence on a generalized Gauss-Laguerre rule that checks
+itself: gauss_genlaguerre_rule raises
 QuadratureNotConverged when its nodes or weights are not finite or the
 weights miss their exact sum Gamma(nu + 1). The rule is a numpy port of
 scipy.special.roots_genlaguerre that gives scipy's nodes and weights bit
@@ -55,14 +56,14 @@ The nu = 0 sector is frozen under all four dynamics (every generator is a
 multiple of nu), so its generator is the quantum one, an exact zero, and
 no correction is built for it; the engines themselves are cross-checked
 against that statement in the tests. A sector with no correction is
-yielded as its 1-D diagonal, only a corrected one as a square block.
+built as its 1-D diagonal, only a corrected one as a square block.
 Blocks are built for nu >= 0 only; the block for -nu is the complex
 conjugate of the block for nu.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable
 from fractions import Fraction
 from math import comb, exp, factorial, floor, inf, lgamma, log
 
@@ -509,20 +510,22 @@ def all_generator_blocks(
     model: ModelSpec,
     nmax: int,
     nu_top: int | None = None,
-) -> Iterator[np.ndarray]:
-    """Sector generators for nu = 0 .. nu_top (default nmax-1), sizes nmax - nu.
+) -> Callable[[int], np.ndarray]:
+    """A builder block(nu) of the sector generators nu = 0 .. nu_top (default
+    nmax-1), sizes nmax - nu, callable for those sectors in any order.
 
     The arguments and the spectrum are checked, and the C_j pair lists and
-    the D_1 jets built, at the call. The returned iterator then builds each
-    sector's generator when it is asked for it: the quantum diagonal
-    -i (E_{k+nu} - E_k) / hbar from one spectrum E_0 .. E_{nmax-1}, plus
-    the C_j sector blocks in order of j, plus D_1 for semiclassical1. A
-    sector with no correction (nu = 0, every quantum sector, every sector
-    of a K = 1 model) is yielded as that 1-D diagonal. evolve passes the
-    top sector of its rows (23 for fig3's state at N = 128) and factors
-    each generator as it arrives, so no whole-run list is held. A generator
-    with an entry that is not finite raises ValidationFailed naming the
-    dynamics and the sector (sector 0, at the call, for a bad spectrum).
+    the D_1 jets built, at the call. block(nu) then builds one sector's
+    generator: the quantum diagonal -i (E_{k+nu} - E_k) / hbar from one
+    spectrum E_0 .. E_{nmax-1}, plus the C_j sector blocks in order of j,
+    plus D_1 for semiclassical1. A sector with no correction (nu = 0,
+    every quantum sector, every sector of a K = 1 model) is returned as
+    that 1-D diagonal. evolve passes the top sector of its rows (23 for
+    fig3's state at N = 128) and factors each generator as it is built,
+    so no whole-run list is held. A generator with an entry that is not
+    finite raises ValidationFailed naming the dynamics and the sector
+    (sector 0, at the call, for a bad spectrum); a sector outside
+    0 .. nu_top raises ConfigError.
     """
     j_top = rung_count(dynamics, model.K)
     if nmax < 1:
@@ -568,19 +571,20 @@ def all_generator_blocks(
     if dynamics == "semiclassical1" and j_top:
         moyal = _moyal_sectors(model, 1, nmax, 2 * nmax + 16)
 
-    def sectors():
-        for nu in range(nu_top + 1):
-            n = nmax - nu
-            block = -1j * ((e[nu:] - e[:n]) / model.hbar)  # the quantum diagonal
-            if nu and (pairs or moyal):  # every correction is zero on nu = 0
-                with np.errstate(over="ignore", invalid="ignore"):
-                    block = np.diag(block) + sum(nu_block_from_pairs(p, nu, n) for p in pairs)
-                    if moyal:
-                        block = block + moyal(nu)
-            if not np.isfinite(block).all():
-                raise ValidationFailed(
-                    f"{dynamics} sector nu={nu}: generator has an entry that is not finite"
-                )
-            yield block
+    def block(nu: int) -> np.ndarray:
+        if not 0 <= nu <= nu_top:
+            raise ConfigError(f"sector {nu} lies outside the built range 0 .. {nu_top}")
+        n = nmax - nu
+        out = -1j * ((e[nu:] - e[:n]) / model.hbar)  # the quantum diagonal
+        if nu and (pairs or moyal):  # every correction is zero on nu = 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = np.diag(out) + sum(nu_block_from_pairs(p, nu, n) for p in pairs)
+                if moyal:
+                    out = out + moyal(nu)
+        if not np.isfinite(out).all():
+            raise ValidationFailed(
+                f"{dynamics} sector nu={nu}: generator has an entry that is not finite"
+            )
+        return out
 
-    return sectors()
+    return block

@@ -144,21 +144,6 @@ class ModelSpec:
             mu = hbar * omega / E
         return cls(b=tuple(float(x) for x in b), mu=float(mu), m=m, omega=omega, E=E)
 
-    @classmethod
-    def quartic(cls, mu: float, m: float = 1.0, omega: float = 1.0, E: float = 1.0):
-        """H = H0^2 / E."""
-        return cls(b=(0.0, 0.0, 1.0), mu=mu, m=m, omega=omega, E=E)
-
-    @classmethod
-    def sextic(cls, mu: float, m: float = 1.0, omega: float = 1.0, E: float = 1.0):
-        """H = H0^3 / E^2."""
-        return cls(b=(0.0, 0.0, 0.0, 1.0), mu=mu, m=m, omega=omega, E=E)
-
-    @classmethod
-    def harmonic(cls, mu: float, m: float = 1.0, omega: float = 1.0, E: float = 1.0):
-        """H = H0 (linear dynamics; all four evolutions coincide)."""
-        return cls(b=(0.0, 1.0), mu=mu, m=m, omega=omega, E=E)
-
     @property
     def K(self) -> int:
         return len(self.b) - 1

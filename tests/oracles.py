@@ -5,7 +5,8 @@ generators.all_generator_blocks. The routes it does not take, and the
 closed forms the tests pin it against, live here:
 
 - sector reads one generator sector from the production builder as a
-  square block (square turns a 1-D uncorrected sector into one), and
+  square block (square turns a 1-D uncorrected sector into one), blocks
+  lists the builder's sectors 0 .. top in order, and
   rung builds one correction rung C_j (commutator route) or D_j
   (Moyal-Galerkin route, D_0 being the Galerkin Poisson generator) on one
   sector with the production engines, pad and node count, D_j from a
@@ -97,8 +98,16 @@ def sector(dynamics, model, nu, n):
     """Generator of one dynamics on sector nu, size n, from all_generator_blocks,
     as a square block."""
     anu = abs(nu)
-    block = square(list(all_generator_blocks(dynamics, model, n + anu, nu_top=anu))[anu])
+    block = square(all_generator_blocks(dynamics, model, n + anu, nu_top=anu)(anu))
     return np.conj(block) if nu < 0 else block
+
+
+def blocks(dynamics, model, n, top=None) -> list:
+    """The generators of the sectors 0 .. top (default n - 1) of an n-level
+    basis from all_generator_blocks, in sector order."""
+    top = n - 1 if top is None else top
+    block = all_generator_blocks(dynamics, model, n, nu_top=top)
+    return [block(nu) for nu in range(top + 1)]
 
 
 def square(block: np.ndarray) -> np.ndarray:

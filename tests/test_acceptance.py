@@ -30,10 +30,10 @@ from oracles import (
     x_blocks,
 )
 
-QUARTIC = ModelSpec.quartic(mu=0.5)
-SEXTIC = ModelSpec.sextic(mu=0.5)
-QUARTIC_SMALL = ModelSpec.quartic(mu=0.25)
-SEXTIC_SMALL = ModelSpec.sextic(mu=0.25)
+QUARTIC = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)
+SEXTIC = ModelSpec(b=(0.0, 0.0, 0.0, 1.0), mu=0.5)
+QUARTIC_SMALL = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.25)
+SEXTIC_SMALL = ModelSpec(b=(0.0, 0.0, 0.0, 1.0), mu=0.25)
 FIG3_STATE = GaussianState(kappa=2.0, alpha0=0.5)
 FIG4_STATE = GaussianState(kappa=1.0, alpha0=2.0**-0.5)
 N = 128
@@ -260,7 +260,7 @@ def test_criterion_09_negativity_emergence(g0_fig3):
 
 
 def test_criterion_10_linear_degeneracy():
-    model = ModelSpec.harmonic(mu=0.5)
+    model = ModelSpec(b=(0.0, 1.0), mu=0.5)
     g0 = groenewold_from_gaussian(FIG3_STATE, 48)
     times = np.linspace(0.0, 2.0 * math.pi, 16)
     want = 0.5 * np.exp(-1j * model.omega * times)
@@ -273,20 +273,18 @@ def test_criterion_10_linear_degeneracy():
     passed(10, f"all four dynamics reduce to alpha0 e^(-i omega t), dev {worst:.2e}")
 
 
-def test_criterion_11_preset_determinism(tmp_path):
+def test_criterion_11_preset_determinism(tmp_path, runs):
+    # one fresh run of each against the session's shared run of it
     def strip(path):
         if path.suffix == ".pgm":
             return path.read_bytes()
         return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
 
     for preset in ("fig1", "fig6"):
-        outs = []
-        for attempt in ("a", "b"):
-            out = tmp_path / f"{preset}_{attempt}"
-            assert cli.main(["run", "--preset", preset, "--out", str(out)]) == 0
-            outs.append(out)
-        names = sorted(p.name for p in outs[0].iterdir())
-        assert names == sorted(p.name for p in outs[1].iterdir())
+        out = tmp_path / preset
+        assert cli.main(["run", "--preset", preset, "--out", str(out)]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(p.name for p in (runs / preset).iterdir())
         for name in names:
-            assert strip(outs[0] / name) == strip(outs[1] / name), name
+            assert strip(out / name) == strip(runs / preset / name), name
     passed(11, "fig1 and fig6 reruns byte-identical after '#' header stripping")

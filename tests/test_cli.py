@@ -386,6 +386,26 @@ class TestSchemaErrors:
         err = capsys.readouterr().err
         assert "unknown preset" in err and "fig1" in err
 
+    # --preset takes a bundled name only: a path to a valid config, an
+    # escape by '..' or a directory named like a preset exits 1 as an
+    # unknown preset, in one line and before any run
+    @pytest.mark.parametrize("kind", ["path", "escape", "directory"])
+    def test_preset_outside_the_listing_is_unknown(self, tmp_path, capsys, kind):
+        fig1 = resources.files("groenewold_lab").joinpath("presets", "fig1.json")
+        if kind == "directory":
+            (tmp_path / "x.json").mkdir()
+        else:
+            (tmp_path / "x.json").write_text(fig1.read_text(encoding="ascii"), encoding="ascii")
+        name = str(tmp_path / "x")
+        if kind == "escape":
+            name = os.path.relpath(name, Path(str(fig1)).parent)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--preset", name, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"error: unknown preset {name!r} (available: fig1, ")
+        assert captured.err.count("\n") == 1
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "absent.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
@@ -558,7 +578,7 @@ class TestFieldGrid:
 
     @pytest.mark.parametrize("grid, message", BAD_GRIDS)
     def test_library_and_cli_reject_alike(self, tmp_path, capsys, grid, message):
-        model = ModelSpec.quartic(mu=0.5)
+        model = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)
         state = GaussianState(kappa=2.0, alpha0=0.5)
         traj = stacked_trajectory([coherent_density(0.5, 8)], model)
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -1027,7 +1047,7 @@ class TestExitCodes:
             [float(v) for v in line.split(",")]
             for line in data_lines(out / "field_quantum_0.75.csv")
         ])
-        want, tail = thermal_field(c, z, n, ModelSpec.harmonic(mu=0.5), grid)
+        want, tail = thermal_field(c, z, n, ModelSpec(b=(0.0, 1.0), mu=0.5), grid)
         assert np.abs(values - want).max() <= tail + 1e-14
 
     def test_nan_field_with_validate_trips_the_gate_first(self, tmp_path, monkeypatch, capsys):
@@ -1048,7 +1068,7 @@ class TestExitCodes:
         def defective(dynamics, model, nmax, **kwargs):
             blocks = [np.zeros((nmax - nu, nmax - nu)) for nu in range(nmax)]
             blocks[1] = np.diag(np.ones(nmax - 2), 1)  # nilpotent: no eigenvector basis
-            return blocks
+            return lambda nu: blocks[nu]
 
         monkeypatch.setattr(evolve_module, "all_generator_blocks", defective)
         assert run_cli(write_config(tmp_path), tmp_path / "out") == 2
@@ -1084,16 +1104,17 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
 
     # fig3 with b[3] = 1e308: every coefficient is finite, but E_n overflows
-    # from n = 2, so sector 0's generator already is not finite. With
-    # b[3] = 1e302, E_n is finite on the basis, but the ladder products of
-    # the C_j rungs overflow, so sector 1, the first with a correction, is
-    # not finite. A numpy RuntimeWarning fails these tests.
+    # from n = 2, so sector 0's generator already is not finite, at the
+    # builder's call. With b[3] = 1e302, E_n is finite on the basis, but the
+    # ladder products of the C_j rungs overflow, so the sectors with a
+    # correction are not finite, and the first one built, the top filled
+    # sector 23, is named. A numpy RuntimeWarning fails these tests.
     @pytest.mark.parametrize("dynamics, b3, nu", [
         ("quantum", 1e308, 0),
         ("classical", 1e308, 0),
-        ("semiquantum1", 1e302, 1),
-        ("classical", 1e302, 1),
-        ("semiclassical1", 1e302, 1),
+        ("semiquantum1", 1e302, 23),
+        ("classical", 1e302, 23),
+        ("semiclassical1", 1e302, 23),
     ], ids=["quantum", "classical", "semiquantum1-rung", "classical-rung", "semiclassical1-rung"])
     def test_non_finite_generator_exits_two(self, tmp_path, capsys, dynamics, b3, nu):
         def overflow(raw):
@@ -1209,12 +1230,13 @@ class TestExitCodes:
 
     # fig3's state fills sectors 0-23, so semiclassical1 needs the Moyal rules
     # of 2N + 16 nodes for alpha = 1 .. 23 only; the rule of 362 nodes
-    # (N = 173) is broken at alpha = 13
+    # (N = 173) is broken from alpha = 13, and the sectors are built from the
+    # top down, so alpha = 23 is the one named
     @pytest.mark.parametrize("n_basis, code", [(172, 0), (173, 3)])
     def test_semiclassical1_ceiling_set_by_filled_sectors(self, tmp_path, capsys, n_basis, code):
         assert run_cli(self.fig3_semiclassical1(tmp_path, n_basis), tmp_path / "out") == code
         if code:
-            assert "362 nodes for alpha = 13:" in capsys.readouterr().err
+            assert "362 nodes for alpha = 23:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n_basis, code", [(172, 0), (173, 3)])
     def test_validate_only_builds_the_moyal_rules(self, tmp_path, capsys, n_basis, code):
@@ -1222,7 +1244,7 @@ class TestExitCodes:
         assert cli.main(["run", str(config), "--validate-only"]) == code
         out = capsys.readouterr()
         if code:
-            assert "truncation failure" in out.err and "362 nodes for alpha = 13:" in out.err
+            assert "truncation failure" in out.err and "362 nodes for alpha = 23:" in out.err
         else:
             assert "config ok" in out.out
 
@@ -1309,9 +1331,8 @@ class TestConfigDigest:
         preset = resources.files("groenewold_lab").joinpath("presets", f"{name}.json")
         return preset.read_text(encoding="ascii")
 
-    def test_fig3_header_digest(self, tmp_path, capsys):
-        out = tmp_path / "fig3"
-        assert cli.main(["run", "--preset", "fig3", "--out", str(out)]) == 0
+    def test_fig3_header_digest(self, runs):
+        out = runs / "fig3"
         expected = self.canonical_sha256(json.loads(self.preset_text("fig3")))
         # the value every earlier version printed for fig3
         assert expected == "feda4dbfd3f0c20f891c4541c9a899751fc27893910ffb4dab0f08f773718978"

@@ -32,12 +32,12 @@ from groenewold_lab.model import ModelSpec
 from groenewold_lab.observables import mean_alpha_series, snapshot_spectrum
 from groenewold_lab.render import BoundaryMassWarning, whorl_phase_field, wigner_field
 from groenewold_lab.states import GaussianState, groenewold_from_gaussian
-from oracles import classical_block_analytic, dense, purity_by_sector_products, sector_rows
+from oracles import blocks, classical_block_analytic, dense, purity_by_sector_products, sector_rows
 
-QUARTIC = ModelSpec.quartic(mu=0.5)
-SEXTIC = ModelSpec.sextic(mu=0.5)
-SEXTIC_SMALL_HBAR = ModelSpec.sextic(mu=0.25)
-HARMONIC = ModelSpec.harmonic(mu=0.5)
+QUARTIC = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)
+SEXTIC = ModelSpec(b=(0.0, 0.0, 0.0, 1.0), mu=0.5)
+SEXTIC_SMALL_HBAR = ModelSpec(b=(0.0, 0.0, 0.0, 1.0), mu=0.25)
+HARMONIC = ModelSpec(b=(0.0, 1.0), mu=0.5)
 FIG3_STATE = GaussianState(kappa=2.0, alpha0=0.5)
 FIG4_STATE = GaussianState(kappa=1.0, alpha0=2.0**-0.5)
 CENTRED_STATE = GaussianState(kappa=2.0, alpha0=0.0)
@@ -116,7 +116,7 @@ class TestBlockPropagator:
     def test_frobenius_gate_bounds_the_two_norm_condition(self, dynamics):
         # ||V||_F ||V^-1||_F lies in [cond_2(V), n cond_2(V)], so the gate
         # on it is at least as strict as one on cond_2; fig3's sectors pass
-        factored = [BlockPropagator(L) for L in all_generator_blocks(dynamics, SEXTIC, 48)]
+        factored = [BlockPropagator(L) for L in blocks(dynamics, SEXTIC, 48)]
         general = [p for p in factored if p.route == "diagonalizable"]
         assert len(general) >= 30
         for p in general:
@@ -133,8 +133,8 @@ class TestBlockPropagator:
     @pytest.mark.xfail(strict=True, reason="rounding misses the Hermitian test (ROADMAP item 2)")
     @pytest.mark.parametrize("dynamics", ["semiquantum1", "classical"])
     def test_hermitian_flows_take_the_unitary_route(self, dynamics):
-        blocks = list(all_generator_blocks(dynamics, SEXTIC, 128, nu_top=23))
-        assert [BlockPropagator(L).route for L in blocks[1:]] == ["unitary"] * 23
+        filled = blocks(dynamics, SEXTIC, 128, top=23)
+        assert [BlockPropagator(L).route for L in filled[1:]] == ["unitary"] * 23
 
     @pytest.mark.parametrize("dynamics", ["classical", "semiclassical1"])
     def test_general_route_runs_no_svd(self, monkeypatch, dynamics):
@@ -259,7 +259,8 @@ class TestEvolve:
             m = traj.matrix(i)
             assert abs(traj.purity_series()[i] - np.trace(m @ m)) < 1e-12
 
-    # FIG3_STATE fills sectors 0-23 at N = 32; the empty ones are never propagated
+    # FIG3_STATE fills sectors 0-23 at N = 32; the empty ones are never
+    # propagated, and the filled ones are propagated from the top down
     def test_one_propagation_per_sector(self, monkeypatch):
         seen = []
         original = BlockPropagator.trajectory
@@ -271,7 +272,7 @@ class TestEvolve:
         monkeypatch.setattr(BlockPropagator, "trajectory", counting)
         g0 = groenewold_from_gaussian(FIG3_STATE, 32)
         evolve(g0, "semiquantum1", QUARTIC, [0.0, 0.8])
-        assert seen == [32 - nu for nu in range(24)]
+        assert seen == [32 - nu for nu in range(23, -1, -1)]
 
     @pytest.mark.parametrize("dynamics", DYNAMICS)
     def test_only_filled_sectors_are_built(self, monkeypatch, dynamics):
@@ -292,7 +293,7 @@ class TestEvolve:
         assert asked == [23]
         assert len(traj.history) == 24
         full = dense(g0)
-        for nu, block in enumerate(all_generator_blocks(dynamics, SEXTIC, n)):
+        for nu, block in enumerate(blocks(dynamics, SEXTIC, n)):
             g = np.diagonal(full, offset=-nu)
             want = BlockPropagator(block).trajectory(g if nu else g.real, times)
             if nu < 24:
@@ -325,9 +326,10 @@ class TestEvolve:
     @pytest.mark.parametrize("dynamics", ["classical", "semiclassical1"])
     def test_each_sector_is_factored_before_the_next_is_built(self, monkeypatch, dynamics):
         # FIG3_STATE fills sectors 0-23 at N = 32: semiclassical1's D_1
-        # setup is made once, at the call, then sector 0 is factored with
-        # no rung built, then each sector's C_1 and C_2 (and D_1) blocks are
-        # built and factored before the next sector's are
+        # setup is made once, at the call, then from sector 23 down each
+        # sector's C_1 and C_2 (and D_1) blocks are built and factored
+        # before the next sector's are, and sector 0 is factored last with
+        # no rung built
         events = []
         block_of, moyal_of, factor = (
             generators.nu_block_from_pairs, generators._moyal_sectors, BlockPropagator.__init__
@@ -353,9 +355,9 @@ class TestEvolve:
         evolve(g0, dynamics, SEXTIC, [0.0, 0.8])
         rungs = ["C", "C", "D"] if dynamics == "semiclassical1" else ["C", "C"]
         want = [("D setup", 32)] if dynamics == "semiclassical1" else []
-        want += [("factor", 0)]
-        for nu in range(1, 24):
+        for nu in range(23, 0, -1):
             want += [(r, nu) for r in rungs] + [("factor", nu)]
+        want += [("factor", 0)]
         assert events == want
 
     @pytest.mark.parametrize("dynamics", ["classical", "semiclassical1"])
@@ -386,7 +388,7 @@ class TestEvolve:
         g0 = groenewold_from_gaussian(GaussianState(kappa=2.0, alpha0=1e-3), 6, tail_tol=1e-6)
         times = np.array([0.0, 0.3, 1.7, 5.0])
         traj = evolve(g0, dynamics, SEXTIC, times)
-        (last,) = np.ravel(list(all_generator_blocks(dynamics, SEXTIC, 6))[5])
+        (last,) = np.ravel(all_generator_blocks(dynamics, SEXTIC, 6)(5))
         assert len(g0) == 6 and last.real == 0.0
         assert np.array_equal(traj.history[5], np.exp(times[:, None] * last) * g0[5])
 
@@ -463,7 +465,7 @@ class TestEvolve:
 
         def defective(*args, nu_top):
             asked.append(nu_top)
-            return [np.zeros(3), jordan, np.zeros(1)]
+            return lambda nu: [np.zeros(3), jordan, np.zeros(1)][nu]
 
         monkeypatch.setattr(evolve_module, "all_generator_blocks", defective)
         return asked
@@ -610,7 +612,7 @@ def held_bounds(g0, dynamics, model, span) -> np.ndarray:
     sum of (L + L^H)/2: the most the exact flow moves each sector's norm
     over times of modulus up to span."""
     out = []
-    for nu, block in enumerate(all_generator_blocks(dynamics, model, len(g0[0]), nu_top=len(g0) - 1)):
+    for nu, block in enumerate(blocks(dynamics, model, len(g0[0]), top=len(g0) - 1)):
         block = np.diag(block) if block.ndim == 1 else block
         h = 0.5 * (block + block.conj().T)
         mu = max(np.abs(h[i]).sum() for i in range(len(h)))
@@ -667,7 +669,7 @@ class TestHeldSectors:
         for store_top in (None, 23, 30):
             del factored[:]
             traj = evolve(g0, dynamics, QUARTIC, [0.0, 1.0], store_top=store_top)
-            assert factored == list(range(24)) and traj.held == 24
+            assert factored == list(range(23, -1, -1)) and traj.held == 24
             assert sorted(traj.history) == list(range(24))
 
     def test_a_long_span_or_a_wide_state_holds_fewer_sectors(self):
@@ -680,34 +682,35 @@ class TestHeldSectors:
         assert traj.top + 1 - traj.held < short.top + 1 - short.held
 
     # sector 1, 2 and 3 entries and sector 3's generator. Growing: sectors
-    # 1 and 2 are phases whose terms leave room in the budget, so their
-    # blocks are dropped; sector 3's real diagonal grows its term to
-    # 2e-24 e^20, over the budget, so it is factored and 1 and 2 are built
-    # again. Boundary: every sector is a phase; sector 2's term fits the
-    # budget alone but not with sector 3's initial norm, so it is factored
-    # as it arrives and nothing is built twice.
-    @pytest.mark.parametrize("entries, top_block, asked_want, factored_want, held", [
-        pytest.param((1e-10, 1e-11, 1e-12), np.array([10.0]), [3, 2], [0, 3, 1, 2], 4, id="growing"),
-        pytest.param((1e-3, 1e-9, 2.0**0.5 * 1e-9), np.array([-1j]), [3], [0, 1, 2], 3, id="boundary"),
+    # 1 and 2 are phases whose terms would leave room in the budget, but
+    # sector 3's real diagonal grows its term to 2e-24 e^20, over the
+    # budget, so it and every sector below are factored. Boundary: every
+    # sector is a phase; sector 3 is held, and sector 2's term fits the
+    # budget alone but not with sector 3's, so it is factored. Either way
+    # the builder is called once and builds each sector once, top down.
+    @pytest.mark.parametrize("entries, top_block, factored_want, held", [
+        pytest.param((1e-10, 1e-11, 1e-12), np.array([10.0]), [3, 2, 1, 0], 4, id="growing"),
+        pytest.param((1e-3, 1e-9, 2.0**0.5 * 1e-9), np.array([-1j]), [2, 1, 0], 3, id="boundary"),
     ])
-    def test_the_dropped_blocks_are_rebuilt_only_below_a_growing_sector(
-        self, monkeypatch, entries, top_block, asked_want, factored_want, held
+    def test_each_sector_is_built_once(
+        self, monkeypatch, entries, top_block, factored_want, held
     ):
         g0 = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
         for nu, value in enumerate(entries, start=1):
             g0[nu, 0] = g0[0, nu] = value
         rows = sector_rows(g0)
         phases = [np.zeros(4), -1j * np.arange(1.0, 4.0), -2j * np.arange(1.0, 3.0), top_block]
-        asked = []
+        asked, built = [], []
 
-        def blocks(*args, nu_top):
+        def phase_blocks(*args, nu_top):
             asked.append(nu_top)
-            return phases[: nu_top + 1]
+            return lambda nu: built.append(nu) or phases[nu]
 
-        monkeypatch.setattr(evolve_module, "all_generator_blocks", blocks)
+        monkeypatch.setattr(evolve_module, "all_generator_blocks", phase_blocks)
         factored = factored_sectors(monkeypatch, 4)
         low = evolve(rows, "classical", QUARTIC, [0.0, 0.5, 1.0], store_top=0)
-        assert asked == asked_want and factored == factored_want and low.held == held
+        assert asked == [3] and built == [3, 2, 1, 0]
+        assert factored == factored_want and low.held == held
         full = evolve(rows, "classical", QUARTIC, [0.0, 0.5, 1.0])
         assert np.array_equal(low.norms[:held], full.norms[:held])
         assert np.array_equal(low.norms[held:], np.repeat(full.norms[held:, :1], 3, axis=1))
@@ -751,7 +754,7 @@ class TestBasisSizeDependence:
 
     @staticmethod
     def sector_one_spectrum(dynamics):
-        ih = 1j * list(all_generator_blocks(dynamics, SEXTIC, 128, nu_top=1))[1]
+        ih = 1j * all_generator_blocks(dynamics, SEXTIC, 128, nu_top=1)(1)
         return np.linalg.eigvalsh(0.5 * (ih + ih.conj().T))
 
     def test_semiquantum1_depends_on_n_early(self, gaps):

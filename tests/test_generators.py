@@ -28,6 +28,7 @@ from groenewold_lab.generators import (
 )
 from groenewold_lab.model import ModelSpec
 from oracles import (
+    blocks,
     classical_block_analytic,
     interior,
     p_block,
@@ -39,9 +40,9 @@ from oracles import (
     x_blocks,
 )
 
-QUARTIC = ModelSpec.quartic(mu=0.5)
-SEXTIC = ModelSpec.sextic(mu=0.5)
-HARMONIC = ModelSpec.harmonic(mu=0.5)
+QUARTIC = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)
+SEXTIC = ModelSpec(b=(0.0, 0.0, 0.0, 1.0), mu=0.5)
+HARMONIC = ModelSpec(b=(0.0, 1.0), mu=0.5)
 MIXED = ModelSpec(b=(0.0, 1.0 / 3.0, 0.5, 1.0), mu=0.4)
 NMAX = 40
 MODELS = (("quartic", QUARTIC), ("sextic", SEXTIC), ("mixed", MIXED))
@@ -108,7 +109,7 @@ class TestQuantumBlock:
     def test_builder_reads_one_spectrum_bit_exactly(self, model):
         # all_generator_blocks slices one spectrum; the oracle asks
         # level_frequencies for each sector's own, the same operations
-        for nu, block in enumerate(all_generator_blocks("quantum", model, NMAX)):
+        for nu, block in enumerate(blocks("quantum", model, NMAX)):
             assert np.array_equal(square(block), quantum_block(nu, model, NMAX - nu))
 
 
@@ -311,7 +312,7 @@ class TestEngineInternals:
 # with every rung j <= K - 1
 RUNG_MODELS = (
     ("sextic-fig3", SEXTIC),
-    ("sextic-fig4", ModelSpec.sextic(mu=0.25)),
+    ("sextic-fig4", ModelSpec(b=(0.0, 0.0, 0.0, 1.0), mu=0.25)),
     ("quartic", QUARTIC),
     ("mixed-k3", ModelSpec(b=(0.3, -0.2, 0.5, 0.1), mu=0.25)),
     ("k4", ModelSpec(b=(0.0, 0.0, 0.0, 0.0, 1.0), mu=0.2)),
@@ -416,10 +417,10 @@ class TestExactRule:
         monkeypatch.setattr(generators, "_jet_dalpha", h_counted(dalpha))
         monkeypatch.setattr(generators, "_jet_dalphabar", h_counted(dalphabar))
         monkeypatch.setattr(generators, "_laguerre_families", families_counted)
-        blocks = all_generator_blocks("semiclassical1", SEXTIC, 128, nu_top=23)
+        block = all_generator_blocks("semiclassical1", SEXTIC, 128, nu_top=23)
         assert (len(symbols), len(h_steps), families) == (1, 4 * 3, [])
-        for _ in blocks:
-            pass
+        for nu in range(24):
+            block(nu)
         assert (len(symbols), len(h_steps)) == (1, 4 * 3)
         assert families == [(nu, 4, 128 - nu) for nu in range(1, 24)]
 
@@ -430,11 +431,11 @@ class TestGuards:
         # port as in scipy's roots_genlaguerre; below that, the ceiling depends on the sectors
         # the state fills (fig3's state, sectors 0-23: N = 172)
         with pytest.raises(QuadratureNotConverged, match="364 nodes for alpha = 1:"):
-            list(all_generator_blocks("semiclassical1", SEXTIC, 174, nu_top=1))
+            all_generator_blocks("semiclassical1", SEXTIC, 174, nu_top=1)(1)
 
     def test_bad_orders_rejected(self):
         # all_generator_blocks checks its arguments at the call: no case
-        # here advances the iterator it returns
+        # here calls the builder it returns
         with pytest.raises(ConfigError):
             hilbert_correction_pairs(QUARTIC, 0, 8)
         with pytest.raises(ConfigError):
@@ -462,31 +463,34 @@ class TestDispatch:
 
     @pytest.mark.parametrize("dynamics", DYNAMICS)
     def test_all_blocks_match_single_blocks(self, dynamics):
-        # stopping at nu_top, as moment runs do, leaves every block it
-        # builds bit for bit unchanged
+        # stopping at nu_top, as moment runs do, and building the sectors
+        # from the top down, as evolve does, leaves every block bit for bit
+        # unchanged; a sector outside 0 .. nu_top is refused
         nmax = 24
-        blocks = list(all_generator_blocks(dynamics, SEXTIC, nmax))
-        assert len(blocks) == nmax
+        every = blocks(dynamics, SEXTIC, nmax)
+        assert len(every) == nmax
         for nu_top in (0, 1, 5):
-            top = list(all_generator_blocks(dynamics, SEXTIC, nmax, nu_top=nu_top))
-            assert len(top) == nu_top + 1
-            for nu, block in enumerate(top):
-                assert square(block).shape == (nmax - nu, nmax - nu)
-                assert np.array_equal(block, blocks[nu])
+            block = all_generator_blocks(dynamics, SEXTIC, nmax, nu_top=nu_top)
+            for nu in range(nu_top, -1, -1):
+                got = block(nu)
+                assert square(got).shape == (nmax - nu, nmax - nu)
+                assert np.array_equal(got, every[nu])
+            for outside in (-1, nu_top + 1):
+                with pytest.raises(ConfigError, match=f"sector {outside} lies outside"):
+                    block(outside)
 
     @pytest.mark.parametrize("dynamics", DYNAMICS)
     def test_uncorrected_sectors_arrive_as_diagonals(self, dynamics):
         # nu = 0, every quantum sector and every sector of a K = 1 model
         # carry no correction: 1-D, the rest square
-        sextic = [block.ndim for block in all_generator_blocks(dynamics, SEXTIC, 12)]
+        sextic = [block.ndim for block in blocks(dynamics, SEXTIC, 12)]
         corrected = dynamics != "quantum"
         assert sextic == [1] + [2 if corrected else 1] * 11
-        assert [block.ndim for block in all_generator_blocks(dynamics, HARMONIC, 12)] == [1] * 12
+        assert [block.ndim for block in blocks(dynamics, HARMONIC, 12)] == [1] * 12
 
     def test_frozen_sector_for_every_dynamics(self):
         for dynamics in DYNAMICS:
-            blocks = list(all_generator_blocks(dynamics, SEXTIC, 16))
-            assert np.abs(blocks[0]).max() == 0.0
+            assert np.abs(blocks(dynamics, SEXTIC, 16)[0]).max() == 0.0
 
 
 class TestCrossValidate:

@@ -5,54 +5,28 @@ suite imports the installed copy, and the last test here, skipped on src/,
 compares the installed console script with the checkout's src/:
 
     cd /tmp && python -m pytest <checkout>/tests -o pythonpath= -q
+
+The preset runs themselves are conftest.py's session fixture runs, which
+the rest of the suite shares.
 """
 
-import json
 import os
 import re
 import shutil
 import subprocess
 import sys
-import warnings
-from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from groenewold_lab import cli
+from conftest import PRESETS, variant
 
 CHECKOUT = Path(__file__).resolve().parents[1]
-PRESETS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
-
-
-def variant(tmp, name, edit):
-    """The bundled preset name, changed in place by edit, written in tmp."""
-    preset = resources.files("groenewold_lab").joinpath("presets", f"{name}.json")
-    raw = json.loads(preset.read_text(encoding="ascii"))
-    edit(raw)
-    path = tmp / f"{name}-variant.json"
-    path.write_text(json.dumps(raw, indent=2), encoding="ascii")
-    return path
 
 
 def data_lines(path):
     return [line for line in path.read_text().splitlines() if not line.startswith("#")]
-
-
-@pytest.fixture(scope="module")
-def runs(tmp_path_factory):
-    """fig1-fig6, fig5 with the negativity added and fig3 with a spectrum added, each run
-    once with every RuntimeWarning and UserWarning (BoundaryMassWarning too) an error."""
-    tmp = tmp_path_factory.mktemp("presets")
-    sources = {name: ["--preset", name] for name in PRESETS}
-    sources["fig5-neg"] = [str(variant(tmp, "fig5", lambda raw: raw["outputs"].update(negativity=True)))]
-    sources["fig3-spec"] = [str(variant(tmp, "fig3", lambda raw: raw["outputs"].update(spectrum={"k": 2})))]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        warnings.simplefilter("error", UserWarning)
-        for name, source in sources.items():
-            assert cli.main(["run", *source, "--out", str(tmp / name)]) == 0, name
-    return tmp
 
 
 def test_fig1_and_fig2_write_their_field_files(runs):

@@ -120,20 +120,20 @@ class TestModelSpec:
 
     def test_quartic_spectrum(self):
         # E_n = mu hbar omega (n^2 + n + 1/2)
-        model = ModelSpec.quartic(mu=0.5)
+        model = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)
         n = np.arange(6, dtype=float)
         expected = 0.5 * model.hbar * 1.0 * (n**2 + n + 0.5)
         assert np.allclose(model.eigenvalues(6), expected, rtol=1e-14, atol=0)
 
     def test_sextic_spectrum(self):
         # E_n = mu^2 hbar omega (n^3 + 3n^2/2 + 2n + 3/4)
-        model = ModelSpec.sextic(mu=0.5)
+        model = ModelSpec(b=(0.0, 0.0, 0.0, 1.0), mu=0.5)
         n = np.arange(7, dtype=float)
         expected = 0.25 * model.hbar * (n**3 + 1.5 * n**2 + 2 * n + 0.75)
         assert np.allclose(model.eigenvalues(7), expected, rtol=1e-14, atol=0)
 
     def test_harmonic_spectrum(self):
-        model = ModelSpec.harmonic(mu=0.3, omega=2.0)
+        model = ModelSpec(b=(0.0, 1.0), mu=0.3, omega=2.0)
         n = np.arange(5, dtype=float)
         assert np.allclose(
             model.eigenvalues(5), model.hbar * 2.0 * (n + 0.5), rtol=1e-14, atol=0
@@ -141,15 +141,15 @@ class TestModelSpec:
 
     def test_classical_rate(self):
         u = np.linspace(0.0, 5.0, 11)
-        quartic = ModelSpec.quartic(mu=0.5)
+        quartic = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)
         assert np.allclose(quartic.classical_rate(u), 2 * 0.5 * u, rtol=1e-14)
-        sextic = ModelSpec.sextic(mu=0.25)
+        sextic = ModelSpec(b=(0.0, 0.0, 0.0, 1.0), mu=0.25)
         assert np.allclose(sextic.classical_rate(u), 3 * 0.0625 * u**2, rtol=1e-14)
-        harmonic = ModelSpec.harmonic(mu=0.3, omega=1.7)
+        harmonic = ModelSpec(b=(0.0, 1.0), mu=0.3, omega=1.7)
         assert np.allclose(harmonic.classical_rate(u), 1.7, rtol=1e-14)
 
     def test_level_frequencies(self):
-        model = ModelSpec.quartic(mu=0.5)
+        model = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)
         # (E_{n+nu} - E_n)/hbar = mu omega ((n+nu)^2 + (n+nu) - n^2 - n)
         n = np.arange(4, dtype=float)
         nu = 2
@@ -160,8 +160,8 @@ class TestModelSpec:
         )
 
     def test_number_coefficients_keys_on_b_and_mu(self):
-        base = ModelSpec.quartic(mu=0.5)
-        other_mu = ModelSpec.quartic(mu=0.25)
+        base = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)
+        other_mu = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.25)
         other_b = ModelSpec(b=(0.0, 1.0, 1.0), mu=0.5)
         for model in (base, other_mu, other_b):
             exact = tuple(float(c) for c in number_coefficients(model.b, model.mu))
@@ -176,7 +176,7 @@ class TestModelSpec:
         assert derivative((F(1), F(0), F(2))) == (F(0), F(4))
         assert derivative((F(3),)) == (F(0),)
         # K = 1: h' is the constant b[1] mu and h'' the constant 0
-        h = ModelSpec.harmonic(mu=0.3).classical_symbol()
+        h = ModelSpec(b=(0.0, 1.0), mu=0.3).classical_symbol()
         assert h == (F(0), F(0.3))
         assert derivative(h) == (F(0.3),)
         assert derivative(derivative(h)) == (F(0),)
@@ -184,9 +184,9 @@ class TestModelSpec:
         # coefficients, signed zeros included, at u = 0 and below
         u = np.concatenate(([0.0, -0.0, 1e-300, -1e-300, 1e10], np.linspace(-5.0, 45.0, 301)))
         models = [
-            ModelSpec.harmonic(mu=0.3, omega=1.7),
-            ModelSpec.quartic(mu=0.5),
-            ModelSpec.sextic(mu=0.25),
+            ModelSpec(b=(0.0, 1.0), mu=0.3, omega=1.7),
+            ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5),
+            ModelSpec(b=(0.0, 0.0, 0.0, 1.0), mu=0.25),
             ModelSpec(b=(0.3, -0.2, 0.5, -0.1), mu=0.37, m=2.0, omega=0.7, E=3.0),
             ModelSpec(b=(0.0, 0.1, 0.0, -0.4, 0.0, 1.0), mu=0.2),
         ]

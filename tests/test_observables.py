@@ -31,11 +31,11 @@ from groenewold_lab.observables import (
 from groenewold_lab.states import GaussianState, groenewold_from_gaussian
 from oracles import break_time, coherent_density, dense, moments_by_time, stacked_trajectory
 
-QUARTIC = ModelSpec.quartic(mu=0.5)
-SEXTIC = ModelSpec.sextic(mu=0.5)
-HARMONIC = ModelSpec.harmonic(mu=0.5)
-QUARTIC_SMALL_HBAR = ModelSpec.quartic(mu=0.25)
-SEXTIC_SMALL_HBAR = ModelSpec.sextic(mu=0.25)
+QUARTIC = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)
+SEXTIC = ModelSpec(b=(0.0, 0.0, 0.0, 1.0), mu=0.5)
+HARMONIC = ModelSpec(b=(0.0, 1.0), mu=0.5)
+QUARTIC_SMALL_HBAR = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.25)
+SEXTIC_SMALL_HBAR = ModelSpec(b=(0.0, 0.0, 0.0, 1.0), mu=0.25)
 
 FIG3_STATE = GaussianState(kappa=2.0, alpha0=0.5)
 FIG4_STATE = GaussianState(kappa=1.0, alpha0=1.0 / math.sqrt(2.0))
@@ -90,7 +90,7 @@ class TestMoments:
         assert abs(rec.dp - 0.5) < 1e-12
 
     def test_units_enter_widths(self):
-        model = ModelSpec.quartic(mu=0.5, m=4.0, omega=2.0)  # hbar = 1/4
+        model = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5, m=4.0, omega=2.0)  # hbar = 1/4
         rec = snapshot(coherent_density(0.0, 16), model)
         assert abs(rec.dq - math.sqrt(model.hbar / (2.0 * 4.0 * 2.0))) < 1e-14
         assert abs(rec.dp - math.sqrt(model.hbar * 4.0 * 2.0 / 2.0)) < 1e-14

@@ -43,8 +43,8 @@ from oracles import (
     wigner_field_pointwise,
 )
 
-QUARTIC = ModelSpec.quartic(mu=0.5)
-SEXTIC = ModelSpec.sextic(mu=0.5)
+QUARTIC = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)
+SEXTIC = ModelSpec(b=(0.0, 0.0, 0.0, 1.0), mu=0.5)
 FIG3_STATE = GaussianState(kappa=2.0, alpha0=0.5)
 HBAR = QUARTIC.hbar
 # far enough out that the unweighted Laguerre values of a 256-level basis
@@ -114,7 +114,7 @@ class TestDistinctRadii:
         assert np.array_equal(field.values, want)
 
     def test_anisotropic_scale_bit_equal_to_pointwise(self):
-        model = ModelSpec.quartic(mu=0.5, m=2.0, omega=0.7)
+        model = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5, m=2.0, omega=0.7)
         g0 = groenewold_from_gaussian(GaussianState(kappa=1.5, alpha0=0.4 + 0.3j), 64)
         traj = evolve(g0, "quantum", model, [0.9])
         grid = (-4.0, 4.0, -4.0, 4.0, 96, 80)

@@ -181,10 +181,10 @@ class TestGuards:
         with pytest.raises(ConfigError):
             GaussianState(kappa=-1.0, alpha0=0.5)
         with pytest.raises(ConfigError):
-            GaussianState.from_gamma(0.0, 0.5, 0.0, ModelSpec.quartic(mu=0.5))
+            GaussianState.from_gamma(0.0, 0.5, 0.0, ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5))
 
     def test_from_gamma_roundtrip(self):
-        model = ModelSpec.quartic(mu=0.5)  # hbar = 1/2
+        model = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)  # hbar = 1/2
         gamma = np.sqrt(model.hbar * model.omega / 2.0)  # kappa = 2
         state = GaussianState.from_gamma(gamma, 0.5, 0.0, model)
         assert state.kappa == pytest.approx(2.0, rel=1e-14)
@@ -194,7 +194,7 @@ class TestGuards:
 
 class TestDyadSymbol:
     def test_vacuum_symbol_is_gaussian(self):
-        model = ModelSpec.quartic(mu=0.5)  # hbar = 1/2
+        model = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)  # hbar = 1/2
         q = np.linspace(-2, 2, 9)
         p = np.linspace(-2, 2, 9)
         qq, pp = np.meshgrid(q, p)
@@ -207,17 +207,17 @@ class TestDyadSymbol:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
     def test_diagonal_value_at_origin(self, n):
-        model = ModelSpec.sextic(mu=0.5)
+        model = ModelSpec(b=(0.0, 0.0, 0.0, 1.0), mu=0.5)
         assert wigner_dyad_symbol(n, n, 0.0, 0.0, model) == pytest.approx(
             2.0 * (-1.0) ** n, abs=1e-14
         )
 
     def test_offdiagonal_vanishes_at_origin(self):
-        model = ModelSpec.quartic(mu=0.5)
+        model = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)
         assert wigner_dyad_symbol(2, 0, 0.0, 0.0, model) == 0.0
 
     def test_angular_dependence(self):
-        model = ModelSpec.quartic(mu=0.5)
+        model = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)
         # hbar = 1/2, m = omega = 1: alpha = q + i p
         r = 0.7
         base = wigner_dyad_symbol(3, 1, r, 0.0, model)
@@ -226,14 +226,14 @@ class TestDyadSymbol:
             assert got == pytest.approx(base * np.exp(1j * (1 - 3) * phi), abs=1e-13)
 
     def test_hermitian_conjugation(self):
-        model = ModelSpec.quartic(mu=0.5)
+        model = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)
         a = wigner_dyad_symbol(4, 1, 0.6, -0.3, model)
         b = wigner_dyad_symbol(1, 4, 0.6, -0.3, model)
         assert b == pytest.approx(np.conj(a), abs=1e-14)
 
     def test_trace_orthogonality_by_quadrature(self):
         from groenewold_lab.evolve import composite_gauss_legendre_rule
-        model = ModelSpec.quartic(mu=0.5)
+        model = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)
         nodes, weights = composite_gauss_legendre_rule(-5.0, 5.0, 24, 10)
         qq, pp = np.meshgrid(nodes, nodes)
         ww = np.outer(weights, weights)
@@ -251,7 +251,7 @@ class TestDyadSymbol:
 
     def test_unit_mass_of_diagonal_dyads(self):
         from groenewold_lab.evolve import composite_gauss_legendre_rule
-        model = ModelSpec.quartic(mu=0.5)
+        model = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)
         nodes, weights = composite_gauss_legendre_rule(-5.0, 5.0, 24, 10)
         qq, pp = np.meshgrid(nodes, nodes)
         ww = np.outer(weights, weights)
@@ -261,7 +261,7 @@ class TestDyadSymbol:
             assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_negative_index_rejected(self):
-        model = ModelSpec.quartic(mu=0.5)
+        model = ModelSpec(b=(0.0, 0.0, 1.0), mu=0.5)
         with pytest.raises(ConfigError):
             wigner_dyad_symbol(-1, 0, 0.0, 0.0, model)
 
